@@ -38,3 +38,12 @@ def check_header(doc: dict, kind: str) -> None:
     major = version.split(".", 1)[0]
     if major != FORMAT_VERSION.split(".", 1)[0]:
         raise InvalidInputError(f"unsupported major version {version!r}")
+
+
+def require_keys(doc, keys: tuple[str, ...], where: str) -> None:
+    """Reject an artifact object that is not a JSON object or lacks any of keys."""
+    if not isinstance(doc, dict):
+        raise InvalidInputError(f"{where} must be a JSON object")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise InvalidInputError(f"{where} is missing field(s) {', '.join(missing)}")

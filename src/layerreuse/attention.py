@@ -35,9 +35,27 @@ __all__ = [
 ]
 
 
+def _is_frozen_f64(value) -> bool:
+    """True for a C-contiguous, read-only float64 array over read-only memory.
+
+    The base test rejects a read-only view of a writable array, whose memory
+    can still change. Contiguity keeps BLAS on the path a fresh copy would
+    take, so sharing never changes a result bit.
+    """
+    if not isinstance(value, np.ndarray) or value.dtype != np.float64:
+        return False
+    if value.flags.writeable or not value.flags.c_contiguous:
+        return False
+    base = value.base
+    return base is None or (isinstance(base, np.ndarray) and not base.flags.writeable)
+
+
 def _frozen_f64(value, name: str, ndim: int) -> np.ndarray:
-    """Copy to a read-only float64 array, rejecting non-finite entries."""
-    arr = np.array(value, dtype=np.float64)
+    """Read-only float64 array, rejecting non-finite entries.
+
+    Shares value when _is_frozen_f64 holds, otherwise copies it.
+    """
+    arr = value if _is_frozen_f64(value) else np.array(value, dtype=np.float64)
     if arr.ndim != ndim:
         raise ConfigurationError(f"{name} must be {ndim}-D, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -50,9 +68,14 @@ def _frozen_f64(value, name: str, ndim: int) -> np.ndarray:
 class LayerKvCache:
     """Key and value matrices for one layer's cached tokens.
 
-    Both arrays are [N, d] float64 with identical shapes and N >= 1. Inputs
-    are copied and marked read-only at construction, so a cache can be handed
-    to concurrent readers without defensive copies.
+    Both arrays are [N, d] float64 with identical shapes and N >= 1, checked
+    for shape and finiteness at construction and read-only afterwards, so a
+    cache can be handed to concurrent readers without defensive copies.
+
+    An input that is already a C-contiguous, read-only float64 array whose
+    base is absent or also read-only (a view of SyntheticModel.grown_arrays,
+    say) is shared, not copied; the caller must not write to that memory
+    through an older writable view. Every other input is copied.
     """
 
     keys: np.ndarray
@@ -79,6 +102,22 @@ class LayerKvCache:
     def head_dim(self) -> int:
         """Per-token vector width d."""
         return self.keys.shape[1]
+
+    def prefix(self, n: int) -> LayerKvCache:
+        """The cache of the first n tokens, in O(1).
+
+        The result shares this cache's memory and is not validated again:
+        its rows were checked when this cache was built.
+
+        Raises:
+            ConfigurationError: unless 1 <= n <= length.
+        """
+        if not 1 <= n <= self.length:
+            raise ConfigurationError(f"prefix length must lie in [1, {self.length}], got {n}")
+        view = object.__new__(LayerKvCache)
+        object.__setattr__(view, "keys", self.keys[:n])
+        object.__setattr__(view, "values", self.values[:n])
+        return view
 
 
 @dataclass(frozen=True)
@@ -223,6 +262,9 @@ def full_attention(q, cache: LayerKvCache) -> tuple[np.ndarray, AttentionScores]
     logits = cache.keys @ q / math.sqrt(cache.head_dim)
     weights = softmax(logits)
     output = weights @ cache.values
+    # Both vectors are fresh; freezing them lets AttentionScores share them.
+    logits.setflags(write=False)
+    weights.setflags(write=False)
     return output, AttentionScores(logits=logits, weights=weights)
 
 
@@ -264,15 +306,28 @@ def sparse_attention(q, cache: LayerKvCache, selection: TopKSet) -> np.ndarray:
 def topk_of_logits(logits: np.ndarray, budget: int) -> tuple[int, ...]:
     """Indices of the min(budget, N) highest logits, ties won by the lower index.
 
-    Returned in ascending order, the canonical set form.
+    Returned in ascending order, the canonical set form. O(N) for finite
+    logits; NaN ranks below every number.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if budget < 1:
         raise InvalidInputError(f"budget must be >= 1, got {budget}")
-    take = min(budget, logits.shape[0])
-    # Stable sort on the negated logits keeps equal scores in index order.
-    order = np.argsort(-logits, kind="stable")[:take]
-    return tuple(int(i) for i in np.sort(order))
+    n = logits.shape[0]
+    take = min(budget, n)
+    if take == n:
+        return tuple(range(n))
+    # O(N) selection: the (n - take)-th order statistic is the smallest kept
+    # value. Every logit above it is kept; the remaining slots go to the
+    # lowest-index logits equal to it.
+    part = np.partition(logits, n - take)
+    if np.isnan(part[n - take :]).any():
+        # partition ranks NaN highest; a stable sort of the negated logits
+        # ranks it below every number, which is the contract.
+        return tuple(np.sort(np.argsort(-logits, kind="stable")[:take]).tolist())
+    threshold = part[n - take]
+    above = np.flatnonzero(logits > threshold)
+    ties = np.flatnonzero(logits == threshold)[: take - above.shape[0]]
+    return tuple(np.sort(np.concatenate((above, ties))).tolist())
 
 
 def topk_indices(scores: AttentionScores, budget: int) -> TopKSet:

@@ -6,6 +6,12 @@ inherit the previous layer's selection, gather only those KV rows, and run
 subset-renormalized sparse attention. Instrumentation counts every full-cache
 score computation so tests can assert that reuse layers triggered none.
 
+Each (layer, head) cache is built once per decode call, as a view of the
+model's grown arrays, and Full layers see each step through prefix; only the
+rows a Reuse layer gathers are ever copied. Fidelity compares against the
+all-Full baseline, which equals the run's own outputs at Full layers bit for
+bit, so it is recomputed with full attention at Reuse layers only.
+
 The cost model is analytic. It prices KV traffic in bytes, for both the
 HBM-resident case and the case where reused layers' caches are offloaded
 across a slow link and only the selected rows come back.
@@ -20,6 +26,7 @@ import numpy as np
 
 from .attention import (
     BlockSet,
+    LayerKvCache,
     TopKSet,
     _subset_attention,
     block_max_of_logits,
@@ -30,7 +37,7 @@ from .attention import (
 from .errors import ConfigurationError, InvalidInputError
 from .policy import Action, LayerPolicy
 from .profiling import relative_l2_error
-from .synthetic import DecodeTrace, SyntheticModel, run_full_trace
+from .synthetic import DecodeTrace, SyntheticModel
 
 __all__ = [
     "FidelityTable",
@@ -108,6 +115,27 @@ def _fidelity_tables(baseline_outputs: np.ndarray, hybrid_outputs: np.ndarray) -
     )
 
 
+def _full_baseline(
+    outputs: np.ndarray,
+    policy: LayerPolicy,
+    queries: np.ndarray,
+    caches: list[list[LayerKvCache]],
+    context_len: int,
+) -> np.ndarray:
+    """All-Full baseline of a run: its outputs, with Reuse layers recomputed.
+
+    A Full layer of the run already computed full_attention on the same query
+    and cache, so only Reuse layers can differ from an all-Full decode.
+    """
+    baseline = outputs.copy()
+    reuse = [l for l, action in enumerate(policy.actions) if action is Action.REUSE]
+    for t in range(outputs.shape[0]):
+        for l in reuse:
+            for h, cache in enumerate(caches[l]):
+                baseline[t, l, h], _ = full_attention(queries[t, l, h], cache.prefix(context_len + t))
+    return baseline
+
+
 def _check_run_args(model: SyntheticModel, policy: LayerPolicy, steps: int) -> None:
     if policy.num_layers != model.config.layers:
         raise ConfigurationError(
@@ -141,8 +169,8 @@ def hybrid_decode(
     tokens of their summed per-head logits; Reuse layers inherit the previous
     layer's selection and run sparse attention over just those rows. The
     budget is clamped to the current cache length each step. Fidelity is
-    measured against an internally recomputed all-full baseline on the same
-    model and steps.
+    measured against the all-full baseline on the same model and steps,
+    recomputed at Reuse layers only (Full layers match it bit for bit).
 
     include_sinks / include_recent optionally force the first and last so
     many tokens into reused selections; both default to off, which keeps the
@@ -154,11 +182,10 @@ def hybrid_decode(
     if include_sinks < 0 or include_recent < 0:
         raise InvalidInputError("include_sinks and include_recent must be >= 0")
     cfg = model.config
-    baseline = run_full_trace(model, steps, min(budget, cfg.context_len), 1)
-
     L, H, d = cfg.layers, cfg.heads, cfg.head_dim
     keys, values = model.grown_arrays(steps)
     queries = model.queries(steps)
+    caches = [[model.cache_at(keys, values, l, h, steps - 1) for h in range(H)] for l in range(L)]
     outputs = np.empty((steps, L, H, d))
     selections: list[tuple[TopKSet, ...]] = []
     full_counts: list[int] = []
@@ -172,11 +199,10 @@ def hybrid_decode(
         fulls = 0
         sel: TopKSet | None = None
         for l in range(L):
-            caches = [model.cache_at(keys, values, l, h, t) for h in range(H)]
             if policy.actions[l] is Action.FULL:
                 agg_logits = np.zeros(n_t)
                 for h in range(H):
-                    out, scores = full_attention(queries[t, l, h], caches[h])
+                    out, scores = full_attention(queries[t, l, h], caches[l][h].prefix(n_t))
                     outputs[t, l, h] = out
                     agg_logits += scores.logits
                 fulls += 1
@@ -188,7 +214,7 @@ def hybrid_decode(
                     sel = _augment_selection(sel, n_t, include_sinks, include_recent)
                 idx = sel.as_array()
                 for h in range(H):
-                    out, _, _ = _subset_attention(queries[t, l, h], caches[h], idx)
+                    out, _, _ = _subset_attention(queries[t, l, h], caches[l][h], idx)
                     outputs[t, l, h] = out
                 step_gathered.append(sel.size)
             step_sel.append(sel)
@@ -202,7 +228,9 @@ def hybrid_decode(
         block_size=1,
         outputs=outputs,
         selections=tuple(selections),
-        fidelity=_fidelity_tables(baseline.outputs, outputs),
+        fidelity=_fidelity_tables(
+            _full_baseline(outputs, policy, queries, caches, cfg.context_len), outputs
+        ),
         full_score_computations=tuple(full_counts),
         reuse_full_scans=reuse_full_scans,
         reuse_gathered_rows=tuple(gathered),
@@ -223,7 +251,8 @@ def hybrid_decode_blocks(
     gather exactly the selected blocks' token ranges (the final block may be
     truncated by the cache end) and run sparse attention over that coverage.
     block_size = 1 reproduces hybrid_decode with budget = block_budget bit
-    for bit.
+    for bit. Fidelity is measured as in hybrid_decode: against the all-full
+    baseline, recomputed at Reuse layers only.
     """
     _check_run_args(model, policy, steps)
     if block_budget < 1:
@@ -231,12 +260,10 @@ def hybrid_decode_blocks(
     if block_size < 1:
         raise InvalidInputError(f"block_size must be >= 1, got {block_size}")
     cfg = model.config
-    baseline_budget = min(max(block_budget * block_size, 1), cfg.context_len)
-    baseline = run_full_trace(model, steps, baseline_budget, block_size)
-
     L, H, d = cfg.layers, cfg.heads, cfg.head_dim
     keys, values = model.grown_arrays(steps)
     queries = model.queries(steps)
+    caches = [[model.cache_at(keys, values, l, h, steps - 1) for h in range(H)] for l in range(L)]
     outputs = np.empty((steps, L, H, d))
     selections: list[tuple[BlockSet, ...]] = []
     full_counts: list[int] = []
@@ -251,11 +278,10 @@ def hybrid_decode_blocks(
         fulls = 0
         sel: BlockSet | None = None
         for l in range(L):
-            caches = [model.cache_at(keys, values, l, h, t) for h in range(H)]
             if policy.actions[l] is Action.FULL:
                 agg_logits = np.zeros(n_t)
                 for h in range(H):
-                    out, scores = full_attention(queries[t, l, h], caches[h])
+                    out, scores = full_attention(queries[t, l, h], caches[l][h].prefix(n_t))
                     outputs[t, l, h] = out
                     agg_logits += scores.logits
                 fulls += 1
@@ -265,7 +291,7 @@ def hybrid_decode_blocks(
                 assert sel is not None
                 coverage = sel.token_coverage(n_t)
                 for h in range(H):
-                    out, _, _ = _subset_attention(queries[t, l, h], caches[h], coverage)
+                    out, _, _ = _subset_attention(queries[t, l, h], caches[l][h], coverage)
                     outputs[t, l, h] = out
                 step_gathered.append(int(coverage.shape[0]))
             step_sel.append(sel)
@@ -279,7 +305,9 @@ def hybrid_decode_blocks(
         block_size=block_size,
         outputs=outputs,
         selections=tuple(selections),
-        fidelity=_fidelity_tables(baseline.outputs, outputs),
+        fidelity=_fidelity_tables(
+            _full_baseline(outputs, policy, queries, caches, cfg.context_len), outputs
+        ),
         full_score_computations=tuple(full_counts),
         reuse_full_scans=reuse_full_scans,
         reuse_gathered_rows=tuple(gathered),

@@ -15,7 +15,7 @@ import os
 
 import numpy as np
 
-from ._canon import FORMAT_VERSION, canonical_json_bytes, check_header, payload_hash
+from ._canon import FORMAT_VERSION, canonical_json_bytes, check_header, payload_hash, require_keys
 from .attention import BlockSet, TopKSet
 from .engine import CostModelReport, DecodeRunResult
 from .errors import InvalidInputError
@@ -71,17 +71,17 @@ def config_payload(config: SynthModelConfig) -> dict:
 
 
 def config_from_payload(doc: dict) -> SynthModelConfig:
-    try:
-        return SynthModelConfig(
-            layers=doc["layers"],
-            head_dim=doc["headDim"],
-            context_len=doc["contextLen"],
-            seed=doc["seed"],
-            inter_layer_correlation=doc["interLayerCorrelation"],
-            heads=doc["heads"],
-        )
-    except KeyError as exc:
-        raise InvalidInputError(f"config is missing field {exc}") from exc
+    require_keys(
+        doc, ("layers", "headDim", "contextLen", "seed", "interLayerCorrelation", "heads"), "config"
+    )
+    return SynthModelConfig(
+        layers=doc["layers"],
+        head_dim=doc["headDim"],
+        context_len=doc["contextLen"],
+        seed=doc["seed"],
+        inter_layer_correlation=doc["interLayerCorrelation"],
+        heads=doc["heads"],
+    )
 
 
 def _write_tensor(path: str, arr: np.ndarray) -> None:
@@ -139,9 +139,13 @@ def write_trace(trace: DecodeTrace, path: str, manifest_hash: str | None = None)
 def read_trace(path: str) -> DecodeTrace:
     doc = read_json(path)
     check_header(doc, "decode-trace")
+    require_keys(doc, ("config", "budget", "blockSize", "steps", "tensors"), "decode-trace")
     config = config_from_payload(doc["config"])
     base = os.path.dirname(path)
     tensors = doc["tensors"]
+    require_keys(tensors, ("queries", "outputs"), "tensors")
+    for name in ("queries", "outputs"):
+        require_keys(tensors[name], ("path", "shape"), f"tensor {name}")
     queries = _read_tensor(os.path.join(base, tensors["queries"]["path"]), tensors["queries"]["shape"])
     outputs = _read_tensor(os.path.join(base, tensors["outputs"]["path"]), tensors["outputs"]["shape"])
     budget = int(doc["budget"])
@@ -152,9 +156,12 @@ def read_trace(path: str) -> DecodeTrace:
     topk_rows = []
     block_rows = []
     for step in steps:
+        require_keys(step, ("layer",), "trace step")
         layers = step["layer"]
         if len(layers) != config.layers:
             raise InvalidInputError("trace step does not cover every layer")
+        for entry in layers:
+            require_keys(entry, ("topk", "blocks"), "trace layer entry")
         topk_rows.append(
             tuple(TopKSet(indices=tuple(entry["topk"]), budget=budget) for entry in layers)
         )
@@ -184,6 +191,7 @@ def write_similarity_matrix(
 def read_similarity_matrix(path: str) -> SimilarityMatrix:
     doc = read_json(path)
     check_header(doc, "similarity-matrix")
+    require_keys(doc, ("L", "k", "entries"), "similarity-matrix")
     return SimilarityMatrix.from_flat(int(doc["L"]), int(doc["k"]), doc["entries"])
 
 
@@ -213,6 +221,9 @@ def read_sensitivity_report(path: str) -> SensitivityReport:
 
     doc = read_json(path)
     check_header(doc, "sensitivity-report")
+    require_keys(doc, ("budget", "step", "layers"), "sensitivity-report")
+    for entry in doc["layers"]:
+        require_keys(entry, ("rnmse", "kl"), "sensitivity layer entry")
     layers = tuple(
         LayerSensitivity(
             rnmse=math.nan if entry["rnmse"] is None else float(entry["rnmse"]),
@@ -230,6 +241,11 @@ def write_policy(policy: LayerPolicy, path: str, manifest_hash: str | None = Non
 def read_policy(path: str) -> LayerPolicy:
     doc = read_json(path)
     check_header(doc, "layer-policy")
+    require_keys(
+        doc,
+        ("L", "theta", "actions", "sources", "fullCount", "cumSimilarity", "matrixHash"),
+        "layer-policy",
+    )
     actions = tuple(Action(a) for a in doc["actions"])
     sources = tuple(
         j if src is None else int(src) for j, src in enumerate(doc["sources"])
@@ -278,6 +294,12 @@ def read_run_result(path: str) -> dict:
     """Run results are read back as plain documents; arrays stay lists."""
     doc = read_json(path)
     check_header(doc, "decode-run")
+    require_keys(
+        doc,
+        ("theta", "policyHash", "budget", "blockSize", "steps", "counters", "fidelity"),
+        "decode-run",
+    )
+    require_keys(doc["fidelity"], ("aggregateRnmse", "perLayerRnmse", "perStepLayerRnmse"), "fidelity")
     return doc
 
 
@@ -306,4 +328,21 @@ def write_cost_report(
 def read_cost_report(path: str) -> dict:
     doc = read_json(path)
     check_header(doc, "cost-report")
+    require_keys(
+        doc,
+        (
+            "kvBytesFull",
+            "kvBytesHybrid",
+            "bytesRatio",
+            "linkBytesFull",
+            "linkBytesOffload",
+            "predictedSpeedup",
+            "tokensCovered",
+            "hbmSecondsFull",
+            "hbmSecondsHybrid",
+            "linkSecondsFull",
+            "linkSecondsOffload",
+        ),
+        "cost-report",
+    )
     return doc

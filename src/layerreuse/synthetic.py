@@ -187,7 +187,7 @@ class SyntheticModel:
         return keys, values
 
     def cache_at(self, keys: np.ndarray, values: np.ndarray, layer: int, head: int, step: int) -> LayerKvCache:
-        """Cache view for (layer, head) at a decode step, from grown_arrays output."""
+        """Cache of (layer, head) at a decode step: a view of grown_arrays output, not a copy."""
         n = self.config.context_len + step
         return LayerKvCache(keys=keys[layer, head, :n], values=values[layer, head, :n])
 
@@ -264,6 +264,7 @@ def run_full_trace(model: SyntheticModel, steps: int, budget: int, block_size: i
     keys, values = model.grown_arrays(steps)
     queries = model.queries(steps)
     outputs = np.empty((steps, L, H, d))
+    caches = [[model.cache_at(keys, values, l, h, steps - 1) for h in range(H)] for l in range(L)]
     block_budget = math.ceil(budget / block_size)
     topk_rows: list[tuple[TopKSet, ...]] = []
     block_rows: list[tuple[BlockSet, ...]] = []
@@ -274,8 +275,7 @@ def run_full_trace(model: SyntheticModel, steps: int, budget: int, block_size: i
         for l in range(L):
             agg_logits = np.zeros(n_t)
             for h in range(H):
-                cache = model.cache_at(keys, values, l, h, t)
-                out, scores = full_attention(queries[t, l, h], cache)
+                out, scores = full_attention(queries[t, l, h], caches[l][h].prefix(n_t))
                 outputs[t, l, h] = out
                 agg_logits += scores.logits
             step_topk.append(TopKSet(indices=topk_of_logits(agg_logits, budget), budget=budget))

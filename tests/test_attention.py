@@ -94,6 +94,64 @@ def test_cache_arrays_are_immutable():
         cache.keys[0, 0] = 9.0
 
 
+def _frozen(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+def test_cache_shares_read_only_float64_input_and_copies_writable_input():
+    rng = np.random.default_rng(11)
+    keys, values = _frozen(rng.standard_normal((6, 4))), _frozen(rng.standard_normal((6, 4)))
+    shared = LayerKvCache(keys=keys, values=values)
+    assert np.shares_memory(shared.keys, keys) and np.shares_memory(shared.values, values)
+
+    writable = rng.standard_normal((6, 4))
+    copied = LayerKvCache(keys=writable, values=writable.copy())
+    assert not np.shares_memory(copied.keys, writable)
+    writable[0, 0] = 99.0
+    assert copied.keys[0, 0] != 99.0
+
+
+def test_cache_copies_read_only_view_of_writable_base():
+    base = np.random.default_rng(12).standard_normal((3, 6, 4))
+    keys = _frozen(base[0])
+    values = _frozen(base[1])
+    cache = LayerKvCache(keys=keys, values=values)
+    assert not np.shares_memory(cache.keys, base)
+    assert not np.shares_memory(cache.values, base)
+
+
+def test_cache_shares_views_of_read_only_base():
+    base = _frozen(np.random.default_rng(13).standard_normal((2, 6, 4)))
+    cache = LayerKvCache(keys=base[0, :5], values=base[1, :5])
+    assert np.shares_memory(cache.keys, base) and np.shares_memory(cache.values, base)
+
+
+def test_cache_prefix_is_a_shared_view():
+    base = _frozen(np.random.default_rng(14).standard_normal((2, 6, 4)))
+    cache = LayerKvCache(keys=base[0], values=base[1])
+    head = cache.prefix(3)
+    assert head.length == 3 and head.head_dim == 4
+    assert np.shares_memory(head.keys, cache.keys) and np.shares_memory(head.values, cache.values)
+    assert np.array_equal(head.keys, base[0, :3]) and np.array_equal(head.values, base[1, :3])
+    assert cache.prefix(cache.length).length == cache.length
+    q = np.ones(4)
+    want, _ = full_attention(q, LayerKvCache(keys=base[0, :3].copy(), values=base[1, :3].copy()))
+    assert np.array_equal(full_attention(q, head)[0], want)
+    for n in (0, cache.length + 1):
+        with pytest.raises(ConfigurationError):
+            cache.prefix(n)
+
+
+def test_shared_input_is_still_validated():
+    bad = np.ones((2, 3))
+    bad[1, 2] = np.nan
+    with pytest.raises(NumericInputError):
+        LayerKvCache(keys=_frozen(bad), values=_frozen(np.ones((2, 3))))
+    with pytest.raises(ConfigurationError):
+        LayerKvCache(keys=_frozen(np.ones(3)), values=_frozen(np.ones(3)))
+
+
 # --- top-k selection ---
 
 
@@ -103,6 +161,21 @@ def test_topk_basic_and_ties():
     assert topk_of_logits(np.array([5.0, 5.0, 5.0]), 2) == (0, 1)
     # budget saturates at N
     assert topk_of_logits(np.array([1.0, 2.0]), 10) == (0, 1)
+    # ties at the cut-off go to the lowest indices, above-cut-off values always stay
+    assert topk_of_logits(np.array([1.0, 2.0, 1.0, 3.0, 1.0]), 3) == (0, 1, 3)
+    # NaN ranks below every number, -inf included
+    assert topk_of_logits(np.array([np.nan, 1.0, np.nan, -np.inf]), 3) == (0, 1, 3)
+    assert all(type(i) is int for i in topk_of_logits(np.array([3.0, 1.0, 2.0]), 2))
+
+
+def test_topk_matches_reference_on_large_tied_draws():
+    # Few distinct values force many ties at the cut-off.
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        n = int(rng.integers(100, 5000))
+        logits = rng.integers(-4, 4, n).astype(float)
+        budget = int(rng.integers(1, n))
+        assert list(topk_of_logits(logits, budget)) == ref_topk(logits.tolist(), budget)
 
 
 def test_topk_matches_reference_on_random_draws():

@@ -252,3 +252,47 @@ def test_report_rejects_unknown_kind(pipeline, tmp_path, capsys):
     assert main(["report", str(pipeline / "sensitivity.json"),
                  "--out-dir", str(tmp_path)]) == 2
     assert "unsupported artifact kind" in capsys.readouterr().err
+
+
+# (artifact, key path removed, command reading it); {src} is the broken copy.
+_READERS = {
+    "trace.json": ["profile", "--trace", "{src}", "--out-dir", "{out}"],
+    "similarity.json": ["plan", "--matrix", "{src}", "--theta", "0.5", "--out-dir", "{out}"],
+    "policy.json": ["bench", "--policy", "{src}", "--lengths", "1024", "--out-dir", "{out}"],
+    "run.json": ["report", "{src}", "--out-dir", "{out}"],
+}
+_REQUIRED = [
+    *[("trace.json", (key,)) for key in ("config", "budget", "blockSize", "steps", "tensors")],
+    *[("trace.json", ("config", key)) for key in
+      ("layers", "headDim", "contextLen", "seed", "interLayerCorrelation", "heads")],
+    ("trace.json", ("tensors", "queries")),
+    ("trace.json", ("tensors", "outputs", "shape")),
+    ("trace.json", ("steps", 0, "layer")),
+    ("trace.json", ("steps", 1, "layer", 2, "topk")),
+    ("trace.json", ("steps", 0, "layer", 0, "blocks")),
+    *[("similarity.json", (key,)) for key in ("L", "k", "entries")],
+    *[("policy.json", (key,)) for key in
+      ("L", "theta", "actions", "sources", "fullCount", "cumSimilarity", "matrixHash")],
+    *[("run.json", (key,)) for key in
+      ("theta", "policyHash", "budget", "blockSize", "steps", "counters", "fidelity")],
+    *[("run.json", ("fidelity", key)) for key in
+      ("aggregateRnmse", "perLayerRnmse", "perStepLayerRnmse")],
+]
+
+
+@pytest.mark.parametrize(
+    "artifact,path", _REQUIRED, ids=[f"{a}:{'.'.join(map(str, p))}" for a, p in _REQUIRED]
+)
+def test_missing_required_key_exits_2(pipeline, tmp_path, capsys, artifact, path):
+    doc = read_json(str(pipeline / artifact))
+    parent = doc
+    for part in path[:-1]:
+        parent = parent[part]
+    del parent[path[-1]]
+    src = tmp_path / artifact
+    src.write_text(json.dumps(doc))
+    for sidecar in ("trace.queries.bin", "trace.outputs.bin"):
+        (tmp_path / sidecar).write_bytes((pipeline / sidecar).read_bytes())
+    argv = [arg.format(src=src, out=tmp_path / "out") for arg in _READERS[artifact]]
+    assert main(argv) == 2
+    assert str(path[-1]) in capsys.readouterr().err

@@ -345,3 +345,38 @@ def test_fidelity_report_shape_and_block_guards(fixture_model):
     matched = run_full_trace(model, 2, 256, 128)
     report = fidelity_report(matched, blk_run)
     assert report.rnmse.aggregate == blk_run.fidelity.aggregate
+
+
+# --- fidelity baseline: recomputed at Reuse layers only ---
+
+
+def _token_case(model, policy, steps):
+    run = hybrid_decode(model, policy, 12, steps)
+    return run, run_full_trace(model, steps, min(12, model.config.context_len), 1)
+
+
+def _augmented_case(model, policy, steps):
+    run = hybrid_decode(model, policy, 12, steps, include_sinks=3, include_recent=5)
+    return run, run_full_trace(model, steps, min(12, model.config.context_len), 1)
+
+
+def _block_case(model, policy, steps):
+    run = hybrid_decode_blocks(model, policy, 3, 8, steps)
+    return run, run_full_trace(model, steps, min(3 * 8, model.config.context_len), 8)
+
+
+@pytest.mark.parametrize("case", [_token_case, _augmented_case, _block_case],
+                         ids=["token", "token-sinks-recent", "block"])
+def test_fidelity_equals_full_trace_baseline(case):
+    cfg = SynthModelConfig(layers=6, head_dim=16, context_len=80, seed=4,
+                           inter_layer_correlation=0.8, heads=2)
+    model = generate_model(cfg)
+    policy = static_jump_policy(cfg.layers, 3)
+    run, trace = case(model, policy, 3)
+    want = fidelity_report(trace, run).rnmse
+    assert np.array_equal(run.fidelity.per_step_layer, want.per_step_layer)
+    assert np.array_equal(run.fidelity.per_layer, want.per_layer)
+    assert run.fidelity.aggregate == want.aggregate
+    for l, action in enumerate(policy.actions):
+        column = run.fidelity.per_step_layer[:, l]
+        assert np.all(column == 0.0) if action is Action.FULL else np.all(column > 0.0)

@@ -233,3 +233,46 @@ def test_canonical_json_is_sorted_and_compact(tmp_path):
     assert b": " not in raw and b", " not in raw
     doc = json.loads(raw)
     assert list(doc.keys()) == sorted(doc.keys())
+
+
+def _sensitivity_doc(path):
+    report = SensitivityReport(
+        budget=4, step=0, layers=(LayerSensitivity(rnmse=0.5, kl=0.1),) * 2
+    )
+    write_sensitivity_report(report, path)
+    return read_sensitivity_report
+
+
+def _cost_doc(path):
+    write_cost_report(cost_model(static_jump_policy(8, 3), 2048, 128), path, budget=128)
+    return read_cost_report
+
+
+# Artifacts that no CLI command reads; test_cli covers the ones that one does.
+_REQUIRED = [
+    *[(_sensitivity_doc, (key,)) for key in ("budget", "step", "layers")],
+    *[(_sensitivity_doc, ("layers", 1, key)) for key in ("rnmse", "kl")],
+    *[(_cost_doc, (key,)) for key in (
+        "kvBytesFull", "kvBytesHybrid", "bytesRatio", "linkBytesFull", "linkBytesOffload",
+        "predictedSpeedup", "tokensCovered", "hbmSecondsFull", "hbmSecondsHybrid",
+        "linkSecondsFull", "linkSecondsOffload",
+    )],
+]
+
+
+@pytest.mark.parametrize(
+    "make,path", _REQUIRED,
+    ids=[f"{m.__name__[1:]}:{'.'.join(map(str, p))}" for m, p in _REQUIRED],
+)
+def test_reader_rejects_missing_required_key(tmp_path, make, path):
+    target = str(tmp_path / "artifact.json")
+    reader = make(target)
+    doc = read_json(target)
+    parent = doc
+    for part in path[:-1]:
+        parent = parent[part]
+    del parent[path[-1]]
+    with open(target, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(InvalidInputError, match=str(path[-1])):
+        reader(target)
