@@ -40,10 +40,41 @@ def check_header(doc: dict, kind: str) -> None:
         raise InvalidInputError(f"unsupported major version {version!r}")
 
 
-def require_keys(doc, keys: tuple[str, ...], where: str) -> None:
-    """Reject an artifact object that is not a JSON object or lacks any of keys."""
+# Expected JSON value types for require_keys and require_items. A JSON
+# number may be written without a fraction, so NUMBER takes int as well.
+# Types match exactly, so a JSON true or false never counts as a number.
+NUMBER = (int, float)
+NULL = type(None)
+NUMBER_OR_NULL = (int, float, NULL)
+_JSON_NAMES = {int: "an integer", float: "a number", str: "a string", list: "an array",
+               dict: "an object", bool: "a boolean", NULL: "null"}
+
+
+def _type_error(where: str, value, types: tuple) -> InvalidInputError:
+    want = " or ".join(_JSON_NAMES[t] for t in types)
+    got = _JSON_NAMES.get(type(value), type(value).__name__)
+    return InvalidInputError(f"{where} must be {want}, got {got}")
+
+
+def require_keys(doc, fields: dict, where: str) -> None:
+    """Reject an artifact object that is not a JSON object, lacks a field, or types one wrongly.
+
+    fields maps each required key to its expected type or tuple of types.
+    """
     if not isinstance(doc, dict):
         raise InvalidInputError(f"{where} must be a JSON object")
-    missing = [key for key in keys if key not in doc]
+    missing = [key for key in fields if key not in doc]
     if missing:
         raise InvalidInputError(f"{where} is missing field(s) {', '.join(missing)}")
+    for key, types in fields.items():
+        types = types if isinstance(types, tuple) else (types,)
+        if type(doc[key]) not in types:
+            raise _type_error(f"{where} field {key}", doc[key], types)
+
+
+def require_items(items: list, types, where: str) -> None:
+    """Reject a JSON array holding an item of the wrong type."""
+    types = types if isinstance(types, tuple) else (types,)
+    for item in items:
+        if type(item) not in types:
+            raise _type_error(f"every item of {where}", item, types)

@@ -5,6 +5,9 @@ manifest hash in each artifact. The hash covers the command, the effective
 config, input and output paths, seed, and tool version, but not wall time, so
 re-running a command on identical inputs produces byte-identical artifacts.
 
+Every file is written atomically: to a temp file beside it, then renamed
+into place.
+
 Exit codes: 0 success, 2 validation error (bad flag or file content), 3 I/O
 error, 4 internal invariant violation.
 
@@ -27,6 +30,7 @@ from ._canon import FORMAT_VERSION, payload_hash
 from .engine import cost_model, hybrid_decode, hybrid_decode_blocks
 from .errors import InvalidInputError, LayerReuseError
 from .formats import (
+    atomic_open,
     config_from_payload,
     config_payload,
     read_json,
@@ -128,7 +132,7 @@ class _Manifest:
         doc = self.payload()
         doc["wallTimeSeconds"] = time.monotonic() - self._started
         path = primary_output + ".manifest.json"
-        with open(path, "w", encoding="ascii") as fh:
+        with atomic_open(path, "w", encoding="ascii") as fh:
             json.dump(doc, fh, sort_keys=True, indent=2)
             fh.write("\n")
 
@@ -274,7 +278,7 @@ def _cmd_bench(args) -> int:
             hbm_bandwidth=args.hbm_bandwidth,
         )
         rows.append((n, report.bytes_ratio, report.predicted_speedup))
-    with open(out, "w", newline="", encoding="ascii") as fh:
+    with atomic_open(out, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(["contextLen", "bytesRatio", "predictedSpeedup", "manifest"])
         for n, ratio, speedup in rows:
@@ -299,7 +303,7 @@ def _cmd_report(args) -> int:
         if kind == "similarity-matrix":
             matrix = read_similarity_matrix(path)
             out = os.path.join(out_dir, f"{stem}.heatmap.csv")
-            with open(out, "w", newline="", encoding="ascii") as fh:
+            with atomic_open(out, "w", newline="", encoding="ascii") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["target", "source", "overlap"])
                 for j, i, value in similarity_matrix_csv_rows(matrix):
@@ -310,7 +314,7 @@ def _cmd_report(args) -> int:
         elif kind == "decode-run":
             doc = read_run_result(path)
             out = os.path.join(out_dir, f"{stem}.rnmse.csv")
-            with open(out, "w", newline="", encoding="ascii") as fh:
+            with atomic_open(out, "w", newline="", encoding="ascii") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["layer", "rnmse"])
                 for l, value in enumerate(doc["fidelity"]["perLayerRnmse"]):
@@ -321,7 +325,7 @@ def _cmd_report(args) -> int:
             raise InvalidInputError(f"{path}: unsupported artifact kind {kind!r}")
     if policies:
         out = os.path.join(out_dir, "policies.md")
-        with open(out, "w", encoding="ascii") as fh:
+        with atomic_open(out, "w", encoding="ascii") as fh:
             fh.write("| policy | layers | theta | fullCount | cumSimilarity |\n")
             fh.write("| --- | --- | --- | --- | --- |\n")
             for path, pol in policies:
@@ -339,7 +343,7 @@ def _cmd_report(args) -> int:
             for path, doc in runs
             if doc.get("theta") is not None
         )
-        with open(out, "w", newline="", encoding="ascii") as fh:
+        with atomic_open(out, "w", newline="", encoding="ascii") as fh:
             writer = csv.writer(fh)
             writer.writerow(["theta", "aggregateRnmse", "run"])
             for theta, rnmse, name in rows:

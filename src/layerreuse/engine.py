@@ -197,7 +197,7 @@ def hybrid_decode(
         step_sel: list[TopKSet] = []
         step_gathered: list[int | None] = []
         fulls = 0
-        sel: TopKSet | None = None
+        reused: TopKSet | None = None
         for l in range(L):
             if policy.actions[l] is Action.FULL:
                 agg_logits = np.zeros(n_t)
@@ -207,12 +207,16 @@ def hybrid_decode(
                     agg_logits += scores.logits
                 fulls += 1
                 sel = TopKSet(indices=topk_of_logits(agg_logits, b_t), budget=budget)
+                # Augmentation is idempotent, so each published selection is
+                # augmented once and shared by the Reuse layers that follow.
+                reused = sel
+                if include_sinks or include_recent:
+                    reused = _augment_selection(sel, n_t, include_sinks, include_recent)
+                idx = reused.as_array()
                 step_gathered.append(None)
             else:
-                assert sel is not None
-                if include_sinks or include_recent:
-                    sel = _augment_selection(sel, n_t, include_sinks, include_recent)
-                idx = sel.as_array()
+                assert reused is not None
+                sel = reused
                 for h in range(H):
                     out, _, _ = _subset_attention(queries[t, l, h], caches[l][h], idx)
                     outputs[t, l, h] = out

@@ -4,18 +4,32 @@ Every artifact is a JSON object carrying "version" and "kind"; readers
 reject unknown major versions. Large tensors live next to the JSON in flat
 little-endian float64 sidecar files, referenced by relative path and shape.
 Writing is canonical (sorted keys, fixed separators), so identical inputs
-produce byte-identical files. NaN is encoded as null.
+produce byte-identical files. NaN is encoded as null. Every file is written
+to a temp file in its target directory and renamed into place, so a crash
+never leaves a torn artifact. Readers check each required field's JSON type,
+so a malformed artifact raises InvalidInputError rather than a TypeError.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 
 import numpy as np
 
-from ._canon import FORMAT_VERSION, canonical_json_bytes, check_header, payload_hash, require_keys
+from ._canon import (
+    FORMAT_VERSION,
+    NULL,
+    NUMBER,
+    NUMBER_OR_NULL,
+    canonical_json_bytes,
+    check_header,
+    payload_hash,
+    require_items,
+    require_keys,
+)
 from .attention import BlockSet, TopKSet
 from .engine import CostModelReport, DecodeRunResult
 from .errors import InvalidInputError
@@ -45,12 +59,30 @@ def _null_nan(x: float) -> float | None:
     return None if math.isnan(x) else float(x)
 
 
+@contextlib.contextmanager
+def atomic_open(path: str, mode: str = "wb", **kwargs):
+    """Open a temp file beside path; on a clean exit, os.replace it onto path.
+
+    If the block raises, the temp file is removed and any earlier file at
+    path is left as it was.
+    """
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def _write_doc(path: str, payload: dict, manifest_hash: str | None) -> None:
     doc = dict(payload)
     if manifest_hash is not None:
         doc["manifest"] = manifest_hash
     data = canonical_json_bytes(doc) + b"\n"
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(data)
 
 
@@ -72,7 +104,16 @@ def config_payload(config: SynthModelConfig) -> dict:
 
 def config_from_payload(doc: dict) -> SynthModelConfig:
     require_keys(
-        doc, ("layers", "headDim", "contextLen", "seed", "interLayerCorrelation", "heads"), "config"
+        doc,
+        {
+            "layers": int,
+            "headDim": int,
+            "contextLen": int,
+            "seed": int,
+            "interLayerCorrelation": NUMBER,
+            "heads": int,
+        },
+        "config",
     )
     return SynthModelConfig(
         layers=doc["layers"],
@@ -85,7 +126,7 @@ def config_from_payload(doc: dict) -> SynthModelConfig:
 
 
 def _write_tensor(path: str, arr: np.ndarray) -> None:
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
@@ -139,29 +180,36 @@ def write_trace(trace: DecodeTrace, path: str, manifest_hash: str | None = None)
 def read_trace(path: str) -> DecodeTrace:
     doc = read_json(path)
     check_header(doc, "decode-trace")
-    require_keys(doc, ("config", "budget", "blockSize", "steps", "tensors"), "decode-trace")
+    require_keys(
+        doc,
+        {"config": dict, "budget": int, "blockSize": int, "steps": list, "tensors": dict},
+        "decode-trace",
+    )
     config = config_from_payload(doc["config"])
     base = os.path.dirname(path)
     tensors = doc["tensors"]
-    require_keys(tensors, ("queries", "outputs"), "tensors")
+    require_keys(tensors, {"queries": dict, "outputs": dict}, "tensors")
     for name in ("queries", "outputs"):
-        require_keys(tensors[name], ("path", "shape"), f"tensor {name}")
+        require_keys(tensors[name], {"path": str, "shape": list}, f"tensor {name}")
+        require_items(tensors[name]["shape"], int, f"tensor {name} shape")
     queries = _read_tensor(os.path.join(base, tensors["queries"]["path"]), tensors["queries"]["shape"])
     outputs = _read_tensor(os.path.join(base, tensors["outputs"]["path"]), tensors["outputs"]["shape"])
-    budget = int(doc["budget"])
-    block_size = int(doc["blockSize"])
+    budget = doc["budget"]
+    block_size = doc["blockSize"]
     steps = doc["steps"]
-    if not isinstance(steps, list) or len(steps) < 1:
+    if len(steps) < 1:
         raise InvalidInputError("trace holds no decode steps")
     topk_rows = []
     block_rows = []
     for step in steps:
-        require_keys(step, ("layer",), "trace step")
+        require_keys(step, {"layer": list}, "trace step")
         layers = step["layer"]
         if len(layers) != config.layers:
             raise InvalidInputError("trace step does not cover every layer")
         for entry in layers:
-            require_keys(entry, ("topk", "blocks"), "trace layer entry")
+            require_keys(entry, {"topk": list, "blocks": list}, "trace layer entry")
+            require_items(entry["topk"], int, "topk")
+            require_items(entry["blocks"], int, "blocks")
         topk_rows.append(
             tuple(TopKSet(indices=tuple(entry["topk"]), budget=budget) for entry in layers)
         )
@@ -191,8 +239,9 @@ def write_similarity_matrix(
 def read_similarity_matrix(path: str) -> SimilarityMatrix:
     doc = read_json(path)
     check_header(doc, "similarity-matrix")
-    require_keys(doc, ("L", "k", "entries"), "similarity-matrix")
-    return SimilarityMatrix.from_flat(int(doc["L"]), int(doc["k"]), doc["entries"])
+    require_keys(doc, {"L": int, "k": int, "entries": list}, "similarity-matrix")
+    require_items(doc["entries"], NUMBER, "entries")
+    return SimilarityMatrix.from_flat(doc["L"], doc["k"], doc["entries"])
 
 
 def similarity_matrix_csv_rows(matrix: SimilarityMatrix) -> list[tuple[int, int, float]]:
@@ -221,9 +270,9 @@ def read_sensitivity_report(path: str) -> SensitivityReport:
 
     doc = read_json(path)
     check_header(doc, "sensitivity-report")
-    require_keys(doc, ("budget", "step", "layers"), "sensitivity-report")
+    require_keys(doc, {"budget": int, "step": int, "layers": list}, "sensitivity-report")
     for entry in doc["layers"]:
-        require_keys(entry, ("rnmse", "kl"), "sensitivity layer entry")
+        require_keys(entry, {"rnmse": NUMBER_OR_NULL, "kl": NUMBER}, "sensitivity layer entry")
     layers = tuple(
         LayerSensitivity(
             rnmse=math.nan if entry["rnmse"] is None else float(entry["rnmse"]),
@@ -231,7 +280,7 @@ def read_sensitivity_report(path: str) -> SensitivityReport:
         )
         for entry in doc["layers"]
     )
-    return SensitivityReport(budget=int(doc["budget"]), step=int(doc["step"]), layers=layers)
+    return SensitivityReport(budget=doc["budget"], step=doc["step"], layers=layers)
 
 
 def write_policy(policy: LayerPolicy, path: str, manifest_hash: str | None = None) -> None:
@@ -243,20 +292,28 @@ def read_policy(path: str) -> LayerPolicy:
     check_header(doc, "layer-policy")
     require_keys(
         doc,
-        ("L", "theta", "actions", "sources", "fullCount", "cumSimilarity", "matrixHash"),
+        {
+            "L": int,
+            "theta": NUMBER_OR_NULL,
+            "actions": list,
+            "sources": list,
+            "fullCount": int,
+            "cumSimilarity": NUMBER_OR_NULL,
+            "matrixHash": (str, NULL),
+        },
         "layer-policy",
     )
+    require_items(doc["actions"], str, "actions")
+    require_items(doc["sources"], (int, NULL), "sources")
     actions = tuple(Action(a) for a in doc["actions"])
-    sources = tuple(
-        j if src is None else int(src) for j, src in enumerate(doc["sources"])
-    )
+    sources = tuple(j if src is None else src for j, src in enumerate(doc["sources"]))
     theta = doc["theta"]
     cum = doc["cumSimilarity"]
     return LayerPolicy(
         actions=actions,
         sources=sources,
         theta=None if theta is None else float(theta),
-        full_count=int(doc["fullCount"]),
+        full_count=doc["fullCount"],
         cum_similarity=None if cum is None else float(cum),
         matrix_hash=doc["matrixHash"],
     )
@@ -296,10 +353,27 @@ def read_run_result(path: str) -> dict:
     check_header(doc, "decode-run")
     require_keys(
         doc,
-        ("theta", "policyHash", "budget", "blockSize", "steps", "counters", "fidelity"),
+        {
+            "theta": NUMBER_OR_NULL,
+            "policyHash": str,
+            "budget": int,
+            "blockSize": int,
+            "steps": int,
+            "counters": dict,
+            "fidelity": dict,
+        },
         "decode-run",
     )
-    require_keys(doc["fidelity"], ("aggregateRnmse", "perLayerRnmse", "perStepLayerRnmse"), "fidelity")
+    fidelity = doc["fidelity"]
+    require_keys(
+        fidelity,
+        {"aggregateRnmse": NUMBER_OR_NULL, "perLayerRnmse": list, "perStepLayerRnmse": list},
+        "fidelity",
+    )
+    require_items(fidelity["perLayerRnmse"], NUMBER_OR_NULL, "perLayerRnmse")
+    require_items(fidelity["perStepLayerRnmse"], list, "perStepLayerRnmse")
+    for row in fidelity["perStepLayerRnmse"]:
+        require_items(row, NUMBER_OR_NULL, "perStepLayerRnmse rows")
     return doc
 
 
@@ -330,19 +404,19 @@ def read_cost_report(path: str) -> dict:
     check_header(doc, "cost-report")
     require_keys(
         doc,
-        (
-            "kvBytesFull",
-            "kvBytesHybrid",
-            "bytesRatio",
-            "linkBytesFull",
-            "linkBytesOffload",
-            "predictedSpeedup",
-            "tokensCovered",
-            "hbmSecondsFull",
-            "hbmSecondsHybrid",
-            "linkSecondsFull",
-            "linkSecondsOffload",
-        ),
+        {
+            "kvBytesFull": int,
+            "kvBytesHybrid": int,
+            "bytesRatio": NUMBER,
+            "linkBytesFull": int,
+            "linkBytesOffload": int,
+            "predictedSpeedup": NUMBER,
+            "tokensCovered": int,
+            "hbmSecondsFull": NUMBER,
+            "hbmSecondsHybrid": NUMBER,
+            "linkSecondsFull": NUMBER,
+            "linkSecondsOffload": NUMBER,
+        },
         "cost-report",
     )
     return doc

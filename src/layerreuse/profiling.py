@@ -126,19 +126,32 @@ class SimilarityMatrix:
 def build_similarity_matrix(trace: DecodeTrace) -> SimilarityMatrix:
     """Mean per-step overlap for every layer pair of a full-attention trace.
 
-    The fold over steps is a fixed-order pairwise mean, so the result is
-    bit-stable regardless of how the per-step work was scheduled.
+    Each step's selections form a 0/1 membership matrix, one row per layer and
+    one column per token. Its product with its own transpose counts the shared
+    indices of every layer pair at once. The counts are exact integers, so
+    dividing them by k gives overlap_ratio bit for bit. Every selection must
+    hold exactly k indices (InvalidInputError otherwise). The fold over steps
+    is a fixed-order mean, so the result is bit-stable regardless of how the
+    per-step work was scheduled.
     """
     if trace.steps < 1:
         raise InvalidInputError("trace holds no decode steps")
     L = trace.config.layers
     k = trace.budget
-    per_step = np.ones((trace.steps, L, L))
+    per_step = np.empty((trace.steps, L, L))
     for t in range(trace.steps):
         sets = trace.topk[t]
-        for j in range(L):
-            for i in range(j):
-                per_step[t, j, i] = overlap_ratio(sets[i], sets[j], k)
+        if len(sets) != L:
+            raise InvalidInputError(f"trace step {t} holds {len(sets)} selections for {L} layers")
+        sizes = {s.size for s in sets}
+        if sizes != {k}:
+            raise InvalidInputError(
+                f"overlap needs size-{k} selections, step {t} holds sizes {sorted(sizes)}"
+            )
+        indices = np.array([s.indices for s in sets])
+        member = np.zeros((L, int(indices.max()) + 1))
+        np.put_along_axis(member, indices, 1.0, axis=1)
+        per_step[t] = (member @ member.T) / k
     values = per_step.mean(axis=0)
     values[np.triu_indices(L, k=1)] = 0.0
     np.fill_diagonal(values, 1.0)

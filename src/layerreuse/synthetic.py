@@ -9,7 +9,13 @@ rho = 0 makes layers independent.
 
 Every random draw comes from its own SeedSequence keyed by (seed, stream,
 layer, head, step), so any tensor can be regenerated in isolation and two
-runs with the same config are bit-identical on the same platform.
+runs with the same config are bit-identical on the same platform. The
+SeedSequence is built from its pooled uint32 entropy words directly (see
+_rng); the draws equal those of SeedSequence(seed mod 2**64, spawn_key=key).
+Generation draws each layer's fresh rows one seeded vector at a time, then
+blends and renormalizes the layer's whole block at once; the norm reduces
+along the contiguous last axis, so the result matches row-by-row blending
+bit for bit.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ _S_EXT_VALUES = 6
 _S_PROBE = 7
 
 _WALK_SCALE = 0.5
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 
 
@@ -79,7 +86,30 @@ class SynthModelConfig:
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed & _MASK64, spawn_key=key))
+    # SeedSequence(seed & _MASK64, spawn_key=key) pools this uint32 entropy:
+    # the seed's low and high words, zero-padded to the pool size of 4, then
+    # each key element's words, low first, with 0 taking one word. Passing the
+    # array itself skips numpy's int-by-int conversion; the pool, and so every
+    # draw, is the same.
+    words = [seed & _MASK32, (seed >> 32) & _MASK32, 0, 0]
+    for part in key:
+        if part < 0:
+            raise InvalidInputError(f"seed key elements must be >= 0, got {part}")
+        words.append(part & _MASK32)
+        part >>= 32
+        while part:
+            words.append(part & _MASK32)
+            part >>= 32
+    return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
+
+
+def _fresh_rows(seed: int, stream: int, layer: int, steps: int, heads: int, d: int) -> np.ndarray:
+    """Noise rows [steps, heads, d] of one layer, one seeded draw per (head, step)."""
+    rows = np.empty((steps, heads, d))
+    for t in range(steps):
+        for h in range(heads):
+            rows[t, h] = _rng(seed, stream, layer, h, t).standard_normal(d)
+    return rows
 
 
 def _renorm(x: np.ndarray, target: float) -> np.ndarray:
@@ -145,9 +175,9 @@ class SyntheticModel:
                     walk = _rng(cfg.seed, _S_QUERY_WALK, h, t).standard_normal(d)
                     base = _renorm(base + _WALK_SCALE * walk, target)
                 q[t, 0, h] = base
-                for l in range(1, L):
-                    fresh = _rng(cfg.seed, _S_QUERY_MIX, l, h, t).standard_normal(d)
-                    q[t, l, h] = _blend(q[t, l - 1, h], fresh, rho, target)
+        for l in range(1, L):
+            fresh = _fresh_rows(cfg.seed, _S_QUERY_MIX, l, steps, H, d)
+            q[:, l] = _blend(q[:, l - 1], fresh, rho, target)
         q.setflags(write=False)
         return q
 
@@ -167,19 +197,11 @@ class SyntheticModel:
         target = math.sqrt(d)
         ext_k = np.empty((steps, L, H, d))
         ext_v = np.empty((steps, L, H, d))
-        for t in range(steps):
-            for h in range(H):
-                ext_k[t, 0, h] = _renorm(
-                    _rng(cfg.seed, _S_EXT_KEYS, 0, h, t).standard_normal(d), target
-                )
-                ext_v[t, 0, h] = _renorm(
-                    _rng(cfg.seed, _S_EXT_VALUES, 0, h, t).standard_normal(d), target
-                )
-                for l in range(1, L):
-                    fresh_k = _rng(cfg.seed, _S_EXT_KEYS, l, h, t).standard_normal(d)
-                    fresh_v = _rng(cfg.seed, _S_EXT_VALUES, l, h, t).standard_normal(d)
-                    ext_k[t, l, h] = _blend(ext_k[t, l - 1, h], fresh_k, rho, target)
-                    ext_v[t, l, h] = _blend(ext_v[t, l - 1, h], fresh_v, rho, target)
+        for ext, stream in ((ext_k, _S_EXT_KEYS), (ext_v, _S_EXT_VALUES)):
+            ext[:, 0] = _renorm(_fresh_rows(cfg.seed, stream, 0, steps, H, d), target)
+            for l in range(1, L):
+                fresh = _fresh_rows(cfg.seed, stream, l, steps, H, d)
+                ext[:, l] = _blend(ext[:, l - 1], fresh, rho, target)
         keys = np.concatenate([self._base_keys, np.moveaxis(ext_k, 0, 2)], axis=2)
         values = np.concatenate([self._base_values, np.moveaxis(ext_v, 0, 2)], axis=2)
         keys.setflags(write=False)

@@ -16,3 +16,20 @@ def random_similarity_matrix(rng: np.random.Generator, num_layers: int, budget: 
         for i in range(j):
             values[j, i] = float(rng.random())
     return SimilarityMatrix(values=values, budget=budget)
+
+
+class TornFile:
+    """Writes the first half of what it is given, then fails like a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")

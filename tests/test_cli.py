@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from layerreuse import read_json, read_policy, read_trace
+from conftest import TornFile
+from layerreuse import formats, read_json, read_policy, read_trace
 from layerreuse._canon import payload_hash
 from layerreuse.cli import main
 
@@ -296,3 +297,72 @@ def test_missing_required_key_exits_2(pipeline, tmp_path, capsys, artifact, path
     argv = [arg.format(src=src, out=tmp_path / "out") for arg in _READERS[artifact]]
     assert main(argv) == 2
     assert str(path[-1]) in capsys.readouterr().err
+
+
+# (artifact, key path, wrongly typed value); config.json is a --config file.
+_MISTYPED = [
+    ("config.json", ("layers",), "5"),
+    ("config.json", ("seed",), True),
+    ("trace.json", ("tensors", "queries", "shape"), None),
+    ("trace.json", ("tensors", "outputs", "shape"), [2, "5", 1, 8]),
+    ("trace.json", ("budget",), "6"),
+    ("trace.json", ("config", "seed"), True),
+    ("trace.json", ("steps", 0, "layer", 1, "topk"), [0, None]),
+    ("similarity.json", ("entries",), 5),
+    ("similarity.json", ("entries", 0), None),
+    ("policy.json", ("sources",), {"0": 0}),
+    ("policy.json", ("sources", 1), [0]),
+    ("policy.json", ("fullCount",), False),
+    ("run.json", ("fidelity",), []),
+    ("run.json", ("fidelity", "perLayerRnmse"), 5),
+    ("run.json", ("fidelity", "perLayerRnmse", 0), [0.1]),
+]
+_CONFIG = {"layers": 5, "headDim": 8, "contextLen": 24, "seed": 17,
+           "interLayerCorrelation": 0.9, "heads": 1}
+
+
+@pytest.mark.parametrize(
+    "artifact,path,value", _MISTYPED,
+    ids=[f"{a}:{'.'.join(map(str, p))}={v!r}" for a, p, v in _MISTYPED],
+)
+def test_wrongly_typed_value_exits_2(pipeline, tmp_path, capsys, artifact, path, value):
+    if artifact == "config.json":
+        doc = dict(_CONFIG)
+        argv = ["gen-traces", "--config", "{src}", "--steps", "1", "--k", "2", "--out-dir", "{out}"]
+    else:
+        doc = read_json(str(pipeline / artifact))
+        argv = _READERS[artifact]
+    parent = doc
+    for part in path[:-1]:
+        parent = parent[part]
+    parent[path[-1]] = value
+    src = tmp_path / artifact
+    src.write_text(json.dumps(doc))
+    for sidecar in ("trace.queries.bin", "trace.outputs.bin"):
+        (tmp_path / sidecar).write_bytes((pipeline / sidecar).read_bytes())
+    assert main([arg.format(src=src, out=tmp_path / "out") for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert [part for part in path if isinstance(part, str)][-1] in err
+
+
+@pytest.mark.parametrize("failing", ["bench.csv", "manifest"])
+def test_failed_bench_rewrite_keeps_earlier_files(pipeline, tmp_path, monkeypatch, failing):
+    out = tmp_path / "bench.csv"
+    argv = ["bench", "--policy", str(pipeline / "policy.json"), "--budget", "64", "--out", str(out)]
+    assert main([*argv, "--lengths", "1024"]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def torn_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        return TornFile(fh) if failing in os.path.basename(path) else fh
+
+    monkeypatch.setattr(formats, "open", torn_open, raising=False)
+    assert main([*argv, "--lengths", "2048,4096"]) == 3
+    monkeypatch.undo()
+    after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    if failing == "bench.csv":
+        assert after == before
+    else:
+        assert set(after) == set(before)
+        assert after["bench.csv.manifest.json"] == before["bench.csv.manifest.json"]

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from layerreuse import (
     InvalidInputError,
     LayerPolicy,
     SynthModelConfig,
+    TopKSet,
     build_similarity_matrix,
     cost_model,
     dp_optimize,
@@ -156,6 +159,32 @@ def test_sink_and_recent_augmentation():
     assert aug.reuse_gathered_rows[0][1] == len(aug_sel)
     # Full layers are untouched by augmentation
     np.testing.assert_array_equal(plain.outputs[0, 0], aug.outputs[0, 0])
+
+    # Several steps, two heads, runs of Reuse layers: a Full layer records its
+    # own selection; every Reuse layer after it records that selection plus
+    # the sinks and the recent tokens, with the union's size as its budget.
+    cfg = SynthModelConfig(layers=6, head_dim=16, context_len=64, seed=7,
+                           inter_layer_correlation=0.6, heads=2)
+    model = generate_model(cfg)
+    policy = static_jump_policy(6, 3)
+    plain = hybrid_decode(model, policy, 8, 3)
+    aug = hybrid_decode(model, policy, 8, 3, include_sinks=4, include_recent=4)
+    for t in range(3):
+        n = 64 + t
+        for l, action in enumerate(policy.actions):
+            got = aug.selections[t][l]
+            if action is Action.FULL:
+                assert got == plain.selections[t][l]
+                source = got
+            else:
+                merged = tuple(sorted(set(source.indices) | {0, 1, 2, 3} | set(range(n - 4, n))))
+                assert got == TopKSet(indices=merged, budget=len(merged))
+                assert aug.reuse_gathered_rows[t][l] == len(merged)
+    # Recorded before Reuse layers shared one augmented selection per Full layer.
+    assert hashlib.sha256(repr(aug.selections).encode()).hexdigest() == (
+        "f6cb4afbfd8cf96bc19ec1da6dcf25b7615501382680e41f412e8da4698ffede"
+    )
+    assert aug.fidelity.aggregate == 1.1854041971733864
 
 
 def test_run_argument_validation(fixture_model):

@@ -102,6 +102,42 @@ def test_empty_trace_is_rejected():
         build_similarity_matrix(trace)
 
 
+def _pairwise_overlap_matrix(trace):
+    """The definition: overlap_ratio of every layer pair, step by step, then the step mean."""
+    L, k = trace.config.layers, trace.budget
+    per_step = np.ones((trace.steps, L, L))
+    for t in range(trace.steps):
+        for j in range(L):
+            for i in range(j):
+                per_step[t, j, i] = overlap_ratio(trace.topk[t][i], trace.topk[t][j], k)
+    return np.tril(per_step.mean(axis=0), -1) + np.eye(L)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_matrix_equals_pairwise_overlap_definition_exactly(seed):
+    rng = np.random.default_rng(seed)
+    layers, n, k = int(rng.integers(2, 9)), int(rng.integers(8, 80)), int(rng.integers(1, 8))
+    steps = int(rng.integers(1, 6))
+    sets = [
+        [sorted(rng.choice(n + t, size=k, replace=False).tolist()) for _ in range(layers)]
+        for t in range(steps)
+    ]
+    trace = _hand_trace(sets, layers=layers, n=n, budget=k)
+    assert np.array_equal(build_similarity_matrix(trace).values, _pairwise_overlap_matrix(trace))
+
+
+def test_matrix_equals_pairwise_overlap_definition_on_generated_trace():
+    trace = run_full_trace(generate_model(GOLDEN_CFG), 3, 24)
+    assert np.array_equal(build_similarity_matrix(trace).values, _pairwise_overlap_matrix(trace))
+
+
+def test_matrix_rejects_a_selection_of_the_wrong_size():
+    trace = _hand_trace([[(0, 1, 2), (0, 1, 2), (2, 3, 4)], [(0, 1, 2), (5, 6), (0, 3, 4)]],
+                        layers=3, n=8, budget=3)
+    with pytest.raises(InvalidInputError, match="size"):
+        build_similarity_matrix(trace)
+
+
 def test_matrix_matches_independent_intersection_oracle(tmp_path):
     # The oracle reads the serialized trace JSON and redoes every overlap with
     # plain Python set intersections.

@@ -32,7 +32,8 @@ from layerreuse import (
     write_similarity_matrix,
     write_trace,
 )
-from conftest import random_similarity_matrix
+from layerreuse import formats
+from conftest import TornFile, random_similarity_matrix
 
 CFG = SynthModelConfig(layers=4, head_dim=16, context_len=40, seed=9,
                        inter_layer_correlation=0.7, heads=2)
@@ -276,3 +277,50 @@ def test_reader_rejects_missing_required_key(tmp_path, make, path):
         json.dump(doc, fh)
     with pytest.raises(InvalidInputError, match=str(path[-1])):
         reader(target)
+
+
+_MISTYPED = [
+    (_sensitivity_doc, ("budget",), 4.0),
+    (_sensitivity_doc, ("layers",), {"rnmse": 0.5, "kl": 0.1}),
+    (_sensitivity_doc, ("layers", 0, "kl"), None),
+    (_sensitivity_doc, ("layers", 1, "rnmse"), "0.5"),
+    (_cost_doc, ("tokensCovered",), "128"),
+    (_cost_doc, ("bytesRatio",), True),
+]
+
+
+@pytest.mark.parametrize(
+    "make,path,value", _MISTYPED,
+    ids=[f"{m.__name__[1:]}:{'.'.join(map(str, p))}={v!r}" for m, p, v in _MISTYPED],
+)
+def test_reader_rejects_wrongly_typed_value(tmp_path, make, path, value):
+    target = str(tmp_path / "artifact.json")
+    reader = make(target)
+    doc = read_json(target)
+    parent = doc
+    for part in path[:-1]:
+        parent = parent[part]
+    parent[path[-1]] = value
+    with open(target, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(InvalidInputError, match=str(path[-1])):
+        reader(target)
+
+
+def test_failed_rewrite_keeps_earlier_artifact_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    path = str(tmp_path / "m.json")
+    write_similarity_matrix(random_similarity_matrix(np.random.default_rng(2), 4), path)
+    before = open(path, "rb").read()
+    monkeypatch.setattr(formats, "open", lambda *a, **kw: TornFile(open(*a, **kw)), raising=False)
+    with pytest.raises(OSError):
+        write_similarity_matrix(random_similarity_matrix(np.random.default_rng(3), 4), path)
+    monkeypatch.undo()
+    assert open(path, "rb").read() == before
+    assert os.listdir(tmp_path) == ["m.json"]
+
+
+def test_failed_trace_write_leaves_no_partial_sidecar(tmp_path, monkeypatch, trace):
+    monkeypatch.setattr(formats, "open", lambda *a, **kw: TornFile(open(*a, **kw)), raising=False)
+    with pytest.raises(OSError):
+        write_trace(trace, str(tmp_path / "t.json"))
+    assert os.listdir(tmp_path) == []
