@@ -50,15 +50,47 @@ def _is_frozen_f64(value) -> bool:
     return base is None or (isinstance(base, np.ndarray) and not base.flags.writeable)
 
 
+class _CheckedRows(np.ndarray):
+    """Float64 row storage whose rows are checked finite as they are stored.
+
+    Its owner stores each row once, through store, before handing out any
+    view that covers it, and never writes a covered row again. So every row a
+    view shows is finite and fixed, and LayerKvCache shares a read-only view
+    of this storage without scanning it again. Views are handed out as plain
+    ndarrays (np.asarray of a slice); their base chain leads back here.
+    """
+
+    def store(self, index, rows: np.ndarray) -> None:
+        """Check rows for finiteness, then write them at self[index]."""
+        if not np.all(np.isfinite(rows)):
+            raise NumericInputError("generated cache rows contain non-finite entries")
+        self[index] = rows
+
+
+def _is_checked_view(value) -> bool:
+    """True for a read-only, C-contiguous float64 view of _CheckedRows storage."""
+    if not isinstance(value, np.ndarray) or value.dtype != np.float64:
+        return False
+    if value.flags.writeable or not value.flags.c_contiguous:
+        return False
+    base = value.base
+    while isinstance(base, np.ndarray) and not isinstance(base, _CheckedRows):
+        base = base.base
+    return isinstance(base, _CheckedRows)
+
+
 def _frozen_f64(value, name: str, ndim: int) -> np.ndarray:
     """Read-only float64 array, rejecting non-finite entries.
 
-    Shares value when _is_frozen_f64 holds, otherwise copies it.
+    Shares value when _is_frozen_f64 holds, otherwise copies it. A view of
+    _CheckedRows storage is shared without a rescan: its rows were checked
+    when they were stored.
     """
-    arr = value if _is_frozen_f64(value) else np.array(value, dtype=np.float64)
+    checked = _is_checked_view(value)
+    arr = value if checked or _is_frozen_f64(value) else np.array(value, dtype=np.float64)
     if arr.ndim != ndim:
         raise ConfigurationError(f"{name} must be {ndim}-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not checked and not np.all(np.isfinite(arr)):
         raise NumericInputError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
     return arr
@@ -73,9 +105,11 @@ class LayerKvCache:
     cache can be handed to concurrent readers without defensive copies.
 
     An input that is already a C-contiguous, read-only float64 array whose
-    base is absent or also read-only (a view of SyntheticModel.grown_arrays,
-    say) is shared, not copied; the caller must not write to that memory
-    through an older writable view. Every other input is copied.
+    base is absent or also read-only is shared, not copied; the caller must
+    not write to that memory through an older writable view. Every other
+    input is copied and scanned. A read-only, C-contiguous view of
+    SyntheticModel.grown_arrays is shared without the finiteness scan: the
+    model checked each of its rows when it stored the row.
     """
 
     keys: np.ndarray

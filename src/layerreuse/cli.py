@@ -247,7 +247,10 @@ def _cmd_bench(args) -> int:
     lengths = [part for part in args.lengths.split(",") if part.strip()]
     if not lengths:
         raise InvalidInputError("--lengths must name at least one context length")
-    parsed = [int(part) for part in lengths]
+    try:
+        parsed = [int(part) for part in lengths]
+    except ValueError as exc:
+        raise InvalidInputError(f"--lengths must be comma-separated integers: {exc}") from exc
     out = _resolve(args, args.out, "bench.csv")
     manifest = _Manifest(
         "bench",
@@ -288,6 +291,14 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _ascii_name(path: str) -> str:
+    """File name of an artifact, for an ASCII report file that names it."""
+    name = os.path.basename(path)
+    if not name.isascii():
+        raise InvalidInputError(f"{path}: a report names this artifact, so its file name must be ASCII")
+    return name
+
+
 def _cmd_report(args) -> int:
     out_dir = _out_dir(args)
     os.makedirs(out_dir, exist_ok=True)
@@ -298,7 +309,7 @@ def _cmd_report(args) -> int:
     written = []
     for path in args.artifacts:
         doc = read_json(path)
-        kind = doc.get("kind")
+        kind = doc.get("kind") if isinstance(doc, dict) else None
         stem = os.path.splitext(os.path.basename(path))[0]
         if kind == "similarity-matrix":
             matrix = read_similarity_matrix(path)
@@ -332,22 +343,26 @@ def _cmd_report(args) -> int:
                 theta = "n/a" if pol.theta is None else f"{pol.theta:.4g}"
                 cum = "n/a" if pol.cum_similarity is None else f"{pol.cum_similarity:.6g}"
                 fh.write(
-                    f"| {os.path.basename(path)} | {pol.num_layers} | {theta} "
+                    f"| {_ascii_name(path)} | {pol.num_layers} | {theta} "
                     f"| {pol.full_count} | {cum} |\n"
                 )
         written.append(out)
     if len(runs) > 1:
         out = os.path.join(out_dir, "theta_sweep.csv")
         rows = sorted(
-            (doc.get("theta"), doc["fidelity"]["aggregateRnmse"], os.path.basename(path))
-            for path, doc in runs
-            if doc.get("theta") is not None
+            (
+                (doc["theta"], doc["fidelity"]["aggregateRnmse"], _ascii_name(path))
+                for path, doc in runs
+                if doc["theta"] is not None
+            ),
+            key=lambda row: row[0],
         )
         with atomic_open(out, "w", newline="", encoding="ascii") as fh:
             writer = csv.writer(fh)
             writer.writerow(["theta", "aggregateRnmse", "run"])
             for theta, rnmse, name in rows:
-                writer.writerow([f"{theta:.12g}", f"{rnmse:.12g}", name])
+                # A null aggregate (NaN rnmse) is an empty cell, as in the per-layer CSV.
+                writer.writerow([f"{theta:.12g}", "" if rnmse is None else f"{rnmse:.12g}", name])
         written.append(out)
     if not written:
         raise InvalidInputError("no reportable artifacts given")
@@ -437,8 +452,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (LayerReuseError, ValueError) as exc:
-        # json.JSONDecodeError is a ValueError, so corrupt files land here.
+    except LayerReuseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -8,9 +8,10 @@ score computation so tests can assert that reuse layers triggered none.
 
 Each (layer, head) cache is built once per decode call, as a view of the
 model's grown arrays, and Full layers see each step through prefix; only the
-rows a Reuse layer gathers are ever copied. Fidelity compares against the
-all-Full baseline, which equals the run's own outputs at Full layers bit for
-bit, so it is recomputed with full attention at Reuse layers only.
+rows a Reuse layer gathers are ever copied. A decode call does decode work
+only. Fidelity compares against the all-Full baseline, which equals the run's
+own outputs at Full layers bit for bit, so it is recomputed with full
+attention at Reuse layers only, when DecodeRunResult.fidelity is first read.
 
 The cost model is analytic. It prices KV traffic in bytes, for both the
 HBM-resident case and the case where reused layers' caches are offloaded
@@ -20,7 +21,8 @@ across a slow link and only the selected rows come back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +66,29 @@ class FidelityTable:
     aggregate: float
 
 
+class _Baseline:
+    """All-Full baseline outputs of one run, computed on first use.
+
+    Until then it holds the run's queries and caches, which keep the model's
+    KV buffers alive; afterwards it holds only the [steps, layers, heads,
+    head_dim] baseline array.
+    """
+
+    def __init__(self, outputs, policy, queries, caches, context_len) -> None:
+        self._inputs = (outputs, policy, queries, caches, context_len)
+        self._outputs: np.ndarray | None = None
+
+    def outputs(self) -> np.ndarray:
+        inputs = self._inputs
+        if inputs is None:
+            return self._outputs
+        # Concurrent first reads may both compute the same array; the result
+        # is stored before the inputs are dropped, so no reader sees neither.
+        self._outputs = _full_baseline(*inputs)
+        self._inputs = None
+        return self._outputs
+
+
 @dataclass(frozen=True)
 class DecodeRunResult:
     """Outputs, selections, fidelity, and instrumentation of one hybrid run.
@@ -74,6 +99,12 @@ class DecodeRunResult:
     Reuse layers and must stay zero. reuse_gathered_rows[t][l] is the number
     of KV rows gathered at a Reuse layer (None at Full layers). budget counts
     tokens in token mode and blocks in block mode.
+
+    fidelity is computed on first access, not by the decode call: the
+    all-Full baseline is recomputed at Reuse layers then, and from then on
+    the result keeps only the baseline outputs, not the model's caches. A
+    copy made with dataclasses.replace shares the baseline and measures its
+    own outputs against it.
     """
 
     policy: LayerPolicy
@@ -81,10 +112,15 @@ class DecodeRunResult:
     block_size: int
     outputs: np.ndarray
     selections: tuple[tuple[TopKSet | BlockSet, ...], ...]
-    fidelity: FidelityTable
     full_score_computations: tuple[int, ...]
     reuse_full_scans: int
     reuse_gathered_rows: tuple[tuple[int | None, ...], ...]
+    _baseline: _Baseline = field(repr=False, compare=False)
+
+    @cached_property
+    def fidelity(self) -> FidelityTable:
+        """Relative L2 error of outputs against the all-Full baseline."""
+        return _fidelity_tables(self._baseline.outputs(), self.outputs)
 
     @property
     def full_layer_count(self) -> int:
@@ -170,7 +206,8 @@ def hybrid_decode(
     layer's selection and run sparse attention over just those rows. The
     budget is clamped to the current cache length each step. Fidelity is
     measured against the all-full baseline on the same model and steps,
-    recomputed at Reuse layers only (Full layers match it bit for bit).
+    recomputed at Reuse layers only (Full layers match it bit for bit), when
+    the result's fidelity is first read.
 
     include_sinks / include_recent optionally force the first and last so
     many tokens into reused selections; both default to off, which keeps the
@@ -232,12 +269,10 @@ def hybrid_decode(
         block_size=1,
         outputs=outputs,
         selections=tuple(selections),
-        fidelity=_fidelity_tables(
-            _full_baseline(outputs, policy, queries, caches, cfg.context_len), outputs
-        ),
         full_score_computations=tuple(full_counts),
         reuse_full_scans=reuse_full_scans,
         reuse_gathered_rows=tuple(gathered),
+        _baseline=_Baseline(outputs, policy, queries, caches, cfg.context_len),
     )
 
 
@@ -256,7 +291,8 @@ def hybrid_decode_blocks(
     truncated by the cache end) and run sparse attention over that coverage.
     block_size = 1 reproduces hybrid_decode with budget = block_budget bit
     for bit. Fidelity is measured as in hybrid_decode: against the all-full
-    baseline, recomputed at Reuse layers only.
+    baseline, recomputed at Reuse layers only when the result's fidelity is
+    first read, not by this call.
     """
     _check_run_args(model, policy, steps)
     if block_budget < 1:
@@ -309,12 +345,10 @@ def hybrid_decode_blocks(
         block_size=block_size,
         outputs=outputs,
         selections=tuple(selections),
-        fidelity=_fidelity_tables(
-            _full_baseline(outputs, policy, queries, caches, cfg.context_len), outputs
-        ),
         full_score_computations=tuple(full_counts),
         reuse_full_scans=reuse_full_scans,
         reuse_gathered_rows=tuple(gathered),
+        _baseline=_Baseline(outputs, policy, queries, caches, cfg.context_len),
     )
 
 

@@ -87,8 +87,18 @@ def _write_doc(path: str, payload: dict, manifest_hash: str | None) -> None:
 
 
 def read_json(path: str) -> dict:
+    """Parse an ASCII JSON file, as every artifact and config file is.
+
+    Raises:
+        InvalidInputError: if the file is not ASCII or not valid JSON.
+    """
     with open(path, "rb") as fh:
-        return json.loads(fh.read().decode("utf-8"))
+        raw = fh.read()
+    try:
+        return json.loads(raw.decode("ascii"))
+    except ValueError as exc:
+        # UnicodeDecodeError and json.JSONDecodeError are both ValueErrors.
+        raise InvalidInputError(f"{path}: not an ASCII JSON file: {exc}") from exc
 
 
 def config_payload(config: SynthModelConfig) -> dict:
@@ -131,6 +141,8 @@ def _write_tensor(path: str, arr: np.ndarray) -> None:
 
 
 def _read_tensor(path: str, shape: list[int]) -> np.ndarray:
+    if any(dim < 0 for dim in shape):
+        raise InvalidInputError(f"sidecar {os.path.basename(path)} shape {shape} has a negative dimension")
     expected = int(np.prod(shape)) * 8
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -305,7 +317,10 @@ def read_policy(path: str) -> LayerPolicy:
     )
     require_items(doc["actions"], str, "actions")
     require_items(doc["sources"], (int, NULL), "sources")
-    actions = tuple(Action(a) for a in doc["actions"])
+    try:
+        actions = tuple(Action(a) for a in doc["actions"])
+    except ValueError as exc:
+        raise InvalidInputError(f"layer-policy field actions: {exc}") from exc
     sources = tuple(j if src is None else src for j, src in enumerate(doc["sources"]))
     theta = doc["theta"]
     cum = doc["cumSimilarity"]

@@ -97,6 +97,8 @@ class SimilarityMatrix:
 
     @classmethod
     def from_flat(cls, num_layers: int, budget: int, entries: list[float]) -> "SimilarityMatrix":
+        if num_layers < 1:
+            raise InvalidInputError(f"matrix must cover at least one layer, got L={num_layers}")
         expected = num_layers * (num_layers + 1) // 2
         if len(entries) != expected:
             raise InvalidInputError(

@@ -16,11 +16,18 @@ Generation draws each layer's fresh rows one seeded vector at a time, then
 blends and renormalizes the layer's whole block at once; the norm reduces
 along the contiguous last axis, so the result matches row-by-row blending
 bit for bit.
+
+A model keeps its keys and values, base rows and decode-growth rows alike,
+in one growable buffer per tensor. grown_arrays hands out read-only views of
+it and draws only rows no earlier call drew. Each row is checked for
+finiteness once, when it is stored, so the caches cache_at builds over those
+views are shared without another scan.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +36,7 @@ from .attention import (
     BlockSet,
     LayerKvCache,
     TopKSet,
+    _CheckedRows,
     block_max_of_logits,
     full_attention,
     topk_blocks,
@@ -49,6 +57,8 @@ _S_EXT_VALUES = 6
 _S_PROBE = 7
 
 _WALK_SCALE = 0.5
+# Growth rows the buffers hold beyond the base cache before the first reallocation.
+_SPARE_ROWS = 32
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 
@@ -103,12 +113,15 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
 
 
-def _fresh_rows(seed: int, stream: int, layer: int, steps: int, heads: int, d: int) -> np.ndarray:
-    """Noise rows [steps, heads, d] of one layer, one seeded draw per (head, step)."""
-    rows = np.empty((steps, heads, d))
-    for t in range(steps):
+def _fresh_rows(seed: int, stream: int, layer: int, first: int, stop: int, heads: int, d: int) -> np.ndarray:
+    """Noise rows [stop - first, heads, d] of one layer for steps first .. stop - 1.
+
+    One seeded draw per (head, step), so a row does not depend on the range.
+    """
+    rows = np.empty((stop - first, heads, d))
+    for t in range(first, stop):
         for h in range(heads):
-            rows[t, h] = _rng(seed, stream, layer, h, t).standard_normal(d)
+            rows[t - first, h] = _rng(seed, stream, layer, h, t).standard_normal(d)
     return rows
 
 
@@ -128,7 +141,15 @@ def _blend(prev: np.ndarray, fresh: np.ndarray, rho: float, target: float) -> np
 
 
 class SyntheticModel:
-    """Materialized base caches plus on-demand queries and cache-growth rows."""
+    """Base caches and cache-growth rows in one growable buffer, plus on-demand queries.
+
+    Keys and values each live in one [layers, heads, context_len + capacity,
+    head_dim] buffer. The base rows are generated into it at construction;
+    growth rows are drawn on demand, up to the largest step count asked for
+    so far, and the buffer is reallocated with at least doubled capacity when
+    a call needs more. Every row is checked for finiteness once, when it is
+    stored, and never written again. The model may be shared across threads.
+    """
 
     def __init__(self, config: SynthModelConfig) -> None:
         self.config = config
@@ -137,22 +158,22 @@ class SyntheticModel:
         rho = config.inter_layer_correlation
         target = math.sqrt(d)
 
-        keys = np.empty((L, H, N, d))
-        values = np.empty((L, H, N, d))
+        self._keys = _CheckedRows((L, H, N + _SPARE_ROWS, d))
+        self._values = _CheckedRows((L, H, N + _SPARE_ROWS, d))
+        self._grown = 0
+        self._lock = threading.Lock()
         for h in range(H):
-            keys[0, h] = _renorm(_rng(config.seed, _S_KEYS, 0, h).standard_normal((N, d)), target)
-            values[0, h] = _renorm(
-                _rng(config.seed, _S_VALUES, 0, h).standard_normal((N, d)), target
-            )
+            keys = _renorm(_rng(config.seed, _S_KEYS, 0, h).standard_normal((N, d)), target)
+            values = _renorm(_rng(config.seed, _S_VALUES, 0, h).standard_normal((N, d)), target)
+            self._keys.store((0, h, slice(None, N)), keys)
+            self._values.store((0, h, slice(None, N)), values)
             for l in range(1, L):
                 fresh_k = _rng(config.seed, _S_KEYS, l, h).standard_normal((N, d))
                 fresh_v = _rng(config.seed, _S_VALUES, l, h).standard_normal((N, d))
-                keys[l, h] = _blend(keys[l - 1, h], fresh_k, rho, target)
-                values[l, h] = _blend(values[l - 1, h], fresh_v, rho, target)
-        keys.setflags(write=False)
-        values.setflags(write=False)
-        self._base_keys = keys
-        self._base_values = values
+                keys = _blend(keys, fresh_k, rho, target)
+                values = _blend(values, fresh_v, rho, target)
+                self._keys.store((l, h, slice(None, N)), keys)
+                self._values.store((l, h, slice(None, N)), values)
 
     def queries(self, steps: int) -> np.ndarray:
         """Query tensor [steps, layers, heads, head_dim].
@@ -176,7 +197,7 @@ class SyntheticModel:
                     base = _renorm(base + _WALK_SCALE * walk, target)
                 q[t, 0, h] = base
         for l in range(1, L):
-            fresh = _fresh_rows(cfg.seed, _S_QUERY_MIX, l, steps, H, d)
+            fresh = _fresh_rows(cfg.seed, _S_QUERY_MIX, l, 0, steps, H, d)
             q[:, l] = _blend(q[:, l - 1], fresh, rho, target)
         q.setflags(write=False)
         return q
@@ -188,28 +209,63 @@ class SyntheticModel:
         visible at step t is the leading context_len + t rows. Growth rows use
         the same cross-layer blending as the base cache, so rho = 1 keeps all
         layers identical at every step.
+
+        Both tensors are read-only views of the model's buffers, so calls
+        share memory and cost O(1) once the rows exist. Only rows not drawn
+        by an earlier call are generated and checked. A row, once returned,
+        never changes.
+
+        Raises:
+            NumericInputError: if a generated growth row is not finite.
         """
         cfg = self.config
         if steps < 1:
             raise InvalidInputError(f"steps must be >= 1, got {steps}")
-        L, H, d = cfg.layers, cfg.heads, cfg.head_dim
-        rho = cfg.inter_layer_correlation
-        target = math.sqrt(d)
-        ext_k = np.empty((steps, L, H, d))
-        ext_v = np.empty((steps, L, H, d))
-        for ext, stream in ((ext_k, _S_EXT_KEYS), (ext_v, _S_EXT_VALUES)):
-            ext[:, 0] = _renorm(_fresh_rows(cfg.seed, stream, 0, steps, H, d), target)
-            for l in range(1, L):
-                fresh = _fresh_rows(cfg.seed, stream, l, steps, H, d)
-                ext[:, l] = _blend(ext[:, l - 1], fresh, rho, target)
-        keys = np.concatenate([self._base_keys, np.moveaxis(ext_k, 0, 2)], axis=2)
-        values = np.concatenate([self._base_values, np.moveaxis(ext_v, 0, 2)], axis=2)
+        with self._lock:
+            if steps > self._grown:
+                self._grow(steps)
+            keys, values = self._keys, self._values
+        n = cfg.context_len + steps
+        keys = np.asarray(keys[:, :, :n])
+        values = np.asarray(values[:, :, :n])
         keys.setflags(write=False)
         values.setflags(write=False)
         return keys, values
 
+    def _grow(self, steps: int) -> None:
+        """Draw, check and store growth rows for steps _grown .. steps - 1."""
+        cfg = self.config
+        L, H, N, d = cfg.layers, cfg.heads, cfg.context_len, cfg.head_dim
+        rho = cfg.inter_layer_correlation
+        target = math.sqrt(d)
+        first = self._grown
+        ext_k = np.empty((steps - first, L, H, d))
+        ext_v = np.empty((steps - first, L, H, d))
+        for ext, stream in ((ext_k, _S_EXT_KEYS), (ext_v, _S_EXT_VALUES)):
+            ext[:, 0] = _renorm(_fresh_rows(cfg.seed, stream, 0, first, steps, H, d), target)
+            for l in range(1, L):
+                fresh = _fresh_rows(cfg.seed, stream, l, first, steps, H, d)
+                ext[:, l] = _blend(ext[:, l - 1], fresh, rho, target)
+        capacity = self._keys.shape[2] - N
+        if steps > capacity:
+            # Views handed out so far keep the old buffers, whose rows stay as they are.
+            shape = (L, H, N + max(2 * capacity, steps), d)
+            rows = (slice(None), slice(None), slice(None, N + first))
+            keys, values = _CheckedRows(shape), _CheckedRows(shape)
+            keys[rows] = self._keys[rows]
+            values[rows] = self._values[rows]
+            self._keys, self._values = keys, values
+        new_rows = (slice(None), slice(None), slice(N + first, N + steps))
+        self._keys.store(new_rows, np.moveaxis(ext_k, 0, 2))
+        self._values.store(new_rows, np.moveaxis(ext_v, 0, 2))
+        self._grown = steps
+
     def cache_at(self, keys: np.ndarray, values: np.ndarray, layer: int, head: int, step: int) -> LayerKvCache:
-        """Cache of (layer, head) at a decode step: a view of grown_arrays output, not a copy."""
+        """Cache of (layer, head) at a decode step: a view of grown_arrays output, not a copy.
+
+        The cache shares the model's buffer without a finiteness scan, since
+        each row was checked when it was stored.
+        """
         n = self.config.context_len + step
         return LayerKvCache(keys=keys[layer, head, :n], values=values[layer, head, :n])
 

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from conftest import TornFile
-from layerreuse import formats, read_json, read_policy, read_trace
+from layerreuse import cli, formats, read_json, read_policy, read_trace
 from layerreuse._canon import payload_hash
 from layerreuse.cli import main
 
@@ -344,6 +344,98 @@ def test_wrongly_typed_value_exits_2(pipeline, tmp_path, capsys, artifact, path,
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert [part for part in path if isinstance(part, str)][-1] in err
+
+
+# (artifact, key path, well-typed but invalid value): each used to reach a
+# ValueError inside numpy or the enum rather than a validation error.
+_INVALID = [
+    ("trace.json", ("tensors", "queries", "shape"), [-2, -5, 1, 8]),
+    ("similarity.json", ("L",), -6),  # -6 * -5 / 2 matches the 15 entries of L=5
+    ("policy.json", ("actions", 1), "skip"),
+]
+
+
+@pytest.mark.parametrize(
+    "artifact,path,value", _INVALID,
+    ids=[f"{a}:{'.'.join(map(str, p))}={v!r}" for a, p, v in _INVALID],
+)
+def test_invalid_value_exits_2(pipeline, tmp_path, capsys, artifact, path, value):
+    test_wrongly_typed_value_exits_2(pipeline, tmp_path, capsys, artifact, path, value)
+
+
+_MALFORMED_FILES = {
+    "malformed-json": b'{"layers": 5,',
+    "non-ascii": '{"layers": 5, "note": "\u00e9"}'.encode("utf-8"),
+    "undecodable": '{"layers": 5, "note": "\u00e9"}'.encode("latin-1"),
+    "json-array": b"[1, 2, 3]",
+}
+
+
+@pytest.mark.parametrize("command", ["config", "report"])
+@pytest.mark.parametrize("content", list(_MALFORMED_FILES), ids=list(_MALFORMED_FILES))
+def test_malformed_file_exits_2(tmp_path, capsys, command, content):
+    src = tmp_path / "input.json"
+    src.write_bytes(_MALFORMED_FILES[content])
+    if command == "config":
+        argv = ["gen-traces", "--config", str(src), "--steps", "1", "--k", "2",
+                "--out-dir", str(tmp_path / "out")]
+    else:
+        argv = ["report", str(src), "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_report_on_non_ascii_policy_name_exits_2(pipeline, tmp_path, capsys):
+    src = tmp_path / "p\u00f3licy.json"
+    src.write_bytes((pipeline / "policy.json").read_bytes())
+    assert main(["report", str(src), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "ASCII" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "policies.md").exists()
+
+
+def test_non_integer_lengths_exit_2(pipeline, tmp_path, capsys):
+    code = main(["bench", "--policy", str(pipeline / "policy.json"),
+                 "--lengths", "1024,4k", "--out", str(tmp_path / "b.csv")])
+    assert code == 2
+    assert "--lengths" in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
+
+
+def test_internal_value_error_exits_4(pipeline, tmp_path, monkeypatch, capsys):
+    def broken(matrix, theta):
+        raise ValueError("planner bug")
+
+    monkeypatch.setattr(cli, "dp_optimize", broken)
+    code = main(["plan", "--matrix", str(pipeline / "similarity.json"),
+                 "--theta", "0.5", "--out", str(tmp_path / "p.json")])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("internal error: ValueError: planner bug")
+
+
+def test_report_theta_sweep_renders_null_aggregate(pipeline, tmp_path):
+    runs = []
+    for theta in ("0.7", "0.3"):
+        pol = str(tmp_path / f"p{theta}.json")
+        run = str(tmp_path / f"r{theta}.json")
+        assert main(["plan", "--matrix", str(pipeline / "similarity.json"),
+                     "--theta", theta, "--out", pol]) == 0
+        assert main(["decode", *MODEL_FLAGS, "--policy", pol, "--budget", "6",
+                     "--steps", "1", "--out", run]) == 0
+        runs.append(run)
+    doc = read_json(runs[1])
+    kept = read_json(runs[0])["fidelity"]["aggregateRnmse"]
+    doc["fidelity"]["aggregateRnmse"] = None  # a NaN aggregate is written as null
+    with open(runs[1], "w", encoding="ascii") as fh:
+        json.dump(doc, fh)
+    out_dir = tmp_path / "sweep"
+    assert main(["report", *runs, "--out-dir", str(out_dir)]) == 0
+    with open(out_dir / "theta_sweep.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [
+        ["theta", "aggregateRnmse", "run"],
+        ["0.3", "", "r0.3.json"],
+        ["0.7", f"{kept:.12g}", "r0.7.json"],
+    ]
 
 
 @pytest.mark.parametrize("failing", ["bench.csv", "manifest"])

@@ -1,10 +1,13 @@
+import dataclasses
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from layerreuse import engine
 from layerreuse import (
     Action,
     ConfigurationError,
@@ -409,3 +412,69 @@ def test_fidelity_equals_full_trace_baseline(case):
     for l, action in enumerate(policy.actions):
         column = run.fidelity.per_step_layer[:, l]
         assert np.all(column == 0.0) if action is Action.FULL else np.all(column > 0.0)
+
+
+# --- fidelity: computed on first access, not by the decode call ---
+
+_DECODES = {
+    "token": lambda model, policy, steps: hybrid_decode(model, policy, 12, steps),
+    "token-sinks-recent": lambda model, policy, steps: hybrid_decode(
+        model, policy, 12, steps, include_sinks=3, include_recent=5
+    ),
+    "block": lambda model, policy, steps: hybrid_decode_blocks(model, policy, 3, 8, steps),
+}
+_DEFERRED = SynthModelConfig(layers=6, head_dim=16, context_len=80, seed=4,
+                             inter_layer_correlation=0.8, heads=2)
+
+
+@pytest.mark.parametrize("mode", list(_DECODES))
+def test_fidelity_recompute_runs_on_first_access_only(monkeypatch, mode):
+    model = generate_model(_DEFERRED)
+    policy = static_jump_policy(_DEFERRED.layers, 3)
+    steps, H, L = 3, _DEFERRED.heads, _DEFERRED.layers
+    calls = []
+    real = engine.full_attention
+
+    def counting(q, cache):
+        calls.append(cache.length)
+        return real(q, cache)
+
+    monkeypatch.setattr(engine, "full_attention", counting)
+    run = _DECODES[mode](model, policy, steps)
+    assert len(calls) == policy.full_count * H * steps
+    copy = dataclasses.replace(run, outputs=run.outputs)
+    table = run.fidelity
+    assert len(calls) == L * H * steps
+    assert run.fidelity is table
+    # A copy shares the computed baseline, so its own table costs no attention.
+    assert np.array_equal(copy.fidelity.per_step_layer, table.per_step_layer)
+    assert len(calls) == L * H * steps
+
+
+def test_fidelity_access_releases_the_model_buffers():
+    model = generate_model(_DEFERRED)
+    buffer = weakref.ref(model._keys)
+    run = hybrid_decode(model, static_jump_policy(_DEFERRED.layers, 3), 12, 3)
+    del model
+    assert buffer() is not None  # the run's caches still view it
+    aggregate = run.fidelity.aggregate
+    assert buffer() is None
+    assert run.fidelity.aggregate == aggregate
+
+
+def test_replace_works_before_and_after_fidelity_access():
+    model = generate_model(_DEFERRED)
+    policy = static_jump_policy(_DEFERRED.layers, 3)
+    run = hybrid_decode(model, policy, 12, 3)
+    want = hybrid_decode(model, policy, 12, 3).fidelity
+    bumped = np.array(run.outputs)
+    bumped[0, 3, 1] += 1.0  # layer 3 is Full: its error was exactly 0
+    bumped.setflags(write=False)
+    early = dataclasses.replace(run, outputs=bumped)
+    assert np.array_equal(run.fidelity.per_step_layer, want.per_step_layer)
+    late = dataclasses.replace(run, reuse_full_scans=0)
+    assert np.array_equal(late.fidelity.per_step_layer, want.per_step_layer)
+    assert late.fidelity.aggregate == want.aggregate
+    changed = early.fidelity.per_step_layer != want.per_step_layer
+    assert changed[0, 3] and early.fidelity.per_step_layer[0, 3] > 0.0
+    assert changed.sum() == 1

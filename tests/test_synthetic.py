@@ -1,18 +1,24 @@
 import hashlib
 import subprocess
 import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from layerreuse import (
     InvalidInputError,
+    LayerKvCache,
+    NumericInputError,
     SynthModelConfig,
     build_similarity_matrix,
     generate_model,
     run_full_trace,
+    sensitivity_profile,
+    synthetic,
 )
-from layerreuse.synthetic import _MASK64, _rng
+from layerreuse.synthetic import _MASK64, _SPARE_ROWS, _rng
 
 FIXTURE = SynthModelConfig(
     layers=8, head_dim=32, context_len=256, seed=11, inter_layer_correlation=0.9
@@ -188,3 +194,113 @@ def test_generator_golden_digests():
     assert hashlib.sha256(model.queries(4).tobytes()).hexdigest() == (
         "2a1cdae3956c81cd42c49e9f69689847140e60a438f5ea23c5583542039bc3cb"
     )
+
+
+# --- one growable, checked-once buffer per model ---
+
+_BUFFER = SynthModelConfig(layers=3, head_dim=8, context_len=16, seed=2**40 + 3,
+                           inter_layer_correlation=0.6, heads=2)
+
+
+def test_grown_arrays_are_read_only_views_of_one_buffer():
+    model = generate_model(_BUFFER)
+    keys2, values2 = model.grown_arrays(2)
+    keys5, values5 = model.grown_arrays(5)
+    assert np.shares_memory(keys2, keys5) and np.shares_memory(values2, values5)
+    for arr in (keys2, values2, keys5, values5):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        keys5[0, 0, 0, 0] = 1.0
+    cache = model.cache_at(keys5, values5, 2, 1, 4)
+    assert np.shares_memory(cache.keys, keys5) and np.shares_memory(cache.values, values5)
+
+
+def test_growing_past_capacity_leaves_earlier_arrays_unchanged():
+    model = generate_model(_BUFFER)
+    keys, values = model.grown_arrays(3)
+    before = keys.copy(), values.copy()
+    big_keys, big_values = model.grown_arrays(_SPARE_ROWS * 3 + 1)
+    assert not np.shares_memory(keys, big_keys)  # the buffer was reallocated
+    assert np.array_equal(keys, before[0]) and np.array_equal(values, before[1])
+    n = _BUFFER.context_len + 3
+    assert np.array_equal(big_keys[:, :, :n], keys) and np.array_equal(big_values[:, :, :n], values)
+    fresh_keys, fresh_values = generate_model(_BUFFER).grown_arrays(_SPARE_ROWS * 3 + 1)
+    assert np.array_equal(big_keys, fresh_keys) and np.array_equal(big_values, fresh_values)
+
+
+def test_non_finite_growth_rows_are_rejected_when_stored(monkeypatch):
+    model = generate_model(_BUFFER)
+    keys, _ = model.grown_arrays(2)
+    real = synthetic._fresh_rows
+
+    def poisoned(seed, stream, layer, first, stop, heads, d):
+        rows = real(seed, stream, layer, first, stop, heads, d)
+        rows[-1, -1, 0] = np.nan
+        return rows
+
+    monkeypatch.setattr(synthetic, "_fresh_rows", poisoned)
+    with pytest.raises(NumericInputError):
+        model.grown_arrays(4)
+    monkeypatch.undo()
+    # The failed call stored nothing a view covers; the model still grows correctly.
+    want = generate_model(_BUFFER).grown_arrays(4)
+    got = model.grown_arrays(4)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert np.array_equal(keys, want[0][:, :, : _BUFFER.context_len + 2])
+
+
+def test_cache_at_does_not_rescan_checked_rows(monkeypatch):
+    model = generate_model(_BUFFER)
+    keys, values = model.grown_arrays(3)
+    scans = []
+    real = np.isfinite
+
+    def counting(x, *args, **kwargs):
+        scans.append(np.shape(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    model.cache_at(keys, values, 1, 1, 2)
+    assert scans == []
+    # A cache built from the caller's own arrays is still copied and scanned.
+    LayerKvCache(keys=np.array(keys[1, 1]), values=np.array(values[1, 1]))
+    assert len(scans) == 2
+
+
+def test_sensitivity_profile_allocates_no_copy_of_the_base_cache():
+    cfg = SynthModelConfig(layers=4, head_dim=32, context_len=4096, seed=3,
+                           inter_layer_correlation=0.8, heads=2)
+    model = generate_model(cfg)
+    base_bytes = 2 * cfg.layers * cfg.heads * cfg.context_len * cfg.head_dim * 8
+    tracemalloc.start()
+    try:
+        sensitivity_profile(model, 2, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < base_bytes / 2
+
+
+def test_concurrent_growth_matches_a_fresh_model():
+    want = generate_model(_BUFFER).grown_arrays(_SPARE_ROWS * 4)
+    model = generate_model(_BUFFER)
+    results = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def grow(steps):
+            results.append((steps, model.grown_arrays(steps)))
+
+        threads = [threading.Thread(target=grow, args=(s,))
+                   for s in (5, _SPARE_ROWS * 4, 1, _SPARE_ROWS + 3, _SPARE_ROWS * 2, 9)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(results) == len(threads)
+    for steps, (keys, values) in results:
+        n = _BUFFER.context_len + steps
+        assert np.array_equal(keys, want[0][:, :, :n]) and np.array_equal(values, want[1][:, :, :n])
