@@ -53,10 +53,11 @@ def _is_frozen_f64(value) -> bool:
 class _CheckedRows(np.ndarray):
     """Float64 row storage whose rows are checked finite as they are stored.
 
-    Its owner stores each row once, through store, before handing out any
-    view that covers it, and never writes a covered row again. So every row a
-    view shows is finite and fixed, and LayerKvCache shares a read-only view
-    of this storage without scanning it again. Views are handed out as plain
+    Its owner writes a row only through store, or as a copy of a row already
+    held in _CheckedRows storage, and only before handing out a view that
+    covers it; a covered row is never written again. So every row a view
+    shows is finite and fixed, and LayerKvCache shares a read-only view of
+    this storage without scanning it again. Views are handed out as plain
     ndarrays (np.asarray of a slice); their base chain leads back here.
     """
 
