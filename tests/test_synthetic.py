@@ -241,6 +241,8 @@ def test_non_finite_growth_rows_are_rejected_when_stored(monkeypatch):
     monkeypatch.setattr(synthetic, "_fresh_rows", poisoned)
     with pytest.raises(NumericInputError):
         model.grown_arrays(4)
+    with pytest.raises(NumericInputError):  # nothing was stored, so the rows are drawn again
+        model.grown_arrays(3)
     monkeypatch.undo()
     # The failed call stored nothing a view covers; the model still grows correctly.
     want = generate_model(_BUFFER).grown_arrays(4)
@@ -281,26 +283,41 @@ def test_sensitivity_profile_allocates_no_copy_of_the_base_cache():
     assert peak < base_bytes / 2
 
 
-def test_concurrent_growth_matches_a_fresh_model():
-    want = generate_model(_BUFFER).grown_arrays(_SPARE_ROWS * 4)
-    model = generate_model(_BUFFER)
-    results = []
+def _no_draws(*args):
+    raise AssertionError(f"growth rows drawn again: {args}")
+
+
+def test_concurrent_growth_matches_a_fresh_model(monkeypatch):
+    top = _SPARE_ROWS * 4
+    want = generate_model(_BUFFER).grown_arrays(top)
+    requests = (5, top, 1, _SPARE_ROWS + 3, _SPARE_ROWS * 2, 9, top - 1, 40)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        def grow(steps):
-            results.append((steps, model.grown_arrays(steps)))
+        for _ in range(4):
+            model = generate_model(_BUFFER)
+            results, errors = [], []
 
-        threads = [threading.Thread(target=grow, args=(s,))
-                   for s in (5, _SPARE_ROWS * 4, 1, _SPARE_ROWS + 3, _SPARE_ROWS * 2, 9)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-            assert not t.is_alive()
+            def grow(steps):
+                try:
+                    results.append((steps, model.grown_arrays(steps)))
+                except Exception as exc:  # reported below, with the thread's request
+                    errors.append((steps, exc))
+
+            threads = [threading.Thread(target=grow, args=(s,)) for s in requests]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert errors == [] and len(results) == len(requests)
+            for steps, (keys, values) in results:
+                n = _BUFFER.context_len + steps
+                assert np.array_equal(keys, want[0][:, :, :n])
+                assert np.array_equal(values, want[1][:, :, :n])
+            # No lost update: every requested row is held, so nothing is drawn again.
+            monkeypatch.setattr(synthetic, "_fresh_rows", _no_draws)
+            model.grown_arrays(top)
+            monkeypatch.undo()
     finally:
         sys.setswitchinterval(switch)
-    assert len(results) == len(threads)
-    for steps, (keys, values) in results:
-        n = _BUFFER.context_len + steps
-        assert np.array_equal(keys, want[0][:, :, :n]) and np.array_equal(values, want[1][:, :, :n])
