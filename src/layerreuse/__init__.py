@@ -10,17 +10,14 @@ reused layers' caches are offloaded across a slow link.
 """
 
 from .attention import (
-    AttentionScores,
     BlockSet,
     LayerKvCache,
     TopKSet,
-    block_aggregate_scores,
     block_max_of_logits,
     full_attention,
     softmax,
     sparse_attention,
     topk_blocks,
-    topk_indices,
     topk_of_logits,
 )
 from .engine import (
@@ -58,7 +55,6 @@ from .formats import (
 )
 from .policy import (
     Action,
-    DpCell,
     LayerPolicy,
     brute_force_policy,
     dp_optimize,
@@ -88,16 +84,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "AttentionScores",
     "BlockSet",
     "LayerKvCache",
     "TopKSet",
     "softmax",
     "full_attention",
     "sparse_attention",
-    "topk_indices",
     "topk_of_logits",
-    "block_aggregate_scores",
     "block_max_of_logits",
     "topk_blocks",
     "SynthModelConfig",
@@ -115,7 +108,6 @@ __all__ = [
     "kl_extended",
     "sensitivity_profile",
     "Action",
-    "DpCell",
     "LayerPolicy",
     "dp_optimize",
     "brute_force_policy",

@@ -50,10 +50,18 @@ _JSON_NAMES = {int: "an integer", float: "a number", str: "a string", list: "an 
                dict: "an object", bool: "a boolean", NULL: "null"}
 
 
-def _type_error(where: str, value, types: tuple) -> InvalidInputError:
-    want = " or ".join(_JSON_NAMES[t] for t in types)
-    got = _JSON_NAMES.get(type(value), type(value).__name__)
-    return InvalidInputError(f"{where} must be {want}, got {got}")
+# The least integer that float() rounds to infinity.
+_FLOAT_LIMIT = 2**1024 - 2**970
+
+
+def _check_value(value, types: tuple, where: str) -> None:
+    """Reject a value whose JSON type is not in types, or an integer too large for an allowed float."""
+    if type(value) not in types:
+        want = " or ".join(_JSON_NAMES[t] for t in types)
+        got = _JSON_NAMES.get(type(value), type(value).__name__)
+        raise InvalidInputError(f"{where} must be {want}, got {got}")
+    if type(value) is int and float in types and abs(value) >= _FLOAT_LIMIT:
+        raise InvalidInputError(f"{where} must be a finite number, got an integer of {value.bit_length()} bits")
 
 
 def require_keys(doc, fields: dict, where: str) -> None:
@@ -67,14 +75,12 @@ def require_keys(doc, fields: dict, where: str) -> None:
     if missing:
         raise InvalidInputError(f"{where} is missing field(s) {', '.join(missing)}")
     for key, types in fields.items():
-        types = types if isinstance(types, tuple) else (types,)
-        if type(doc[key]) not in types:
-            raise _type_error(f"{where} field {key}", doc[key], types)
+        _check_value(doc[key], types if isinstance(types, tuple) else (types,), f"{where} field {key}")
 
 
 def require_items(items: list, types, where: str) -> None:
-    """Reject a JSON array holding an item of the wrong type."""
+    """Reject a JSON array holding an item of the wrong type, or an integer too large for a float."""
     types = types if isinstance(types, tuple) else (types,)
     for item in items:
-        if type(item) not in types:
-            raise _type_error(f"every item of {where}", item, types)
+        if type(item) not in types or type(item) is int and float in types:
+            _check_value(item, types, f"every item of {where}")

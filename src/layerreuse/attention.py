@@ -21,15 +21,12 @@ from .errors import (
 
 __all__ = [
     "LayerKvCache",
-    "AttentionScores",
     "TopKSet",
     "BlockSet",
     "softmax",
     "full_attention",
     "sparse_attention",
-    "topk_indices",
     "topk_of_logits",
-    "block_aggregate_scores",
     "block_max_of_logits",
     "topk_blocks",
 ]
@@ -156,30 +153,6 @@ class LayerKvCache:
 
 
 @dataclass(frozen=True)
-class AttentionScores:
-    """Pre-softmax logits and post-softmax weights over one cache.
-
-    logits[n] = (q . keys[n]) / sqrt(d). weights = softmax(logits), so the
-    weights sum to 1 within 1e-9 and share their argmax with the logits.
-    """
-
-    logits: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        logits = _frozen_f64(self.logits, "logits", ndim=1)
-        weights = _frozen_f64(self.weights, "weights", ndim=1)
-        if logits.shape != weights.shape:
-            raise ConfigurationError("logits and weights must have the same length")
-        object.__setattr__(self, "logits", logits)
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def length(self) -> int:
-        return self.logits.shape[0]
-
-
-@dataclass(frozen=True)
 class TopKSet:
     """Canonical token selection: distinct ascending indices plus the requested budget.
 
@@ -281,7 +254,7 @@ def _check_query(q, cache: LayerKvCache) -> np.ndarray:
     return q
 
 
-def full_attention(q, cache: LayerKvCache) -> tuple[np.ndarray, AttentionScores]:
+def full_attention(q, cache: LayerKvCache) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact attention of one query against every cached token.
 
     Args:
@@ -289,18 +262,22 @@ def full_attention(q, cache: LayerKvCache) -> tuple[np.ndarray, AttentionScores]
         cache: the layer's key/value cache.
 
     Returns:
-        (output, scores) where output = weights @ cache.values and scores
-        carries both the scaled logits and the softmax weights over all N
-        tokens.
+        (output, logits, weights): logits[n] = (q . keys[n]) / sqrt(d) over
+        all N tokens, weights = softmax(logits), and output = weights @
+        cache.values. Both vectors are fresh arrays owned by the caller.
+        Finite logits imply finite weights: the weights sum to 1 within 1e-9
+        and share their argmax with the logits.
+
+    Raises:
+        NumericInputError: if the query is not finite, or the logits overflow
+            (finite keys and query can still have an infinite dot product).
     """
     q = _check_query(q, cache)
     logits = cache.keys @ q / math.sqrt(cache.head_dim)
+    if not np.isfinite(logits).all():
+        raise NumericInputError("attention logits contain non-finite entries")
     weights = softmax(logits)
-    output = weights @ cache.values
-    # Both vectors are fresh; freezing them lets AttentionScores share them.
-    logits.setflags(write=False)
-    weights.setflags(write=False)
-    return output, AttentionScores(logits=logits, weights=weights)
+    return weights @ cache.values, logits, weights
 
 
 def _subset_attention(
@@ -365,15 +342,6 @@ def topk_of_logits(logits: np.ndarray, budget: int) -> tuple[int, ...]:
     return tuple(np.sort(np.concatenate((above, ties))).tolist())
 
 
-def topk_indices(scores: AttentionScores, budget: int) -> TopKSet:
-    """Select the top-budget tokens from full-attention scores.
-
-    Deterministic and permutation-consistent for distinct logits: permuting
-    the cache rows and mapping the result back yields the same set.
-    """
-    return TopKSet(indices=topk_of_logits(scores.logits, budget), budget=budget)
-
-
 def block_max_of_logits(logits: np.ndarray, block_size: int) -> np.ndarray:
     """Max-pool a logit vector into ceil(N / block_size) per-block scores."""
     logits = np.asarray(logits, dtype=np.float64)
@@ -383,16 +351,6 @@ def block_max_of_logits(logits: np.ndarray, block_size: int) -> np.ndarray:
         raise InvalidInputError("cannot pool an empty logit vector")
     starts = np.arange(0, logits.shape[0], block_size)
     return np.maximum.reduceat(logits, starts)
-
-
-def block_aggregate_scores(scores: AttentionScores, block_size: int) -> np.ndarray:
-    """Per-block scores for block-level selection: the max logit within each block.
-
-    The max is the representative statistic, so a block containing a strong
-    token can never be masked by weak neighbours. block_size = 1 reduces to
-    the raw logits.
-    """
-    return block_max_of_logits(scores.logits, block_size)
 
 
 def topk_blocks(block_scores: np.ndarray, block_budget: int, block_size: int) -> BlockSet:

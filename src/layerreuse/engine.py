@@ -5,6 +5,8 @@ Full layers run exact attention over the whole cache and publish their top-k
 inherit the previous layer's selection, gather only those KV rows, and run
 subset-renormalized sparse attention. Instrumentation counts every full-cache
 score computation so tests can assert that reuse layers triggered none.
+Token and block mode share one decode loop and differ only in the step that
+turns a Full layer's summed logits into a selection.
 
 Each (layer, head) cache is built once per decode call, as a view of the
 model's grown arrays, and Full layers see each step through prefix; only the
@@ -21,6 +23,7 @@ across a slow link and only the selected rows come back.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -151,6 +154,15 @@ def _fidelity_tables(baseline_outputs: np.ndarray, hybrid_outputs: np.ndarray) -
     )
 
 
+def _full_layer(out: np.ndarray, queries: np.ndarray, caches: list[LayerKvCache], n: int) -> np.ndarray:
+    """Full attention of each head over n tokens into out[h]; returns the logits summed in head order."""
+    summed = np.zeros(n)
+    for h, cache in enumerate(caches):
+        out[h], logits, _ = full_attention(queries[h], cache.prefix(n))
+        summed += logits
+    return summed
+
+
 def _full_baseline(
     outputs: np.ndarray,
     policy: LayerPolicy,
@@ -167,8 +179,7 @@ def _full_baseline(
     reuse = [l for l, action in enumerate(policy.actions) if action is Action.REUSE]
     for t in range(outputs.shape[0]):
         for l in reuse:
-            for h, cache in enumerate(caches[l]):
-                baseline[t, l, h], _ = full_attention(queries[t, l, h], cache.prefix(context_len + t))
+            _full_layer(baseline[t, l], queries[t, l], caches[l], context_len + t)
     return baseline
 
 
@@ -183,11 +194,57 @@ def _check_run_args(model: SyntheticModel, policy: LayerPolicy, steps: int) -> N
         raise InvalidInputError(f"steps must be >= 1, got {steps}")
 
 
-def _augment_selection(sel: TopKSet, n: int, sinks: int, recent: int) -> TopKSet:
-    """Union the inherited selection with the first `sinks` and last `recent` tokens."""
-    extra = set(range(min(sinks, n))) | set(range(max(n - recent, 0), n))
-    merged = tuple(sorted(set(sel.indices) | extra))
-    return TopKSet(indices=merged, budget=len(merged))
+def _decode(
+    model: SyntheticModel,
+    policy: LayerPolicy,
+    steps: int,
+    budget: int,
+    block_size: int,
+    select: Callable[[np.ndarray, int], tuple[TopKSet | BlockSet, TopKSet | BlockSet, np.ndarray]],
+) -> DecodeRunResult:
+    """The decode loop of both modes, which differ only in select.
+
+    Once per Full layer and step, select(summed logits, n) returns the selection
+    that layer records, the one the Reuse layers after it record, and the rows they gather.
+    """
+    cfg = model.config
+    L, H, d = cfg.layers, cfg.heads, cfg.head_dim
+    keys, values = model.grown_arrays(steps)
+    queries = model.queries(steps)
+    caches = [[model.cache_at(keys, values, l, h, steps - 1) for h in range(H)] for l in range(L)]
+    outputs = np.empty((steps, L, H, d))
+    selections, full_counts, gathered = [], [], []
+    for t in range(steps):
+        n_t = cfg.context_len + t
+        step_sel, step_gathered, fulls = [], [], 0
+        for l in range(L):
+            if policy.actions[l] is Action.FULL:
+                logits = _full_layer(outputs[t, l], queries[t, l], caches[l], n_t)
+                fulls += 1
+                sel, inherited, rows = select(logits, n_t)
+                step_gathered.append(None)
+            else:
+                # The policy's first layer is Full, so a selection is in hand.
+                sel = inherited
+                for h in range(H):
+                    outputs[t, l, h], _, _ = _subset_attention(queries[t, l, h], caches[l][h], rows)
+                step_gathered.append(int(rows.shape[0]))
+            step_sel.append(sel)
+        selections.append(tuple(step_sel))
+        gathered.append(tuple(step_gathered))
+        full_counts.append(fulls)
+    outputs.setflags(write=False)
+    return DecodeRunResult(
+        policy=policy,
+        budget=budget,
+        block_size=block_size,
+        outputs=outputs,
+        selections=tuple(selections),
+        full_score_computations=tuple(full_counts),
+        reuse_full_scans=0,
+        reuse_gathered_rows=tuple(gathered),
+        _baseline=_Baseline(outputs, policy, queries, caches, cfg.context_len),
+    )
 
 
 def hybrid_decode(
@@ -211,69 +268,25 @@ def hybrid_decode(
 
     include_sinks / include_recent optionally force the first and last so
     many tokens into reused selections; both default to off, which keeps the
-    gathered row count at exactly min(budget, N).
+    gathered row count at exactly min(budget, N). Each Full layer's selection
+    is augmented once, and the Reuse layers after it share the result.
     """
     _check_run_args(model, policy, steps)
     if budget < 1:
         raise InvalidInputError(f"budget must be >= 1, got {budget}")
     if include_sinks < 0 or include_recent < 0:
         raise InvalidInputError("include_sinks and include_recent must be >= 0")
-    cfg = model.config
-    L, H, d = cfg.layers, cfg.heads, cfg.head_dim
-    keys, values = model.grown_arrays(steps)
-    queries = model.queries(steps)
-    caches = [[model.cache_at(keys, values, l, h, steps - 1) for h in range(H)] for l in range(L)]
-    outputs = np.empty((steps, L, H, d))
-    selections: list[tuple[TopKSet, ...]] = []
-    full_counts: list[int] = []
-    gathered: list[tuple[int | None, ...]] = []
-    reuse_full_scans = 0
-    for t in range(steps):
-        n_t = cfg.context_len + t
-        b_t = min(budget, n_t)
-        step_sel: list[TopKSet] = []
-        step_gathered: list[int | None] = []
-        fulls = 0
-        reused: TopKSet | None = None
-        for l in range(L):
-            if policy.actions[l] is Action.FULL:
-                agg_logits = np.zeros(n_t)
-                for h in range(H):
-                    out, scores = full_attention(queries[t, l, h], caches[l][h].prefix(n_t))
-                    outputs[t, l, h] = out
-                    agg_logits += scores.logits
-                fulls += 1
-                sel = TopKSet(indices=topk_of_logits(agg_logits, b_t), budget=budget)
-                # Augmentation is idempotent, so each published selection is
-                # augmented once and shared by the Reuse layers that follow.
-                reused = sel
-                if include_sinks or include_recent:
-                    reused = _augment_selection(sel, n_t, include_sinks, include_recent)
-                idx = reused.as_array()
-                step_gathered.append(None)
-            else:
-                assert reused is not None
-                sel = reused
-                for h in range(H):
-                    out, _, _ = _subset_attention(queries[t, l, h], caches[l][h], idx)
-                    outputs[t, l, h] = out
-                step_gathered.append(sel.size)
-            step_sel.append(sel)
-        selections.append(tuple(step_sel))
-        gathered.append(tuple(step_gathered))
-        full_counts.append(fulls)
-    outputs.setflags(write=False)
-    return DecodeRunResult(
-        policy=policy,
-        budget=budget,
-        block_size=1,
-        outputs=outputs,
-        selections=tuple(selections),
-        full_score_computations=tuple(full_counts),
-        reuse_full_scans=reuse_full_scans,
-        reuse_gathered_rows=tuple(gathered),
-        _baseline=_Baseline(outputs, policy, queries, caches, cfg.context_len),
-    )
+
+    def select(logits: np.ndarray, n: int) -> tuple[TopKSet, TopKSet, np.ndarray]:
+        sel = TopKSet(indices=topk_of_logits(logits, min(budget, n)), budget=budget)
+        if not (include_sinks or include_recent):
+            return sel, sel, sel.as_array()
+        extra = set(range(min(include_sinks, n))) | set(range(max(n - include_recent, 0), n))
+        merged = tuple(sorted(set(sel.indices) | extra))
+        inherited = TopKSet(indices=merged, budget=len(merged))
+        return sel, inherited, inherited.as_array()
+
+    return _decode(model, policy, steps, budget, 1, select)
 
 
 def hybrid_decode_blocks(
@@ -288,68 +301,25 @@ def hybrid_decode_blocks(
     Full layers max-pool their summed logits into blocks of block_size tokens
     and keep the top-min(block_budget, block count) blocks; Reuse layers
     gather exactly the selected blocks' token ranges (the final block may be
-    truncated by the cache end) and run sparse attention over that coverage.
-    block_size = 1 reproduces hybrid_decode with budget = block_budget bit
-    for bit. Fidelity is measured as in hybrid_decode: against the all-full
-    baseline, recomputed at Reuse layers only when the result's fidelity is
-    first read, not by this call.
+    truncated by the cache end) and run sparse attention over that coverage,
+    which is built once per Full layer and step. This is hybrid_decode's loop
+    with a block selection step, so block_size = 1 reproduces hybrid_decode
+    with budget = block_budget bit for bit. Fidelity is measured as in
+    hybrid_decode: against the all-full baseline, recomputed at Reuse layers
+    only when the result's fidelity is first read, not by this call.
     """
     _check_run_args(model, policy, steps)
     if block_budget < 1:
         raise InvalidInputError(f"block_budget must be >= 1, got {block_budget}")
     if block_size < 1:
         raise InvalidInputError(f"block_size must be >= 1, got {block_size}")
-    cfg = model.config
-    L, H, d = cfg.layers, cfg.heads, cfg.head_dim
-    keys, values = model.grown_arrays(steps)
-    queries = model.queries(steps)
-    caches = [[model.cache_at(keys, values, l, h, steps - 1) for h in range(H)] for l in range(L)]
-    outputs = np.empty((steps, L, H, d))
-    selections: list[tuple[BlockSet, ...]] = []
-    full_counts: list[int] = []
-    gathered: list[tuple[int | None, ...]] = []
-    reuse_full_scans = 0
-    for t in range(steps):
-        n_t = cfg.context_len + t
-        n_blocks = math.ceil(n_t / block_size)
-        bb_t = min(block_budget, n_blocks)
-        step_sel: list[BlockSet] = []
-        step_gathered: list[int | None] = []
-        fulls = 0
-        sel: BlockSet | None = None
-        for l in range(L):
-            if policy.actions[l] is Action.FULL:
-                agg_logits = np.zeros(n_t)
-                for h in range(H):
-                    out, scores = full_attention(queries[t, l, h], caches[l][h].prefix(n_t))
-                    outputs[t, l, h] = out
-                    agg_logits += scores.logits
-                fulls += 1
-                sel = topk_blocks(block_max_of_logits(agg_logits, block_size), bb_t, block_size)
-                step_gathered.append(None)
-            else:
-                assert sel is not None
-                coverage = sel.token_coverage(n_t)
-                for h in range(H):
-                    out, _, _ = _subset_attention(queries[t, l, h], caches[l][h], coverage)
-                    outputs[t, l, h] = out
-                step_gathered.append(int(coverage.shape[0]))
-            step_sel.append(sel)
-        selections.append(tuple(step_sel))
-        gathered.append(tuple(step_gathered))
-        full_counts.append(fulls)
-    outputs.setflags(write=False)
-    return DecodeRunResult(
-        policy=policy,
-        budget=block_budget,
-        block_size=block_size,
-        outputs=outputs,
-        selections=tuple(selections),
-        full_score_computations=tuple(full_counts),
-        reuse_full_scans=reuse_full_scans,
-        reuse_gathered_rows=tuple(gathered),
-        _baseline=_Baseline(outputs, policy, queries, caches, cfg.context_len),
-    )
+
+    def select(logits: np.ndarray, n: int) -> tuple[BlockSet, BlockSet, np.ndarray]:
+        blocks = min(block_budget, math.ceil(n / block_size))
+        sel = topk_blocks(block_max_of_logits(logits, block_size), blocks, block_size)
+        return sel, sel, sel.token_coverage(n)
+
+    return _decode(model, policy, steps, block_budget, block_size, select)
 
 
 @dataclass(frozen=True)
@@ -470,13 +440,11 @@ def fidelity_report(baseline: DecodeTrace, hybrid: DecodeRunResult) -> FidelityR
             f"block size mismatch: baseline {baseline.block_size} vs hybrid {hybrid.block_size}"
         )
     steps, layers = hybrid.outputs.shape[0], hybrid.outputs.shape[1]
+    base_sels = baseline.topk if hybrid.block_size == 1 else baseline.blocks
     overlap = np.empty((steps, layers))
     for t in range(steps):
         for l in range(layers):
-            if hybrid.block_size == 1:
-                base_sel = _selection_indices(baseline.topk[t][l])
-            else:
-                base_sel = _selection_indices(baseline.blocks[t][l])
+            base_sel = _selection_indices(base_sels[t][l])
             hyb_sel = _selection_indices(hybrid.selections[t][l])
             shared = len(set(base_sel) & set(hyb_sel))
             overlap[t, l] = shared / max(len(base_sel), len(hyb_sel))

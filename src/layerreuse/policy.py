@@ -25,7 +25,6 @@ from .profiling import SimilarityMatrix
 
 __all__ = [
     "Action",
-    "DpCell",
     "LayerPolicy",
     "dp_optimize",
     "brute_force_policy",

@@ -272,10 +272,9 @@ def sensitivity_profile(model: SyntheticModel, step: int, budget: int) -> Sensit
         full_outs = np.empty((H, cfg.head_dim))
         full_weights = []
         for h in range(H):
-            out, scores = full_attention(queries[step, l, h], caches[h])
-            full_outs[h] = out
-            full_weights.append(scores.weights)
-            agg_logits += scores.logits
+            full_outs[h], logits, weights = full_attention(queries[step, l, h], caches[h])
+            full_weights.append(weights)
+            agg_logits += logits
         sel = TopKSet(indices=topk_of_logits(agg_logits, k), budget=k)
         idx = sel.as_array()
         sparse_outs = np.empty((H, cfg.head_dim))

@@ -125,6 +125,13 @@ def _fresh_rows(seed: int, stream: int, layer: int, first: int, stop: int, heads
     return rows
 
 
+def _allocatable(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """shape, unless numpy refuses a float64 array of it outright as exceeding its maximum size."""
+    if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+        raise InvalidInputError(f"an array of shape {shape} exceeds numpy's maximum size")
+    return shape
+
+
 def _renorm(x: np.ndarray, target: float) -> np.ndarray:
     """Rescale rows (or a single vector) to Euclidean norm `target`."""
     norms = np.linalg.norm(x, axis=-1, keepdims=True)
@@ -158,8 +165,8 @@ class SyntheticModel:
         rho = config.inter_layer_correlation
         target = math.sqrt(d)
 
-        self._keys = _CheckedRows((L, H, N + _SPARE_ROWS, d))
-        self._values = _CheckedRows((L, H, N + _SPARE_ROWS, d))
+        self._keys = _CheckedRows(_allocatable((L, H, N + _SPARE_ROWS, d)))
+        self._values = _CheckedRows(self._keys.shape)
         self._grown = 0
         self._lock = threading.Lock()
         for h in range(H):
@@ -188,7 +195,7 @@ class SyntheticModel:
         L, H, d = cfg.layers, cfg.heads, cfg.head_dim
         rho = cfg.inter_layer_correlation
         target = math.sqrt(d)
-        q = np.empty((steps, L, H, d))
+        q = np.empty(_allocatable((steps, L, H, d)))
         for h in range(H):
             base = _renorm(_rng(cfg.seed, _S_QUERY_BASE, h).standard_normal(d), target)
             for t in range(steps):
@@ -239,6 +246,9 @@ class SyntheticModel:
         rho = cfg.inter_layer_correlation
         target = math.sqrt(d)
         first = self._grown
+        capacity = self._keys.shape[2] - N
+        # Checked first: the growth rows below are never larger than the new buffer.
+        shape = _allocatable((L, H, N + max(2 * capacity, steps), d)) if steps > capacity else None
         ext_k = np.empty((steps - first, L, H, d))
         ext_v = np.empty((steps - first, L, H, d))
         for ext, stream in ((ext_k, _S_EXT_KEYS), (ext_v, _S_EXT_VALUES)):
@@ -246,10 +256,8 @@ class SyntheticModel:
             for l in range(1, L):
                 fresh = _fresh_rows(cfg.seed, stream, l, first, steps, H, d)
                 ext[:, l] = _blend(ext[:, l - 1], fresh, rho, target)
-        capacity = self._keys.shape[2] - N
-        if steps > capacity:
+        if shape is not None:
             # Views handed out so far keep the old buffers, whose rows stay as they are.
-            shape = (L, H, N + max(2 * capacity, steps), d)
             rows = (slice(None), slice(None), slice(None, N + first))
             keys, values = _CheckedRows(shape), _CheckedRows(shape)
             keys[rows] = self._keys[rows]
@@ -353,9 +361,8 @@ def run_full_trace(model: SyntheticModel, steps: int, budget: int, block_size: i
         for l in range(L):
             agg_logits = np.zeros(n_t)
             for h in range(H):
-                out, scores = full_attention(queries[t, l, h], caches[l][h].prefix(n_t))
-                outputs[t, l, h] = out
-                agg_logits += scores.logits
+                outputs[t, l, h], logits, _ = full_attention(queries[t, l, h], caches[l][h].prefix(n_t))
+                agg_logits += logits
             step_topk.append(TopKSet(indices=topk_of_logits(agg_logits, budget), budget=budget))
             n_blocks = math.ceil(n_t / block_size)
             step_blocks.append(

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layerreuse import (
-    AttentionScores,
     BlockSet,
     ConfigurationError,
     InvalidInputError,
@@ -14,13 +13,11 @@ from layerreuse import (
     LayerKvCache,
     NumericInputError,
     TopKSet,
-    block_aggregate_scores,
     block_max_of_logits,
     full_attention,
     softmax,
     sparse_attention,
     topk_blocks,
-    topk_indices,
     topk_of_logits,
 )
 from reference import ref_attention, ref_sparse_attention, ref_topk
@@ -32,17 +29,17 @@ def _cache(keys, values):
 
 def test_single_token_cache_returns_its_value_row():
     cache = _cache([[1.0, 2.0]], [[5.0, -3.0]])
-    out, scores = full_attention(np.array([0.5, 0.5]), cache)
+    out, _, weights = full_attention(np.array([0.5, 0.5]), cache)
     assert np.array_equal(out, np.array([5.0, -3.0]))
-    assert np.array_equal(scores.weights, np.array([1.0]))
+    assert np.array_equal(weights, np.array([1.0]))
 
 
 def test_orthogonal_query_gives_uniform_weights():
     # q is orthogonal to every key, so all logits are 0 and weights are 1/N.
     keys = [[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0]]
     values = [[3.0, 0.0], [0.0, 3.0], [0.0, 0.0]]
-    out, scores = full_attention(np.array([0.0, 1.0]), _cache(keys, values))
-    assert np.allclose(scores.weights, np.full(3, 1 / 3), atol=1e-15)
+    out, _, weights = full_attention(np.array([0.0, 1.0]), _cache(keys, values))
+    assert np.allclose(weights, np.full(3, 1 / 3), atol=1e-15)
     assert np.allclose(out, np.array([1.0, 1.0]), atol=1e-15)
 
 
@@ -50,13 +47,13 @@ def test_two_token_fixture_matches_scalar_reference():
     keys = [[10.0, 0.0], [0.0, 0.0]]
     values = [[1.0, 0.0], [0.0, 1.0]]
     q = [1.0, 0.0]
-    out, scores = full_attention(np.array(q), _cache(keys, values))
+    out, logits, weights = full_attention(np.array(q), _cache(keys, values))
     ref_out, ref_logits, ref_weights = ref_attention(q, keys, values)
-    assert scores.logits == pytest.approx(ref_logits, rel=1e-12)
-    assert scores.weights == pytest.approx(ref_weights, rel=1e-12)
+    assert logits == pytest.approx(ref_logits, rel=1e-12)
+    assert weights == pytest.approx(ref_weights, rel=1e-12)
     assert out == pytest.approx(ref_out, rel=1e-12)
     # dominant first logit: 10/sqrt(2)
-    assert scores.logits[0] == pytest.approx(10 / math.sqrt(2), rel=1e-15)
+    assert logits[0] == pytest.approx(10 / math.sqrt(2), rel=1e-15)
 
 
 def test_full_attention_matches_scalar_reference_on_random_draws():
@@ -66,10 +63,10 @@ def test_full_attention_matches_scalar_reference_on_random_draws():
         keys = rng.standard_normal((n, d))
         values = rng.standard_normal((n, d))
         q = rng.standard_normal(d)
-        out, scores = full_attention(q, _cache(keys, values))
+        out, _, weights = full_attention(q, _cache(keys, values))
         ref_out, ref_logits, ref_weights = ref_attention(q.tolist(), keys.tolist(), values.tolist())
         assert out == pytest.approx(ref_out, rel=1e-12, abs=1e-12)
-        assert scores.weights == pytest.approx(ref_weights, rel=1e-12, abs=1e-15)
+        assert weights == pytest.approx(ref_weights, rel=1e-12, abs=1e-15)
 
 
 def test_dimension_mismatch_is_configuration_error():
@@ -86,6 +83,14 @@ def test_non_finite_input_is_numeric_error():
     cache = _cache([[1.0, 2.0]], [[5.0, -3.0]])
     with pytest.raises(NumericInputError):
         full_attention(np.array([np.inf, 0.0]), cache)
+
+
+def test_overflowing_logits_are_numeric_error():
+    # Keys and query are finite, but their dot products overflow to inf.
+    cache = _cache([[1e200, 1e200], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericInputError):
+            full_attention(np.array([1e200, 1e200]), cache)
 
 
 def test_cache_arrays_are_immutable():
@@ -136,7 +141,7 @@ def test_cache_prefix_is_a_shared_view():
     assert np.array_equal(head.keys, base[0, :3]) and np.array_equal(head.values, base[1, :3])
     assert cache.prefix(cache.length).length == cache.length
     q = np.ones(4)
-    want, _ = full_attention(q, LayerKvCache(keys=base[0, :3].copy(), values=base[1, :3].copy()))
+    want, _, _ = full_attention(q, LayerKvCache(keys=base[0, :3].copy(), values=base[1, :3].copy()))
     assert np.array_equal(full_attention(q, head)[0], want)
     for n in (0, cache.length + 1):
         with pytest.raises(ConfigurationError):
@@ -166,6 +171,8 @@ def test_topk_basic_and_ties():
     # NaN ranks below every number, -inf included
     assert topk_of_logits(np.array([np.nan, 1.0, np.nan, -np.inf]), 3) == (0, 1, 3)
     assert all(type(i) is int for i in topk_of_logits(np.array([3.0, 1.0, 2.0]), 2))
+    with pytest.raises(InvalidInputError):
+        topk_of_logits(np.array([3.0, 1.0, 2.0]), 0)
 
 
 def test_topk_matches_reference_on_large_tied_draws():
@@ -185,16 +192,6 @@ def test_topk_matches_reference_on_random_draws():
         logits = rng.standard_normal(n)
         budget = int(rng.integers(1, n + 4))
         assert list(topk_of_logits(logits, budget)) == ref_topk(logits.tolist(), budget)
-
-
-def test_topk_indices_wraps_scores():
-    cache = _cache([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]], np.eye(3, 2))
-    _, scores = full_attention(np.array([1.0, 0.0]), cache)
-    sel = topk_indices(scores, 2)
-    assert sel.indices == (0, 2)
-    assert sel.budget == 2
-    with pytest.raises(InvalidInputError):
-        topk_indices(scores, 0)
 
 
 @given(
@@ -231,7 +228,7 @@ def test_sparse_with_full_selection_matches_full_bitwise():
     rng = np.random.default_rng(0)
     cache = _cache(rng.standard_normal((8, 4)), rng.standard_normal((8, 4)))
     q = rng.standard_normal(4)
-    full_out, _ = full_attention(q, cache)
+    full_out, _, _ = full_attention(q, cache)
     sel = TopKSet(indices=tuple(range(8)), budget=8)
     assert np.array_equal(sparse_attention(q, cache, sel), full_out)
 
@@ -244,7 +241,7 @@ def test_sparse_full_selection_equivalence_over_seeded_draws():
         n = int(rng.integers(1, 513))
         cache = _cache(rng.standard_normal((n, d)), rng.standard_normal((n, d)))
         q = rng.standard_normal(d)
-        full_out, _ = full_attention(q, cache)
+        full_out, _, _ = full_attention(q, cache)
         sparse_out = sparse_attention(q, cache, TopKSet(indices=tuple(range(n)), budget=n))
         denom = np.linalg.norm(full_out)
         assert np.linalg.norm(sparse_out - full_out) <= 1e-6 * max(denom, 1e-30)
@@ -256,8 +253,8 @@ def test_sparse_singleton_argmax_returns_value_row():
     values = rng.standard_normal((6, 4))
     cache = _cache(keys, values)
     q = rng.standard_normal(4)
-    _, scores = full_attention(q, cache)
-    best = int(np.argmax(scores.logits))
+    _, logits, _ = full_attention(q, cache)
+    best = int(np.argmax(logits))
     out = sparse_attention(q, cache, TopKSet(indices=(best,), budget=1))
     assert np.array_equal(out, values[best])
 
@@ -308,8 +305,6 @@ def test_weights_share_argmax_with_logits(logits):
     logits = np.asarray(logits)
     w = softmax(logits)
     assert w[int(np.argmax(logits))] == w.max()
-    scores = AttentionScores(logits=logits, weights=w)
-    assert scores.weights[int(np.argmax(scores.logits))] == scores.weights.max()
 
 
 # --- block pooling ---
@@ -322,11 +317,6 @@ def test_block_aggregate_examples():
     # width 1 is the identity
     v = np.array([3.0, -1.0, 2.0])
     assert np.array_equal(block_max_of_logits(v, 1), v)
-
-
-def test_block_aggregate_scores_uses_logits():
-    scores = AttentionScores(logits=np.array([1.0, 9.0, 2.0, 3.0]), weights=softmax(np.array([1.0, 9.0, 2.0, 3.0])))
-    assert np.array_equal(block_aggregate_scores(scores, 2), [9.0, 3.0])
 
 
 def test_topk_blocks_selects_best_blocks():

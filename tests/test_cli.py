@@ -458,3 +458,38 @@ def test_failed_bench_rewrite_keeps_earlier_files(pipeline, tmp_path, monkeypatc
     else:
         assert set(after) == set(before)
         assert after["bench.csv.manifest.json"] == before["bench.csv.manifest.json"]
+
+
+# Each command asks for an array of more than 2**63 bytes, which numpy refuses outright.
+_TOO_LARGE = {
+    "shape": ["gen-traces", "--layers", "1099511627776", "--heads", "1048576",
+              "--head-dim", "1024", "--ctx", "2", "--out", "{out}/trace.json"],
+    "gen-traces-steps": ["gen-traces", *MODEL_FLAGS, "--steps", str(2**60), "--k", "2",
+                         "--out", "{out}/trace.json"],
+    "decode-steps": ["decode", *MODEL_FLAGS, "--policy", "{policy}", "--budget", "2",
+                     "--steps", str(2**60), "--out", "{out}/run.json"],
+}
+
+
+@pytest.mark.parametrize("case", list(_TOO_LARGE))
+def test_array_beyond_numpys_maximum_size_exits_2(pipeline, tmp_path, capsys, case):
+    argv = [arg.format(out=tmp_path, policy=pipeline / "policy.json") for arg in _TOO_LARGE[case]]
+    assert main(argv) == 2
+    assert "maximum size" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+# A valid JSON integer too large for a float, where the reader takes a number.
+_OVERFLOWING = [
+    ("similarity.json", ("entries", 0), 10**400),
+    ("policy.json", ("theta",), 10**400),
+    ("policy.json", ("cumSimilarity",), -(10**400)),
+]
+
+
+@pytest.mark.parametrize(
+    "artifact,path,value", _OVERFLOWING,
+    ids=[f"{a}:{'.'.join(map(str, p))}" for a, p, _ in _OVERFLOWING],
+)
+def test_integer_too_large_for_a_float_exits_2(pipeline, tmp_path, capsys, artifact, path, value):
+    test_wrongly_typed_value_exits_2(pipeline, tmp_path, capsys, artifact, path, value)

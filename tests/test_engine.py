@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from layerreuse import engine
 from layerreuse import (
     Action,
+    BlockSet,
     ConfigurationError,
     InvalidInputError,
     LayerPolicy,
@@ -478,3 +479,22 @@ def test_replace_works_before_and_after_fidelity_access():
     changed = early.fidelity.per_step_layer != want.per_step_layer
     assert changed[0, 3] and early.fidelity.per_step_layer[0, 3] > 0.0
     assert changed.sum() == 1
+
+
+def test_block_coverage_is_built_once_per_full_layer(monkeypatch):
+    model = generate_model(_DEFERRED)
+    policy = static_jump_policy(_DEFERRED.layers, 3)  # 2 Full and 4 Reuse layers
+    steps = 3
+    calls = []
+    real = BlockSet.token_coverage
+
+    def counting(self, n):
+        calls.append(n)
+        return real(self, n)
+
+    monkeypatch.setattr(BlockSet, "token_coverage", counting)
+    run = hybrid_decode_blocks(model, policy, 3, 8, steps)
+    assert policy.full_count < policy.num_layers - policy.full_count
+    assert len(calls) == policy.full_count * steps
+    assert sorted(set(calls)) == [_DEFERRED.context_len + t for t in range(steps)]
+    assert run.reuse_gathered_rows[0][1] == 24

@@ -321,3 +321,17 @@ def test_concurrent_growth_matches_a_fresh_model(monkeypatch):
             monkeypatch.undo()
     finally:
         sys.setswitchinterval(switch)
+
+
+def test_arrays_beyond_numpys_maximum_size_are_invalid_input():
+    # Each shape holds more than 2**63 bytes, which numpy refuses outright.
+    with pytest.raises(InvalidInputError, match="maximum size"):
+        generate_model(SynthModelConfig(layers=2**40, heads=2**20, head_dim=1024, context_len=2))
+    model = generate_model(_BUFFER)
+    for call in (model.queries, model.grown_arrays):
+        with pytest.raises(InvalidInputError, match="maximum size"):
+            call(2**60)
+    # The refused growth drew and stored nothing.
+    want = generate_model(_BUFFER).grown_arrays(3)
+    got = model.grown_arrays(3)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
