@@ -82,5 +82,5 @@ def require_items(items: list, types, where: str) -> None:
     """Reject a JSON array holding an item of the wrong type, or an integer too large for a float."""
     types = types if isinstance(types, tuple) else (types,)
     for item in items:
-        if type(item) not in types or type(item) is int and float in types:
+        if type(item) not in types or (type(item) is int and float in types):
             _check_value(item, types, f"every item of {where}")

@@ -126,7 +126,7 @@ def _fresh_rows(seed: int, stream: int, layer: int, first: int, stop: int, heads
 
 
 def _allocatable(shape: tuple[int, ...]) -> tuple[int, ...]:
-    """shape, unless numpy refuses a float64 array of it outright as exceeding its maximum size."""
+    """Return shape, unless numpy would refuse a float64 array of it outright as too big."""
     if math.prod(shape) * 8 > np.iinfo(np.intp).max:
         raise InvalidInputError(f"an array of shape {shape} exceeds numpy's maximum size")
     return shape
