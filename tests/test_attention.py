@@ -185,6 +185,16 @@ def test_topk_matches_reference_on_large_tied_draws():
         assert list(topk_of_logits(logits, budget)) == ref_topk(logits.tolist(), budget)
 
 
+def test_topk_indices_wraps_scores():
+    cache = _cache([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]], np.eye(3, 2))
+    _, logits, _ = full_attention(np.array([1.0, 0.0]), cache)
+    sel = TopKSet(indices=topk_of_logits(logits, 2), budget=2)
+    assert sel.indices == (0, 2)
+    assert sel.budget == 2
+    with pytest.raises(InvalidInputError):
+        topk_of_logits(logits, 0)
+
+
 def test_topk_matches_reference_on_random_draws():
     rng = np.random.default_rng(7)
     for _ in range(200):
@@ -317,6 +327,14 @@ def test_block_aggregate_examples():
     # width 1 is the identity
     v = np.array([3.0, -1.0, 2.0])
     assert np.array_equal(block_max_of_logits(v, 1), v)
+
+
+def test_block_aggregate_scores_uses_logits():
+    # Blocks are ranked on the logits that full_attention returns, not on the weights.
+    cache = _cache([[1.0, 0.0], [9.0, 0.0], [2.0, 0.0], [3.0, 0.0]], np.eye(4, 2))
+    _, logits, weights = full_attention(np.array([1.0, 0.0]), cache)
+    assert np.allclose(block_max_of_logits(logits, 2), np.array([9.0, 3.0]) / math.sqrt(2))
+    assert not np.allclose(block_max_of_logits(weights, 2), block_max_of_logits(logits, 2))
 
 
 def test_topk_blocks_selects_best_blocks():
