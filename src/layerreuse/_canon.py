@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 from .errors import InvalidInputError
 
@@ -55,13 +56,19 @@ _FLOAT_LIMIT = 2**1024 - 2**970
 
 
 def _check_value(value, types: tuple, where: str) -> None:
-    """Reject a value whose JSON type is not in types, or an integer too large for an allowed float."""
+    """Reject a value whose JSON type is not in types, or a number that is not a finite float.
+
+    json.loads reads NaN, Infinity and an out-of-range literal such as 1e400
+    as non-finite floats; writers never emit them (NaN is written as null).
+    """
     if type(value) not in types:
         want = " or ".join(_JSON_NAMES[t] for t in types)
         got = _JSON_NAMES.get(type(value), type(value).__name__)
         raise InvalidInputError(f"{where} must be {want}, got {got}")
     if type(value) is int and float in types and abs(value) >= _FLOAT_LIMIT:
         raise InvalidInputError(f"{where} must be a finite number, got an integer of {value.bit_length()} bits")
+    if type(value) is float and not math.isfinite(value):
+        raise InvalidInputError(f"{where} must be a finite number, got {value}")
 
 
 def require_keys(doc, fields: dict, where: str) -> None:
@@ -79,8 +86,8 @@ def require_keys(doc, fields: dict, where: str) -> None:
 
 
 def require_items(items: list, types, where: str) -> None:
-    """Reject a JSON array holding an item of the wrong type, or an integer too large for a float."""
+    """Reject a JSON array holding an item of the wrong type, or a number that is not a finite float."""
     types = types if isinstance(types, tuple) else (types,)
     for item in items:
-        if type(item) not in types or (type(item) is int and float in types):
+        if type(item) not in types or (type(item) is int and float in types) or type(item) is float:
             _check_value(item, types, f"every item of {where}")

@@ -1,4 +1,10 @@
-"""Exact single-query attention, top-k token selection, and block-level pooling.
+"""Exact attention of one query per head, top-k token selection, and block-level pooling.
+
+A cache holds one head's [N, d] keys and values, or all H heads' [H, N, d];
+a query is then [d] or [H, d], and every result gains the same leading head
+axis. Each head's [N, d] block goes through the same BLAS call, reduction
+and elementwise steps as a single-head call, so one call over H heads equals
+H single-head calls bit for bit.
 
 All math runs in float64. Every public operation is a pure function over
 immutable inputs, so results are safe to share across threads and are
@@ -8,6 +14,7 @@ bit-reproducible for identical inputs on the same platform.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,16 +39,28 @@ __all__ = [
 ]
 
 
-def _is_frozen_f64(value) -> bool:
-    """True for a C-contiguous, read-only float64 array over read-only memory.
+def _read_only_blocks(value) -> bool:
+    """True for a read-only float64 array of 2 or 3 axes whose [N, d] blocks are C-contiguous.
 
-    The base test rejects a read-only view of a writable array, whose memory
-    can still change. Contiguity keeps BLAS on the path a fresh copy would
+    A leading head axis may have any stride, as in a view of a buffer with
+    spare rows. Contiguous blocks keep BLAS on the path a fresh copy would
     take, so sharing never changes a result bit.
     """
     if not isinstance(value, np.ndarray) or value.dtype != np.float64:
         return False
-    if value.flags.writeable or not value.flags.c_contiguous:
+    if value.flags.writeable or value.ndim not in (2, 3):
+        return False
+    n, d = value.shape[-2:]
+    return (d <= 1 or value.strides[-1] == 8) and (n <= 1 or value.strides[-2] == 8 * d)
+
+
+def _is_frozen_f64(value) -> bool:
+    """True for a _read_only_blocks array over read-only memory.
+
+    The base test rejects a read-only view of a writable array, whose memory
+    can still change.
+    """
+    if not _read_only_blocks(value):
         return False
     base = value.base
     return base is None or (isinstance(base, np.ndarray) and not base.flags.writeable)
@@ -66,10 +85,8 @@ class _CheckedRows(np.ndarray):
 
 
 def _is_checked_view(value) -> bool:
-    """True for a read-only, C-contiguous float64 view of _CheckedRows storage."""
-    if not isinstance(value, np.ndarray) or value.dtype != np.float64:
-        return False
-    if value.flags.writeable or not value.flags.c_contiguous:
+    """True for a _read_only_blocks view of _CheckedRows storage."""
+    if not _read_only_blocks(value):
         return False
     base = value.base
     while isinstance(base, np.ndarray) and not isinstance(base, _CheckedRows):
@@ -77,8 +94,8 @@ def _is_checked_view(value) -> bool:
     return isinstance(base, _CheckedRows)
 
 
-def _frozen_f64(value, name: str, ndim: int) -> np.ndarray:
-    """Read-only float64 array, rejecting non-finite entries.
+def _frozen_f64(value, name: str) -> np.ndarray:
+    """Read-only float64 array of 2 or 3 axes, rejecting non-finite entries.
 
     Shares value when _is_frozen_f64 holds, otherwise copies it. A view of
     _CheckedRows storage is shared without a rescan: its rows were checked
@@ -86,8 +103,8 @@ def _frozen_f64(value, name: str, ndim: int) -> np.ndarray:
     """
     checked = _is_checked_view(value)
     arr = value if checked or _is_frozen_f64(value) else np.array(value, dtype=np.float64)
-    if arr.ndim != ndim:
-        raise ConfigurationError(f"{name} must be {ndim}-D, got shape {arr.shape}")
+    if arr.ndim not in (2, 3):
+        raise ConfigurationError(f"{name} must be 2-D or 3-D, got shape {arr.shape}")
     if not checked and not np.all(np.isfinite(arr)):
         raise NumericInputError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
@@ -98,42 +115,46 @@ def _frozen_f64(value, name: str, ndim: int) -> np.ndarray:
 class LayerKvCache:
     """Key and value matrices for one layer's cached tokens.
 
-    Both arrays are [N, d] float64 with identical shapes and N >= 1, checked
-    for shape and finiteness at construction and read-only afterwards, so a
-    cache can be handed to concurrent readers without defensive copies.
+    Both arrays are float64 with identical shapes: [N, d] for one head, or
+    [H, N, d] for all H heads of the layer, with N >= 1 (and H >= 1). They
+    are checked for shape and finiteness at construction and read-only
+    afterwards, so a cache can be handed to concurrent readers without
+    defensive copies. The attention functions take a [d] query against a
+    one-head cache and an [H, d] query against an all-heads cache.
 
-    An input that is already a C-contiguous, read-only float64 array whose
-    base is absent or also read-only is shared, not copied; the caller must
-    not write to that memory through an older writable view. Every other
-    input is copied and scanned. A read-only, C-contiguous view of
-    SyntheticModel.grown_arrays is shared without the finiteness scan: the
-    model checked each of its rows when it stored the row.
+    Sharing is decided per [N, d] block: an input that is a read-only float64
+    array whose base is absent or also read-only, and whose every [N, d]
+    block is C-contiguous, is shared, not copied. The head axis may stride
+    over spare rows between blocks. The caller must not write to shared
+    memory through an older writable view. Every other input is copied and
+    scanned. Such a view of SyntheticModel.grown_arrays is shared without the
+    finiteness scan: the model checked each of its rows when it stored the row.
     """
 
     keys: np.ndarray
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        keys = _frozen_f64(self.keys, "keys", ndim=2)
-        values = _frozen_f64(self.values, "values", ndim=2)
+        keys = _frozen_f64(self.keys, "keys")
+        values = _frozen_f64(self.values, "values")
         if keys.shape != values.shape:
             raise ConfigurationError(
                 f"keys shape {keys.shape} does not match values shape {values.shape}"
             )
-        if keys.shape[0] < 1:
-            raise ConfigurationError("cache must hold at least one token")
+        if min(keys.shape[:-1]) < 1:
+            raise ConfigurationError("cache must hold at least one token (and one head)")
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "values", values)
 
     @property
     def length(self) -> int:
         """Number of cached tokens N."""
-        return self.keys.shape[0]
+        return self.keys.shape[-2]
 
     @property
     def head_dim(self) -> int:
         """Per-token vector width d."""
-        return self.keys.shape[1]
+        return self.keys.shape[-1]
 
     def prefix(self, n: int) -> LayerKvCache:
         """The cache of the first n tokens, in O(1).
@@ -147,9 +168,21 @@ class LayerKvCache:
         if not 1 <= n <= self.length:
             raise ConfigurationError(f"prefix length must lie in [1, {self.length}], got {n}")
         view = object.__new__(LayerKvCache)
-        object.__setattr__(view, "keys", self.keys[:n])
-        object.__setattr__(view, "values", self.values[:n])
+        object.__setattr__(view, "keys", self.keys[..., :n, :])
+        object.__setattr__(view, "values", self.values[..., :n, :])
         return view
+
+
+def _check_ascending(indices: tuple[int, ...], kind: str) -> None:
+    """Reject negative or not strictly ascending indices, in one scan when they are valid.
+
+    A negative index is reported first, as the separate checks did.
+    """
+    ascending = all(map(operator.lt, indices, indices[1:]))
+    if (indices[0] if ascending else min(indices)) < 0:
+        raise InvalidSelectionError(f"{kind} indices must be non-negative")
+    if not ascending:
+        raise InvalidSelectionError(f"{kind} indices must be strictly ascending")
 
 
 @dataclass(frozen=True)
@@ -164,15 +197,12 @@ class TopKSet:
     budget: int
 
     def __post_init__(self) -> None:
-        indices = tuple(int(i) for i in self.indices)
+        indices = tuple(map(int, self.indices))
         if self.budget < 1:
             raise InvalidInputError(f"budget must be >= 1, got {self.budget}")
-        if len(indices) == 0:
+        if not indices:
             raise InvalidSelectionError("selection must contain at least one index")
-        if any(i < 0 for i in indices):
-            raise InvalidSelectionError("token indices must be non-negative")
-        if any(b <= a for a, b in zip(indices, indices[1:])):
-            raise InvalidSelectionError("token indices must be strictly ascending")
+        _check_ascending(indices, "token")
         if len(indices) > self.budget:
             raise InvalidSelectionError(
                 f"selection holds {len(indices)} indices but budget is {self.budget}"
@@ -195,15 +225,12 @@ class BlockSet:
     block_size: int
 
     def __post_init__(self) -> None:
-        blocks = tuple(int(b) for b in self.block_indices)
+        blocks = tuple(map(int, self.block_indices))
         if self.block_size < 1:
             raise InvalidInputError(f"block_size must be >= 1, got {self.block_size}")
-        if len(blocks) == 0:
+        if not blocks:
             raise InvalidSelectionError("block selection must contain at least one block")
-        if any(b < 0 for b in blocks):
-            raise InvalidSelectionError("block indices must be non-negative")
-        if any(b2 <= b1 for b1, b2 in zip(blocks, blocks[1:])):
-            raise InvalidSelectionError("block indices must be strictly ascending")
+        _check_ascending(blocks, "block")
         object.__setattr__(self, "block_indices", blocks)
 
     @property
@@ -230,54 +257,71 @@ class BlockSet:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over a 1-D logit vector.
+    """Numerically stable softmax over the last axis of a logit array.
 
-    Subtracts the maximum before exponentiation, so the result is invariant
-    (to tight float tolerance) under adding a constant to every logit.
+    Subtracts each row's maximum before exponentiation, so the result is
+    invariant (to tight float tolerance) under adding a constant to a row.
+    Each row is reduced along its contiguous axis, as a 1-D vector would be,
+    so a row's weights do not depend on the rows beside it.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max()
-    exps = np.exp(shifted)
-    return exps / exps.sum()
+    exps = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(exps, out=exps)
+    exps /= exps.sum(axis=-1, keepdims=True)
+    return exps
 
 
 def _check_query(q, cache: LayerKvCache) -> np.ndarray:
+    """The query as float64: [d] for a one-head cache, [H, d] for an all-heads cache."""
     q = np.asarray(q, dtype=np.float64)
-    if q.ndim != 1:
-        raise ConfigurationError(f"query must be 1-D, got shape {q.shape}")
-    if q.shape[0] != cache.head_dim:
+    if q.ndim != cache.keys.ndim - 1:
+        raise ConfigurationError(f"query must be {cache.keys.ndim - 1}-D, got shape {q.shape}")
+    if q.shape != cache.keys.shape[:-2] + (cache.head_dim,):
         raise ConfigurationError(
-            f"query width {q.shape[0]} does not match cache width {cache.head_dim}"
+            f"query shape {q.shape} does not match cache shape {cache.keys.shape}"
         )
-    if not np.all(np.isfinite(q)):
+    if not np.isfinite(q).all():
         raise NumericInputError("query contains non-finite entries")
     return q
 
 
+def _logits(q: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Scaled dot products [..., n] of queries [..., d] with keys [..., n, d]: one gemv per head."""
+    return (keys @ q[..., None])[..., 0] / math.sqrt(keys.shape[-1])
+
+
+def _weigh(logits: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(output, logits, weights) for logits [..., n] over values [..., n, d]."""
+    weights = softmax(logits)
+    return (weights[..., None, :] @ values)[..., 0, :], logits, weights
+
+
 def full_attention(q, cache: LayerKvCache) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact attention of one query against every cached token.
+    """Exact attention of one query per head against every cached token.
 
     Args:
-        q: query vector of width cache.head_dim.
+        q: query of shape [d] against a one-head cache, or [H, d] against an
+            all-heads cache, d = cache.head_dim.
         cache: the layer's key/value cache.
 
     Returns:
-        (output, logits, weights): logits[n] = (q . keys[n]) / sqrt(d) over
-        all N tokens, weights = softmax(logits), and output = weights @
-        cache.values. Both vectors are fresh arrays owned by the caller.
-        Finite logits imply finite weights: the weights sum to 1 within 1e-9
-        and share their argmax with the logits.
+        (output, logits, weights): logits[..., n] = (q . keys[..., n, :]) /
+        sqrt(d) over all N tokens, weights = softmax(logits), and output =
+        weights @ cache.values, each with the query's leading head axis.
+        All three are fresh arrays owned by the caller; head h of an
+        all-heads call equals the one-head call on that head bit for bit.
+        Finite logits imply finite weights: each head's weights sum to 1
+        within 1e-9 and share their argmax with its logits.
 
     Raises:
         NumericInputError: if the query is not finite, or the logits overflow
             (finite keys and query can still have an infinite dot product).
     """
     q = _check_query(q, cache)
-    logits = cache.keys @ q / math.sqrt(cache.head_dim)
+    logits = _logits(q, cache.keys)
     if not np.isfinite(logits).all():
         raise NumericInputError("attention logits contain non-finite entries")
-    weights = softmax(logits)
-    return weights @ cache.values, logits, weights
+    return _weigh(logits, cache.values)
 
 
 def _subset_attention(
@@ -285,14 +329,19 @@ def _subset_attention(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Attention restricted to the given rows; softmax renormalizes over the subset.
 
-    Computes only len(idx) dot products, never a score over all N tokens.
-    Returns (output, subset_logits, subset_weights).
+    Computes only len(idx) dot products per head, never a score over all N
+    tokens. q is [d] or [H, d], as in full_attention. Returns (output,
+    subset_logits, subset_weights).
     """
-    sub_keys = cache.keys[idx]
-    sub_values = cache.values[idx]
-    logits = sub_keys @ q / math.sqrt(cache.head_dim)
-    weights = softmax(logits)
-    return weights @ sub_values, logits, weights
+    return _weigh(_logits(q, cache.keys[..., idx, :]), cache.values[..., idx, :])
+
+
+def _head_sum(logits: np.ndarray) -> np.ndarray:
+    """Per-head logits [H, n] summed in head order, as adding H one-head results would."""
+    summed = np.zeros(logits.shape[-1])
+    for row in logits:
+        summed += row
+    return summed
 
 
 def sparse_attention(q, cache: LayerKvCache, selection: TopKSet) -> np.ndarray:

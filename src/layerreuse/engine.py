@@ -8,10 +8,11 @@ score computation so tests can assert that reuse layers triggered none.
 Token and block mode share one decode loop and differ only in the step that
 turns a Full layer's summed logits into a selection.
 
-Each (layer, head) cache is built once per decode call, as a view of the
+Each layer's all-heads cache is built once per decode call, as a view of the
 model's grown arrays, and Full layers see each step through prefix; only the
-rows a Reuse layer gathers are ever copied. A decode call does decode work
-only. Fidelity compares against the all-Full baseline, which equals the run's
+rows a Reuse layer gathers are ever copied. Attention runs once per (step,
+layer) over all heads, which equals one call per head bit for bit. A decode
+call does decode work only. Fidelity compares against the all-Full baseline, which equals the run's
 own outputs at Full layers bit for bit, so it is recomputed with full
 attention at Reuse layers only, when DecodeRunResult.fidelity is first read.
 
@@ -33,6 +34,7 @@ from .attention import (
     BlockSet,
     LayerKvCache,
     TopKSet,
+    _head_sum,
     _subset_attention,
     block_max_of_logits,
     full_attention,
@@ -154,20 +156,17 @@ def _fidelity_tables(baseline_outputs: np.ndarray, hybrid_outputs: np.ndarray) -
     )
 
 
-def _full_layer(out: np.ndarray, queries: np.ndarray, caches: list[LayerKvCache], n: int) -> np.ndarray:
-    """Full attention of each head over n tokens into out[h]; returns the logits summed in head order."""
-    summed = np.zeros(n)
-    for h, cache in enumerate(caches):
-        out[h], logits, _ = full_attention(queries[h], cache.prefix(n))
-        summed += logits
-    return summed
+def _full_layer(out: np.ndarray, queries: np.ndarray, cache: LayerKvCache, n: int) -> np.ndarray:
+    """Full attention of all heads over n tokens into out; returns the logits summed in head order."""
+    out[...], logits, _ = full_attention(queries, cache.prefix(n))
+    return _head_sum(logits)
 
 
 def _full_baseline(
     outputs: np.ndarray,
     policy: LayerPolicy,
     queries: np.ndarray,
-    caches: list[list[LayerKvCache]],
+    caches: list[LayerKvCache],
     context_len: int,
 ) -> np.ndarray:
     """All-Full baseline of a run: its outputs, with Reuse layers recomputed.
@@ -211,7 +210,7 @@ def _decode(
     L, H, d = cfg.layers, cfg.heads, cfg.head_dim
     keys, values = model.grown_arrays(steps)
     queries = model.queries(steps)
-    caches = [[model.cache_at(keys, values, l, h, steps - 1) for h in range(H)] for l in range(L)]
+    caches = [model.cache_at(keys, values, l, slice(None), steps - 1) for l in range(L)]
     outputs = np.empty((steps, L, H, d))
     selections, full_counts, gathered = [], [], []
     for t in range(steps):
@@ -226,8 +225,7 @@ def _decode(
             else:
                 # The policy's first layer is Full, so a selection is in hand.
                 sel = inherited
-                for h in range(H):
-                    outputs[t, l, h], _, _ = _subset_attention(queries[t, l, h], caches[l][h], rows)
+                outputs[t, l], _, _ = _subset_attention(queries[t, l], caches[l], rows)
                 step_gathered.append(int(rows.shape[0]))
             step_sel.append(sel)
         selections.append(tuple(step_sel))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._canon import FORMAT_VERSION, payload_hash
-from .attention import TopKSet, _subset_attention, full_attention, topk_of_logits
+from .attention import TopKSet, _head_sum, _subset_attention, full_attention, topk_of_logits
 from .errors import InvalidInputError
 from .synthetic import DecodeTrace, SyntheticModel
 
@@ -267,22 +267,12 @@ def sensitivity_profile(model: SyntheticModel, step: int, budget: int) -> Sensit
     k = min(budget, n)
     rows: list[LayerSensitivity] = []
     for l in range(L):
-        caches = [model.cache_at(keys, values, l, h, step) for h in range(H)]
-        agg_logits = np.zeros(n)
-        full_outs = np.empty((H, cfg.head_dim))
-        full_weights = []
-        for h in range(H):
-            full_outs[h], logits, weights = full_attention(queries[step, l, h], caches[h])
-            full_weights.append(weights)
-            agg_logits += logits
-        sel = TopKSet(indices=topk_of_logits(agg_logits, k), budget=k)
+        cache = model.cache_at(keys, values, l, slice(None), step)
+        full_outs, logits, full_weights = full_attention(queries[step, l], cache)
+        sel = TopKSet(indices=topk_of_logits(_head_sum(logits), k), budget=k)
         idx = sel.as_array()
-        sparse_outs = np.empty((H, cfg.head_dim))
-        kls = []
-        for h in range(H):
-            out, _, sub_weights = _subset_attention(queries[step, l, h], caches[h], idx)
-            sparse_outs[h] = out
-            kls.append(kl_extended(full_weights[h], idx, sub_weights))
+        sparse_outs, _, sub_weights = _subset_attention(queries[step, l], cache, idx)
+        kls = [kl_extended(full_weights[h], idx, sub_weights[h]) for h in range(H)]
         full_next = np.concatenate(
             [model.propagate(full_outs[h], l + 1, h, step) for h in range(H)]
         )

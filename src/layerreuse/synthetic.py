@@ -9,13 +9,15 @@ rho = 0 makes layers independent.
 
 Every random draw comes from its own SeedSequence keyed by (seed, stream,
 layer, head, step), so any tensor can be regenerated in isolation and two
-runs with the same config are bit-identical on the same platform. The
-SeedSequence is built from its pooled uint32 entropy words directly (see
-_rng); the draws equal those of SeedSequence(seed mod 2**64, spawn_key=key).
-Generation draws each layer's fresh rows one seeded vector at a time, then
-blends and renormalizes the layer's whole block at once; the norm reduces
-along the contiguous last axis, so the result matches row-by-row blending
-bit for bit.
+runs with the same config are bit-identical on the same platform. The draws
+equal those of SeedSequence(seed mod 2**64, spawn_key=key) (see _rng).
+Growth and query-mix rows are drawn one layer at a time as a batch:
+_normal_rows computes the SeedSequence pool and PCG64 seed of every row's
+key at once in integer numpy, then sets one reused PCG64 to each row's seed
+and draws that row, the same bits a generator built for the key would give.
+Each layer's whole block is then blended and renormalized at once; the norm
+reduces along the contiguous last axis, so the result matches row-by-row
+blending bit for bit.
 
 A model keeps its keys and values, base rows and decode-growth rows alike,
 in one growable buffer per tensor. grown_arrays hands out read-only views of
@@ -37,6 +39,7 @@ from .attention import (
     LayerKvCache,
     TopKSet,
     _CheckedRows,
+    _head_sum,
     block_max_of_logits,
     full_attention,
     topk_blocks,
@@ -61,6 +64,12 @@ _WALK_SCALE = 0.5
 _SPARE_ROWS = 32
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+# numpy's SeedSequence hashing constants and PCG64's 128-bit LCG multiplier.
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -95,12 +104,12 @@ class SynthModelConfig:
             raise InvalidInputError(f"heads must be an integer >= 1, got {self.heads}")
 
 
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    # SeedSequence(seed & _MASK64, spawn_key=key) pools this uint32 entropy:
-    # the seed's low and high words, zero-padded to the pool size of 4, then
-    # each key element's words, low first, with 0 taking one word. Passing the
-    # array itself skips numpy's int-by-int conversion; the pool, and so every
-    # draw, is the same.
+def _entropy(seed: int, key) -> list[int]:
+    """The uint32 entropy words SeedSequence(seed & _MASK64, spawn_key=key) pools.
+
+    They are the seed's low and high words, zero-padded to the pool size of
+    4, then each key element's words, low first, with 0 taking one word.
+    """
     words = [seed & _MASK32, (seed >> 32) & _MASK32, 0, 0]
     for part in key:
         if part < 0:
@@ -110,19 +119,86 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
         while part:
             words.append(part & _MASK32)
             part >>= 32
-    return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
+    return words
 
 
-def _fresh_rows(seed: int, stream: int, layer: int, first: int, stop: int, heads: int, d: int) -> np.ndarray:
-    """Noise rows [stop - first, heads, d] of one layer for steps first .. stop - 1.
+def _rng(seed: int, *key: int) -> np.random.Generator:
+    # Passing the entropy array itself skips numpy's int-by-int conversion;
+    # the pool, and so every draw, is that of the spawn-keyed SeedSequence.
+    return np.random.default_rng(np.random.SeedSequence(np.array(_entropy(seed, key), dtype=np.uint32)))
 
-    One seeded draw per (head, step), so a row does not depend on the range.
+
+def _normal_rows(seed: int, prefix: tuple[int, ...], tails: np.ndarray, d: int) -> np.ndarray:
+    """Rows [R, d] with row r equal to _rng(seed, *prefix, *tails[r]).standard_normal(d).
+
+    The rows share the key prefix, so SeedSequence pools its words once. The
+    tail words of every row are then mixed into copies of that pool, and each
+    row's PCG64 seed is computed, all at once in uint32/uint64 numpy following
+    numpy's SeedSequence and PCG64 seeding. Each row sets the state of one
+    reused PCG64 and draws, so no SeedSequence, PCG64 or Generator is built
+    per row. A row whose tail holds an element outside one uint32 word takes
+    _rng itself.
     """
-    rows = np.empty((stop - first, heads, d))
-    for t in range(first, stop):
-        for h in range(heads):
-            rows[t - first, h] = _rng(seed, stream, layer, h, t).standard_normal(d)
+    tails = np.asarray(tails, dtype=np.int64)
+    rows = np.empty((tails.shape[0], d))
+    wide = ((tails < 0) | (tails > _MASK32)).any(axis=1)
+    for r in np.flatnonzero(wide):
+        rows[r] = _rng(seed, *prefix, *tails[r].tolist()).standard_normal(d)
+    narrow = np.flatnonzero(~wide)
+    if narrow.size == 0:
+        return rows
+    entropy = _entropy(seed, prefix)
+    shared = np.random.SeedSequence(np.array(entropy, dtype=np.uint32))
+    mixer = np.repeat(shared.pool[:, None], narrow.size, axis=1)
+    # Filling and cross-mixing the pool takes hash steps 0 .. 15, and each later
+    # word 4 more: tail word i goes into pool words 0 .. 3 in turn at the 4 steps after.
+    words = tails[narrow].astype(np.uint32).T
+    hashed = _hashmix(np.repeat(words[:, None, :], 4, axis=1), _SS_INIT_A, _SS_MULT_A, 4 * len(entropy))
+    for word_hashes in hashed:
+        mixer = _SS_MIX_L * mixer - _SS_MIX_R * word_hashes
+        mixer ^= mixer >> np.uint32(16)
+    # generate_state(4, np.uint64): pool words 0 .. 3 twice, hashed, paired low word first.
+    words = _hashmix(mixer[[0, 1, 2, 3, 0, 1, 2, 3]], _SS_INIT_B, _SS_MULT_B, 0)
+    seeds = words[0::2].astype(np.uint64) | (words[1::2].astype(np.uint64) << np.uint64(32))
+    bits = np.random.PCG64(shared)
+    gen = np.random.Generator(bits)
+    pcg = {}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for r, (state_hi, state_lo, inc_hi, inc_lo) in zip(narrow.tolist(), seeds.T.tolist()):
+        # PCG64's srandom: inc = 2 * initseq + 1, then two LCG steps around adding initstate.
+        pcg["inc"] = inc = (((inc_hi << 64) | inc_lo) << 1 | 1) & _MASK128
+        pcg["state"] = ((inc + ((state_hi << 64) | state_lo)) * _PCG_MULT + inc) & _MASK128
+        bits.state = state
+        gen.standard_normal(out=rows[r])
     return rows
+
+
+def _hashmix(values: np.ndarray, init: int, mult: int, first: int) -> np.ndarray:
+    """SeedSequence's hashmix of uint32 rows values[..., :], one hash step per row from step first.
+
+    Step j xors with the hash constant init * mult**j and multiplies by the
+    next one (mod 2**32), then folds the high half into the low half.
+    """
+    shape = values.shape[:-1] + (1,)
+    steps = range(first, first + math.prod(shape) + 1)
+    consts = np.array([init * pow(mult, j, 1 << 32) & _MASK32 for j in steps], dtype=np.uint32)
+    hashed = (values ^ consts[:-1].reshape(shape)) * consts[1:].reshape(shape)
+    return hashed ^ (hashed >> np.uint32(16))
+
+
+def _fresh_rows(
+    seed: int, stream: int, layers: range, first: int, stop: int, heads: int, d: int
+) -> np.ndarray:
+    """Noise rows [len(layers), stop - first, heads, d] for steps first .. stop - 1.
+
+    One seeded draw per (layer, head, step), keyed (stream, layer, head,
+    step), so a row does not depend on the ranges; all rows are seeded as one
+    batch.
+    """
+    shape = (len(layers), stop - first, heads)
+    l, t, h = np.unravel_index(np.arange(math.prod(shape)), shape)
+    tails = np.stack((np.asarray(layers)[l], h, first + t), axis=1)
+    return _normal_rows(seed, (stream,), tails, d).reshape(shape + (d,))
 
 
 def _allocatable(shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -203,9 +279,9 @@ class SyntheticModel:
                     walk = _rng(cfg.seed, _S_QUERY_WALK, h, t).standard_normal(d)
                     base = _renorm(base + _WALK_SCALE * walk, target)
                 q[t, 0, h] = base
+        fresh = _fresh_rows(cfg.seed, _S_QUERY_MIX, range(1, L), 0, steps, H, d)
         for l in range(1, L):
-            fresh = _fresh_rows(cfg.seed, _S_QUERY_MIX, l, 0, steps, H, d)
-            q[:, l] = _blend(q[:, l - 1], fresh, rho, target)
+            q[:, l] = _blend(q[:, l - 1], fresh[l - 1], rho, target)
         q.setflags(write=False)
         return q
 
@@ -252,10 +328,10 @@ class SyntheticModel:
         ext_k = np.empty((steps - first, L, H, d))
         ext_v = np.empty((steps - first, L, H, d))
         for ext, stream in ((ext_k, _S_EXT_KEYS), (ext_v, _S_EXT_VALUES)):
-            ext[:, 0] = _renorm(_fresh_rows(cfg.seed, stream, 0, first, steps, H, d), target)
+            fresh = _fresh_rows(cfg.seed, stream, range(L), first, steps, H, d)
+            ext[:, 0] = _renorm(fresh[0], target)
             for l in range(1, L):
-                fresh = _fresh_rows(cfg.seed, stream, l, first, steps, H, d)
-                ext[:, l] = _blend(ext[:, l - 1], fresh, rho, target)
+                ext[:, l] = _blend(ext[:, l - 1], fresh[l], rho, target)
         if shape is not None:
             # Views handed out so far keep the old buffers, whose rows stay as they are.
             rows = (slice(None), slice(None), slice(None, N + first))
@@ -268,11 +344,15 @@ class SyntheticModel:
         self._values.store(new_rows, np.moveaxis(ext_v, 0, 2))
         self._grown = steps
 
-    def cache_at(self, keys: np.ndarray, values: np.ndarray, layer: int, head: int, step: int) -> LayerKvCache:
+    def cache_at(
+        self, keys: np.ndarray, values: np.ndarray, layer: int, head: int | slice, step: int
+    ) -> LayerKvCache:
         """Cache of (layer, head) at a decode step: a view of grown_arrays output, not a copy.
 
-        The cache shares the model's buffer without a finiteness scan, since
-        each row was checked when it was stored.
+        head is one head's index, or slice(None) for the layer's all-heads
+        [heads, n, head_dim] cache. The cache shares the model's buffer
+        without a finiteness scan, since each row was checked when it was
+        stored.
         """
         n = self.config.context_len + step
         return LayerKvCache(keys=keys[layer, head, :n], values=values[layer, head, :n])
@@ -350,7 +430,7 @@ def run_full_trace(model: SyntheticModel, steps: int, budget: int, block_size: i
     keys, values = model.grown_arrays(steps)
     queries = model.queries(steps)
     outputs = np.empty((steps, L, H, d))
-    caches = [[model.cache_at(keys, values, l, h, steps - 1) for h in range(H)] for l in range(L)]
+    caches = [model.cache_at(keys, values, l, slice(None), steps - 1) for l in range(L)]
     block_budget = math.ceil(budget / block_size)
     topk_rows: list[tuple[TopKSet, ...]] = []
     block_rows: list[tuple[BlockSet, ...]] = []
@@ -359,10 +439,8 @@ def run_full_trace(model: SyntheticModel, steps: int, budget: int, block_size: i
         step_topk: list[TopKSet] = []
         step_blocks: list[BlockSet] = []
         for l in range(L):
-            agg_logits = np.zeros(n_t)
-            for h in range(H):
-                outputs[t, l, h], logits, _ = full_attention(queries[t, l, h], caches[l][h].prefix(n_t))
-                agg_logits += logits
+            outputs[t, l], logits, _ = full_attention(queries[t, l], caches[l].prefix(n_t))
+            agg_logits = _head_sum(logits)
             step_topk.append(TopKSet(indices=topk_of_logits(agg_logits, budget), budget=budget))
             n_blocks = math.ceil(n_t / block_size)
             step_blocks.append(

@@ -12,14 +12,17 @@ from layerreuse import (
     InvalidSelectionError,
     LayerKvCache,
     NumericInputError,
+    SynthModelConfig,
     TopKSet,
     block_max_of_logits,
     full_attention,
+    generate_model,
     softmax,
     sparse_attention,
     topk_blocks,
     topk_of_logits,
 )
+from layerreuse.attention import _head_sum, _subset_attention
 from reference import ref_attention, ref_sparse_attention, ref_topk
 
 
@@ -157,6 +160,64 @@ def test_shared_input_is_still_validated():
         LayerKvCache(keys=_frozen(np.ones(3)), values=_frozen(np.ones(3)))
 
 
+def test_cache_shares_head_blocks_that_are_each_contiguous():
+    # Spare rows between heads keep each [n, d] block contiguous: shared, as grown_arrays views are.
+    base = _frozen(np.random.default_rng(15).standard_normal((3, 9, 4)))
+    cache = LayerKvCache(keys=base[:, :6], values=base[:, 1:7])
+    assert not cache.keys.flags.c_contiguous
+    assert np.shares_memory(cache.keys, base) and np.shares_memory(cache.values, base)
+    assert (cache.length, cache.head_dim) == (6, 4)
+    head = cache.prefix(2)
+    assert head.keys.shape == (3, 2, 4) and np.shares_memory(head.keys, base)
+    # A block whose rows or columns are strided is copied, so BLAS sees what a fresh copy gives it.
+    for keys in (base[:, ::2], base[:, :, ::2], base.transpose(1, 0, 2)):
+        assert not np.shares_memory(LayerKvCache(keys=keys, values=keys).keys, base)
+    with pytest.raises(ConfigurationError):
+        LayerKvCache(keys=base[:0], values=base[:0])
+    with pytest.raises(ConfigurationError):
+        LayerKvCache(keys=base[None], values=base[None])
+
+
+def test_all_heads_query_must_carry_every_head():
+    base = _frozen(np.random.default_rng(16).standard_normal((2, 5, 4)))
+    cache = LayerKvCache(keys=base, values=base)
+    for q in (np.ones(4), np.ones((3, 4)), np.ones((2, 3)), np.ones((1, 2, 4))):
+        with pytest.raises(ConfigurationError):
+            full_attention(q, cache)
+    with pytest.raises(NumericInputError):
+        full_attention(np.array([[1.0, 0, 0, 0], [np.nan, 0, 0, 0]]), cache)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 3, 4])
+def test_all_heads_call_equals_one_call_per_head(heads):
+    cfg = SynthModelConfig(layers=2, head_dim=16, context_len=70, seed=20 + heads,
+                           inter_layer_correlation=0.5, heads=heads)
+    model = generate_model(cfg)
+    keys, values = model.grown_arrays(3)
+    q = model.queries(3)[2, 1]
+    shared = model.cache_at(keys, values, 1, slice(None), 2)
+    # A view of the model's buffer with spare capacity: heads are not contiguous with each other.
+    assert np.shares_memory(shared.keys, keys) and (heads == 1 or not shared.keys.flags.c_contiguous)
+    copied = LayerKvCache(keys=np.array(shared.keys), values=np.array(shared.values))
+    rows = np.array([0, 3, 4, 40, 69, 71])
+    for cache in (shared, shared.prefix(cfg.context_len), copied):
+        out, logits, weights = full_attention(q, cache)
+        sub_out, sub_logits, sub_weights = _subset_attention(q, cache, rows[rows < cache.length])
+        summed = np.zeros(cache.length)
+        for h in range(heads):
+            one = LayerKvCache(keys=cache.keys[h], values=cache.values[h])
+            one_out, one_logits, one_weights = full_attention(q[h], one)
+            assert np.array_equal(out[h], one_out)
+            assert np.array_equal(logits[h], one_logits)
+            assert np.array_equal(weights[h], one_weights)
+            summed += one_logits
+            one_sub = _subset_attention(q[h], one, rows[rows < cache.length])
+            assert np.array_equal(sub_out[h], one_sub[0])
+            assert np.array_equal(sub_logits[h], one_sub[1])
+            assert np.array_equal(sub_weights[h], one_sub[2])
+        assert np.array_equal(_head_sum(logits), summed)
+
+
 # --- top-k selection ---
 
 
@@ -229,6 +290,38 @@ def test_topkset_canonical_form_enforced():
         TopKSet(indices=(), budget=4)
     with pytest.raises(InvalidSelectionError):
         TopKSet(indices=(0, 1, 2), budget=2)
+
+
+def _separate_checks(values, size, kind):
+    """The exception TopKSet (kind "token") or BlockSet raised when it checked in three passes."""
+    values = tuple(int(v) for v in values)
+    if len(values) == 0:
+        empty = "selection must contain at least one index" if kind == "token" else \
+            "block selection must contain at least one block"
+        return InvalidSelectionError, empty
+    if any(v < 0 for v in values):
+        return InvalidSelectionError, f"{kind} indices must be non-negative"
+    if any(b <= a for a, b in zip(values, values[1:])):
+        return InvalidSelectionError, f"{kind} indices must be strictly ascending"
+    if kind == "token" and len(values) > size:
+        return InvalidSelectionError, f"selection holds {len(values)} indices but budget is {size}"
+    return None
+
+
+@pytest.mark.parametrize("values", [
+    (), (0,), (-1,), (3, -1), (-2, -1), (-1, -1), (1, 1), (5, 3), (2, -1, 1), (0, 2, 1),
+    (0, 1, 2, 3), (0, 1, 2, -3), (7, 8, 9), np.array([4, 2]), np.array([1, 5, 9]),
+])
+def test_selection_checks_raise_as_the_separate_checks_did(values):
+    for kind, make in (("token", lambda v: TopKSet(indices=v, budget=3)),
+                       ("block", lambda v: BlockSet(block_indices=v, block_size=3))):
+        want = _separate_checks(values, 3, kind)
+        if want is None:
+            make(values)
+            continue
+        with pytest.raises(want[0]) as err:
+            make(values)
+        assert str(err.value) == want[1]
 
 
 # --- sparse attention ---

@@ -493,3 +493,33 @@ _OVERFLOWING = [
 )
 def test_integer_too_large_for_a_float_exits_2(pipeline, tmp_path, capsys, artifact, path, value):
     test_wrongly_typed_value_exits_2(pipeline, tmp_path, capsys, artifact, path, value)
+
+
+# Literals json.loads reads as non-finite floats; 1e400 overflows to inf. Writers
+# emit NaN as null, so no valid artifact holds one.
+_NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e400"]
+_FINITE_FIELDS = [
+    ("policy.json", ("theta",)),
+    ("policy.json", ("cumSimilarity",)),
+    ("run.json", ("fidelity", "aggregateRnmse")),
+    ("run.json", ("fidelity", "perLayerRnmse", 0)),
+]
+
+
+@pytest.mark.parametrize("literal", _NON_FINITE)
+@pytest.mark.parametrize(
+    "artifact,path", _FINITE_FIELDS,
+    ids=[f"{a}:{'.'.join(map(str, p))}" for a, p in _FINITE_FIELDS],
+)
+def test_non_finite_number_exits_2(pipeline, tmp_path, capsys, artifact, path, literal):
+    doc = read_json(str(pipeline / artifact))
+    parent = doc
+    for part in path[:-1]:
+        parent = parent[part]
+    parent[path[-1]] = "@non-finite@"
+    src = tmp_path / artifact
+    src.write_text(json.dumps(doc).replace('"@non-finite@"', literal))
+    assert main([arg.format(src=src, out=tmp_path / "out") for arg in _READERS[artifact]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+    assert [part for part in path if isinstance(part, str)][-1] in err

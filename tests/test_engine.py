@@ -437,19 +437,21 @@ def test_fidelity_recompute_runs_on_first_access_only(monkeypatch, mode):
     real = engine.full_attention
 
     def counting(q, cache):
-        calls.append(cache.length)
+        calls.append(np.shape(q))
         return real(q, cache)
 
     monkeypatch.setattr(engine, "full_attention", counting)
     run = _DECODES[mode](model, policy, steps)
-    assert len(calls) == policy.full_count * H * steps
+    # One call per (step, layer), each carrying every head.
+    assert len(calls) == policy.full_count * steps
     copy = dataclasses.replace(run, outputs=run.outputs)
     table = run.fidelity
-    assert len(calls) == L * H * steps
+    assert len(calls) == L * steps
     assert run.fidelity is table
     # A copy shares the computed baseline, so its own table costs no attention.
     assert np.array_equal(copy.fidelity.per_step_layer, table.per_step_layer)
-    assert len(calls) == L * H * steps
+    assert len(calls) == L * steps
+    assert set(calls) == {(H, _DEFERRED.head_dim)}
 
 
 def test_fidelity_access_releases_the_model_buffers():

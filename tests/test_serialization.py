@@ -307,6 +307,26 @@ def test_reader_rejects_wrongly_typed_value(tmp_path, make, path, value):
         reader(target)
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize(
+    "make,path", [(_sensitivity_doc, ("layers", 1, "kl")), (_cost_doc, ("bytesRatio",))],
+    ids=["sensitivity:kl", "cost:bytesRatio"],
+)
+def test_reader_rejects_non_finite_number(tmp_path, make, path, literal):
+    # No CLI command reads these two kinds, so the reader is checked directly.
+    target = str(tmp_path / "artifact.json")
+    reader = make(target)
+    doc = read_json(target)
+    parent = doc
+    for part in path[:-1]:
+        parent = parent[part]
+    parent[path[-1]] = "@non-finite@"
+    with open(target, "w") as fh:
+        fh.write(json.dumps(doc).replace('"@non-finite@"', literal))
+    with pytest.raises(InvalidInputError, match=f"{path[-1]} must be a finite number"):
+        reader(target)
+
+
 def test_failed_rewrite_keeps_earlier_artifact_and_leaves_no_temp_file(tmp_path, monkeypatch):
     path = str(tmp_path / "m.json")
     write_similarity_matrix(random_similarity_matrix(np.random.default_rng(2), 4), path)

@@ -170,6 +170,28 @@ def test_rng_rejects_negative_key_elements():
         _rng(3, 1, -1)
 
 
+@pytest.mark.parametrize("seed", [0, 1, -7, 2**40 + 3, _MASK64])
+def test_batched_seeding_draws_what_one_generator_per_row_draws(seed):
+    rows = synthetic._fresh_rows(seed, 6, range(1, 4), 2, 6, 3, 16)
+    assert rows.shape == (3, 4, 3, 16)
+    for l in range(1, 4):
+        for t in range(2, 6):
+            for h in range(3):
+                assert np.array_equal(rows[l - 1, t - 2, h], _rng(seed, 6, l, h, t).standard_normal(16))
+    # Elements of 2**32 and above take two entropy words, in the shared prefix or in a row's tail.
+    tails = np.array([(1, 0), (0, 2**32), (0, 0), (2**32 - 1, 9), (2**33 + 1, 2**32 + 5), (1, 3)])
+    for prefix in ((), (5,), (5, 2**40 + 3), (2**32 - 1, 7), (0, 0, 0)):
+        got = synthetic._normal_rows(seed, prefix, tails, 16)
+        for r, tail in enumerate(tails.tolist()):
+            assert np.array_equal(got[r], _rng(seed, *prefix, *tail).standard_normal(16))
+    wide = synthetic._fresh_rows(seed, 5, range(2**32 - 1, 2**32 + 1), 2**32 - 1, 2**32 + 1, 2, 8)
+    for l in range(2):
+        for t in range(2):
+            for h in range(2):
+                want = _rng(seed, 5, 2**32 - 1 + l, h, 2**32 - 1 + t).standard_normal(8)
+                assert np.array_equal(wide[l, t, h], want)
+
+
 def test_growth_rows_and_queries_do_not_depend_on_step_count():
     cfg = SynthModelConfig(layers=4, head_dim=8, context_len=16, seed=6,
                            inter_layer_correlation=0.7, heads=2)
