@@ -16,7 +16,6 @@ from .attention import (
     block_max_of_logits,
     full_attention,
     softmax,
-    sparse_attention,
     topk_blocks,
     topk_of_logits,
 )
@@ -38,15 +37,12 @@ from .errors import (
     NumericInputError,
 )
 from .formats import (
-    read_cost_report,
     read_json,
     read_policy,
     read_run_result,
     read_sensitivity_report,
     read_similarity_matrix,
     read_trace,
-    similarity_matrix_csv_rows,
-    write_cost_report,
     write_policy,
     write_run_result,
     write_sensitivity_report,
@@ -89,7 +85,6 @@ __all__ = [
     "TopKSet",
     "softmax",
     "full_attention",
-    "sparse_attention",
     "topk_of_logits",
     "block_max_of_logits",
     "topk_blocks",
@@ -125,15 +120,12 @@ __all__ = [
     "read_trace",
     "write_similarity_matrix",
     "read_similarity_matrix",
-    "similarity_matrix_csv_rows",
     "write_sensitivity_report",
     "read_sensitivity_report",
     "write_policy",
     "read_policy",
     "write_run_result",
     "read_run_result",
-    "write_cost_report",
-    "read_cost_report",
     "read_json",
     "LayerReuseError",
     "ConfigurationError",

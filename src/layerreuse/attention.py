@@ -32,7 +32,6 @@ __all__ = [
     "BlockSet",
     "softmax",
     "full_attention",
-    "sparse_attention",
     "topk_of_logits",
     "block_max_of_logits",
     "topk_blocks",
@@ -331,7 +330,9 @@ def _subset_attention(
 
     Computes only len(idx) dot products per head, never a score over all N
     tokens. q is [d] or [H, d], as in full_attention. Returns (output,
-    subset_logits, subset_weights).
+    subset_logits, subset_weights). Given every cached row in order it equals
+    full_attention bit for bit: the same dot products and softmax run in the
+    same order. The caller checks the query and keeps idx within the cache.
     """
     return _weigh(_logits(q, cache.keys[..., idx, :]), cache.values[..., idx, :])
 
@@ -342,26 +343,6 @@ def _head_sum(logits: np.ndarray) -> np.ndarray:
     for row in logits:
         summed += row
     return summed
-
-
-def sparse_attention(q, cache: LayerKvCache, selection: TopKSet) -> np.ndarray:
-    """Attention restricted to the selected tokens, renormalized over the subset.
-
-    With a selection covering every cached token this matches full_attention
-    bit for bit, because the same dot products and the same softmax are
-    evaluated in the same order.
-
-    Raises:
-        InvalidSelectionError: if any selected index falls outside the cache.
-    """
-    q = _check_query(q, cache)
-    idx = selection.as_array()
-    if idx[-1] >= cache.length:
-        raise InvalidSelectionError(
-            f"selection index {int(idx[-1])} is out of range for cache length {cache.length}"
-        )
-    output, _, _ = _subset_attention(q, cache, idx)
-    return output
 
 
 def topk_of_logits(logits: np.ndarray, budget: int) -> tuple[int, ...]:

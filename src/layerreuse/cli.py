@@ -38,7 +38,6 @@ from .formats import (
     read_run_result,
     read_similarity_matrix,
     read_trace,
-    similarity_matrix_csv_rows,
     write_policy,
     write_run_result,
     write_sensitivity_report,
@@ -59,14 +58,7 @@ _MODEL_FLAGS = [
     ("heads", "heads", int),
 ]
 
-_MODEL_DEFAULTS = {
-    "layers": 10,
-    "headDim": 32,
-    "contextLen": 128,
-    "seed": 0,
-    "interLayerCorrelation": 0.5,
-    "heads": 1,
-}
+_MODEL_DEFAULTS = config_payload(SynthModelConfig(layers=10))
 
 
 def _out_dir(args) -> str:
@@ -317,8 +309,9 @@ def _cmd_report(args) -> int:
             with atomic_open(out, "w", newline="", encoding="ascii") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["target", "source", "overlap"])
-                for j, i, value in similarity_matrix_csv_rows(matrix):
-                    writer.writerow([j, i, f"{value:.12g}"])
+                for j in range(matrix.num_layers):
+                    for i in range(j + 1):
+                        writer.writerow([j, i, f"{matrix.values[j, i]:.12g}"])
             written.append(out)
         elif kind == "layer-policy":
             policies.append((path, read_policy(path)))

@@ -42,7 +42,7 @@ from .attention import (
     topk_of_logits,
 )
 from .errors import ConfigurationError, InvalidInputError
-from .policy import Action, LayerPolicy
+from .policy import Action, LayerPolicy, _structural_violations
 from .profiling import relative_l2_error
 from .synthetic import DecodeTrace, SyntheticModel
 
@@ -187,8 +187,12 @@ def _check_run_args(model: SyntheticModel, policy: LayerPolicy, steps: int) -> N
         raise ConfigurationError(
             f"policy covers {policy.num_layers} layers, model has {model.config.layers}"
         )
-    if policy.actions[0] is not Action.FULL:
-        raise InvalidInputError("the first layer of a policy must run full attention")
+    violations = _structural_violations(policy)
+    if violations:
+        layer, rule = violations[0]
+        if rule == "first-layer-full":
+            raise InvalidInputError("the first layer of a policy must run full attention")
+        raise InvalidInputError(f"policy breaks the {rule} rule at layer {layer}")
     if steps < 1:
         raise InvalidInputError(f"steps must be >= 1, got {steps}")
 
@@ -208,9 +212,8 @@ def _decode(
     """
     cfg = model.config
     L, H, d = cfg.layers, cfg.heads, cfg.head_dim
-    keys, values = model.grown_arrays(steps)
     queries = model.queries(steps)
-    caches = [model.cache_at(keys, values, l, slice(None), steps - 1) for l in range(L)]
+    caches = [model.cache_at(l, steps - 1) for l in range(L)]
     outputs = np.empty((steps, L, H, d))
     selections, full_counts, gathered = [], [], []
     for t in range(steps):

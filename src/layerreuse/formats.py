@@ -31,8 +31,8 @@ from ._canon import (
     require_keys,
 )
 from .attention import BlockSet, TopKSet
-from .engine import CostModelReport, DecodeRunResult
-from .errors import InvalidInputError
+from .engine import DecodeRunResult
+from .errors import InvalidInputError, InvalidSelectionError
 from .policy import Action, LayerPolicy
 from .profiling import SensitivityReport, SimilarityMatrix
 from .synthetic import DecodeTrace, SynthModelConfig
@@ -48,9 +48,6 @@ __all__ = [
     "read_policy",
     "write_run_result",
     "read_run_result",
-    "write_cost_report",
-    "read_cost_report",
-    "similarity_matrix_csv_rows",
     "read_json",
 ]
 
@@ -143,7 +140,7 @@ def _write_tensor(path: str, arr: np.ndarray) -> None:
 def _read_tensor(path: str, shape: list[int]) -> np.ndarray:
     if any(dim < 0 for dim in shape):
         raise InvalidInputError(f"sidecar {os.path.basename(path)} shape {shape} has a negative dimension")
-    expected = int(np.prod(shape)) * 8
+    expected = math.prod(shape) * 8
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) != expected:
@@ -213,7 +210,7 @@ def read_trace(path: str) -> DecodeTrace:
         raise InvalidInputError("trace holds no decode steps")
     topk_rows = []
     block_rows = []
-    for step in steps:
+    for t, step in enumerate(steps):
         require_keys(step, {"layer": list}, "trace step")
         layers = step["layer"]
         if len(layers) != config.layers:
@@ -222,15 +219,19 @@ def read_trace(path: str) -> DecodeTrace:
             require_keys(entry, {"topk": list, "blocks": list}, "trace layer entry")
             require_items(entry["topk"], int, "topk")
             require_items(entry["blocks"], int, "blocks")
-        topk_rows.append(
-            tuple(TopKSet(indices=tuple(entry["topk"]), budget=budget) for entry in layers)
+        topk = tuple(TopKSet(indices=tuple(entry["topk"]), budget=budget) for entry in layers)
+        blocks = tuple(
+            BlockSet(block_indices=tuple(entry["blocks"]), block_size=block_size) for entry in layers
         )
-        block_rows.append(
-            tuple(
-                BlockSet(block_indices=tuple(entry["blocks"]), block_size=block_size)
-                for entry in layers
-            )
-        )
+        # Step t sees context_len + t tokens; indices are ascending, so the last is the largest.
+        n = config.context_len + t
+        n_blocks = (n + block_size - 1) // block_size
+        if any(sel.indices[-1] >= n for sel in topk):
+            raise InvalidSelectionError(f"trace step {t} selects a token beyond its {n} cached tokens")
+        if any(sel.block_indices[-1] >= n_blocks for sel in blocks):
+            raise InvalidSelectionError(f"trace step {t} selects a block beyond its {n_blocks} blocks")
+        topk_rows.append(topk)
+        block_rows.append(blocks)
     return DecodeTrace(
         config=config,
         budget=budget,
@@ -254,12 +255,6 @@ def read_similarity_matrix(path: str) -> SimilarityMatrix:
     require_keys(doc, {"L": int, "k": int, "entries": list}, "similarity-matrix")
     require_items(doc["entries"], NUMBER, "entries")
     return SimilarityMatrix.from_flat(doc["L"], doc["k"], doc["entries"])
-
-
-def similarity_matrix_csv_rows(matrix: SimilarityMatrix) -> list[tuple[int, int, float]]:
-    """(target j, source i, overlap) rows for the lower triangle, one per pair."""
-    L = matrix.num_layers
-    return [(j, i, float(matrix.values[j, i])) for j in range(L) for i in range(j + 1)]
 
 
 def write_sensitivity_report(
@@ -389,49 +384,4 @@ def read_run_result(path: str) -> dict:
     require_items(fidelity["perStepLayerRnmse"], list, "perStepLayerRnmse")
     for row in fidelity["perStepLayerRnmse"]:
         require_items(row, NUMBER_OR_NULL, "perStepLayerRnmse rows")
-    return doc
-
-
-def write_cost_report(
-    report: CostModelReport, path: str, manifest_hash: str | None = None, **context
-) -> None:
-    payload = {
-        "version": FORMAT_VERSION,
-        "kind": "cost-report",
-        **{key: value for key, value in sorted(context.items())},
-        "kvBytesFull": report.kv_bytes_full,
-        "kvBytesHybrid": report.kv_bytes_hybrid,
-        "bytesRatio": report.bytes_ratio,
-        "linkBytesFull": report.link_bytes_full,
-        "linkBytesOffload": report.link_bytes_offload,
-        "predictedSpeedup": report.predicted_speedup,
-        "tokensCovered": report.tokens_covered,
-        "hbmSecondsFull": report.hbm_seconds_full,
-        "hbmSecondsHybrid": report.hbm_seconds_hybrid,
-        "linkSecondsFull": report.link_seconds_full,
-        "linkSecondsOffload": report.link_seconds_offload,
-    }
-    _write_doc(path, payload, manifest_hash)
-
-
-def read_cost_report(path: str) -> dict:
-    doc = read_json(path)
-    check_header(doc, "cost-report")
-    require_keys(
-        doc,
-        {
-            "kvBytesFull": int,
-            "kvBytesHybrid": int,
-            "bytesRatio": NUMBER,
-            "linkBytesFull": int,
-            "linkBytesOffload": int,
-            "predictedSpeedup": NUMBER,
-            "tokensCovered": int,
-            "hbmSecondsFull": NUMBER,
-            "hbmSecondsHybrid": NUMBER,
-            "linkSecondsFull": NUMBER,
-            "linkSecondsOffload": NUMBER,
-        },
-        "cost-report",
-    )
     return doc

@@ -285,6 +285,21 @@ def validate_policy(
         raise InvalidInputError(
             f"policy covers {policy.num_layers} layers, matrix {matrix.num_layers}"
         )
+    violations = _structural_violations(policy)
+    unsourced = {j for j, rule in violations if rule == "source-not-full"}
+    for j, (action, src) in enumerate(zip(policy.actions, policy.sources)):
+        if j > 0 and action is Action.REUSE and j not in unsourced and matrix.overlap(src, j) < theta:
+            violations.append((j, "threshold"))
+    # Stable, so each layer's threshold violation follows its chain violation.
+    return sorted(violations, key=lambda v: v[0])
+
+
+def _structural_violations(policy: LayerPolicy) -> list[tuple[int, str]]:
+    """validate_policy's rules that need no matrix, as (layer, constraint) pairs in layer order.
+
+    "first-layer-full", then per layer "self-source", "source-not-full" or
+    "chain". hybrid decoding refuses a policy that breaks any of them.
+    """
     violations: list[tuple[int, str]] = []
     if policy.actions[0] is not Action.FULL:
         violations.append((0, "first-layer-full"))
@@ -292,17 +307,12 @@ def validate_policy(
         if action is Action.FULL:
             if src != j:
                 violations.append((j, "self-source"))
-            continue
-        if j == 0:
+        elif j == 0:
             continue  # already reported as first-layer-full
-        if src >= j or policy.actions[src] is not Action.FULL:
+        elif src >= j or policy.actions[src] is not Action.FULL:
             violations.append((j, "source-not-full"))
-            continue
-        expected = policy.sources[j - 1]
-        if src != expected:
+        elif src != policy.sources[j - 1]:
             violations.append((j, "chain"))
-        if matrix.overlap(src, j) < theta:
-            violations.append((j, "threshold"))
     return violations
 
 

@@ -242,13 +242,13 @@ class SensitivityReport:
 def sensitivity_profile(model: SyntheticModel, step: int, budget: int) -> SensitivityReport:
     """Probe every layer: swap in top-k sparse attention and measure the damage.
 
-    For each layer, both the full and the sparse output are pushed one layer
-    forward with the model's propagation map, and the relative L2 error
-    between the propagated pair is recorded together with the KL divergence
-    of the weight distributions at the probed layer. A budget of at least the
-    current cache length saturates the selection and both measures drop to
-    zero. Multi-head models select on summed logits and average the per-head
-    KL.
+    Every layer's full and sparse outputs are pushed one layer forward by
+    SyntheticModel.propagate, one call for each, and the relative L2 error
+    between a layer's propagated pair is recorded together with the KL
+    divergence of the weight distributions at the probed layer. A budget of
+    at least the current cache length saturates the selection and both
+    measures drop to zero. Multi-head models select on summed logits and
+    average the per-head KL.
 
     Args:
         model: synthetic decoder.
@@ -260,29 +260,23 @@ def sensitivity_profile(model: SyntheticModel, step: int, budget: int) -> Sensit
         raise InvalidInputError(f"step must be >= 0, got {step}")
     if budget < 1:
         raise InvalidInputError(f"budget must be >= 1, got {budget}")
-    L, H = cfg.layers, cfg.heads
-    keys, values = model.grown_arrays(step + 1)
+    L, H, d = cfg.layers, cfg.heads, cfg.head_dim
     queries = model.queries(step + 1)
     n = cfg.context_len + step
     k = min(budget, n)
-    rows: list[LayerSensitivity] = []
+    full_outs, sparse_outs = np.empty((L, H, d)), np.empty((L, H, d))
+    kls: list[float] = []
     for l in range(L):
-        cache = model.cache_at(keys, values, l, slice(None), step)
-        full_outs, logits, full_weights = full_attention(queries[step, l], cache)
+        cache = model.cache_at(l, step)
+        full_outs[l], logits, full_weights = full_attention(queries[step, l], cache)
         sel = TopKSet(indices=topk_of_logits(_head_sum(logits), k), budget=k)
         idx = sel.as_array()
-        sparse_outs, _, sub_weights = _subset_attention(queries[step, l], cache, idx)
-        kls = [kl_extended(full_weights[h], idx, sub_weights[h]) for h in range(H)]
-        full_next = np.concatenate(
-            [model.propagate(full_outs[h], l + 1, h, step) for h in range(H)]
-        )
-        sparse_next = np.concatenate(
-            [model.propagate(sparse_outs[h], l + 1, h, step) for h in range(H)]
-        )
-        rows.append(
-            LayerSensitivity(
-                rnmse=relative_l2_error(sparse_next, full_next),
-                kl=float(np.mean(kls)),
-            )
-        )
-    return SensitivityReport(budget=budget, step=step, layers=tuple(rows))
+        sparse_outs[l], _, sub_weights = _subset_attention(queries[step, l], cache, idx)
+        kls.append(float(np.mean([kl_extended(full_weights[h], idx, sub_weights[h]) for h in range(H)])))
+    full_next = model.propagate(full_outs, step)
+    sparse_next = model.propagate(sparse_outs, step)
+    rows = tuple(
+        LayerSensitivity(rnmse=relative_l2_error(sparse_next[l], full_next[l]), kl=kls[l])
+        for l in range(L)
+    )
+    return SensitivityReport(budget=budget, step=step, layers=rows)

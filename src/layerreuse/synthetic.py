@@ -11,19 +11,19 @@ Every random draw comes from its own SeedSequence keyed by (seed, stream,
 layer, head, step), so any tensor can be regenerated in isolation and two
 runs with the same config are bit-identical on the same platform. The draws
 equal those of SeedSequence(seed mod 2**64, spawn_key=key) (see _rng).
-Growth and query-mix rows are drawn one layer at a time as a batch:
-_normal_rows computes the SeedSequence pool and PCG64 seed of every row's
-key at once in integer numpy, then sets one reused PCG64 to each row's seed
-and draws that row, the same bits a generator built for the key would give.
-Each layer's whole block is then blended and renormalized at once; the norm
+Growth, query-mix and propagation-probe rows are drawn as one batch per
+stream: _normal_rows computes the SeedSequence pool and PCG64 seed of every
+row's key at once in integer numpy, then sets one reused PCG64 to each row's
+seed and draws that row, the same bits a generator built for the key would
+give. Each whole block is then blended and renormalized at once; the norm
 reduces along the contiguous last axis, so the result matches row-by-row
 blending bit for bit.
 
 A model keeps its keys and values, base rows and decode-growth rows alike,
 in one growable buffer per tensor. grown_arrays hands out read-only views of
 it and draws only rows no earlier call drew. Each row is checked for
-finiteness once, when it is stored, so the caches cache_at builds over those
-views are shared without another scan.
+finiteness once, when it is stored, so the per-layer caches cache_at builds
+over those views are shared without another scan.
 """
 
 from __future__ import annotations
@@ -344,32 +344,30 @@ class SyntheticModel:
         self._values.store(new_rows, np.moveaxis(ext_v, 0, 2))
         self._grown = steps
 
-    def cache_at(
-        self, keys: np.ndarray, values: np.ndarray, layer: int, head: int | slice, step: int
-    ) -> LayerKvCache:
-        """Cache of (layer, head) at a decode step: a view of grown_arrays output, not a copy.
+    def cache_at(self, layer: int, step: int) -> LayerKvCache:
+        """The layer's all-heads cache at a decode step: [heads, context_len + step, head_dim].
 
-        head is one head's index, or slice(None) for the layer's all-heads
-        [heads, n, head_dim] cache. The cache shares the model's buffer
-        without a finiteness scan, since each row was checked when it was
-        stored.
+        Its keys and values are views of grown_arrays(step + 1), not copies,
+        shared without a finiteness scan, since each row was checked when it
+        was stored.
         """
+        keys, values = self.grown_arrays(step + 1)
         n = self.config.context_len + step
-        return LayerKvCache(keys=keys[layer, head, :n], values=values[layer, head, :n])
+        return LayerKvCache(keys=keys[layer, :, :n], values=values[layer, :, :n])
 
-    def propagate(self, x: np.ndarray, next_layer: int, head: int, step: int) -> np.ndarray:
-        """Push a layer output toward the next layer's input.
+    def propagate(self, outputs: np.ndarray, step: int) -> np.ndarray:
+        """Push every layer's output [layers, heads, head_dim] toward the next layer's input.
 
-        Applies the model's blending map with a seeded probe noise stream, so
-        a full/sparse output pair can be compared after one layer of
+        Layer l's output is blended with seeded probe noise keyed (l + 1, head,
+        step), the map that builds each layer's tensors from the layer below,
+        so a full/sparse output pair can be compared after one layer of
         propagation. rho = 1 copies exactly, matching the cache construction.
         """
         cfg = self.config
-        rho = cfg.inter_layer_correlation
-        if rho == 1.0:
-            return np.array(x, dtype=np.float64)
-        fresh = _rng(cfg.seed, _S_PROBE, next_layer, head, step).standard_normal(x.shape[-1])
-        return _renorm(rho * np.asarray(x, dtype=np.float64) + (1.0 - rho) * fresh, math.sqrt(cfg.head_dim))
+        L, H, d = cfg.layers, cfg.heads, cfg.head_dim
+        fresh = _fresh_rows(cfg.seed, _S_PROBE, range(1, L + 1), step, step + 1, H, d)
+        outputs = np.asarray(outputs, dtype=np.float64)
+        return _blend(outputs, fresh[:, 0], cfg.inter_layer_correlation, math.sqrt(d))
 
 
 def generate_model(config: SynthModelConfig) -> SyntheticModel:
@@ -427,10 +425,9 @@ def run_full_trace(model: SyntheticModel, steps: int, budget: int, block_size: i
         raise InvalidInputError(f"block_size must be >= 1, got {block_size}")
 
     L, H, d = cfg.layers, cfg.heads, cfg.head_dim
-    keys, values = model.grown_arrays(steps)
     queries = model.queries(steps)
     outputs = np.empty((steps, L, H, d))
-    caches = [model.cache_at(keys, values, l, slice(None), steps - 1) for l in range(L)]
+    caches = [model.cache_at(l, steps - 1) for l in range(L)]
     block_budget = math.ceil(budget / block_size)
     topk_rows: list[tuple[TopKSet, ...]] = []
     block_rows: list[tuple[BlockSet, ...]] = []

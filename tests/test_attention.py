@@ -18,7 +18,6 @@ from layerreuse import (
     full_attention,
     generate_model,
     softmax,
-    sparse_attention,
     topk_blocks,
     topk_of_logits,
 )
@@ -195,7 +194,7 @@ def test_all_heads_call_equals_one_call_per_head(heads):
     model = generate_model(cfg)
     keys, values = model.grown_arrays(3)
     q = model.queries(3)[2, 1]
-    shared = model.cache_at(keys, values, 1, slice(None), 2)
+    shared = model.cache_at(1, 2)
     # A view of the model's buffer with spare capacity: heads are not contiguous with each other.
     assert np.shares_memory(shared.keys, keys) and (heads == 1 or not shared.keys.flags.c_contiguous)
     copied = LayerKvCache(keys=np.array(shared.keys), values=np.array(shared.values))
@@ -333,7 +332,7 @@ def test_sparse_with_full_selection_matches_full_bitwise():
     q = rng.standard_normal(4)
     full_out, _, _ = full_attention(q, cache)
     sel = TopKSet(indices=tuple(range(8)), budget=8)
-    assert np.array_equal(sparse_attention(q, cache, sel), full_out)
+    assert np.array_equal(_subset_attention(q, cache, sel.as_array())[0], full_out)
 
 
 def test_sparse_full_selection_equivalence_over_seeded_draws():
@@ -345,7 +344,7 @@ def test_sparse_full_selection_equivalence_over_seeded_draws():
         cache = _cache(rng.standard_normal((n, d)), rng.standard_normal((n, d)))
         q = rng.standard_normal(d)
         full_out, _, _ = full_attention(q, cache)
-        sparse_out = sparse_attention(q, cache, TopKSet(indices=tuple(range(n)), budget=n))
+        sparse_out, _, _ = _subset_attention(q, cache, np.arange(n))
         denom = np.linalg.norm(full_out)
         assert np.linalg.norm(sparse_out - full_out) <= 1e-6 * max(denom, 1e-30)
 
@@ -358,7 +357,7 @@ def test_sparse_singleton_argmax_returns_value_row():
     q = rng.standard_normal(4)
     _, logits, _ = full_attention(q, cache)
     best = int(np.argmax(logits))
-    out = sparse_attention(q, cache, TopKSet(indices=(best,), budget=1))
+    out, _, _ = _subset_attention(q, cache, TopKSet(indices=(best,), budget=1).as_array())
     assert np.array_equal(out, values[best])
 
 
@@ -368,15 +367,9 @@ def test_sparse_subset_matches_scalar_reference():
     q = [1.0, 0.0]
     cache = _cache(keys, values)
     sel = TopKSet(indices=(0, 2), budget=2)
-    out = sparse_attention(np.array(q), cache, sel)
+    out, _, _ = _subset_attention(np.array(q), cache, sel.as_array())
     ref_out, _ = ref_sparse_attention(q, keys, values, [0, 2])
     assert out == pytest.approx(ref_out, rel=1e-12)
-
-
-def test_sparse_rejects_bad_selections():
-    cache = _cache(np.eye(3, 2), np.eye(3, 2))
-    with pytest.raises(InvalidSelectionError):
-        sparse_attention(np.array([1.0, 0.0]), cache, TopKSet(indices=(0, 5), budget=2))
 
 
 # --- softmax properties ---

@@ -5,7 +5,17 @@ import os
 import pytest
 
 from conftest import TornFile
-from layerreuse import cli, formats, read_json, read_policy, read_trace
+from layerreuse import (
+    Action,
+    LayerPolicy,
+    cli,
+    formats,
+    read_json,
+    read_policy,
+    read_similarity_matrix,
+    read_trace,
+    write_policy,
+)
 from layerreuse._canon import payload_hash
 from layerreuse.cli import main
 
@@ -224,6 +234,12 @@ def test_report_heatmap_and_policies(pipeline, tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["target", "source", "overlap"]
     assert len(rows) == 1 + 5 * 6 // 2
+    # Every (target, source) pair of the lower triangle appears once, with the matrix's value.
+    matrix = read_similarity_matrix(str(pipeline / "similarity.json"))
+    pairs = [(int(j), int(i)) for j, i, _ in rows[1:]]
+    assert sorted(pairs) == [(j, i) for j in range(5) for i in range(j + 1)]
+    for j, i, value in rows[1:]:
+        assert value == f"{matrix.values[int(j), int(i)]:.12g}"
     text = open(os.path.join(out_dir, "policies.md")).read()
     assert "policy.json" in text
     assert "| policy | layers | theta | fullCount | cumSimilarity |" in text
@@ -523,3 +539,75 @@ def test_non_finite_number_exits_2(pipeline, tmp_path, capsys, artifact, path, l
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "finite" in err
     assert [part for part in path if isinstance(part, str)][-1] in err
+
+
+def _write_trace_copy(pipeline, tmp_path, edit):
+    """A copy of the pipeline's trace, edited in place by edit(doc), with its sidecars."""
+    doc = read_json(str(pipeline / "trace.json"))
+    edit(doc)
+    src = tmp_path / "trace.json"
+    src.write_text(json.dumps(doc))
+    for sidecar in ("trace.queries.bin", "trace.outputs.bin"):
+        (tmp_path / sidecar).write_bytes((pipeline / sidecar).read_bytes())
+    return src
+
+
+def test_overflowing_sidecar_shape_exits_2(pipeline, tmp_path, capsys):
+    # 2**64 elements wrap to 0 in int64, which an empty sidecar used to match.
+    def edit(doc):
+        doc["tensors"]["queries"]["shape"] = [2**32, 2**32]
+
+    src = _write_trace_copy(pipeline, tmp_path, edit)
+    (tmp_path / "trace.queries.bin").write_bytes(b"")
+    assert main(["profile", "--trace", str(src), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "expected 147573952589676412928" in capsys.readouterr().err
+
+
+# (trace key path to a selection, the index written as its last one); step 0 of
+# the pipeline trace sees 24 tokens in 24 blocks of one token.
+_OUT_OF_RANGE = {
+    "topk-huge": (("steps", 0, "layer", 1, "topk"), 2**62),
+    "topk-beyond-cache": (("steps", 0, "layer", 1, "topk"), 24 + 8),
+    "block-beyond-cache": (("steps", 0, "layer", 3, "blocks"), 24),
+}
+
+
+@pytest.mark.parametrize("case", list(_OUT_OF_RANGE))
+def test_out_of_range_trace_selection_exits_2(pipeline, tmp_path, capsys, case):
+    path, index = _OUT_OF_RANGE[case]
+
+    def edit(doc):
+        selection = doc
+        for part in path:
+            selection = selection[part]
+        selection[-1] = index
+
+    src = _write_trace_copy(pipeline, tmp_path, edit)
+    assert main(["profile", "--trace", str(src), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: trace step 0 selects a ")
+    assert not (tmp_path / "out").exists()
+
+
+# Policies whose sources contradict their actions: (actions, sources, rule broken).
+_CONTRADICTING = {
+    "chain": ("FFRR", (0, 1, 0, 0), "chain rule at layer 2"),
+    "source-not-full": ("FRRR", (0, 3, 2, 1), "source-not-full rule at layer 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(_CONTRADICTING))
+def test_decode_rejects_policy_contradicting_its_sources(tmp_path, capsys, case):
+    actions, sources, message = _CONTRADICTING[case]
+    policy = LayerPolicy(
+        actions=tuple(Action.FULL if a == "F" else Action.REUSE for a in actions),
+        sources=sources, theta=None, full_count=actions.count("F"),
+        cum_similarity=None, matrix_hash=None,
+    )
+    path = str(tmp_path / "policy.json")
+    write_policy(policy, path)
+    argv = ["decode", "--layers", "4", "--ctx", "24", "--head-dim", "8", "--policy", path,
+            "--budget", "6", "--steps", "1", "--out", str(tmp_path / "run.json")]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run.json").exists()

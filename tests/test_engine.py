@@ -210,6 +210,27 @@ def test_run_argument_validation(fixture_model):
         hybrid_decode(fixture_model, reuse_first, 8, 1)
 
 
+# (actions, sources, message): the loop follows actions only, so a policy whose
+# sources say otherwise must be refused rather than decoded as another policy.
+_CONTRADICTING = [
+    ("FFRR", (0, 1, 0, 0), "the chain rule at layer 2"),
+    ("FRRR", (0, 3, 2, 1), "the source-not-full rule at layer 1"),
+    ("RRRR", (0, 0, 0, 0), "the first layer of a policy must run full attention"),
+]
+
+
+@pytest.mark.parametrize("actions,sources,message", _CONTRADICTING, ids=["chain", "source-not-full", "reuse-first"])
+def test_block_decode_rejects_policy_contradicting_its_sources(actions, sources, message):
+    model = generate_model(SynthModelConfig(layers=4, head_dim=8, context_len=24, seed=5))
+    policy = LayerPolicy(
+        actions=tuple(Action.FULL if a == "F" else Action.REUSE for a in actions),
+        sources=sources, theta=None, full_count=actions.count("F"),
+        cum_similarity=None, matrix_hash=None,
+    )
+    with pytest.raises(InvalidInputError, match=message):
+        hybrid_decode_blocks(model, policy, 2, 4, 1)
+
+
 # --- block mode ---
 
 

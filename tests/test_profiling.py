@@ -10,10 +10,12 @@ from layerreuse import (
     BlockSet,
     DecodeTrace,
     InvalidInputError,
+    LayerKvCache,
     SimilarityMatrix,
     SynthModelConfig,
     TopKSet,
     build_similarity_matrix,
+    full_attention,
     generate_model,
     kl_extended,
     merge_similarity_matrices,
@@ -22,8 +24,11 @@ from layerreuse import (
     run_full_trace,
     sensitivity_profile,
     softmax,
+    topk_of_logits,
 )
+from layerreuse.attention import _head_sum, _subset_attention
 from layerreuse.formats import write_trace
+from layerreuse.synthetic import _S_PROBE, _renorm, _rng
 from reference import ref_matrix_from_trace_doc
 
 GOLDEN_CFG = SynthModelConfig(
@@ -257,6 +262,46 @@ def test_sensitivity_golden_regression():
     ]
     assert report.rnmse.tolist() == pytest.approx(expected_rnmse, rel=1e-12)
     assert report.kl.tolist() == pytest.approx(expected_kl, rel=1e-12)
+
+
+def _per_head_probe(model, step, budget):
+    """sensitivity_profile as a reference: probe noise drawn and blended per (layer, head)."""
+    cfg = model.config
+    H, d, rho = cfg.heads, cfg.head_dim, cfg.inter_layer_correlation
+    keys, values = model.grown_arrays(step + 1)
+    queries = model.queries(step + 1)[step]
+    n = cfg.context_len + step
+    k = min(budget, n)
+
+    def propagate(x, layer, head):
+        if rho == 1.0:
+            return x.copy()
+        fresh = _rng(cfg.seed, _S_PROBE, layer + 1, head, step).standard_normal(d)
+        return _renorm(rho * x + (1.0 - rho) * fresh, math.sqrt(d))
+
+    rnmse, kl = [], []
+    for l in range(cfg.layers):
+        cache = LayerKvCache(keys=keys[l, :, :n], values=values[l, :, :n])
+        full, logits, full_weights = full_attention(queries[l], cache)
+        idx = np.asarray(topk_of_logits(_head_sum(logits), k))
+        sparse, _, sub_weights = _subset_attention(queries[l], cache, idx)
+        full_next = np.concatenate([propagate(full[h], l, h) for h in range(H)])
+        sparse_next = np.concatenate([propagate(sparse[h], l, h) for h in range(H)])
+        rnmse.append(relative_l2_error(sparse_next, full_next))
+        kl.append(float(np.mean([kl_extended(full_weights[h], idx, sub_weights[h]) for h in range(H)])))
+    return rnmse, kl
+
+
+@pytest.mark.parametrize("step", [0, 7])
+@pytest.mark.parametrize("heads", [1, 4])
+@pytest.mark.parametrize("rho", [0.85, 1.0, 0.0])
+def test_batched_probe_equals_per_head_probe_bitwise(rho, heads, step):
+    cfg = SynthModelConfig(layers=4, head_dim=8, context_len=32, seed=23,
+                           inter_layer_correlation=rho, heads=heads)
+    report = sensitivity_profile(generate_model(cfg), step, 6)
+    rnmse, kl = _per_head_probe(generate_model(cfg), step, 6)
+    assert report.rnmse.tolist() == rnmse
+    assert report.kl.tolist() == kl
 
 
 def test_sensitivity_argument_validation():

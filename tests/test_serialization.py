@@ -11,11 +11,9 @@ from layerreuse import (
     SensitivityReport,
     SynthModelConfig,
     build_similarity_matrix,
-    cost_model,
     dp_optimize,
     generate_model,
     hybrid_decode,
-    read_cost_report,
     read_json,
     read_policy,
     read_run_result,
@@ -23,9 +21,7 @@ from layerreuse import (
     read_similarity_matrix,
     read_trace,
     run_full_trace,
-    similarity_matrix_csv_rows,
     static_jump_policy,
-    write_cost_report,
     write_policy,
     write_run_result,
     write_sensitivity_report,
@@ -122,16 +118,6 @@ def test_similarity_matrix_round_trip(tmp_path):
     assert open(path, "rb").read() == open(tmp_path / "again.json", "rb").read()
 
 
-def test_similarity_matrix_csv_rows():
-    m = random_similarity_matrix(np.random.default_rng(4), 5)
-    rows = similarity_matrix_csv_rows(m)
-    assert len(rows) == 5 * 6 // 2
-    assert rows[0] == (0, 0, 1.0)
-    for j, i, v in rows:
-        assert i <= j
-        assert v == m.values[j, i]
-
-
 def test_sensitivity_round_trip_with_nan(tmp_path):
     report = SensitivityReport(
         budget=8, step=2,
@@ -200,20 +186,6 @@ def test_run_result_document(tmp_path):
     assert len(fid["perStepLayerRnmse"]) == 2
 
 
-def test_cost_report_round_trip(tmp_path):
-    report = cost_model(static_jump_policy(8, 3), 2048, 128, head_dim=64)
-    path = str(tmp_path / "cost.json")
-    write_cost_report(report, path, contextLen=2048, budget=128)
-    doc = read_cost_report(path)
-    assert doc["kind"] == "cost-report"
-    assert doc["contextLen"] == 2048 and doc["budget"] == 128
-    assert doc["kvBytesFull"] == report.kv_bytes_full
-    assert doc["kvBytesHybrid"] == report.kv_bytes_hybrid
-    assert doc["bytesRatio"] == report.bytes_ratio
-    assert doc["predictedSpeedup"] == report.predicted_speedup
-    assert doc["tokensCovered"] == report.tokens_covered
-
-
 def test_manifest_hash_is_embedded(tmp_path):
     m = random_similarity_matrix(np.random.default_rng(2), 4)
     path = str(tmp_path / "m.json")
@@ -244,20 +216,10 @@ def _sensitivity_doc(path):
     return read_sensitivity_report
 
 
-def _cost_doc(path):
-    write_cost_report(cost_model(static_jump_policy(8, 3), 2048, 128), path, budget=128)
-    return read_cost_report
-
-
 # Artifacts that no CLI command reads; test_cli covers the ones that one does.
 _REQUIRED = [
     *[(_sensitivity_doc, (key,)) for key in ("budget", "step", "layers")],
     *[(_sensitivity_doc, ("layers", 1, key)) for key in ("rnmse", "kl")],
-    *[(_cost_doc, (key,)) for key in (
-        "kvBytesFull", "kvBytesHybrid", "bytesRatio", "linkBytesFull", "linkBytesOffload",
-        "predictedSpeedup", "tokensCovered", "hbmSecondsFull", "hbmSecondsHybrid",
-        "linkSecondsFull", "linkSecondsOffload",
-    )],
 ]
 
 
@@ -284,8 +246,6 @@ _MISTYPED = [
     (_sensitivity_doc, ("layers",), {"rnmse": 0.5, "kl": 0.1}),
     (_sensitivity_doc, ("layers", 0, "kl"), None),
     (_sensitivity_doc, ("layers", 1, "rnmse"), "0.5"),
-    (_cost_doc, ("tokensCovered",), "128"),
-    (_cost_doc, ("bytesRatio",), True),
 ]
 
 
@@ -309,11 +269,10 @@ def test_reader_rejects_wrongly_typed_value(tmp_path, make, path, value):
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
 @pytest.mark.parametrize(
-    "make,path", [(_sensitivity_doc, ("layers", 1, "kl")), (_cost_doc, ("bytesRatio",))],
-    ids=["sensitivity:kl", "cost:bytesRatio"],
+    "make,path", [(_sensitivity_doc, ("layers", 1, "kl"))], ids=["sensitivity:kl"],
 )
 def test_reader_rejects_non_finite_number(tmp_path, make, path, literal):
-    # No CLI command reads these two kinds, so the reader is checked directly.
+    # No CLI command reads this kind, so the reader is checked directly.
     target = str(tmp_path / "artifact.json")
     reader = make(target)
     doc = read_json(target)

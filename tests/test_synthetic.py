@@ -79,12 +79,13 @@ def test_cache_grows_one_row_per_step():
     model = generate_model(cfg)
     keys, values = model.grown_arrays(4)
     assert keys.shape == (3, 1, 20, 8)
-    cache0 = model.cache_at(keys, values, 0, 0, 0)
-    cache3 = model.cache_at(keys, values, 0, 0, 3)
+    cache0 = model.cache_at(0, 0)
+    cache3 = model.cache_at(0, 3)
     assert cache0.length == 16
     assert cache3.length == 19
     # earlier rows are a stable prefix of later caches
-    assert np.array_equal(cache3.keys[:16], cache0.keys)
+    assert np.array_equal(cache3.keys[:, :16], cache0.keys)
+    assert np.array_equal(cache3.keys, keys[0, :, :19])
 
 
 def test_same_config_is_bit_identical_in_process():
@@ -233,7 +234,7 @@ def test_grown_arrays_are_read_only_views_of_one_buffer():
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
         keys5[0, 0, 0, 0] = 1.0
-    cache = model.cache_at(keys5, values5, 2, 1, 4)
+    cache = model.cache_at(2, 4)
     assert np.shares_memory(cache.keys, keys5) and np.shares_memory(cache.values, values5)
 
 
@@ -284,7 +285,7 @@ def test_cache_at_does_not_rescan_checked_rows(monkeypatch):
         return real(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "isfinite", counting)
-    model.cache_at(keys, values, 1, 1, 2)
+    model.cache_at(1, 2)
     assert scans == []
     # A cache built from the caller's own arrays is still copied and scanned.
     LayerKvCache(keys=np.array(keys[1, 1]), values=np.array(values[1, 1]))
