@@ -361,12 +361,15 @@ class SyntheticModel:
         Layer l's output is blended with seeded probe noise keyed (l + 1, head,
         step), the map that builds each layer's tensors from the layer below,
         so a full/sparse output pair can be compared after one layer of
-        propagation. rho = 1 copies exactly, matching the cache construction.
+        propagation. rho = 1 copies exactly, matching the cache construction,
+        and draws no noise.
         """
         cfg = self.config
+        outputs = np.asarray(outputs, dtype=np.float64)
+        if cfg.inter_layer_correlation == 1.0:
+            return outputs.copy()
         L, H, d = cfg.layers, cfg.heads, cfg.head_dim
         fresh = _fresh_rows(cfg.seed, _S_PROBE, range(1, L + 1), step, step + 1, H, d)
-        outputs = np.asarray(outputs, dtype=np.float64)
         return _blend(outputs, fresh[:, 0], cfg.inter_layer_correlation, math.sqrt(d))
 
 

@@ -219,7 +219,9 @@ _CONTRADICTING = [
 ]
 
 
-@pytest.mark.parametrize("actions,sources,message", _CONTRADICTING, ids=["chain", "source-not-full", "reuse-first"])
+@pytest.mark.parametrize(
+    "actions,sources,message", _CONTRADICTING, ids=["chain", "source-not-full", "reuse-first"]
+)
 def test_block_decode_rejects_policy_contradicting_its_sources(actions, sources, message):
     model = generate_model(SynthModelConfig(layers=4, head_dim=8, context_len=24, seed=5))
     policy = LayerPolicy(
