@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -29,6 +30,7 @@ from layerreuse import (
     write_trace,
 )
 from layerreuse import formats
+from layerreuse.cli import main
 from conftest import TornFile, random_similarity_matrix
 
 CFG = SynthModelConfig(layers=4, head_dim=16, context_len=40, seed=9,
@@ -116,6 +118,23 @@ def test_similarity_matrix_round_trip(tmp_path):
     assert back.sha256() == m.sha256()
     write_similarity_matrix(back, str(tmp_path / "again.json"))
     assert open(path, "rb").read() == open(tmp_path / "again.json", "rb").read()
+
+
+def test_similarity_matrix_csv_rows(tmp_path):
+    m = random_similarity_matrix(np.random.default_rng(4), 5)
+    path = str(tmp_path / "m.json")
+    write_similarity_matrix(m, path)
+    out_dir = str(tmp_path / "report")
+    assert main(["report", path, "--out-dir", out_dir]) == 0
+    with open(os.path.join(out_dir, "m.heatmap.csv"), newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["target", "source", "overlap"]
+    rows = rows[1:]
+    assert len(rows) == 5 * 6 // 2
+    assert rows[0] == ["0", "0", "1"]
+    for j, i, v in rows:
+        assert int(i) <= int(j)
+        assert v == f"{m.values[int(j), int(i)]:.12g}"
 
 
 def test_sensitivity_round_trip_with_nan(tmp_path):
