@@ -63,7 +63,6 @@ from .profiling import (
     SimilarityMatrix,
     build_similarity_matrix,
     kl_extended,
-    merge_similarity_matrices,
     overlap_ratio,
     relative_l2_error,
     sensitivity_profile,
@@ -98,7 +97,6 @@ __all__ = [
     "SensitivityReport",
     "overlap_ratio",
     "build_similarity_matrix",
-    "merge_similarity_matrices",
     "relative_l2_error",
     "kl_extended",
     "sensitivity_profile",

@@ -25,6 +25,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from ._canon import FORMAT_VERSION, payload_hash
 from .engine import cost_model, hybrid_decode, hybrid_decode_blocks
@@ -309,9 +311,9 @@ def _cmd_report(args) -> int:
             with atomic_open(out, "w", newline="", encoding="ascii") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["target", "source", "overlap"])
-                for j in range(matrix.num_layers):
-                    for i in range(j + 1):
-                        writer.writerow([j, i, f"{matrix.values[j, i]:.12g}"])
+                targets, sources = np.tril_indices(matrix.num_layers)
+                for j, i, value in zip(targets.tolist(), sources.tolist(), matrix.flat_entries()):
+                    writer.writerow([j, i, f"{value:.12g}"])
             written.append(out)
         elif kind == "layer-policy":
             policies.append((path, read_policy(path)))

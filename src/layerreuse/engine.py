@@ -337,8 +337,6 @@ class CostModelReport:
     kv_bytes_full: int
     kv_bytes_hybrid: int
     bytes_ratio: float
-    link_bytes_full: int
-    link_bytes_offload: int
     predicted_speedup: float
     tokens_covered: int
     hbm_seconds_full: float
@@ -395,8 +393,6 @@ def cost_model(
         kv_bytes_full=kv_full,
         kv_bytes_hybrid=kv_hybrid,
         bytes_ratio=ratio,
-        link_bytes_full=kv_full,
-        link_bytes_offload=kv_hybrid,
         predicted_speedup=kv_full / kv_hybrid,
         tokens_covered=covered,
         hbm_seconds_full=kv_full / hbm_bandwidth,

@@ -203,9 +203,15 @@ def read_trace(path: str) -> DecodeTrace:
         require_items(tensors[name]["shape"], int, f"tensor {name} shape")
     queries = _read_tensor(os.path.join(base, tensors["queries"]["path"]), tensors["queries"]["shape"])
     outputs = _read_tensor(os.path.join(base, tensors["outputs"]["path"]), tensors["outputs"]["shape"])
+    steps = doc["steps"]
+    expected = (len(steps), config.layers, config.heads, config.head_dim)
+    for name, arr in (("queries", queries), ("outputs", outputs)):
+        if arr.shape != expected:
+            raise InvalidInputError(
+                f"tensor {name} has shape {list(arr.shape)}, expected {list(expected)} for the document"
+            )
     budget = doc["budget"]
     block_size = doc["blockSize"]
-    steps = doc["steps"]
     if len(steps) < 1:
         raise InvalidInputError("trace holds no decode steps")
     topk_rows = []

@@ -41,20 +41,6 @@ class Action(enum.Enum):
 
 
 @dataclass(frozen=True)
-class DpCell:
-    """Best path into one planner state: Full-layer count, similarity credit, backpointer.
-
-    back is the source index of the state this cell was reached from, -1 at
-    the origin. It is only consulted on diagonal cells, where a chain was
-    opened and the previous chain's source must be recovered.
-    """
-
-    full_count: int
-    cum_similarity: float
-    back: int
-
-
-@dataclass(frozen=True)
 class LayerPolicy:
     """Per-layer actions plus the selection source for each layer.
 
@@ -142,14 +128,15 @@ def _policy_from_sources(
 def dp_optimize(matrix: SimilarityMatrix, theta: float) -> LayerPolicy:
     """Optimal policy for a similarity matrix and reuse threshold.
 
-    State (i, j) means layer j takes its selection from Full layer i (the
-    diagonal i == j means layer j itself runs Full). From each state two
-    moves extend the path to layer j + 1: stay on the chain, admissible only
-    when M[i][j+1] >= theta, adding M[i][j+1] credit; or open a new chain at
-    j + 1, always admissible, paying one more Full layer and adding credit 1.
-    Each state keeps only its best incoming path, ordered by fewer Full
-    layers, then more credit, then the smaller predecessor source. Credit is
-    accumulated in ascending layer order, so equal-credit paths compare
+    State (i, j) means layer j takes its selection from Full layer i (i == j
+    means layer j itself runs Full). Each state keeps its best incoming path
+    as the tuple (Full count, -credit, source at layer j - 1), and "best" is
+    tuple order: fewer Full layers, then more credit, then the smaller
+    predecessor source. From state (i, j - 1) two moves reach layer j: stay
+    on the chain, admissible only when M[i][j] >= theta, adding M[i][j]
+    credit; or open a new chain at j, always admissible, adding one Full
+    layer and credit 1. Credit is accumulated in ascending layer order and
+    compared after each addition, so equal-credit paths compare
     bit-identically here and in brute_force_policy.
 
     Args:
@@ -162,64 +149,23 @@ def dp_optimize(matrix: SimilarityMatrix, theta: float) -> LayerPolicy:
         matrix hash filled in.
     """
     theta = _check_theta(theta)
-    L = matrix.num_layers
-    # cells[j][i]: best path ending in state (source i, layer j); None if unreachable.
-    cells: list[list[DpCell | None]] = [[None] * L for _ in range(L)]
-    cells[0][0] = DpCell(full_count=1, cum_similarity=1.0, back=-1)
-    for j in range(L - 1):
-        for i in range(j + 1):
-            cell = cells[j][i]
-            if cell is None:
-                continue
-            if matrix.overlap(i, j + 1) >= theta:
-                cand = DpCell(
-                    full_count=cell.full_count,
-                    cum_similarity=cell.cum_similarity + matrix.overlap(i, j + 1),
-                    back=i,
-                )
-                cells[j + 1][i] = _better(cand, cells[j + 1][i])
-            cand = DpCell(
-                full_count=cell.full_count + 1,
-                cum_similarity=cell.cum_similarity + 1.0,
-                back=i,
-            )
-            cells[j + 1][j + 1] = _better(cand, cells[j + 1][j + 1])
-
-    best_i = -1
-    best: DpCell | None = None
-    for i in range(L):
-        cell = cells[L - 1][i]
-        if cell is not None and _better(cell, best) is cell:
-            best, best_i = cell, i
-    assert best is not None  # the all-Full path always reaches the last layer
+    rows = matrix.values.tolist()
+    L = len(rows)
+    # cells[j][i]: best path into state (i, j), keyed by ascending source i.
+    cells: list[dict[int, tuple[int, float, int]]] = [{0: (1, -1.0, -1)}]
+    for j in range(1, L):
+        prev = cells[-1]
+        cell = {i: (f, neg - rows[j][i], i) for i, (f, neg, _) in prev.items() if rows[j][i] >= theta}
+        cell[j] = min((f + 1, neg - 1.0, i) for i, (f, neg, _) in prev.items())
+        cells.append(cell)
+    full_count, neg, i = min((f, neg, i) for i, (f, neg, _) in cells[-1].items())
 
     sources = [0] * L
-    i, j = best_i, L - 1
-    while True:
+    for j in range(L - 1, -1, -1):
         sources[j] = i
-        if j == 0:
-            break
         if i == j:
-            cell = cells[j][j]
-            assert cell is not None
-            i = cell.back
-        j -= 1
-    return _policy_from_sources(matrix, sources, theta, best.full_count, best.cum_similarity)
-
-
-def _better(cand: DpCell, incumbent: DpCell | None) -> DpCell:
-    """Keep the incumbent unless the candidate is strictly better.
-
-    Candidates arrive in ascending predecessor-source order, so on an exact
-    (full_count, cum_similarity) tie the earlier (smaller-source) path wins.
-    """
-    if incumbent is None:
-        return cand
-    if cand.full_count != incumbent.full_count:
-        return cand if cand.full_count < incumbent.full_count else incumbent
-    if cand.cum_similarity != incumbent.cum_similarity:
-        return cand if cand.cum_similarity > incumbent.cum_similarity else incumbent
-    return incumbent
+            i = cells[j][j][2]
+    return _policy_from_sources(matrix, sources, theta, full_count, -neg)
 
 
 def brute_force_policy(matrix: SimilarityMatrix, theta: float) -> LayerPolicy:

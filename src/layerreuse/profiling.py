@@ -26,7 +26,6 @@ __all__ = [
     "SensitivityReport",
     "overlap_ratio",
     "build_similarity_matrix",
-    "merge_similarity_matrices",
     "relative_l2_error",
     "kl_extended",
     "sensitivity_profile",
@@ -92,8 +91,7 @@ class SimilarityMatrix:
 
     def flat_entries(self) -> list[float]:
         """Lower triangle in row-major order: (j=0,i=0), (j=1,i=0), (j=1,i=1), ..."""
-        L = self.num_layers
-        return [float(self.values[j, i]) for j in range(L) for i in range(j + 1)]
+        return self.values[np.tril_indices(self.num_layers)].tolist()
 
     @classmethod
     def from_flat(cls, num_layers: int, budget: int, entries: list[float]) -> "SimilarityMatrix":
@@ -105,11 +103,7 @@ class SimilarityMatrix:
                 f"expected {expected} lower-triangle entries for L={num_layers}, got {len(entries)}"
             )
         values = np.zeros((num_layers, num_layers))
-        pos = 0
-        for j in range(num_layers):
-            for i in range(j + 1):
-                values[j, i] = entries[pos]
-                pos += 1
+        values[np.tril_indices(num_layers)] = entries
         return cls(values=values, budget=budget)
 
     def canonical_payload(self) -> dict:
@@ -158,24 +152,6 @@ def build_similarity_matrix(trace: DecodeTrace) -> SimilarityMatrix:
     values[np.triu_indices(L, k=1)] = 0.0
     np.fill_diagonal(values, 1.0)
     return SimilarityMatrix(values=values, budget=k)
-
-
-def merge_similarity_matrices(matrices: list[SimilarityMatrix]) -> SimilarityMatrix:
-    """Entrywise mean of profiles taken at the same shape and budget.
-
-    This is a plain average of averages; inputs profiled over different step
-    counts are weighted equally, not by step.
-    """
-    if not matrices:
-        raise InvalidInputError("nothing to merge")
-    first = matrices[0]
-    for m in matrices[1:]:
-        if m.num_layers != first.num_layers or m.budget != first.budget:
-            raise InvalidInputError("merge requires matching layer count and budget")
-    stacked = np.stack([m.values for m in matrices])
-    values = stacked.mean(axis=0)
-    np.fill_diagonal(values, 1.0)
-    return SimilarityMatrix(values=values, budget=first.budget)
 
 
 def relative_l2_error(x: np.ndarray, reference: np.ndarray) -> float:
@@ -243,12 +219,12 @@ def sensitivity_profile(model: SyntheticModel, step: int, budget: int) -> Sensit
     """Probe every layer: swap in top-k sparse attention and measure the damage.
 
     Every layer's full and sparse outputs are pushed one layer forward by
-    SyntheticModel.propagate, one call for each, and the relative L2 error
-    between a layer's propagated pair is recorded together with the KL
-    divergence of the weight distributions at the probed layer. A budget of
-    at least the current cache length saturates the selection and both
-    measures drop to zero. Multi-head models select on summed logits and
-    average the per-head KL.
+    one SyntheticModel.propagate call, so both share one draw of probe
+    noise, and the relative L2 error between a layer's propagated pair is
+    recorded together with the KL divergence of the weight distributions at
+    the probed layer. A budget of at least the current cache length
+    saturates the selection and both measures drop to zero. Multi-head
+    models select on summed logits and average the per-head KL.
 
     Args:
         model: synthetic decoder.
@@ -264,17 +240,17 @@ def sensitivity_profile(model: SyntheticModel, step: int, budget: int) -> Sensit
     queries = model.queries(step + 1)
     n = cfg.context_len + step
     k = min(budget, n)
-    full_outs, sparse_outs = np.empty((L, H, d)), np.empty((L, H, d))
+    # [0] holds each layer's full output, [1] its sparse output.
+    outs = np.empty((2, L, H, d))
     kls: list[float] = []
     for l in range(L):
         cache = model.cache_at(l, step)
-        full_outs[l], logits, full_weights = full_attention(queries[step, l], cache)
+        outs[0, l], logits, full_weights = full_attention(queries[step, l], cache)
         sel = TopKSet(indices=topk_of_logits(_head_sum(logits), k), budget=k)
         idx = sel.as_array()
-        sparse_outs[l], _, sub_weights = _subset_attention(queries[step, l], cache, idx)
+        outs[1, l], _, sub_weights = _subset_attention(queries[step, l], cache, idx)
         kls.append(float(np.mean([kl_extended(full_weights[h], idx, sub_weights[h]) for h in range(H)])))
-    full_next = model.propagate(full_outs, step)
-    sparse_next = model.propagate(sparse_outs, step)
+    full_next, sparse_next = model.propagate(outs, step)
     rows = tuple(
         LayerSensitivity(rnmse=relative_l2_error(sparse_next[l], full_next[l]), kl=kls[l])
         for l in range(L)

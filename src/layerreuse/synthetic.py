@@ -356,8 +356,9 @@ class SyntheticModel:
         return LayerKvCache(keys=keys[layer, :, :n], values=values[layer, :, :n])
 
     def propagate(self, outputs: np.ndarray, step: int) -> np.ndarray:
-        """Push every layer's output [layers, heads, head_dim] toward the next layer's input.
+        """Push every layer's output [..., layers, heads, head_dim] toward the next layer's input.
 
+        Leading axes stack several output sets that share one draw of noise.
         Layer l's output is blended with seeded probe noise keyed (l + 1, head,
         step), the map that builds each layer's tensors from the layer below,
         so a full/sparse output pair can be compared after one layer of

@@ -563,6 +563,32 @@ def test_overflowing_sidecar_shape_exits_2(pipeline, tmp_path, capsys):
     assert "expected 147573952589676412928" in capsys.readouterr().err
 
 
+def test_sidecar_shapes_contradicting_the_document_exit_2(pipeline, tmp_path, capsys):
+    # Sized to their shapes, these sidecars used to load and profile step 0 only.
+    def edit(doc):
+        doc["tensors"]["queries"]["shape"] = [1, 1]
+        doc["tensors"]["outputs"]["shape"] = [1]
+
+    src = _write_trace_copy(pipeline, tmp_path, edit)
+    for sidecar in ("trace.queries.bin", "trace.outputs.bin"):
+        (tmp_path / sidecar).write_bytes(bytes(8))
+    assert main(["profile", "--trace", str(src), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "tensor queries has shape [1, 1], expected [2, 5, 1, 8]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_one_step_queries_in_a_two_step_trace_exit_2(pipeline, tmp_path, capsys):
+    def edit(doc):
+        doc["tensors"]["queries"]["shape"][0] = 1
+
+    src = _write_trace_copy(pipeline, tmp_path, edit)
+    queries = (pipeline / "trace.queries.bin").read_bytes()
+    (tmp_path / "trace.queries.bin").write_bytes(queries[: len(queries) // 2])
+    assert main(["profile", "--trace", str(src), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "tensor queries has shape [1, 5, 1, 8], expected [2, 5, 1, 8]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # (trace key path to a selection, the index written as its last one); step 0 of
 # the pipeline trace sees 24 tokens in 24 blocks of one token.
 _OUT_OF_RANGE = {

@@ -155,6 +155,27 @@ def test_dp_equals_brute_force_property(seed, layers, theta):
     assert a.actions == b.actions and a.sources == b.sources
 
 
+def test_open_move_compares_credit_after_adding_the_full_layer():
+    # Opening layer 4 from state (2, 3), credit 1 + 0.55 + 1 + 2/3, and from
+    # (3, 3), credit 1 + 0.55 + 2/3 + 1, ties only once layer 4's 1.0 is added:
+    # before it the second credit is one ulp larger. The tie goes to source 2.
+    third = 1 / 3
+    m = _matrix([
+        [1, 0, 0, 0, 0, 0],
+        [0.55, 1, 0, 0, 0, 0],
+        [2 * third, 0.1, 1, 0, 0, 0],
+        [third, 0.85, 2 * third, 1, 0, 0],
+        [0.7, 0.9, 0.2, 0.3, 1, 0],
+        [0.2, 2 * third, 0.85, 0.3, 0.9, 1],
+    ])
+    policy = dp_optimize(m, 0.5)
+    oracle = brute_force_policy(m, 0.5)
+    assert policy.actions == oracle.actions and policy.sources == oracle.sources
+    assert "".join("F" if a is Action.FULL else "r" for a in policy.actions) == "FrFrFr"
+    assert policy.sources == (0, 0, 2, 2, 4, 4)
+    assert policy.cum_similarity == oracle.cum_similarity
+
+
 # --- validate_policy ---
 
 

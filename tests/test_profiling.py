@@ -18,7 +18,6 @@ from layerreuse import (
     full_attention,
     generate_model,
     kl_extended,
-    merge_similarity_matrices,
     overlap_ratio,
     relative_l2_error,
     run_full_trace,
@@ -184,17 +183,6 @@ def test_matrix_flat_round_trip_and_hash_stability():
     m2 = SimilarityMatrix.from_flat(3, 4, flat)
     assert np.array_equal(m2.values, m.values)
     assert m2.sha256() == m.sha256()
-
-
-def test_merge_averages_matrices():
-    a = SimilarityMatrix(values=np.array([[1.0, 0.0], [0.2, 1.0]]), budget=4)
-    b = SimilarityMatrix(values=np.array([[1.0, 0.0], [0.6, 1.0]]), budget=4)
-    merged = merge_similarity_matrices([a, b])
-    assert merged.values[1, 0] == pytest.approx(0.4, abs=1e-15)
-    with pytest.raises(InvalidInputError):
-        merge_similarity_matrices([])
-    with pytest.raises(InvalidInputError):
-        merge_similarity_matrices([a, SimilarityMatrix(values=np.eye(3), budget=4)])
 
 
 # --- sensitivity ---
