@@ -15,7 +15,6 @@ from .attention import (
     TopKSet,
     block_max_of_logits,
     full_attention,
-    softmax,
     topk_blocks,
     topk_of_logits,
 )
@@ -63,7 +62,6 @@ from .profiling import (
     SimilarityMatrix,
     build_similarity_matrix,
     kl_extended,
-    overlap_ratio,
     relative_l2_error,
     sensitivity_profile,
 )
@@ -82,7 +80,6 @@ __all__ = [
     "BlockSet",
     "LayerKvCache",
     "TopKSet",
-    "softmax",
     "full_attention",
     "topk_of_logits",
     "block_max_of_logits",
@@ -95,7 +92,6 @@ __all__ = [
     "SimilarityMatrix",
     "LayerSensitivity",
     "SensitivityReport",
-    "overlap_ratio",
     "build_similarity_matrix",
     "relative_l2_error",
     "kl_extended",

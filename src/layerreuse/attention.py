@@ -30,7 +30,6 @@ __all__ = [
     "LayerKvCache",
     "TopKSet",
     "BlockSet",
-    "softmax",
     "full_attention",
     "topk_of_logits",
     "block_max_of_logits",

@@ -152,6 +152,9 @@ def _cmd_gen_traces(args) -> int:
 
 def _cmd_profile(args) -> int:
     trace = read_trace(args.trace)
+    if not 0 <= args.step < trace.steps:
+        # Checked before the model exists: probing step s draws s + 1 steps of rows.
+        raise InvalidInputError(f"--step must lie in [0, {trace.steps}) for this trace, got {args.step}")
     out_matrix = _resolve(args, args.out_matrix, "similarity.json")
     out_sens = _resolve(args, args.out_sensitivity, "sensitivity.json")
     manifest = _Manifest(

@@ -12,9 +12,17 @@ Each layer's all-heads cache is built once per decode call, as a view of the
 model's grown arrays, and Full layers see each step through prefix; only the
 rows a Reuse layer gathers are ever copied. Attention runs once per (step,
 layer) over all heads, which equals one call per head bit for bit. A decode
-call does decode work only. Fidelity compares against the all-Full baseline, which equals the run's
-own outputs at Full layers bit for bit, so it is recomputed with full
-attention at Reuse layers only, when DecodeRunResult.fidelity is first read.
+call does decode work only. Fidelity compares against the all-Full baseline,
+which equals the run's own outputs at Full layers bit for bit, so it is
+recomputed with full attention at Reuse layers only, when
+DecodeRunResult.fidelity is first read.
+
+The decode loop runs steps outermost, layers inside: it models autoregressive
+decoding, where token t + 1 cannot start until token t has left the last
+layer, so it must not get the cache reuse of a layers-first order that no
+real decoder gets. The baseline recompute has no such dependence, since its
+queries are given, so it runs layers outermost and reuses each layer's K/V
+across its steps.
 
 The cost model is analytic. It prices KV traffic in bytes, for both the
 HBM-resident case and the case where reused layers' caches are offloaded
@@ -172,13 +180,16 @@ def _full_baseline(
     """All-Full baseline of a run: its outputs, with Reuse layers recomputed.
 
     A Full layer of the run already computed full_attention on the same query
-    and cache, so only Reuse layers can differ from an all-Full decode.
+    and cache, so only Reuse layers can differ from an all-Full decode. The
+    recompute runs layer by layer, every step of a layer in a row: the queries
+    are given and no cell reads another, so the order changes no bit, and a
+    layer's K/V stays in cache across its steps.
     """
     baseline = outputs.copy()
-    reuse = [l for l, action in enumerate(policy.actions) if action is Action.REUSE]
-    for t in range(outputs.shape[0]):
-        for l in reuse:
-            _full_layer(baseline[t, l], queries[t, l], caches[l], context_len + t)
+    for l, action in enumerate(policy.actions):
+        if action is Action.REUSE:
+            for t in range(outputs.shape[0]):
+                _full_layer(baseline[t, l], queries[t, l], caches[l], context_len + t)
     return baseline
 
 
@@ -216,6 +227,7 @@ def _decode(
     caches = [model.cache_at(l, steps - 1) for l in range(L)]
     outputs = np.empty((steps, L, H, d))
     selections, full_counts, gathered = [], [], []
+    # Steps outermost, as in autoregressive decoding (see the module docstring).
     for t in range(steps):
         n_t = cfg.context_len + t
         step_sel, step_gathered, fulls = [], [], 0

@@ -24,7 +24,6 @@ __all__ = [
     "SimilarityMatrix",
     "LayerSensitivity",
     "SensitivityReport",
-    "overlap_ratio",
     "build_similarity_matrix",
     "relative_l2_error",
     "kl_extended",
@@ -32,18 +31,6 @@ __all__ = [
 ]
 
 KL_FLOOR = 1e-12
-
-
-def overlap_ratio(a: TopKSet, b: TopKSet, k: int) -> float:
-    """Fraction of shared indices between two size-k selections: |a & b| / k."""
-    if k < 1:
-        raise InvalidInputError(f"k must be >= 1, got {k}")
-    if a.size != k or b.size != k:
-        raise InvalidInputError(
-            f"overlap needs two size-{k} selections, got sizes {a.size} and {b.size}"
-        )
-    shared = len(set(a.indices) & set(b.indices))
-    return shared / k
 
 
 @dataclass(frozen=True)
@@ -125,10 +112,11 @@ def build_similarity_matrix(trace: DecodeTrace) -> SimilarityMatrix:
     Each step's selections form a 0/1 membership matrix, one row per layer and
     one column per token. Its product with its own transpose counts the shared
     indices of every layer pair at once. The counts are exact integers, so
-    dividing them by k gives overlap_ratio bit for bit. Every selection must
-    hold exactly k indices (InvalidInputError otherwise). The fold over steps
-    is a fixed-order mean, so the result is bit-stable regardless of how the
-    per-step work was scheduled.
+    each entry equals the pair's overlap ratio |S_i & S_j| / k, computed
+    directly, bit for bit. Every selection must hold exactly k indices
+    (InvalidInputError otherwise). The fold over steps is a fixed-order mean,
+    so the result is bit-stable regardless of how the per-step work was
+    scheduled.
     """
     if trace.steps < 1:
         raise InvalidInputError("trace holds no decode steps")

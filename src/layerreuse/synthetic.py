@@ -24,6 +24,12 @@ in one growable buffer per tensor. grown_arrays hands out read-only views of
 it and draws only rows no earlier call drew. Each row is checked for
 finiteness once, when it is stored, so the per-layer caches cache_at builds
 over those views are shared without another scan.
+
+run_full_trace loops over layers outermost and over steps inside. Queries
+are drawn before the loop and no (step, layer) cell reads another, so the
+order changes no result; layers first lets each layer's K/V be reused by all
+its steps while it is still in the CPU cache, rather than streaming every
+layer's K/V past it once per step.
 """
 
 from __future__ import annotations
@@ -417,6 +423,13 @@ def run_full_trace(model: SyntheticModel, steps: int, budget: int, block_size: i
 
     Returns:
         A DecodeTrace with one TopKSet and one BlockSet per (step, layer).
+
+    The loop runs layer by layer: one cache_at per layer, then every step
+    against that cache, filling the step's selection rows. Each (step, layer)
+    cell depends only on its query and its layer's cache, so the outputs and
+    selections equal those of a step-by-step loop bit for bit, and a layer's
+    K/V stays in cache across its steps. Both selection passes run at every
+    width, block_size 1 included.
     """
     cfg = model.config
     if steps < 1:
@@ -431,28 +444,22 @@ def run_full_trace(model: SyntheticModel, steps: int, budget: int, block_size: i
     L, H, d = cfg.layers, cfg.heads, cfg.head_dim
     queries = model.queries(steps)
     outputs = np.empty((steps, L, H, d))
-    caches = [model.cache_at(l, steps - 1) for l in range(L)]
     block_budget = math.ceil(budget / block_size)
-    topk_rows: list[tuple[TopKSet, ...]] = []
-    block_rows: list[tuple[BlockSet, ...]] = []
-    for t in range(steps):
-        n_t = cfg.context_len + t
-        step_topk: list[TopKSet] = []
-        step_blocks: list[BlockSet] = []
-        for l in range(L):
-            outputs[t, l], logits, _ = full_attention(queries[t, l], caches[l].prefix(n_t))
+    topk_rows = [[None] * L for _ in range(steps)]
+    block_rows = [[None] * L for _ in range(steps)]
+    for l in range(L):
+        cache = model.cache_at(l, steps - 1)
+        for t in range(steps):
+            n_t = cfg.context_len + t
+            outputs[t, l], logits, _ = full_attention(queries[t, l], cache.prefix(n_t))
             agg_logits = _head_sum(logits)
-            step_topk.append(TopKSet(indices=topk_of_logits(agg_logits, budget), budget=budget))
+            topk_rows[t][l] = TopKSet(indices=topk_of_logits(agg_logits, budget), budget=budget)
             n_blocks = math.ceil(n_t / block_size)
-            step_blocks.append(
-                topk_blocks(
-                    block_max_of_logits(agg_logits, block_size),
-                    min(block_budget, n_blocks),
-                    block_size,
-                )
+            block_rows[t][l] = topk_blocks(
+                block_max_of_logits(agg_logits, block_size),
+                min(block_budget, n_blocks),
+                block_size,
             )
-        topk_rows.append(tuple(step_topk))
-        block_rows.append(tuple(step_blocks))
     outputs.setflags(write=False)
     return DecodeTrace(
         config=cfg,
@@ -460,6 +467,6 @@ def run_full_trace(model: SyntheticModel, steps: int, budget: int, block_size: i
         block_size=block_size,
         queries=queries,
         outputs=outputs,
-        topk=tuple(topk_rows),
-        blocks=tuple(block_rows),
+        topk=tuple(map(tuple, topk_rows)),
+        blocks=tuple(map(tuple, block_rows)),
     )

@@ -18,6 +18,23 @@ def random_similarity_matrix(rng: np.random.Generator, num_layers: int, budget: 
     return SimilarityMatrix(values=values, budget=budget)
 
 
+def recording_cells(cells, real, queries, context_len):
+    """A full_attention stand-in that appends the (step, layer) each call serves to cells.
+
+    The step is read from the cache length and the layer from the query, so
+    queries must differ between layers.
+    """
+
+    def recording(q, cache):
+        t = cache.keys.shape[-2] - context_len
+        layers = [l for l in range(queries.shape[1]) if np.array_equal(queries[t, l], q)]
+        assert len(layers) == 1
+        cells.append((t, layers[0]))
+        return real(q, cache)
+
+    return recording
+
+
 class TornFile:
     """Writes the first half of what it is given, then fails like a full disk."""
 

@@ -17,11 +17,10 @@ from layerreuse import (
     block_max_of_logits,
     full_attention,
     generate_model,
-    softmax,
     topk_blocks,
     topk_of_logits,
 )
-from layerreuse.attention import _head_sum, _subset_attention
+from layerreuse.attention import _head_sum, _subset_attention, softmax
 from reference import ref_attention, ref_sparse_attention, ref_topk
 
 

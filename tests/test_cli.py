@@ -637,3 +637,25 @@ def test_decode_rejects_policy_contradicting_its_sources(tmp_path, capsys, case)
     assert main(argv) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "run.json").exists()
+
+
+@pytest.mark.parametrize("step", [2, -1, 10**12])
+def test_profile_step_outside_the_trace_exits_2(pipeline, tmp_path, monkeypatch, capsys, step):
+    # The pipeline trace holds steps 0 and 1. Probing step s would draw s + 1
+    # steps of rows, so the step is refused before any model is generated.
+    def refuse(config):
+        raise AssertionError("generate_model ran for an out-of-range step")
+
+    monkeypatch.setattr(cli, "generate_model", refuse)
+    argv = ["profile", "--trace", str(pipeline / "trace.json"), "--step", str(step),
+            "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert f"--step must lie in [0, 2) for this trace, got {step}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_profile_probes_the_last_trace_step(pipeline, tmp_path):
+    out = tmp_path / "out"
+    assert main(["profile", "--trace", str(pipeline / "trace.json"), "--step", "1",
+                 "--out-dir", str(out)]) == 0
+    assert json.loads((out / "sensitivity.json").read_text())["step"] == 1

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import recording_cells
 from layerreuse import engine
 from layerreuse import (
     Action,
@@ -474,6 +475,24 @@ def test_fidelity_recompute_runs_on_first_access_only(monkeypatch, mode):
     assert np.array_equal(copy.fidelity.per_step_layer, table.per_step_layer)
     assert len(calls) == L * steps
     assert set(calls) == {(H, _DEFERRED.head_dim)}
+
+
+def test_decode_runs_steps_first_and_the_baseline_layers_first(monkeypatch):
+    model = generate_model(_DEFERRED)
+    policy = static_jump_policy(_DEFERRED.layers, 3)
+    steps = 4
+    cells = []
+    recording = recording_cells(cells, engine.full_attention, model.queries(steps), _DEFERRED.context_len)
+    monkeypatch.setattr(engine, "full_attention", recording)
+    run = hybrid_decode(model, policy, 12, steps)
+    full = [l for l, a in enumerate(policy.actions) if a is Action.FULL]
+    reuse = [l for l, a in enumerate(policy.actions) if a is Action.REUSE]
+    # Decoding is autoregressive: each step passes every layer before the next starts.
+    assert cells == [(t, l) for t in range(steps) for l in full]
+    cells.clear()
+    run.fidelity
+    # The baseline's queries are given, so it runs each layer's steps in a row.
+    assert cells == [(t, l) for l in reuse for t in range(steps)]
 
 
 def test_fidelity_access_releases_the_model_buffers():

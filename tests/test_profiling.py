@@ -18,14 +18,12 @@ from layerreuse import (
     full_attention,
     generate_model,
     kl_extended,
-    overlap_ratio,
     relative_l2_error,
     run_full_trace,
     sensitivity_profile,
-    softmax,
     topk_of_logits,
 )
-from layerreuse.attention import _head_sum, _subset_attention
+from layerreuse.attention import _head_sum, _subset_attention, softmax
 from layerreuse.formats import write_trace
 from layerreuse.synthetic import _S_PROBE, _renorm, _rng
 from reference import ref_matrix_from_trace_doc
@@ -37,33 +35,6 @@ GOLDEN_CFG = SynthModelConfig(
 
 def _set(indices, budget=None):
     return TopKSet(indices=tuple(indices), budget=budget or len(indices))
-
-
-def test_overlap_ratio_examples():
-    assert overlap_ratio(_set([0, 1]), _set([0, 1]), 2) == 1.0
-    assert overlap_ratio(_set([0, 1]), _set([2, 3]), 2) == 0.0
-    assert overlap_ratio(_set([0, 1, 2, 3]), _set([2, 3, 4, 5]), 4) == 0.5
-
-
-def test_overlap_ratio_rejects_size_mismatch():
-    with pytest.raises(InvalidInputError):
-        overlap_ratio(_set([0, 1]), _set([0, 1, 2]), 2)
-    with pytest.raises(InvalidInputError):
-        overlap_ratio(_set([0, 1]), _set([0, 1]), 3)
-
-
-@given(
-    a=st.sets(st.integers(min_value=0, max_value=200), min_size=1, max_size=32),
-    b=st.sets(st.integers(min_value=0, max_value=200), min_size=1, max_size=32),
-)
-def test_overlap_ratio_is_symmetric_and_bounded(a, b):
-    k = min(len(a), len(b))
-    a = set(sorted(a)[:k])
-    b = set(sorted(b)[:k])
-    ab = overlap_ratio(_set(sorted(a)), _set(sorted(b)), k)
-    ba = overlap_ratio(_set(sorted(b)), _set(sorted(a)), k)
-    assert ab == ba
-    assert 0.0 <= ab <= 1.0
 
 
 def _hand_trace(sets_per_step, layers, n, budget):
@@ -79,6 +50,38 @@ def _hand_trace(sets_per_step, layers, n, budget):
         config=cfg, budget=budget, block_size=1, queries=dummy, outputs=dummy,
         topk=topk, blocks=blocks,
     )
+
+
+def _pair_overlap(a, b, k):
+    """The overlap ratio of two size-k selections, read from a one-step, two-layer matrix."""
+    return build_similarity_matrix(_hand_trace([[a, b]], layers=2, n=256, budget=k)).values[1, 0]
+
+
+def test_overlap_ratio_examples():
+    assert _pair_overlap([0, 1], [0, 1], 2) == 1.0
+    assert _pair_overlap([0, 1], [2, 3], 2) == 0.0
+    assert _pair_overlap([0, 1, 2, 3], [2, 3, 4, 5], 4) == 0.5
+
+
+def test_overlap_ratio_rejects_size_mismatch():
+    with pytest.raises(InvalidInputError):
+        build_similarity_matrix(_hand_trace([[(0, 1), (0, 1, 2)]], layers=2, n=8, budget=3))
+    with pytest.raises(InvalidInputError):
+        _pair_overlap([0, 1], [0, 1], 3)
+
+
+@given(
+    a=st.sets(st.integers(min_value=0, max_value=200), min_size=1, max_size=32),
+    b=st.sets(st.integers(min_value=0, max_value=200), min_size=1, max_size=32),
+)
+def test_overlap_ratio_is_symmetric_and_bounded(a, b):
+    k = min(len(a), len(b))
+    a = sorted(a)[:k]
+    b = sorted(b)[:k]
+    ab = _pair_overlap(a, b, k)
+    ba = _pair_overlap(b, a, k)
+    assert ab == ba
+    assert 0.0 <= ab <= 1.0
 
 
 def test_matrix_from_hand_written_sets():
@@ -107,13 +110,14 @@ def test_empty_trace_is_rejected():
 
 
 def _pairwise_overlap_matrix(trace):
-    """The definition: overlap_ratio of every layer pair, step by step, then the step mean."""
+    """The definition: |S_i & S_j| / k for every layer pair, step by step, then the step mean."""
     L, k = trace.config.layers, trace.budget
     per_step = np.ones((trace.steps, L, L))
     for t in range(trace.steps):
         for j in range(L):
             for i in range(j):
-                per_step[t, j, i] = overlap_ratio(trace.topk[t][i], trace.topk[t][j], k)
+                shared = set(trace.topk[t][i].indices) & set(trace.topk[t][j].indices)
+                per_step[t, j, i] = len(shared) / k
     return np.tril(per_step.mean(axis=0), -1) + np.eye(L)
 
 

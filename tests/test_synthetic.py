@@ -1,4 +1,5 @@
 import hashlib
+import math
 import subprocess
 import sys
 import threading
@@ -7,16 +8,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import recording_cells
 from layerreuse import (
     InvalidInputError,
     LayerKvCache,
     NumericInputError,
     SynthModelConfig,
+    TopKSet,
+    block_max_of_logits,
     build_similarity_matrix,
+    full_attention,
     generate_model,
     run_full_trace,
     sensitivity_profile,
     synthetic,
+    topk_blocks,
+    topk_of_logits,
 )
 from layerreuse.synthetic import _MASK64, _SPARE_ROWS, _rng
 
@@ -125,6 +132,42 @@ def test_multi_head_trace_records_one_set_per_layer():
     assert trace.outputs.shape == (2, 3, 2, 8)
     assert len(trace.topk[0]) == 3
     assert all(s.size == 8 for s in trace.topk[0])
+
+
+# Multi-head, and a context length that leaves the last block of width 8 short.
+_ORDER = SynthModelConfig(
+    layers=5, head_dim=8, context_len=37, seed=6, inter_layer_correlation=0.7, heads=3
+)
+
+
+def test_trace_runs_each_layers_steps_consecutively(monkeypatch):
+    model = generate_model(_ORDER)
+    steps = 4
+    cells = []
+    recording = recording_cells(cells, synthetic.full_attention, model.queries(steps), _ORDER.context_len)
+    monkeypatch.setattr(synthetic, "full_attention", recording)
+    run_full_trace(model, steps, 12, 8)
+    assert cells == [(t, l) for l in range(_ORDER.layers) for t in range(steps)]
+
+
+def test_trace_equals_a_step_by_step_recomputation():
+    model = generate_model(_ORDER)
+    steps, k, width = 4, 12, 8
+    trace = run_full_trace(model, steps, k, width)
+    queries = model.queries(steps)
+    outputs = np.empty_like(trace.outputs)
+    for t in range(steps):
+        n = _ORDER.context_len + t
+        for l in range(_ORDER.layers):
+            outputs[t, l], logits, _ = full_attention(queries[t, l], model.cache_at(l, t))
+            summed = np.zeros(n)
+            for row in logits:
+                summed += row
+            assert trace.topk[t][l] == TopKSet(indices=topk_of_logits(summed, k), budget=k)
+            blocks = min(math.ceil(k / width), math.ceil(n / width))
+            assert trace.blocks[t][l] == topk_blocks(block_max_of_logits(summed, width), blocks, width)
+    assert trace.queries.tobytes() == queries.tobytes()
+    assert trace.outputs.tobytes() == outputs.tobytes()
 
 
 def test_golden_adjacent_overlap_regression():
