@@ -65,21 +65,19 @@ def _is_frozen_f64(value) -> bool:
 
 
 class _CheckedRows(np.ndarray):
-    """Float64 row storage whose rows are checked finite as they are stored.
+    """Float64 row storage whose rows are checked finite before they are written.
 
-    Its owner writes a row only through store, or as a copy of a row already
-    held in _CheckedRows storage, and only before handing out a view that
-    covers it; a covered row is never written again. So every row a view
-    shows is finite and fixed, and LayerKvCache shares a read-only view of
-    this storage without scanning it again. Views are handed out as plain
-    ndarrays (np.asarray of a slice); their base chain leads back here.
+    Its owner writes a row only before handing out a view that covers it,
+    and a covered row is never written again. Each row it writes is a copy
+    of a row already held in _CheckedRows storage, or a row x rescaled to a
+    fixed norm whose norm and scale were first checked finite: a finite norm
+    means every entry of x is finite, and a finite scale bounds every
+    rescaled entry, so that check is exact at 1/d of a scan's cost. So every
+    row a view shows is finite and fixed, and LayerKvCache shares a
+    read-only view of this storage without scanning it again. Views are
+    handed out as plain ndarrays (np.asarray of a slice); their base chain
+    leads back here.
     """
-
-    def store(self, index, rows: np.ndarray) -> None:
-        """Check rows for finiteness, then write them at self[index]."""
-        if not np.all(np.isfinite(rows)):
-            raise NumericInputError("generated cache rows contain non-finite entries")
-        self[index] = rows
 
 
 def _is_checked_view(value) -> bool:

@@ -22,8 +22,17 @@ blending bit for bit.
 A model keeps its keys and values, base rows and decode-growth rows alike,
 in one growable buffer per tensor. grown_arrays hands out read-only views of
 it and draws only rows no earlier call drew. Each row is checked for
-finiteness once, when it is stored, so the per-layer caches cache_at builds
+finiteness once, as it is written, so the per-layer caches cache_at builds
 over those views are shared without another scan.
+
+The base keys and values are two independent chains, built at once: keys on
+the constructing thread, values on one worker thread that is always joined
+before the constructor returns or raises. Each chain walks (head, layer) in
+turn, draws the layer's noise block into scratch the constructor allocated,
+and blends and renormalizes it straight into the buffer. numpy releases the
+GIL while it draws and blends, so the chains overlap. Each chain does the
+same numpy operations in the same order as a single-threaded loop, so every
+bit is the same whichever thread builds which chain.
 
 run_full_trace loops over layers outermost and over steps inside. Queries
 are drawn before the loop and no (step, layer) cell reads another, so the
@@ -39,6 +48,10 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+# Loaded now, not on first use: if the worker thread that builds a model's base
+# values imported it, the import's allocations would stay in that thread's
+# malloc arena for the life of the process.
+import numpy.random  # noqa: F401
 
 from .attention import (
     BlockSet,
@@ -51,7 +64,7 @@ from .attention import (
     topk_blocks,
     topk_of_logits,
 )
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericInputError
 
 __all__ = ["SynthModelConfig", "SyntheticModel", "DecodeTrace", "generate_model", "run_full_trace"]
 
@@ -207,62 +220,125 @@ def _fresh_rows(
     return _normal_rows(seed, (stream,), tails, d).reshape(shape + (d,))
 
 
-def _allocatable(shape: tuple[int, ...]) -> tuple[int, ...]:
-    """Return shape, unless numpy would refuse a float64 array of it outright as too big."""
+def _empty(shape: tuple[int, ...], kind: type = np.ndarray) -> np.ndarray:
+    """An uninitialized float64 array of shape, of class kind.
+
+    A shape numpy refuses outright, or one the allocation finds no memory
+    for, is invalid input that names the shape, not an internal error.
+    """
     if math.prod(shape) * 8 > np.iinfo(np.intp).max:
         raise InvalidInputError(f"an array of shape {shape} exceeds numpy's maximum size")
-    return shape
+    try:
+        return kind(shape)
+    except MemoryError:
+        raise InvalidInputError(f"an array of shape {shape} does not fit in memory") from None
 
 
-def _renorm(x: np.ndarray, target: float) -> np.ndarray:
-    """Rescale rows (or a single vector) to Euclidean norm `target`."""
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
-    norms = np.where(norms == 0.0, 1.0, norms)
-    return x * (target / norms)
+def _renorm(x: np.ndarray, target: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Rescale rows (or a single vector) to Euclidean norm `target`.
+
+    With out, which must not overlap x, the squares and then the rescaled
+    rows are written there, and no temporary as large as x is made.
+
+    Raises:
+        NumericInputError: if a row's norm or its scale target / norm is not
+            finite. A finite norm means every entry of the row is finite, and
+            a finite scale keeps every rescaled entry within about target, so
+            no non-finite row gets through, at 1/d of the cost of a scan.
+    """
+    norms = np.sqrt(np.add.reduce(np.multiply(x, x, out=out), axis=-1, keepdims=True))
+    norms[norms == 0.0] = 1.0
+    scales = np.divide(target, norms)
+    if not (np.isfinite(norms).all() and np.isfinite(scales).all()):
+        raise NumericInputError("rows to renormalize contain non-finite entries")
+    return np.multiply(x, scales, out=out)
 
 
-def _blend(prev: np.ndarray, fresh: np.ndarray, rho: float, target: float) -> np.ndarray:
+def _blend(
+    prev: np.ndarray, fresh: np.ndarray, rho: float, target: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """rho * prev + (1 - rho) * fresh, rows renormalized to `target`.
+
+    With out, which must overlap neither input, the rows are written there
+    and fresh is overwritten as scratch.
+    """
     # rho == 1 must copy exactly: renormalizing would perturb low-order bits
     # and break exact cross-layer equality.
     if rho == 1.0:
-        return prev.copy()
-    return _renorm(rho * prev + (1.0 - rho) * fresh, target)
+        if out is None:
+            return prev.copy()
+        np.copyto(out, prev)
+        return out
+    scratch = None if out is None else fresh
+    mixed = np.add(np.multiply(prev, rho, out=out), np.multiply(fresh, 1.0 - rho, out=scratch), out=scratch)
+    return _renorm(mixed, target, out=out)
+
+
+def _base_chain(config: SynthModelConfig, stream: int, buffer: np.ndarray, fresh: np.ndarray) -> None:
+    """Write one stream's base rows into buffer[:, :, :context_len], head by head, layer by layer.
+
+    Layer l's block of seeded noise is drawn into fresh ([context_len,
+    head_dim] scratch), blended with layer l - 1's stored rows and written
+    straight into the buffer, so the chain allocates no block of its own.
+    _renorm checks every row it writes; a row copied at rho = 1 is a copy of
+    a checked row.
+    """
+    # A plain view, so the temporaries computed from it are plain arrays too.
+    rows = buffer.view(np.ndarray)[:, :, : config.context_len]
+    rho = config.inter_layer_correlation
+    target = math.sqrt(config.head_dim)
+    for h in range(config.heads):
+        _rng(config.seed, stream, 0, h).standard_normal(out=fresh)
+        _renorm(fresh, target, out=rows[0, h])
+        for l in range(1, config.layers):
+            _rng(config.seed, stream, l, h).standard_normal(out=fresh)
+            _blend(rows[l - 1, h], fresh, rho, target, out=rows[l, h])
 
 
 class SyntheticModel:
     """Base caches and cache-growth rows in one growable buffer, plus on-demand queries.
 
     Keys and values each live in one [layers, heads, context_len + capacity,
-    head_dim] buffer. The base rows are generated into it at construction;
-    growth rows are drawn on demand, up to the largest step count asked for
-    so far, and the buffer is reallocated with at least doubled capacity when
-    a call needs more. Every row is checked for finiteness once, when it is
-    stored, and never written again. The model may be shared across threads.
+    head_dim] buffer. The base rows are generated into it in place at
+    construction, keys on the calling thread and values on a worker thread
+    joined before __init__ returns; a worker's exception is raised in the
+    caller. Growth rows are drawn on demand, up to the largest step count
+    asked for so far, and the buffer is reallocated with at least doubled
+    capacity when a call needs more. Every row is checked for finiteness
+    once, when it is written, and never written again. The model may be
+    shared across threads.
+
+    Raises:
+        InvalidInputError: if a buffer is too large to allocate.
+        NumericInputError: if a generated base row is not finite.
     """
 
     def __init__(self, config: SynthModelConfig) -> None:
         self.config = config
         L, H = config.layers, config.heads
         N, d = config.context_len, config.head_dim
-        rho = config.inter_layer_correlation
-        target = math.sqrt(d)
-
-        self._keys = _CheckedRows(_allocatable((L, H, N + _SPARE_ROWS, d)))
-        self._values = _CheckedRows(self._keys.shape)
+        self._keys = _empty((L, H, N + _SPARE_ROWS, d), _CheckedRows)
+        self._values = _empty(self._keys.shape, _CheckedRows)
         self._grown = 0
         self._lock = threading.Lock()
-        for h in range(H):
-            keys = _renorm(_rng(config.seed, _S_KEYS, 0, h).standard_normal((N, d)), target)
-            values = _renorm(_rng(config.seed, _S_VALUES, 0, h).standard_normal((N, d)), target)
-            self._keys.store((0, h, slice(None, N)), keys)
-            self._values.store((0, h, slice(None, N)), values)
-            for l in range(1, L):
-                fresh_k = _rng(config.seed, _S_KEYS, l, h).standard_normal((N, d))
-                fresh_v = _rng(config.seed, _S_VALUES, l, h).standard_normal((N, d))
-                keys = _blend(keys, fresh_k, rho, target)
-                values = _blend(values, fresh_v, rho, target)
-                self._keys.store((l, h, slice(None, N)), keys)
-                self._values.store((l, h, slice(None, N)), values)
+        # Both chains' scratch is allocated here, so the worker allocates no block.
+        fresh = _empty((2, N, d))
+        errors = []
+
+        def values_chain() -> None:
+            try:
+                _base_chain(config, _S_VALUES, self._values, fresh[1])
+            except BaseException as exc:  # re-raised below, after the join
+                errors.append(exc)
+
+        worker = threading.Thread(target=values_chain, name="synthetic-values")
+        worker.start()
+        try:
+            _base_chain(config, _S_KEYS, self._keys, fresh[0])
+        finally:
+            worker.join()
+        if errors:
+            raise errors[0]
 
     def queries(self, steps: int) -> np.ndarray:
         """Query tensor [steps, layers, heads, head_dim].
@@ -277,7 +353,7 @@ class SyntheticModel:
         L, H, d = cfg.layers, cfg.heads, cfg.head_dim
         rho = cfg.inter_layer_correlation
         target = math.sqrt(d)
-        q = np.empty(_allocatable((steps, L, H, d)))
+        q = _empty((steps, L, H, d))
         for h in range(H):
             base = _renorm(_rng(cfg.seed, _S_QUERY_BASE, h).standard_normal(d), target)
             for t in range(steps):
@@ -329,25 +405,26 @@ class SyntheticModel:
         target = math.sqrt(d)
         first = self._grown
         capacity = self._keys.shape[2] - N
-        # Checked first: the growth rows below are never larger than the new buffer.
-        shape = _allocatable((L, H, N + max(2 * capacity, steps), d)) if steps > capacity else None
-        ext_k = np.empty((steps - first, L, H, d))
-        ext_v = np.empty((steps - first, L, H, d))
+        # Allocated first: the growth rows below are never larger than the new buffers.
+        if steps > capacity:
+            shape = (L, H, N + max(2 * capacity, steps), d)
+            keys, values = _empty(shape, _CheckedRows), _empty(shape, _CheckedRows)
+        ext_k = _empty((steps - first, L, H, d))
+        ext_v = _empty((steps - first, L, H, d))
         for ext, stream in ((ext_k, _S_EXT_KEYS), (ext_v, _S_EXT_VALUES)):
             fresh = _fresh_rows(cfg.seed, stream, range(L), first, steps, H, d)
             ext[:, 0] = _renorm(fresh[0], target)
             for l in range(1, L):
                 ext[:, l] = _blend(ext[:, l - 1], fresh[l], rho, target)
-        if shape is not None:
+        if steps > capacity:
             # Views handed out so far keep the old buffers, whose rows stay as they are.
             rows = (slice(None), slice(None), slice(None, N + first))
-            keys, values = _CheckedRows(shape), _CheckedRows(shape)
             keys[rows] = self._keys[rows]
             values[rows] = self._values[rows]
             self._keys, self._values = keys, values
         new_rows = (slice(None), slice(None), slice(N + first, N + steps))
-        self._keys.store(new_rows, np.moveaxis(ext_k, 0, 2))
-        self._values.store(new_rows, np.moveaxis(ext_v, 0, 2))
+        self._keys[new_rows] = np.moveaxis(ext_k, 0, 2)
+        self._values[new_rows] = np.moveaxis(ext_v, 0, 2)
         self._grown = steps
 
     def cache_at(self, layer: int, step: int) -> LayerKvCache:

@@ -58,3 +58,13 @@ def test_traced_trace_reaches_every_per_layer_span_at_block_size_one():
     assert calls["attention.topk_of_logits"] == cells
     assert calls["attention.block_max_of_logits"] == cells
     assert calls["attention.topk_blocks"] == cells
+
+
+def test_model_construction_reaches_no_traced_binding_but_its_own():
+    # A worker thread builds the base values, and the tracer's span stack is
+    # not thread-safe, so that thread must call nothing the benchmark wraps.
+    tracer = _tracing().Tracer()
+    tracer.begin_run("setup")
+    with tracer.installed():
+        synthetic.generate_model(SynthModelConfig(layers=3, head_dim=8, context_len=24, seed=2, heads=2))
+    assert [tracer.names[i] for i in tracer.arrays()["name"]] == ["synthetic.generate_model"]

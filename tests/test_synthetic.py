@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import subprocess
 import sys
 import threading
@@ -25,7 +26,8 @@ from layerreuse import (
     topk_blocks,
     topk_of_logits,
 )
-from layerreuse.synthetic import _MASK64, _SPARE_ROWS, _rng
+from layerreuse.cli import main
+from layerreuse.synthetic import _MASK64, _S_KEYS, _S_VALUES, _SPARE_ROWS, _rng
 
 FIXTURE = SynthModelConfig(
     layers=8, head_dim=32, context_len=256, seed=11, inter_layer_correlation=0.9
@@ -262,6 +264,49 @@ def test_generator_golden_digests():
     )
 
 
+@pytest.mark.parametrize("rho, digest", [
+    (0.0, "4249ce7907df7b9416c26819301682cdbda878f824e5255fac44d714b09bd219"),
+    (1.0, "e8f30bb50356b7142e296d0f4c66c8abc8d1dea6c3575ced2559027356a476c0"),
+])
+def test_generator_golden_digests_at_the_ends_of_the_dial(rho, digest):
+    # Recorded before the base caches were built in place by two concurrent
+    # chains: rho 0 blends pure noise, rho 1 copies each layer exactly.
+    cfg = SynthModelConfig(layers=3, head_dim=8, context_len=16, seed=2**40 + 3,
+                           inter_layer_correlation=rho, heads=2)
+    keys, values = generate_model(cfg).grown_arrays(4)
+    assert hashlib.sha256(keys.tobytes() + values.tobytes()).hexdigest() == digest
+
+
+def test_models_built_at_once_from_four_threads_match_one_built_alone():
+    cfg = SynthModelConfig(layers=4, head_dim=16, context_len=512, seed=9,
+                           inter_layer_correlation=0.7, heads=2)
+    want = generate_model(cfg).grown_arrays(3)
+    barrier = threading.Barrier(4)
+    results, errors = {}, []
+
+    def build(i):
+        try:
+            barrier.wait(timeout=30)
+            results[i] = generate_model(cfg).grown_arrays(3)
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(switch)
+    assert errors == [] and sorted(results) == [0, 1, 2, 3]
+    for keys, values in results.values():
+        assert np.array_equal(keys, want[0]) and np.array_equal(values, want[1])
+
+
 # --- one growable, checked-once buffer per model ---
 
 _BUFFER = SynthModelConfig(layers=3, head_dim=8, context_len=16, seed=2**40 + 3,
@@ -315,6 +360,57 @@ def test_non_finite_growth_rows_are_rejected_when_stored(monkeypatch):
     got = model.grown_arrays(4)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert np.array_equal(keys, want[0][:, :, : _BUFFER.context_len + 2])
+
+
+class _PoisonedDraws:
+    """A generator whose draws are the real ones with one entry set to NaN."""
+
+    def __init__(self, gen):
+        self.gen = gen
+
+    def standard_normal(self, *args, **kwargs):
+        rows = self.gen.standard_normal(*args, **kwargs)
+        rows[-1, -1] = np.nan
+        return rows
+
+
+@pytest.mark.parametrize("stream", [_S_KEYS, _S_VALUES], ids=["keys-chain", "values-chain"])
+@pytest.mark.parametrize("layer", [0, _BUFFER.layers - 1])
+def test_non_finite_base_rows_are_rejected_at_construction(monkeypatch, stream, layer):
+    # Keys are built on the caller's thread and values on a worker thread;
+    # either chain's failure reaches the caller, and no thread is left over.
+    def poisoned(seed, *key):
+        gen = _rng(seed, *key)
+        return _PoisonedDraws(gen) if key == (stream, layer, 1) else gen
+
+    threads = threading.active_count()
+    monkeypatch.setattr(synthetic, "_rng", poisoned)
+    with pytest.raises(NumericInputError, match="non-finite"):
+        generate_model(_BUFFER)
+    assert threading.active_count() == threads
+    monkeypatch.undo()
+    generate_model(_BUFFER)
+    assert threading.active_count() == threads
+
+
+def test_a_buffer_that_does_not_fit_in_memory_is_invalid_input(monkeypatch, tmp_path):
+    model = generate_model(_BUFFER)
+
+    def refuse(shape):
+        raise MemoryError(f"cannot allocate an array of shape {shape}")
+
+    monkeypatch.setattr(synthetic, "_CheckedRows", refuse)
+    with pytest.raises(InvalidInputError, match=re.escape(f"(3, 2, {16 + _SPARE_ROWS}, 8)")):
+        generate_model(_BUFFER)
+    # Growing past capacity reallocates, so it is refused the same way and stores nothing.
+    with pytest.raises(InvalidInputError, match="does not fit in memory"):
+        model.grown_arrays(_SPARE_ROWS + 1)
+    assert main(["gen-traces", "--layers", "3", "--ctx", "16", "--head-dim", "8", "--steps", "2",
+                 "--k", "4", "--out", str(tmp_path / "trace.json")]) == 2
+    monkeypatch.undo()
+    want = generate_model(_BUFFER).grown_arrays(_SPARE_ROWS + 1)
+    got = model.grown_arrays(_SPARE_ROWS + 1)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_cache_at_does_not_rescan_checked_rows(monkeypatch):
