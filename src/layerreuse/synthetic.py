@@ -447,6 +447,9 @@ class SyntheticModel:
         so a full/sparse output pair can be compared after one layer of
         propagation. rho = 1 copies exactly, matching the cache construction,
         and draws no noise.
+
+        Raises:
+            NumericInputError: if rho < 1 and an output row is not finite.
         """
         cfg = self.config
         outputs = np.asarray(outputs, dtype=np.float64)

@@ -393,6 +393,14 @@ def test_non_finite_base_rows_are_rejected_at_construction(monkeypatch, stream, 
     assert threading.active_count() == threads
 
 
+def test_propagate_rejects_a_non_finite_output_row():
+    model = generate_model(_BUFFER)
+    outputs = np.ones((_BUFFER.layers, _BUFFER.heads, _BUFFER.head_dim))
+    outputs[1, 1, 2] = np.inf
+    with pytest.raises(NumericInputError):
+        model.propagate(outputs, 0)
+
+
 def test_a_buffer_that_does_not_fit_in_memory_is_invalid_input(monkeypatch, tmp_path):
     model = generate_model(_BUFFER)
 
