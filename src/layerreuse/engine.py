@@ -5,8 +5,9 @@ Full layers run exact attention over the whole cache and publish their top-k
 inherit the previous layer's selection, gather only those KV rows, and run
 subset-renormalized sparse attention. Instrumentation counts every full-cache
 score computation so tests can assert that reuse layers triggered none.
-Token and block mode share one decode loop and differ only in the step that
-turns a Full layer's summed logits into a selection.
+Token and block mode share one loop with the full trace,
+synthetic._decode_cells, whose docstring gives its loop order; they differ
+only in the step that turns a Full layer's summed logits into a selection.
 
 Each layer's all-heads cache is built once per decode call, as a view of the
 model's grown arrays, and Full layers see each step through prefix; only the
@@ -16,13 +17,6 @@ call does decode work only. Fidelity compares against the all-Full baseline,
 which equals the run's own outputs at Full layers bit for bit, so it is
 recomputed with full attention at Reuse layers only, when
 DecodeRunResult.fidelity is first read.
-
-The decode loop runs steps outermost, layers inside: it models autoregressive
-decoding, where token t + 1 cannot start until token t has left the last
-layer, so it must not get the cache reuse of a layers-first order that no
-real decoder gets. The baseline recompute has no such dependence, since its
-queries are given, so it runs layers outermost and reuses each layer's K/V
-across its steps.
 
 The cost model is analytic. It prices KV traffic in bytes, for both the
 HBM-resident case and the case where reused layers' caches are offloaded
@@ -42,8 +36,6 @@ from .attention import (
     BlockSet,
     LayerKvCache,
     TopKSet,
-    _head_sum,
-    _subset_attention,
     block_max_of_logits,
     full_attention,
     topk_blocks,
@@ -52,7 +44,7 @@ from .attention import (
 from .errors import ConfigurationError, InvalidInputError
 from .policy import Action, LayerPolicy, _structural_violations
 from .profiling import relative_l2_error
-from .synthetic import DecodeTrace, SyntheticModel
+from .synthetic import DecodeTrace, SyntheticModel, _decode_cells
 
 __all__ = [
     "FidelityTable",
@@ -164,12 +156,6 @@ def _fidelity_tables(baseline_outputs: np.ndarray, hybrid_outputs: np.ndarray) -
     )
 
 
-def _full_layer(out: np.ndarray, queries: np.ndarray, cache: LayerKvCache, n: int) -> np.ndarray:
-    """Full attention of all heads over n tokens into out; returns the logits summed in head order."""
-    out[...], logits, _ = full_attention(queries, cache.prefix(n))
-    return _head_sum(logits)
-
-
 def _full_baseline(
     outputs: np.ndarray,
     policy: LayerPolicy,
@@ -180,16 +166,15 @@ def _full_baseline(
     """All-Full baseline of a run: its outputs, with Reuse layers recomputed.
 
     A Full layer of the run already computed full_attention on the same query
-    and cache, so only Reuse layers can differ from an all-Full decode. The
-    recompute runs layer by layer, every step of a layer in a row: the queries
-    are given and no cell reads another, so the order changes no bit, and a
-    layer's K/V stays in cache across its steps.
+    and cache, so only Reuse layers can differ from an all-Full decode. Like
+    the full trace, the recompute runs layers first (see
+    synthetic._decode_cells).
     """
     baseline = outputs.copy()
     for l, action in enumerate(policy.actions):
         if action is Action.REUSE:
             for t in range(outputs.shape[0]):
-                _full_layer(baseline[t, l], queries[t, l], caches[l], context_len + t)
+                baseline[t, l], _, _ = full_attention(queries[t, l], caches[l].prefix(context_len + t))
     return baseline
 
 
@@ -216,47 +201,25 @@ def _decode(
     block_size: int,
     select: Callable[[np.ndarray, int], tuple[TopKSet | BlockSet, TopKSet | BlockSet, np.ndarray]],
 ) -> DecodeRunResult:
-    """The decode loop of both modes, which differ only in select.
+    """The decode of both modes, which differ only in select.
 
     Once per Full layer and step, select(summed logits, n) returns the selection
     that layer records, the one the Reuse layers after it record, and the rows they gather.
     """
-    cfg = model.config
-    L, H, d = cfg.layers, cfg.heads, cfg.head_dim
-    queries = model.queries(steps)
-    caches = [model.cache_at(l, steps - 1) for l in range(L)]
-    outputs = np.empty((steps, L, H, d))
-    selections, full_counts, gathered = [], [], []
-    # Steps outermost, as in autoregressive decoding (see the module docstring).
-    for t in range(steps):
-        n_t = cfg.context_len + t
-        step_sel, step_gathered, fulls = [], [], 0
-        for l in range(L):
-            if policy.actions[l] is Action.FULL:
-                logits = _full_layer(outputs[t, l], queries[t, l], caches[l], n_t)
-                fulls += 1
-                sel, inherited, rows = select(logits, n_t)
-                step_gathered.append(None)
-            else:
-                # The policy's first layer is Full, so a selection is in hand.
-                sel = inherited
-                outputs[t, l], _, _ = _subset_attention(queries[t, l], caches[l], rows)
-                step_gathered.append(int(rows.shape[0]))
-            step_sel.append(sel)
-        selections.append(tuple(step_sel))
-        gathered.append(tuple(step_gathered))
-        full_counts.append(fulls)
-    outputs.setflags(write=False)
+    full = [action is Action.FULL for action in policy.actions]
+    queries, caches, outputs, selections, full_counts, gathered = _decode_cells(
+        model, full, steps, select, layers_first=False
+    )
     return DecodeRunResult(
         policy=policy,
         budget=budget,
         block_size=block_size,
         outputs=outputs,
-        selections=tuple(selections),
+        selections=tuple(map(tuple, selections)),
         full_score_computations=tuple(full_counts),
         reuse_full_scans=0,
-        reuse_gathered_rows=tuple(gathered),
-        _baseline=_Baseline(outputs, policy, queries, caches, cfg.context_len),
+        reuse_gathered_rows=tuple(map(tuple, gathered)),
+        _baseline=_Baseline(outputs, policy, queries, caches, model.config.context_len),
     )
 
 

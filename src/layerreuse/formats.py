@@ -34,7 +34,7 @@ from .attention import BlockSet, TopKSet
 from .engine import DecodeRunResult
 from .errors import InvalidInputError, InvalidSelectionError
 from .policy import Action, LayerPolicy
-from .profiling import SensitivityReport, SimilarityMatrix
+from .profiling import LayerSensitivity, SensitivityReport, SimilarityMatrix
 from .synthetic import DecodeTrace, SynthModelConfig
 
 __all__ = [
@@ -279,8 +279,6 @@ def write_sensitivity_report(
 
 
 def read_sensitivity_report(path: str) -> SensitivityReport:
-    from .profiling import LayerSensitivity
-
     doc = read_json(path)
     check_header(doc, "sensitivity-report")
     require_keys(doc, {"budget": int, "step": int, "layers": list}, "sensitivity-report")

@@ -34,17 +34,15 @@ GIL while it draws and blends, so the chains overlap. Each chain does the
 same numpy operations in the same order as a single-threaded loop, so every
 bit is the same whichever thread builds which chain.
 
-run_full_trace loops over layers outermost and over steps inside. Queries
-are drawn before the loop and no (step, layer) cell reads another, so the
-order changes no result; layers first lets each layer's K/V be reused by all
-its steps while it is still in the CPU cache, rather than streaming every
-layer's K/V past it once per step.
+run_full_trace is the hybrid decoder's (step, layer) loop, _decode_cells,
+with every layer Full; its docstring gives the loop order of both.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +57,7 @@ from .attention import (
     TopKSet,
     _CheckedRows,
     _head_sum,
+    _subset_attention,
     block_max_of_logits,
     full_attention,
     topk_blocks,
@@ -488,6 +487,59 @@ class DecodeTrace:
         return self.queries.shape[0]
 
 
+def _decode_cells(
+    model: SyntheticModel, full: list[bool], steps: int, select: Callable, *, layers_first: bool
+) -> tuple:
+    """The (step, layer) loop of the full trace and of hybrid decoding.
+
+    Returns (queries, caches, outputs, selections, full counts, gathered).
+    full[l] says whether layer l is Full. A Full cell runs full attention of
+    all heads over the step's cache and hands the head-summed logits to
+    select(logits, n), which returns (recorded, inherited, rows). A Reuse cell
+    records the inherited selection of the last Full layer below it at the
+    same step and runs sparse attention over just its rows, whose count it
+    records in gathered[t][l] (None at Full cells). full counts[t] counts the
+    step's Full cells. outputs is [steps, layers, heads, head_dim], read-only.
+
+    Queries are drawn before the loop and a cell reads only its query, its
+    layer's cache and the selection carried at its own step, so the order
+    changes no bit. Hybrid decoding runs steps outermost (layers_first
+    False): it models autoregressive decoding, where token t + 1 cannot start
+    until token t has left the last layer, so it must not get the cache reuse
+    of a layers-first order that no real decoder gets. The full trace, whose
+    queries are given, runs layers outermost, so each layer's K/V is reused by
+    all its steps while it is still in the CPU cache; the Reuse-layer
+    fidelity baseline (engine._full_baseline) does the same.
+    """
+    cfg = model.config
+    L, H, d = cfg.layers, cfg.heads, cfg.head_dim
+    queries = model.queries(steps)
+    caches = [model.cache_at(l, steps - 1) for l in range(L)]
+    outputs = np.empty((steps, L, H, d))
+    selections = [[None] * L for _ in range(steps)]
+    gathered = [[None] * L for _ in range(steps)]
+    fulls = [0] * steps
+    carried = [None] * steps  # (inherited, rows) of the step's last Full cell
+    if layers_first:
+        cells = ((t, l) for l in range(L) for t in range(steps))
+    else:
+        cells = ((t, l) for t in range(steps) for l in range(L))
+    for t, l in cells:
+        if full[l]:
+            n_t = cfg.context_len + t
+            outputs[t, l], logits, _ = full_attention(queries[t, l], caches[l].prefix(n_t))
+            fulls[t] += 1
+            selections[t][l], inherited, rows = select(_head_sum(logits), n_t)
+            carried[t] = (inherited, rows)
+        else:
+            # Layer 0 is Full, so a selection is carried at every step.
+            selections[t][l], rows = carried[t]
+            outputs[t, l], _, _ = _subset_attention(queries[t, l], caches[l], rows)
+            gathered[t][l] = int(rows.shape[0])
+    outputs.setflags(write=False)
+    return queries, caches, outputs, selections, fulls, gathered
+
+
 def run_full_trace(model: SyntheticModel, steps: int, budget: int, block_size: int = 1) -> DecodeTrace:
     """Decode `steps` tokens with full attention at every layer, recording selections.
 
@@ -504,12 +556,8 @@ def run_full_trace(model: SyntheticModel, steps: int, budget: int, block_size: i
     Returns:
         A DecodeTrace with one TopKSet and one BlockSet per (step, layer).
 
-    The loop runs layer by layer: one cache_at per layer, then every step
-    against that cache, filling the step's selection rows. Each (step, layer)
-    cell depends only on its query and its layer's cache, so the outputs and
-    selections equal those of a step-by-step loop bit for bit, and a layer's
-    K/V stays in cache across its steps. Both selection passes run at every
-    width, block_size 1 included.
+    This is _decode_cells with every layer Full, run layers first. Both
+    selection passes run at every width, block_size 1 included.
     """
     cfg = model.config
     if steps < 1:
@@ -520,33 +568,23 @@ def run_full_trace(model: SyntheticModel, steps: int, budget: int, block_size: i
         )
     if block_size < 1:
         raise InvalidInputError(f"block_size must be >= 1, got {block_size}")
-
-    L, H, d = cfg.layers, cfg.heads, cfg.head_dim
-    queries = model.queries(steps)
-    outputs = np.empty((steps, L, H, d))
     block_budget = math.ceil(budget / block_size)
-    topk_rows = [[None] * L for _ in range(steps)]
-    block_rows = [[None] * L for _ in range(steps)]
-    for l in range(L):
-        cache = model.cache_at(l, steps - 1)
-        for t in range(steps):
-            n_t = cfg.context_len + t
-            outputs[t, l], logits, _ = full_attention(queries[t, l], cache.prefix(n_t))
-            agg_logits = _head_sum(logits)
-            topk_rows[t][l] = TopKSet(indices=topk_of_logits(agg_logits, budget), budget=budget)
-            n_blocks = math.ceil(n_t / block_size)
-            block_rows[t][l] = topk_blocks(
-                block_max_of_logits(agg_logits, block_size),
-                min(block_budget, n_blocks),
-                block_size,
-            )
-    outputs.setflags(write=False)
+
+    def select(logits: np.ndarray, n: int) -> tuple[tuple[TopKSet, BlockSet], None, None]:
+        blocks = min(block_budget, math.ceil(n / block_size))
+        topk = TopKSet(indices=topk_of_logits(logits, budget), budget=budget)
+        block_set = topk_blocks(block_max_of_logits(logits, block_size), blocks, block_size)
+        return (topk, block_set), None, None
+
+    queries, _, outputs, selections, _, _ = _decode_cells(
+        model, [True] * cfg.layers, steps, select, layers_first=True
+    )
     return DecodeTrace(
         config=cfg,
         budget=budget,
         block_size=block_size,
         queries=queries,
         outputs=outputs,
-        topk=tuple(map(tuple, topk_rows)),
-        blocks=tuple(map(tuple, block_rows)),
+        topk=tuple(tuple(topk for topk, _ in row) for row in selections),
+        blocks=tuple(tuple(blocks for _, blocks in row) for row in selections),
     )

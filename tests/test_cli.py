@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -82,7 +83,7 @@ def test_rerun_is_byte_identical(pipeline, tmp_path):
     # hash covers them) overwrites every artifact with the same bytes.
     trace = str(pipeline / "trace.json")
     before = {
-        name: open(pipeline / name, "rb").read()
+        name: (pipeline / name).read_bytes()
         for name in ("trace.json", "trace.queries.bin", "similarity.json")
     }
     assert main(["gen-traces", *MODEL_FLAGS, "--steps", "2", "--k", "6",
@@ -91,7 +92,7 @@ def test_rerun_is_byte_identical(pipeline, tmp_path):
                  "--out-matrix", str(pipeline / "similarity.json"),
                  "--out-sensitivity", str(pipeline / "sensitivity.json")]) == 0
     for name, raw in before.items():
-        assert open(pipeline / name, "rb").read() == raw
+        assert (pipeline / name).read_bytes() == raw
 
     # A different output path changes only the embedded manifest hash.
     matrix2 = str(tmp_path / "similarity.json")
@@ -112,8 +113,7 @@ def test_default_seed_is_zero(tmp_path):
 
 def test_config_file_and_flag_precedence(tmp_path):
     cfg_path = str(tmp_path / "config.json")
-    json.dump({"layers": 3, "seed": 7, "contextLen": 16, "headDim": 4},
-              open(cfg_path, "w"))
+    Path(cfg_path).write_text(json.dumps({"layers": 3, "seed": 7, "contextLen": 16, "headDim": 4}))
     out = str(tmp_path / "t.json")
     assert main(["gen-traces", "--config", cfg_path, "--seed", "3",
                  "--steps", "1", "--k", "2", "--out", out]) == 0
@@ -124,7 +124,7 @@ def test_config_file_and_flag_precedence(tmp_path):
 
 def test_unknown_config_key_is_rejected(tmp_path, capsys):
     cfg_path = str(tmp_path / "config.json")
-    json.dump({"layer_count": 3}, open(cfg_path, "w"))
+    Path(cfg_path).write_text(json.dumps({"layer_count": 3}))
     code = main(["gen-traces", "--config", cfg_path,
                  "--out", str(tmp_path / "t.json")])
     assert code == 2
@@ -150,7 +150,7 @@ def test_invalid_rho_exits_2(tmp_path, capsys):
 
 def test_corrupt_json_exits_2(tmp_path, capsys):
     bad = str(tmp_path / "bad.json")
-    open(bad, "w").write("{not json")
+    Path(bad).write_text("{not json")
     assert main(["profile", "--trace", bad]) == 2
 
 
@@ -240,7 +240,7 @@ def test_report_heatmap_and_policies(pipeline, tmp_path):
     assert sorted(pairs) == [(j, i) for j in range(5) for i in range(j + 1)]
     for j, i, value in rows[1:]:
         assert value == f"{matrix.values[int(j), int(i)]:.12g}"
-    text = open(os.path.join(out_dir, "policies.md")).read()
+    text = Path(out_dir, "policies.md").read_text()
     assert "policy.json" in text
     assert "| policy | layers | theta | fullCount | cumSimilarity |" in text
 

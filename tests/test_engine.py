@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import recording_cells
-from layerreuse import engine
+from layerreuse import engine, synthetic
 from layerreuse import (
     Action,
     BlockSet,
@@ -92,8 +92,13 @@ def test_all_full_policy_is_bit_identical_to_baseline(fixture_model):
     run = hybrid_decode(fixture_model, policy, 12, 3)
     baseline = run_full_trace(fixture_model, 3, 12)
     assert np.array_equal(run.outputs, baseline.outputs)
+    assert run.selections == baseline.topk
     assert run.fidelity.aggregate == 0.0
     assert np.all(run.fidelity.per_step_layer == 0.0)
+    blocks = hybrid_decode_blocks(fixture_model, policy, 3, 4, 3)
+    trace = run_full_trace(fixture_model, 3, 12, 4)
+    assert np.array_equal(blocks.outputs, trace.outputs)
+    assert blocks.selections == trace.blocks
 
 
 def test_full_budget_reuse_matches_full_attention():
@@ -463,7 +468,9 @@ def test_fidelity_recompute_runs_on_first_access_only(monkeypatch, mode):
         calls.append(np.shape(q))
         return real(q, cache)
 
+    # Decode's Full cells run in synthetic's loop, the baseline in engine.
     monkeypatch.setattr(engine, "full_attention", counting)
+    monkeypatch.setattr(synthetic, "full_attention", counting)
     run = _DECODES[mode](model, policy, steps)
     # One call per (step, layer), each carrying every head.
     assert len(calls) == policy.full_count * steps
@@ -484,6 +491,7 @@ def test_decode_runs_steps_first_and_the_baseline_layers_first(monkeypatch):
     cells = []
     recording = recording_cells(cells, engine.full_attention, model.queries(steps), _DEFERRED.context_len)
     monkeypatch.setattr(engine, "full_attention", recording)
+    monkeypatch.setattr(synthetic, "full_attention", recording)
     run = hybrid_decode(model, policy, 12, steps)
     full = [l for l, a in enumerate(policy.actions) if a is Action.FULL]
     reuse = [l for l, a in enumerate(policy.actions) if a is Action.REUSE]

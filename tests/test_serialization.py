@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,18 +62,18 @@ def test_trace_rewrite_is_byte_identical(tmp_path, trace):
     # The JSON embeds the sidecar names, so identity holds per path.
     path = str(tmp_path / "a.json")
     write_trace(trace, path)
-    first = open(path, "rb").read()
-    first_queries = open(tmp_path / "a.queries.bin", "rb").read()
+    first = Path(path).read_bytes()
+    first_queries = (tmp_path / "a.queries.bin").read_bytes()
     write_trace(trace, path)
-    assert open(path, "rb").read() == first
-    assert open(tmp_path / "a.queries.bin", "rb").read() == first_queries
+    assert Path(path).read_bytes() == first
+    assert (tmp_path / "a.queries.bin").read_bytes() == first_queries
 
 
 def test_trace_sidecar_length_is_checked(tmp_path, trace):
     path = str(tmp_path / "trace.json")
     write_trace(trace, path)
-    raw = open(tmp_path / "trace.queries.bin", "rb").read()
-    open(tmp_path / "trace.queries.bin", "wb").write(raw[:-8])
+    raw = (tmp_path / "trace.queries.bin").read_bytes()
+    (tmp_path / "trace.queries.bin").write_bytes(raw[:-8])
     with pytest.raises(InvalidInputError):
         read_trace(path)
 
@@ -82,7 +83,7 @@ def test_trace_rejects_empty_steps(tmp_path, trace):
     write_trace(trace, path)
     doc = read_json(path)
     doc["steps"] = []
-    open(path, "w").write(json.dumps(doc))
+    Path(path).write_text(json.dumps(doc))
     with pytest.raises(InvalidInputError):
         read_trace(path)
 
@@ -93,17 +94,17 @@ def test_version_and_kind_rejection(tmp_path, trace):
 
     doc = read_json(path)
     doc["version"] = "2.0"
-    open(path, "w").write(json.dumps(doc))
+    Path(path).write_text(json.dumps(doc))
     with pytest.raises(InvalidInputError):
         read_trace(path)
 
     # minor bumps within the same major are accepted
     doc["version"] = "1.7"
-    open(path, "w").write(json.dumps(doc))
+    Path(path).write_text(json.dumps(doc))
     read_trace(path)
 
     doc["kind"] = "similarity-matrix"
-    open(path, "w").write(json.dumps(doc))
+    Path(path).write_text(json.dumps(doc))
     with pytest.raises(InvalidInputError):
         read_trace(path)
 
@@ -117,7 +118,7 @@ def test_similarity_matrix_round_trip(tmp_path):
     assert back.budget == m.budget
     assert back.sha256() == m.sha256()
     write_similarity_matrix(back, str(tmp_path / "again.json"))
-    assert open(path, "rb").read() == open(tmp_path / "again.json", "rb").read()
+    assert Path(path).read_bytes() == (tmp_path / "again.json").read_bytes()
 
 
 def test_similarity_matrix_csv_rows(tmp_path):
@@ -147,7 +148,7 @@ def test_sensitivity_round_trip_with_nan(tmp_path):
     )
     path = str(tmp_path / "sens.json")
     write_sensitivity_report(report, path)
-    assert b"NaN" not in open(path, "rb").read()  # encoded as null, valid JSON
+    assert b"NaN" not in Path(path).read_bytes()  # encoded as null, valid JSON
     back = read_sensitivity_report(path)
     assert back.budget == 8 and back.step == 2
     assert back.layers[0] == report.layers[0]
@@ -220,7 +221,7 @@ def test_canonical_json_is_sorted_and_compact(tmp_path):
     m = random_similarity_matrix(np.random.default_rng(2), 3)
     path = str(tmp_path / "m.json")
     write_similarity_matrix(m, path)
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     assert raw.endswith(b"\n")
     assert b": " not in raw and b", " not in raw
     doc = json.loads(raw)
@@ -308,12 +309,12 @@ def test_reader_rejects_non_finite_number(tmp_path, make, path, literal):
 def test_failed_rewrite_keeps_earlier_artifact_and_leaves_no_temp_file(tmp_path, monkeypatch):
     path = str(tmp_path / "m.json")
     write_similarity_matrix(random_similarity_matrix(np.random.default_rng(2), 4), path)
-    before = open(path, "rb").read()
+    before = Path(path).read_bytes()
     monkeypatch.setattr(formats, "open", lambda *a, **kw: TornFile(open(*a, **kw)), raising=False)
     with pytest.raises(OSError):
         write_similarity_matrix(random_similarity_matrix(np.random.default_rng(3), 4), path)
     monkeypatch.undo()
-    assert open(path, "rb").read() == before
+    assert Path(path).read_bytes() == before
     assert os.listdir(tmp_path) == ["m.json"]
 
 
