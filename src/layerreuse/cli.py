@@ -32,6 +32,7 @@ from ._canon import FORMAT_VERSION, payload_hash
 from .engine import cost_model, hybrid_decode, hybrid_decode_blocks
 from .errors import InvalidInputError, LayerReuseError
 from .formats import (
+    CONFIG_FIELDS,
     atomic_open,
     config_from_payload,
     config_payload,
@@ -49,16 +50,6 @@ from .formats import (
 from .policy import dp_optimize
 from .profiling import build_similarity_matrix, sensitivity_profile
 from .synthetic import SynthModelConfig, generate_model, run_full_trace
-
-_MODEL_FLAGS = [
-    # (flag, config key, type)
-    ("layers", "layers", int),
-    ("head_dim", "headDim", int),
-    ("ctx", "contextLen", int),
-    ("seed", "seed", int),
-    ("rho", "interLayerCorrelation", float),
-    ("heads", "heads", int),
-]
 
 _MODEL_DEFAULTS = config_payload(SynthModelConfig(layers=10))
 
@@ -88,8 +79,8 @@ def _effective_model_config(args) -> tuple[SynthModelConfig, dict]:
         if unknown:
             raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
         merged.update(doc)
-    for flag, key, _ in _MODEL_FLAGS:
-        value = getattr(args, flag, None)
+    for field, key, *_ in CONFIG_FIELDS:
+        value = getattr(args, field)
         if value is not None:
             merged[key] = value
     return config_from_payload(merged), merged
@@ -192,10 +183,18 @@ def _cmd_plan(args) -> int:
 def _cmd_decode(args) -> int:
     config, merged = _effective_model_config(args)
     policy = read_policy(args.policy)
-    if (args.block_size == 1) != (args.block_budget is None):
+    block_mode = args.block_size != 1
+    if block_mode != (args.block_budget is not None):
         raise InvalidInputError(
             "block mode needs both --block-size > 1 and --block-budget; token mode neither"
         )
+    if block_mode and (args.budget is not None or args.include_sinks or args.include_recent):
+        raise InvalidInputError(
+            "--budget, --include-sinks and --include-recent are token-mode flags; "
+            "block mode takes --block-budget"
+        )
+    if not block_mode and args.budget is None:
+        raise InvalidInputError("token mode requires --budget")
     out = _resolve(args, args.out, "run.json")
     manifest = _Manifest(
         "decode",
@@ -214,11 +213,9 @@ def _cmd_decode(args) -> int:
     manifest.inputs.append(args.policy)
     manifest.outputs.append(out)
     model = generate_model(config)
-    if args.block_size > 1:
+    if block_mode:
         result = hybrid_decode_blocks(model, policy, args.block_budget, args.block_size, args.steps)
     else:
-        if args.budget is None:
-            raise InvalidInputError("token mode requires --budget")
         if args.budget > config.context_len:
             print(
                 f"warning: budget {args.budget} exceeds context length "
@@ -256,36 +253,33 @@ def _cmd_bench(args) -> int:
             "lengths": parsed,
             "budget": args.budget,
             "blockSize": args.block_size,
-            "bytesPerElem": args.bytes_per_elem,
             "headDim": args.head_dim,
-            "linkBandwidth": args.link_bandwidth,
-            "hbmBandwidth": args.hbm_bandwidth,
         },
         None,
     )
     manifest.inputs.append(args.policy)
     manifest.outputs.append(out)
+    digest = manifest.hash()
     rows = []
     for n in parsed:
-        report = cost_model(
-            policy,
-            n,
-            args.budget,
-            block_size=args.block_size,
-            bytes_per_elem=args.bytes_per_elem,
-            head_dim=args.head_dim,
-            link_bandwidth=args.link_bandwidth,
-            hbm_bandwidth=args.hbm_bandwidth,
-        )
-        rows.append((n, report.bytes_ratio, report.predicted_speedup))
-    with atomic_open(out, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["contextLen", "bytesRatio", "predictedSpeedup", "manifest"])
-        for n, ratio, speedup in rows:
-            writer.writerow([n, f"{ratio:.12g}", f"{speedup:.12g}", manifest.hash()])
+        report = cost_model(policy, n, args.budget, block_size=args.block_size, head_dim=args.head_dim)
+        rows.append([n, _num(report.bytes_ratio), _num(report.predicted_speedup), digest])
+    _write_csv(out, ["contextLen", "bytesRatio", "predictedSpeedup", "manifest"], rows)
     manifest.write(out)
     print(f"wrote {out}")
     return 0
+
+
+def _num(value: float | None) -> str:
+    """A CSV number cell: 12 significant digits, or empty for a null."""
+    return "" if value is None else f"{value:.12g}"
+
+
+def _write_csv(path: str, header: list[str], rows) -> None:
+    with atomic_open(path, "w", newline="", encoding="ascii") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _ascii_name(path: str) -> str:
@@ -303,35 +297,33 @@ def _cmd_report(args) -> int:
     manifest.inputs.extend(args.artifacts)
     policies = []
     runs = []
-    written = []
+    rendered = {}  # report file -> the artifact it renders
     for path in args.artifacts:
         doc = read_json(path)
         kind = doc.get("kind") if isinstance(doc, dict) else None
         stem = os.path.splitext(os.path.basename(path))[0]
+        if kind == "layer-policy":
+            policies.append((path, read_policy(path)))
+            continue
         if kind == "similarity-matrix":
             matrix = read_similarity_matrix(path)
             out = os.path.join(out_dir, f"{stem}.heatmap.csv")
-            with atomic_open(out, "w", newline="", encoding="ascii") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["target", "source", "overlap"])
-                targets, sources = np.tril_indices(matrix.num_layers)
-                for j, i, value in zip(targets.tolist(), sources.tolist(), matrix.flat_entries()):
-                    writer.writerow([j, i, f"{value:.12g}"])
-            written.append(out)
-        elif kind == "layer-policy":
-            policies.append((path, read_policy(path)))
+            header = ["target", "source", "overlap"]
+            targets, sources = np.tril_indices(matrix.num_layers)
+            rows = zip(targets.tolist(), sources.tolist(), map(_num, matrix.flat_entries()))
         elif kind == "decode-run":
             doc = read_run_result(path)
-            out = os.path.join(out_dir, f"{stem}.rnmse.csv")
-            with atomic_open(out, "w", newline="", encoding="ascii") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["layer", "rnmse"])
-                for l, value in enumerate(doc["fidelity"]["perLayerRnmse"]):
-                    writer.writerow([l, "" if value is None else f"{value:.12g}"])
-            written.append(out)
             runs.append((path, doc))
+            out = os.path.join(out_dir, f"{stem}.rnmse.csv")
+            header = ["layer", "rnmse"]
+            rows = enumerate(map(_num, doc["fidelity"]["perLayerRnmse"]))
         else:
             raise InvalidInputError(f"{path}: unsupported artifact kind {kind!r}")
+        if out in rendered:
+            raise InvalidInputError(f"{rendered[out]} and {path} both render to {out}")
+        rendered[out] = path
+        _write_csv(out, header, rows)
+    written = list(rendered)
     if policies:
         out = os.path.join(out_dir, "policies.md")
         with atomic_open(out, "w", encoding="ascii") as fh:
@@ -347,20 +339,13 @@ def _cmd_report(args) -> int:
         written.append(out)
     if len(runs) > 1:
         out = os.path.join(out_dir, "theta_sweep.csv")
-        rows = sorted(
-            (
-                (doc["theta"], doc["fidelity"]["aggregateRnmse"], _ascii_name(path))
-                for path, doc in runs
-                if doc["theta"] is not None
-            ),
-            key=lambda row: row[0],
+        swept = sorted((run for run in runs if run[1]["theta"] is not None), key=lambda run: run[1]["theta"])
+        # A null aggregate (NaN rnmse) is an empty cell, as in the per-layer CSV.
+        rows = (
+            (_num(doc["theta"]), _num(doc["fidelity"]["aggregateRnmse"]), _ascii_name(path))
+            for path, doc in swept
         )
-        with atomic_open(out, "w", newline="", encoding="ascii") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["theta", "aggregateRnmse", "run"])
-            for theta, rnmse, name in rows:
-                # A null aggregate (NaN rnmse) is an empty cell, as in the per-layer CSV.
-                writer.writerow([f"{theta:.12g}", "" if rnmse is None else f"{rnmse:.12g}", name])
+        _write_csv(out, ["theta", "aggregateRnmse", "run"], rows)
         written.append(out)
     if not written:
         raise InvalidInputError("no reportable artifacts given")
@@ -372,12 +357,13 @@ def _cmd_report(args) -> int:
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--layers", type=int, help="layer count (default 10)")
-    parser.add_argument("--head-dim", type=int, help="per-head width (default 32)")
-    parser.add_argument("--ctx", type=int, help="initial cache length (default 128)")
-    parser.add_argument("--seed", type=int, help="model seed (default 0)")
-    parser.add_argument("--rho", type=float, help="cross-layer similarity dial in [0, 1] (default 0.5)")
-    parser.add_argument("--heads", type=int, help="heads per layer (default 1)")
+    for field, key, flag, json_type, text in CONFIG_FIELDS:
+        parser.add_argument(
+            flag,
+            dest=field,
+            type=json_type if json_type is int else float,
+            help=f"{text} (default {_MODEL_DEFAULTS[key]})",
+        )
     parser.add_argument("--config", help="JSON config file; explicit flags override it")
     parser.add_argument("--out-dir", help="output directory (default $LAYERREUSE_OUT_DIR or .)")
 
@@ -430,10 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lengths", required=True, help="comma-separated context lengths")
     p.add_argument("--budget", type=int, default=64, help="selection budget (default 64)")
     p.add_argument("--block-size", type=int, default=1)
-    p.add_argument("--bytes-per-elem", type=int, default=8, help="8 for float64, 4 for float32")
     p.add_argument("--head-dim", type=int, default=64, help="total per-layer KV width")
-    p.add_argument("--link-bandwidth", type=float, default=32e9, help="bytes per second")
-    p.add_argument("--hbm-bandwidth", type=float, default=2e12, help="bytes per second")
     p.add_argument("--out", help="CSV path (default <out-dir>/bench.csv)")
     p.add_argument("--out-dir", help="output directory (default $LAYERREUSE_OUT_DIR or .)")
     p.set_defaults(handler=_cmd_bench)

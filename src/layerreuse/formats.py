@@ -98,38 +98,26 @@ def read_json(path: str) -> dict:
         raise InvalidInputError(f"{path}: not an ASCII JSON file: {exc}") from exc
 
 
+# One row per SynthModelConfig field: (field, artifact key, CLI flag, JSON
+# type, help). The artifact codec below and the CLI's model flags both read it.
+CONFIG_FIELDS = (
+    ("layers", "layers", "--layers", int, "layer count"),
+    ("head_dim", "headDim", "--head-dim", int, "per-head width"),
+    ("context_len", "contextLen", "--ctx", int, "initial cache length"),
+    ("seed", "seed", "--seed", int, "model seed"),
+    ("inter_layer_correlation", "interLayerCorrelation", "--rho", NUMBER,
+     "cross-layer similarity dial in [0, 1]"),
+    ("heads", "heads", "--heads", int, "heads per layer"),
+)
+
+
 def config_payload(config: SynthModelConfig) -> dict:
-    return {
-        "layers": config.layers,
-        "headDim": config.head_dim,
-        "contextLen": config.context_len,
-        "seed": config.seed,
-        "interLayerCorrelation": config.inter_layer_correlation,
-        "heads": config.heads,
-    }
+    return {key: getattr(config, field) for field, key, *_ in CONFIG_FIELDS}
 
 
 def config_from_payload(doc: dict) -> SynthModelConfig:
-    require_keys(
-        doc,
-        {
-            "layers": int,
-            "headDim": int,
-            "contextLen": int,
-            "seed": int,
-            "interLayerCorrelation": NUMBER,
-            "heads": int,
-        },
-        "config",
-    )
-    return SynthModelConfig(
-        layers=doc["layers"],
-        head_dim=doc["headDim"],
-        context_len=doc["contextLen"],
-        seed=doc["seed"],
-        inter_layer_correlation=doc["interLayerCorrelation"],
-        heads=doc["heads"],
-    )
+    require_keys(doc, {key: json_type for _, key, _, json_type, _ in CONFIG_FIELDS}, "config")
+    return SynthModelConfig(**{field: doc[key] for field, key, *_ in CONFIG_FIELDS})
 
 
 def _write_tensor(path: str, arr: np.ndarray) -> None:

@@ -1,6 +1,8 @@
+import argparse
 import csv
 import json
 import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from layerreuse import (
     read_policy,
     read_similarity_matrix,
     read_trace,
+    static_jump_policy,
     write_policy,
 )
 from layerreuse._canon import payload_hash
@@ -659,3 +662,102 @@ def test_profile_probes_the_last_trace_step(pipeline, tmp_path):
     assert main(["profile", "--trace", str(pipeline / "trace.json"), "--step", "1",
                  "--out-dir", str(out)]) == 0
     assert json.loads((out / "sensitivity.json").read_text())["step"] == 1
+
+
+# --- model settings come from formats.CONFIG_FIELDS ---
+
+# A valid non-default value for every model setting, by SynthModelConfig field.
+_NONDEFAULT = {"layers": 3, "head_dim": 4, "context_len": 16, "seed": 7,
+               "inter_layer_correlation": 0.25, "heads": 2}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_every_model_setting_reaches_the_config_and_the_trace(tmp_path, source):
+    assert set(_NONDEFAULT) == {field for field, *_ in formats.CONFIG_FIELDS}
+    out = str(tmp_path / "t.json")
+    argv = ["gen-traces", "--steps", "1", "--k", "2", "--out", out]
+    if source == "flag":
+        for field, _, flag, _, _ in formats.CONFIG_FIELDS:
+            argv += [flag, str(_NONDEFAULT[field])]
+    else:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({key: _NONDEFAULT[field] for field, key, *_ in formats.CONFIG_FIELDS}))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 0
+    config = read_trace(out).config
+    payload = read_json(out)["config"]
+    for field, key, *_ in formats.CONFIG_FIELDS:
+        assert _NONDEFAULT[field] != cli._MODEL_DEFAULTS[key]
+        assert getattr(config, field) == _NONDEFAULT[field]
+        assert payload[key] == _NONDEFAULT[field]
+
+
+def _subparser(command: str) -> argparse.ArgumentParser:
+    actions = cli.build_parser()._actions
+    return next(a for a in actions if isinstance(a, argparse._SubParsersAction)).choices[command]
+
+
+def _bench_values(argv: list[str], out) -> list[list[str]]:
+    assert main([*argv, "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        return [row[:3] for row in csv.reader(fh)]
+
+
+def test_every_bench_value_flag_changes_bench_csv(tmp_path):
+    base_policy, other_policy = str(tmp_path / "p3.json"), str(tmp_path / "p2.json")
+    write_policy(static_jump_policy(6, 3), base_policy)
+    write_policy(static_jump_policy(6, 2), other_policy)
+    base = ["bench", "--policy", base_policy, "--lengths", "64,128", "--budget", "8"]
+    # A second value for each flag; argparse keeps the last one given.
+    others = {"--policy": other_policy, "--lengths": "64,256", "--budget": "16", "--block-size": "4"}
+    flags = {action.option_strings[0] for action in _subparser("bench")._actions
+             if action.dest not in ("help", "out", "out_dir")}
+    # --head-dim is the one exception. The row width cancels out of both
+    # bytesRatio and predictedSpeedup, so it changes no value, but the
+    # pipeline-wide benchmark workload passes it, so bench keeps accepting it.
+    assert flags - {"--head-dim"} == set(others)
+    reference = _bench_values(base, tmp_path / "base.csv")
+    assert _bench_values([*base, "--head-dim", "256"], tmp_path / "head.csv") == reference
+    for flag, value in others.items():
+        assert _bench_values([*base, flag, value], tmp_path / "other.csv") != reference, flag
+
+
+@pytest.mark.parametrize("flag,value", [("--bytes-per-elem", "4"), ("--link-bandwidth", "1e6"),
+                                        ("--hbm-bandwidth", "3e9")])
+def test_removed_bench_flags_exit_2(pipeline, tmp_path, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--policy", str(pipeline / "policy.json"), "--lengths", "64",
+              flag, value, "--out", str(tmp_path / "b.csv")])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag,value", [("--budget", "9"), ("--include-sinks", "3"),
+                                        ("--include-recent", "5")])
+def test_block_mode_rejects_token_mode_flags(pipeline, tmp_path, capsys, flag, value):
+    out = tmp_path / "r.json"
+    assert main(["decode", *MODEL_FLAGS, "--policy", str(pipeline / "policy.json"), "--steps", "1",
+                 "--block-size", "4", "--block-budget", "2", flag, value, "--out", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_block_size_below_one_is_not_token_mode(pipeline, tmp_path, capsys):
+    # A block size other than 1 selects block mode, which rejects it, so the
+    # block budget is not silently dropped by a token-mode run.
+    assert main(["decode", *MODEL_FLAGS, "--policy", str(pipeline / "policy.json"), "--steps", "1",
+                 "--block-size", "0", "--block-budget", "2", "--out", str(tmp_path / "r.json")]) == 2
+    assert "block_size must be >= 1" in capsys.readouterr().err
+
+
+def test_report_refuses_two_inputs_with_one_output(pipeline, tmp_path, capsys):
+    runs = []
+    for name in ("x", "y"):
+        (tmp_path / name).mkdir()
+        runs.append(str(tmp_path / name / "run.json"))
+        shutil.copyfile(pipeline / "run.json", runs[-1])
+    assert main(["report", *runs, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert runs[0] in err and runs[1] in err and "run.rnmse.csv" in err
+    matrix = str(pipeline / "similarity.json")
+    assert main(["report", matrix, matrix, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "similarity.heatmap.csv" in capsys.readouterr().err
