@@ -85,9 +85,26 @@ def require_keys(doc, fields: dict, where: str) -> None:
         _check_value(doc[key], types if isinstance(types, tuple) else (types,), f"{where} field {key}")
 
 
+def _finite_numbers(items: list) -> bool:
+    """True unless an item is a non-finite float or an integer float() rounds to infinity.
+
+    Zeros and nulls are dropped unchecked; every other item must be a number.
+    """
+    try:
+        return all(map(math.isfinite, filter(None, items)))
+    except OverflowError:
+        return False
+
+
 def require_items(items: list, types, where: str) -> None:
-    """Reject a JSON array holding an item of the wrong type, or a number that is not a finite float."""
+    """Reject a JSON array holding an item of the wrong type, or a number that is not a finite float.
+
+    A well-typed array is accepted by passes that run in C; the item-by-item
+    check runs only to find and name the first bad item.
+    """
     types = types if isinstance(types, tuple) else (types,)
+    if set(map(type, items)).issubset(types) and (float not in types or _finite_numbers(items)):
+        return
     for item in items:
         if type(item) not in types or (type(item) is int and float in types) or type(item) is float:
             _check_value(item, types, f"every item of {where}")

@@ -4,7 +4,11 @@ A cache holds one head's [N, d] keys and values, or all H heads' [H, N, d];
 a query is then [d] or [H, d], and every result gains the same leading head
 axis. Each head's [N, d] block goes through the same BLAS call, reduction
 and elementwise steps as a single-head call, so one call over H heads equals
-H single-head calls bit for bit.
+H single-head calls bit for bit. full_attention also takes S consecutive
+decode steps at once, a query [S, d] or [S, H, d] whose step t sees the
+first N - S + 1 + t tokens; each step runs its own one-step BLAS calls and
+softmax sum, so it equals S one-step calls bit for bit. The selection
+functions take the resulting [S, N] rows of logits and select row by row.
 
 All math runs in float64. Every public operation is a pure function over
 immutable inputs, so results are safe to share across threads and are
@@ -268,13 +272,16 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _check_query(q, cache: LayerKvCache) -> np.ndarray:
-    """The query as float64: [d] for a one-head cache, [H, d] for an all-heads cache."""
+    """The query as float64: [d] or [S, d] for a one-head cache, [H, d] or [S, H, d] for an all-heads cache."""
     q = np.asarray(q, dtype=np.float64)
-    if q.ndim != cache.keys.ndim - 1:
-        raise ConfigurationError(f"query must be {cache.keys.ndim - 1}-D, got shape {q.shape}")
-    if q.shape != cache.keys.shape[:-2] + (cache.head_dim,):
+    step = cache.keys.shape[:-2] + (cache.head_dim,)
+    if q.shape != step and q.shape[1:] != step:
         raise ConfigurationError(
             f"query shape {q.shape} does not match cache shape {cache.keys.shape}"
+        )
+    if q.shape != step and not 1 <= q.shape[0] <= cache.length:
+        raise ConfigurationError(
+            f"a query of {q.shape[0]} steps needs 1 to {cache.length} steps for a cache of {cache.length} rows"
         )
     if not np.isfinite(q).all():
         raise NumericInputError("query contains non-finite entries")
@@ -297,27 +304,62 @@ def full_attention(q, cache: LayerKvCache) -> tuple[np.ndarray, np.ndarray, np.n
 
     Args:
         q: query of shape [d] against a one-head cache, or [H, d] against an
-            all-heads cache, d = cache.head_dim.
+            all-heads cache, d = cache.head_dim. A leading steps axis, [S, d]
+            or [S, H, d] with 1 <= S <= N, stands for S consecutive decode
+            steps: step t sees the first N - S + 1 + t cached tokens.
         cache: the layer's key/value cache.
 
     Returns:
         (output, logits, weights): logits[..., n] = (q . keys[..., n, :]) /
         sqrt(d) over all N tokens, weights = softmax(logits), and output =
-        weights @ cache.values, each with the query's leading head axis.
-        All three are fresh arrays owned by the caller; head h of an
-        all-heads call equals the one-head call on that head bit for bit.
+        weights @ cache.values, each with the query's leading axes. A token
+        a step does not see has logit -inf and weight 0. All three are fresh
+        arrays owned by the caller. Step t of a multi-step call equals the
+        one-step call on the first N - S + 1 + t tokens, and head h of an
+        all-heads call equals the one-head call on that head, bit for bit.
         Finite logits imply finite weights: each head's weights sum to 1
         within 1e-9 and share their argmax with its logits.
 
     Raises:
         NumericInputError: if the query is not finite, or the logits overflow
             (finite keys and query can still have an infinite dot product).
+        ConfigurationError: if the query's shape does not fit the cache.
     """
     q = _check_query(q, cache)
+    if q.ndim == cache.keys.ndim:
+        return _step_attention(q, cache.keys, cache.values)
     logits = _logits(q, cache.keys)
     if not np.isfinite(logits).all():
         raise NumericInputError("attention logits contain non-finite entries")
     return _weigh(logits, cache.values)
+
+
+def _step_attention(q: np.ndarray, keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """full_attention of S consecutive steps: q is [S, ..., d], step t sees n - S + 1 + t rows.
+
+    Each step runs the one-step gemvs on its own rows, and its softmax sums
+    only those rows. The scaling, finiteness check, maxima and exponentials,
+    which are elementwise or exact, run once over every step; a row a step
+    does not see holds logit -inf, whose exponential is exactly 0.
+    """
+    n = keys.shape[-2]
+    seen = range(n - q.shape[0] + 1, n + 1)
+    logits = np.zeros(q.shape[:-1] + (n,))
+    for t, m in enumerate(seen):
+        logits[t, ..., :m] = (keys[..., :m, :] @ q[t][..., None])[..., 0]
+    logits /= math.sqrt(keys.shape[-1])
+    if not np.isfinite(logits).all():
+        raise NumericInputError("attention logits contain non-finite entries")
+    hidden = np.arange(n) >= np.reshape(seen, (-1,) + (1,) * (q.ndim - 1))
+    np.copyto(logits, -np.inf, where=hidden)
+    weights = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    output = np.empty(q.shape)
+    for t, m in enumerate(seen):
+        step = weights[t, ..., :m]
+        step /= step.sum(axis=-1, keepdims=True)
+        output[t] = (step[..., None, :] @ values[..., :m, :])[..., 0, :]
+    return output, logits, weights
 
 
 def _subset_attention(
@@ -335,54 +377,70 @@ def _subset_attention(
 
 
 def _head_sum(logits: np.ndarray) -> np.ndarray:
-    """Per-head logits [H, n] summed in head order, as adding H one-head results would."""
-    summed = np.zeros(logits.shape[-1])
-    for row in logits:
-        summed += row
+    """Per-head logits [..., H, n] summed in head order, as adding H one-head results would."""
+    summed = np.zeros(logits.shape[:-2] + logits.shape[-1:])
+    for head in logits.swapaxes(0, -2):
+        summed += head
     return summed
 
 
-def topk_of_logits(logits: np.ndarray, budget: int) -> tuple[int, ...]:
+def topk_of_logits(logits: np.ndarray, budget: int) -> tuple:
     """Indices of the min(budget, N) highest logits, ties won by the lower index.
 
     Returned in ascending order, the canonical set form. O(N) for finite
-    logits; NaN ranks below every number.
+    logits; -inf ranks below every finite logit and NaN below every number.
+    A leading axis selects row by row: logits [S, N] give a tuple of S such
+    tuples, each equal to the call on its row.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if budget < 1:
         raise InvalidInputError(f"budget must be >= 1, got {budget}")
-    n = logits.shape[0]
+    n = logits.shape[-1]
     take = min(budget, n)
     if take == n:
-        return tuple(range(n))
-    # O(N) selection: the (n - take)-th order statistic is the smallest kept
-    # value. Every logit above it is kept; the remaining slots go to the
-    # lowest-index logits equal to it.
-    part = np.partition(logits, n - take)
-    if np.isnan(part[n - take :]).any():
-        # partition ranks NaN highest; a stable sort of the negated logits
-        # ranks it below every number, which is the contract.
-        return tuple(np.sort(np.argsort(-logits, kind="stable")[:take]).tolist())
-    threshold = part[n - take]
-    above = np.flatnonzero(logits > threshold)
-    ties = np.flatnonzero(logits == threshold)[: take - above.shape[0]]
-    return tuple(np.sort(np.concatenate((above, ties))).tolist())
+        picked = np.broadcast_to(np.arange(n), logits.shape)
+    else:
+        # O(N) selection: the (n - take)-th order statistic of a row is its
+        # smallest kept value. Every logit above it is kept; the remaining
+        # slots go to the lowest-index logits equal to it.
+        part = np.partition(logits, n - take, axis=-1)
+        if np.isnan(part[..., n - take :]).any():
+            # partition ranks NaN highest; a stable sort of the negated logits
+            # ranks it below every number, which is the contract.
+            picked = np.sort(np.argsort(-logits, axis=-1, kind="stable")[..., :take], axis=-1)
+        else:
+            threshold = part[..., n - take, None]
+            keep = logits >= threshold
+            if np.count_nonzero(keep) != keep.size // n * take:
+                # Some row holds more logits equal to its threshold than it has slots.
+                above = logits > threshold
+                ties = logits == threshold
+                slots = take - np.count_nonzero(above, axis=-1, keepdims=True)
+                keep = above | (ties & (np.cumsum(ties, axis=-1) <= slots))
+            # Flat indices, since nonzero of a 2-D array is several times slower.
+            picked = (np.flatnonzero(keep) % n).reshape(logits.shape[:-1] + (take,))
+    if logits.ndim == 1:
+        return tuple(picked.tolist())
+    return tuple(map(tuple, picked.tolist()))
 
 
 def block_max_of_logits(logits: np.ndarray, block_size: int) -> np.ndarray:
-    """Max-pool a logit vector into ceil(N / block_size) per-block scores."""
+    """Max-pool logits [..., N] into ceil(N / block_size) per-block scores, row by row."""
     logits = np.asarray(logits, dtype=np.float64)
     if block_size < 1:
         raise InvalidInputError(f"block_size must be >= 1, got {block_size}")
-    if logits.shape[0] == 0:
+    if logits.ndim == 0 or logits.shape[-1] == 0:
         raise InvalidInputError("cannot pool an empty logit vector")
-    starts = np.arange(0, logits.shape[0], block_size)
-    return np.maximum.reduceat(logits, starts)
+    starts = np.arange(0, logits.shape[-1], block_size)
+    return np.maximum.reduceat(logits, starts, axis=-1)
 
 
-def topk_blocks(block_scores: np.ndarray, block_budget: int, block_size: int) -> BlockSet:
-    """Select the top-block_budget blocks; same ordering and tie rule as topk_of_logits."""
-    return BlockSet(
-        block_indices=topk_of_logits(block_scores, block_budget),
-        block_size=block_size,
-    )
+def topk_blocks(block_scores: np.ndarray, block_budget: int, block_size: int):
+    """Select the top-block_budget blocks; same ordering and tie rule as topk_of_logits.
+
+    Scores [S, B] give a tuple of S BlockSets, one per row.
+    """
+    picked = topk_of_logits(block_scores, block_budget)
+    if np.ndim(block_scores) == 1:
+        return BlockSet(block_indices=picked, block_size=block_size)
+    return tuple(BlockSet(block_indices=row, block_size=block_size) for row in picked)

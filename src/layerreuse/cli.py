@@ -68,8 +68,12 @@ def _resolve(args, flag_value: str | None, default_name: str) -> str:
     return path
 
 
-def _effective_model_config(args) -> tuple[SynthModelConfig, dict]:
-    """Merge defaults, config file, and explicit flags into a model config."""
+def _effective_model_config(args) -> SynthModelConfig:
+    """Merge defaults, config file, and explicit flags into a model config.
+
+    Manifests record config_payload of the result, so one model gets one
+    manifest whether a value came from a flag or from the file.
+    """
     merged = dict(_MODEL_DEFAULTS)
     if getattr(args, "config", None):
         doc = read_json(args.config)
@@ -83,7 +87,7 @@ def _effective_model_config(args) -> tuple[SynthModelConfig, dict]:
         value = getattr(args, field)
         if value is not None:
             merged[key] = value
-    return config_from_payload(merged), merged
+    return config_from_payload(merged)
 
 
 class _Manifest:
@@ -123,13 +127,13 @@ class _Manifest:
 
 
 def _cmd_gen_traces(args) -> int:
-    config, merged = _effective_model_config(args)
+    config = _effective_model_config(args)
     if args.k < 1:
         raise InvalidInputError(f"--k must be >= 1, got {args.k}")
     out = _resolve(args, args.out, "trace.json")
     manifest = _Manifest(
         "gen-traces",
-        {**merged, "steps": args.steps, "k": args.k, "blockSize": args.block_size},
+        {**config_payload(config), "steps": args.steps, "k": args.k, "blockSize": args.block_size},
         config.seed,
     )
     manifest.outputs.append(out)
@@ -181,7 +185,7 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    config, merged = _effective_model_config(args)
+    config = _effective_model_config(args)
     policy = read_policy(args.policy)
     block_mode = args.block_size != 1
     if block_mode != (args.block_budget is not None):
@@ -199,7 +203,7 @@ def _cmd_decode(args) -> int:
     manifest = _Manifest(
         "decode",
         {
-            **merged,
+            **config_payload(config),
             "policy": args.policy,
             "budget": args.budget,
             "steps": args.steps,
@@ -295,7 +299,7 @@ def _cmd_report(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     manifest = _Manifest("report", {"artifacts": list(args.artifacts)}, None)
     manifest.inputs.extend(args.artifacts)
-    policies = []
+    policies = {}  # policies.md row name -> (artifact, policy)
     runs = []
     rendered = {}  # report file -> the artifact it renders
     for path in args.artifacts:
@@ -303,7 +307,10 @@ def _cmd_report(args) -> int:
         kind = doc.get("kind") if isinstance(doc, dict) else None
         stem = os.path.splitext(os.path.basename(path))[0]
         if kind == "layer-policy":
-            policies.append((path, read_policy(path)))
+            name = _ascii_name(path)
+            if name in policies:
+                raise InvalidInputError(f"{policies[name][0]} and {path} are both named {name} in policies.md")
+            policies[name] = (path, read_policy(path))
             continue
         if kind == "similarity-matrix":
             matrix = read_similarity_matrix(path)
@@ -329,11 +336,11 @@ def _cmd_report(args) -> int:
         with atomic_open(out, "w", encoding="ascii") as fh:
             fh.write("| policy | layers | theta | fullCount | cumSimilarity |\n")
             fh.write("| --- | --- | --- | --- | --- |\n")
-            for path, pol in policies:
+            for name, (_, pol) in policies.items():
                 theta = "n/a" if pol.theta is None else f"{pol.theta:.4g}"
                 cum = "n/a" if pol.cum_similarity is None else f"{pol.cum_similarity:.6g}"
                 fh.write(
-                    f"| {_ascii_name(path)} | {pol.num_layers} | {theta} "
+                    f"| {name} | {pol.num_layers} | {theta} "
                     f"| {pol.full_count} | {cum} |\n"
                 )
         written.append(out)

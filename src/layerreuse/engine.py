@@ -5,9 +5,9 @@ Full layers run exact attention over the whole cache and publish their top-k
 inherit the previous layer's selection, gather only those KV rows, and run
 subset-renormalized sparse attention. Instrumentation counts every full-cache
 score computation so tests can assert that reuse layers triggered none.
-Token and block mode share one loop with the full trace,
-synthetic._decode_cells, whose docstring gives its loop order; they differ
-only in the step that turns a Full layer's summed logits into a selection.
+Token and block mode share one loop, synthetic._decode_cells, which runs
+steps outermost; they differ only in the step that turns a Full layer's
+summed logits into a selection.
 
 Each layer's all-heads cache is built once per decode call, as a view of the
 model's grown arrays, and Full layers see each step through prefix; only the
@@ -16,7 +16,8 @@ layer) over all heads, which equals one call per head bit for bit. A decode
 call does decode work only. Fidelity compares against the all-Full baseline,
 which equals the run's own outputs at Full layers bit for bit, so it is
 recomputed with full attention at Reuse layers only, when
-DecodeRunResult.fidelity is first read.
+DecodeRunResult.fidelity is first read: one multi-step full_attention call
+per Reuse layer, as the full trace makes.
 
 The cost model is analytic. It prices KV traffic in bytes, for both the
 HBM-resident case and the case where reused layers' caches are offloaded
@@ -79,8 +80,8 @@ class _Baseline:
     head_dim] baseline array.
     """
 
-    def __init__(self, outputs, policy, queries, caches, context_len) -> None:
-        self._inputs = (outputs, policy, queries, caches, context_len)
+    def __init__(self, outputs, policy, queries, caches) -> None:
+        self._inputs = (outputs, policy, queries, caches)
         self._outputs: np.ndarray | None = None
 
     def outputs(self) -> np.ndarray:
@@ -157,24 +158,20 @@ def _fidelity_tables(baseline_outputs: np.ndarray, hybrid_outputs: np.ndarray) -
 
 
 def _full_baseline(
-    outputs: np.ndarray,
-    policy: LayerPolicy,
-    queries: np.ndarray,
-    caches: list[LayerKvCache],
-    context_len: int,
+    outputs: np.ndarray, policy: LayerPolicy, queries: np.ndarray, caches: list[LayerKvCache]
 ) -> np.ndarray:
     """All-Full baseline of a run: its outputs, with Reuse layers recomputed.
 
     A Full layer of the run already computed full_attention on the same query
     and cache, so only Reuse layers can differ from an all-Full decode. Like
-    the full trace, the recompute runs layers first (see
-    synthetic._decode_cells).
+    the full trace, the recompute makes one multi-step full_attention call per
+    layer: caches[l] holds the last step's rows, and step t sees its first
+    context_len + t.
     """
     baseline = outputs.copy()
     for l, action in enumerate(policy.actions):
         if action is Action.REUSE:
-            for t in range(outputs.shape[0]):
-                baseline[t, l], _, _ = full_attention(queries[t, l], caches[l].prefix(context_len + t))
+            baseline[:, l], _, _ = full_attention(queries[:, l], caches[l])
     return baseline
 
 
@@ -207,9 +204,7 @@ def _decode(
     that layer records, the one the Reuse layers after it record, and the rows they gather.
     """
     full = [action is Action.FULL for action in policy.actions]
-    queries, caches, outputs, selections, full_counts, gathered = _decode_cells(
-        model, full, steps, select, layers_first=False
-    )
+    queries, caches, outputs, selections, full_counts, gathered = _decode_cells(model, full, steps, select)
     return DecodeRunResult(
         policy=policy,
         budget=budget,
@@ -219,7 +214,7 @@ def _decode(
         full_score_computations=tuple(full_counts),
         reuse_full_scans=0,
         reuse_gathered_rows=tuple(map(tuple, gathered)),
-        _baseline=_Baseline(outputs, policy, queries, caches, model.config.context_len),
+        _baseline=_Baseline(outputs, policy, queries, caches),
     )
 
 

@@ -34,8 +34,10 @@ GIL while it draws and blends, so the chains overlap. Each chain does the
 same numpy operations in the same order as a single-threaded loop, so every
 bit is the same whichever thread builds which chain.
 
-run_full_trace is the hybrid decoder's (step, layer) loop, _decode_cells,
-with every layer Full; its docstring gives the loop order of both.
+run_full_trace knows every query up front, so it runs layer by layer: one
+multi-step full_attention call and one call to each selection function per
+layer, which equals the all-Full hybrid decode bit for bit. Hybrid decoding
+runs _decode_cells, one (step, layer) cell at a time, steps outermost.
 """
 
 from __future__ import annotations
@@ -487,10 +489,8 @@ class DecodeTrace:
         return self.queries.shape[0]
 
 
-def _decode_cells(
-    model: SyntheticModel, full: list[bool], steps: int, select: Callable, *, layers_first: bool
-) -> tuple:
-    """The (step, layer) loop of the full trace and of hybrid decoding.
+def _decode_cells(model: SyntheticModel, full: list[bool], steps: int, select: Callable) -> tuple:
+    """The (step, layer) loop of hybrid decoding.
 
     Returns (queries, caches, outputs, selections, full counts, gathered).
     full[l] says whether layer l is Full. A Full cell runs full attention of
@@ -501,15 +501,12 @@ def _decode_cells(
     records in gathered[t][l] (None at Full cells). full counts[t] counts the
     step's Full cells. outputs is [steps, layers, heads, head_dim], read-only.
 
-    Queries are drawn before the loop and a cell reads only its query, its
-    layer's cache and the selection carried at its own step, so the order
-    changes no bit. Hybrid decoding runs steps outermost (layers_first
-    False): it models autoregressive decoding, where token t + 1 cannot start
-    until token t has left the last layer, so it must not get the cache reuse
-    of a layers-first order that no real decoder gets. The full trace, whose
-    queries are given, runs layers outermost, so each layer's K/V is reused by
-    all its steps while it is still in the CPU cache; the Reuse-layer
-    fidelity baseline (engine._full_baseline) does the same.
+    Steps run outermost: this models autoregressive decoding, where token
+    t + 1 cannot start until token t has left the last layer, so each cell
+    makes its own calls and gets no cache reuse that no real decoder gets.
+    The full trace and the Reuse-layer fidelity baseline
+    (engine._full_baseline), whose queries are all given, instead run each
+    layer's steps as one multi-step full_attention call.
     """
     cfg = model.config
     L, H, d = cfg.layers, cfg.heads, cfg.head_dim
@@ -519,23 +516,18 @@ def _decode_cells(
     selections = [[None] * L for _ in range(steps)]
     gathered = [[None] * L for _ in range(steps)]
     fulls = [0] * steps
-    carried = [None] * steps  # (inherited, rows) of the step's last Full cell
-    if layers_first:
-        cells = ((t, l) for l in range(L) for t in range(steps))
-    else:
-        cells = ((t, l) for t in range(steps) for l in range(L))
-    for t, l in cells:
-        if full[l]:
-            n_t = cfg.context_len + t
-            outputs[t, l], logits, _ = full_attention(queries[t, l], caches[l].prefix(n_t))
-            fulls[t] += 1
-            selections[t][l], inherited, rows = select(_head_sum(logits), n_t)
-            carried[t] = (inherited, rows)
-        else:
-            # Layer 0 is Full, so a selection is carried at every step.
-            selections[t][l], rows = carried[t]
-            outputs[t, l], _, _ = _subset_attention(queries[t, l], caches[l], rows)
-            gathered[t][l] = int(rows.shape[0])
+    for t in range(steps):
+        n_t = cfg.context_len + t
+        for l in range(L):
+            if full[l]:
+                outputs[t, l], logits, _ = full_attention(queries[t, l], caches[l].prefix(n_t))
+                fulls[t] += 1
+                selections[t][l], inherited, rows = select(_head_sum(logits), n_t)
+            else:
+                # Layer 0 is Full, so a selection is carried at every step.
+                selections[t][l] = inherited
+                outputs[t, l], _, _ = _subset_attention(queries[t, l], caches[l], rows)
+                gathered[t][l] = int(rows.shape[0])
     outputs.setflags(write=False)
     return queries, caches, outputs, selections, fulls, gathered
 
@@ -551,13 +543,17 @@ def run_full_trace(model: SyntheticModel, steps: int, budget: int, block_size: i
             so every recorded set has exactly `budget` members.
         block_size: width for the block-level selections recorded alongside
             the token-level ones. The block budget is ceil(budget / block_size),
-            clamped to the step's block count.
+            which never exceeds a step's block count.
 
     Returns:
         A DecodeTrace with one TopKSet and one BlockSet per (step, layer).
 
-    This is _decode_cells with every layer Full, run layers first. Both
-    selection passes run at every width, block_size 1 included.
+    The queries are all known up front, so the trace runs layer by layer:
+    one multi-step full_attention call per layer over the layer's cache,
+    then one token and one block selection call over that layer's S rows of
+    head-summed logits. Step t of a layer equals the one-step call on the
+    step's cache bit for bit, so the trace is the all-Full hybrid decode.
+    Both selection passes run at every width, block_size 1 included.
     """
     cfg = model.config
     if steps < 1:
@@ -569,22 +565,21 @@ def run_full_trace(model: SyntheticModel, steps: int, budget: int, block_size: i
     if block_size < 1:
         raise InvalidInputError(f"block_size must be >= 1, got {block_size}")
     block_budget = math.ceil(budget / block_size)
-
-    def select(logits: np.ndarray, n: int) -> tuple[tuple[TopKSet, BlockSet], None, None]:
-        blocks = min(block_budget, math.ceil(n / block_size))
-        topk = TopKSet(indices=topk_of_logits(logits, budget), budget=budget)
-        block_set = topk_blocks(block_max_of_logits(logits, block_size), blocks, block_size)
-        return (topk, block_set), None, None
-
-    queries, _, outputs, selections, _, _ = _decode_cells(
-        model, [True] * cfg.layers, steps, select, layers_first=True
-    )
+    queries = model.queries(steps)
+    outputs = np.empty((steps, cfg.layers, cfg.heads, cfg.head_dim))
+    topk, blocks = [], []
+    for l in range(cfg.layers):
+        outputs[:, l], logits, _ = full_attention(queries[:, l], model.cache_at(l, steps - 1))
+        summed = _head_sum(logits)
+        topk.append([TopKSet(indices=row, budget=budget) for row in topk_of_logits(summed, budget)])
+        blocks.append(topk_blocks(block_max_of_logits(summed, block_size), block_budget, block_size))
+    outputs.setflags(write=False)
     return DecodeTrace(
         config=cfg,
         budget=budget,
         block_size=block_size,
         queries=queries,
         outputs=outputs,
-        topk=tuple(tuple(topk for topk, _ in row) for row in selections),
-        blocks=tuple(tuple(blocks for _, blocks in row) for row in selections),
+        topk=tuple(zip(*topk)),
+        blocks=tuple(zip(*blocks)),
     )

@@ -18,18 +18,24 @@ def random_similarity_matrix(rng: np.random.Generator, num_layers: int, budget: 
     return SimilarityMatrix(values=values, budget=budget)
 
 
-def recording_cells(cells, real, queries, context_len):
-    """A full_attention stand-in that appends the (step, layer) each call serves to cells.
+def recording_cells(calls, real, queries, context_len):
+    """A full_attention stand-in that appends to calls the list of (step, layer) cells each call serves.
 
-    The step is read from the cache length and the layer from the query, so
-    queries must differ between layers.
+    An [H, d] query serves one cell; an [S, H, d] query serves S consecutive
+    steps of one layer, the last of which sees every cached row. Steps are
+    read from the cache length and the layer from the query, so queries must
+    differ between layers.
     """
 
     def recording(q, cache):
-        t = cache.keys.shape[-2] - context_len
-        layers = [l for l in range(queries.shape[1]) if np.array_equal(queries[t, l], q)]
-        assert len(layers) == 1
-        cells.append((t, layers[0]))
+        rows = np.reshape(q, (-1,) + queries.shape[2:])
+        first = cache.keys.shape[-2] - rows.shape[0] + 1 - context_len
+        cells = []
+        for t, row in enumerate(rows, start=first):
+            layers = [l for l in range(queries.shape[1]) if np.array_equal(queries[t, l], row)]
+            assert len(layers) == 1
+            cells.append((t, layers[0]))
+        calls.append(cells)
         return real(q, cache)
 
     return recording

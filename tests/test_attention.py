@@ -179,7 +179,7 @@ def test_cache_shares_head_blocks_that_are_each_contiguous():
 def test_all_heads_query_must_carry_every_head():
     base = _frozen(np.random.default_rng(16).standard_normal((2, 5, 4)))
     cache = LayerKvCache(keys=base, values=base)
-    for q in (np.ones(4), np.ones((3, 4)), np.ones((2, 3)), np.ones((1, 2, 4))):
+    for q in (np.ones(4), np.ones((3, 4)), np.ones((2, 3)), np.ones((3, 3, 4)), np.ones((1, 1, 2, 4))):
         with pytest.raises(ConfigurationError):
             full_attention(q, cache)
     with pytest.raises(NumericInputError):
@@ -214,6 +214,97 @@ def test_all_heads_call_equals_one_call_per_head(heads):
             assert np.array_equal(sub_logits[h], one_sub[1])
             assert np.array_equal(sub_weights[h], one_sub[2])
         assert np.array_equal(_head_sum(logits), summed)
+
+
+# --- multi-step queries: S consecutive decode steps in one call ---
+
+
+def _step_caches():
+    """(name, cache, queries [n, ..., d]) for a one-head, an all-heads and a model-view cache of n = 11 rows."""
+    rng = np.random.default_rng(41)
+    keys, values = rng.standard_normal((2, 3, 11, 8))
+    model = generate_model(SynthModelConfig(layers=2, head_dim=8, context_len=7, seed=42,
+                                            inter_layer_correlation=0.5, heads=3))
+    return [
+        ("one-head", _cache(keys[0], values[0]), rng.standard_normal((11, 8))),
+        ("all-heads", _cache(keys, values), rng.standard_normal((11, 3, 8))),
+        ("model-view", model.cache_at(1, 4), rng.standard_normal((11, 3, 8))),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["one-head", "all-heads", "model-view"])
+@pytest.mark.parametrize("steps", [1, 4, 11], ids=["S=1", "S=4", "S=n"])
+def test_multi_step_call_equals_one_call_per_step(case, steps):
+    _, cache, queries = _step_caches()[case]
+    n = cache.length
+    q = queries[:steps]
+    out, logits, weights = full_attention(q, cache)
+    assert out.shape == q.shape and logits.shape == weights.shape == q.shape[:-1] + (n,)
+    for t in range(steps):
+        seen = n - steps + 1 + t
+        one_out, one_logits, one_weights = full_attention(q[t], cache.prefix(seen))
+        assert np.array_equal(out[t], one_out)
+        assert np.array_equal(logits[t, ..., :seen], one_logits)
+        assert np.array_equal(weights[t, ..., :seen], one_weights)
+        assert np.all(logits[t, ..., seen:] == -np.inf)
+        assert np.all(weights[t, ..., seen:] == 0.0)
+
+
+def test_multi_step_call_refuses_a_non_finite_logit_at_any_step():
+    _, cache, queries = _step_caches()[1]
+    n = cache.length
+    # Keys and queries are finite, but a huge query at step t overflows against
+    # a huge key row that the step sees: row 0 is seen by every step, row
+    # n - 1 by the last step only.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row in (0, n - 1):
+            keys = np.array(cache.keys)
+            keys[:, row] = 1e200
+            huge = _cache(keys, cache.values)
+            for t in range(4):
+                q = np.ones((4, 3, 8))
+                q[t] = 1e200
+                if row == 0 or t == 3:
+                    with pytest.raises(NumericInputError):
+                        full_attention(q, huge)
+                else:
+                    full_attention(q, huge)
+    for t in range(4):
+        bad = np.array(queries[:4])
+        bad[t, 1, 2] = np.nan
+        with pytest.raises(NumericInputError):
+            full_attention(bad, cache)
+
+
+def test_multi_step_call_refuses_more_steps_than_rows():
+    for _, cache, queries in _step_caches():
+        n = cache.length
+        with pytest.raises(ConfigurationError):
+            full_attention(np.concatenate((queries, queries[:1])), cache)
+        with pytest.raises(ConfigurationError):
+            full_attention(queries[:0], cache)
+        full_attention(queries[:n], cache)
+
+
+def test_row_wise_selection_equals_one_call_per_row():
+    rng = np.random.default_rng(43)
+    # Few distinct values force ties at the cut-off; -inf and NaN tails as a masked step leaves them.
+    logits = rng.integers(-3, 3, (6, 40)).astype(float)
+    logits[2, 30:] = -np.inf
+    logits[4, ::7] = np.nan
+    logits[5, 1:] = -np.inf
+    for budget in (1, 5, 31, 40, 50):
+        assert topk_of_logits(logits, budget) == tuple(topk_of_logits(row, budget) for row in logits)
+    for width in (1, 3, 8):
+        scores = block_max_of_logits(logits, width)
+        for row, pooled in zip(logits, scores):
+            assert np.array_equal(pooled, block_max_of_logits(row, width), equal_nan=True)
+        for budget in (1, 2, 4):
+            assert topk_blocks(scores, budget, width) == tuple(topk_blocks(row, budget, width) for row in scores)
+    # -inf ranks below every finite logit, and ties among -inf go to the lower index.
+    assert topk_of_logits(np.array([[-np.inf, 0.0, -np.inf, -5.0]]), 2) == ((1, 3),)
+    assert topk_of_logits(np.array([[-np.inf, 0.0, -np.inf, -5.0]]), 3) == ((0, 1, 3),)
+    assert topk_of_logits(np.array([-np.inf, 0.0, np.nan, -5.0]), 3) == (0, 1, 3)
 
 
 # --- top-k selection ---

@@ -4,11 +4,14 @@ tests keep those bindings, and the calls that reach them, in place."""
 
 import importlib
 import importlib.util
+import os
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 
-from layerreuse import SynthModelConfig, attention, synthetic
+from layerreuse import SynthModelConfig, attention, engine, policy, profiling, synthetic
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -50,14 +53,49 @@ def test_traced_trace_reaches_every_per_layer_span_at_block_size_one():
     assert synthetic.full_attention is attention.full_attention
     counts = np.bincount(tracer.arrays()["name"], minlength=len(tracer.names))
     calls = dict(zip(tracer.names, counts.tolist()))
-    cells = cfg.layers * steps
+    # One call per layer, each serving all of the layer's steps; the block
+    # pass runs at block size 1 too, since nothing else reaches its spans.
     assert calls["synthetic.run_full_trace"] == 1
-    assert calls["synthetic.cache_at"] == cfg.layers
-    assert calls["attention.kv_cache_build"] == cfg.layers
-    assert calls["attention.full_attention"] == cells
-    assert calls["attention.topk_of_logits"] == cells
-    assert calls["attention.block_max_of_logits"] == cells
-    assert calls["attention.topk_blocks"] == cells
+    for name in ("synthetic.cache_at", "attention.kv_cache_build", "attention.full_attention",
+                 "attention.topk_of_logits", "attention.block_max_of_logits", "attention.topk_blocks"):
+        assert calls[name] == cfg.layers, name
+
+
+def test_traced_decode_pass_reaches_every_span_the_benchmark_reads():
+    # A decode-long-shaped pass: set-up generates the model and plans with
+    # dp_optimize; the pass traces at block size 1, decodes in token mode and
+    # compares the two. perfbench's per_layer raises when a value is missing,
+    # which would fail the whole benchmark command.
+    run_py = _TRACING.with_name("run.py")
+    spec = importlib.util.spec_from_file_location("perfbench_run", run_py)
+    bench = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ):  # run.py pins BLAS threads in the environment
+        spec.loader.exec_module(bench)
+    tracing = _tracing()
+    cfg = SynthModelConfig(layers=4, head_dim=8, context_len=64, seed=1,
+                           inter_layer_correlation=0.9, heads=2)
+    steps, k = 3, 8
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        tracer.begin_run("setup")
+        model = synthetic.generate_model(cfg)
+        matrix = profiling.build_similarity_matrix(synthetic.run_full_trace(model, steps, k))
+        layer_policy = policy.dp_optimize(matrix, 0.7)
+        tracer.begin_run("pass")
+        trace = synthetic.run_full_trace(model, steps, k, 1)
+        run = engine.hybrid_decode(model, layer_policy, k, steps)
+        engine.fidelity_report(trace, run)
+    # Workload diagnostics, which per_layer takes from the run, not from spans.
+    diag = dict.fromkeys(("policy.full_count", "policy.reuse_layers", "engine.measured_speedup",
+                          "engine.predicted_speedup", "engine.speedup_attainment", "engine.rows_scored",
+                          "engine.rows_gathered", "engine.kv_bytes_computed", "engine.kv_bytes_predicted"), 1.0)
+    workload = SimpleNamespace(decode_call="engine.hybrid_decode")
+    layer = bench.per_layer(tracer, workload, [], diag, tracing.DECODE_SPANS)
+    assert all(layer[key] is not None for key in bench.PER_LAYER)
+    spans = tracer.summarize()
+    for name in ("synthetic.cache_at", "attention.full_attention", "attention.topk_of_logits",
+                 "attention.block_max_of_logits", "attention.topk_blocks"):
+        assert spans[name]["scope"] == "pass", name
 
 
 def test_model_construction_reaches_no_traced_binding_but_its_own():

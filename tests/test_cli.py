@@ -327,6 +327,9 @@ _MISTYPED = [
     ("trace.json", ("budget",), "6"),
     ("trace.json", ("config", "seed"), True),
     ("trace.json", ("steps", 0, "layer", 1, "topk"), [0, None]),
+    ("trace.json", ("steps", 0, "layer", 1, "topk"), [0, True]),
+    ("trace.json", ("steps", 1, "layer", 0, "topk"), [0, 1.5]),
+    ("trace.json", ("steps", 0, "layer", 2, "blocks"), ["0"]),
     ("similarity.json", ("entries",), 5),
     ("similarity.json", ("entries", 0), None),
     ("policy.json", ("sources",), {"0": 0}),
@@ -761,3 +764,39 @@ def test_report_refuses_two_inputs_with_one_output(pipeline, tmp_path, capsys):
     matrix = str(pipeline / "similarity.json")
     assert main(["report", matrix, matrix, "--out-dir", str(tmp_path / "out")]) == 2
     assert "similarity.heatmap.csv" in capsys.readouterr().err
+
+
+def test_report_refuses_two_policies_with_one_name(pipeline, tmp_path, capsys):
+    # policies.md names a row by file name, so two policy.json files would
+    # share one; the clash is refused as the per-file CSVs refuse theirs.
+    policies = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        policies.append(str(tmp_path / name / "policy.json"))
+        shutil.copyfile(pipeline / "policy.json", policies[-1])
+    assert main(["report", *policies, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert policies[0] in err and policies[1] in err and "policies.md" in err
+    assert not (tmp_path / "out" / "policies.md").exists()
+
+
+@pytest.mark.parametrize("command", ["gen-traces", "decode"])
+def test_manifest_records_the_model_config_not_how_it_was_given(pipeline, tmp_path, command):
+    # interLayerCorrelation 1 in a config file and --rho 1 build one model, so
+    # they must give one manifest and one artifact.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**_CONFIG, "interLayerCorrelation": 1}))
+    flags = ["--layers", "5", "--head-dim", "8", "--ctx", "24", "--seed", "17", "--rho", "1", "--heads", "1"]
+    out = str(tmp_path / "out" / "artifact.json")
+    if command == "gen-traces":
+        tail = ["--steps", "2", "--k", "6", "--out", out]
+    else:
+        tail = ["--policy", str(pipeline / "policy.json"), "--budget", "6", "--steps", "2", "--out", out]
+    written = []
+    for model in (["--config", str(config)], flags):
+        assert main([command, *model, *tail]) == 0
+        manifest = read_json(out + ".manifest.json")
+        del manifest["wallTimeSeconds"]
+        written.append((manifest, Path(out).read_bytes()))
+    assert written[0] == written[1]
+    assert written[0][0]["config"]["interLayerCorrelation"] == 1.0

@@ -472,35 +472,37 @@ def test_fidelity_recompute_runs_on_first_access_only(monkeypatch, mode):
     monkeypatch.setattr(engine, "full_attention", counting)
     monkeypatch.setattr(synthetic, "full_attention", counting)
     run = _DECODES[mode](model, policy, steps)
-    # One call per (step, layer), each carrying every head.
-    assert len(calls) == policy.full_count * steps
+    # Decode: one call per Full (step, layer), each carrying every head.
+    assert calls == [(H, _DEFERRED.head_dim)] * (policy.full_count * steps)
     copy = dataclasses.replace(run, outputs=run.outputs)
     table = run.fidelity
-    assert len(calls) == L * steps
+    # Baseline: one call per Reuse layer, carrying every step and head.
+    reuse = L - policy.full_count
+    assert calls[policy.full_count * steps:] == [(steps, H, _DEFERRED.head_dim)] * reuse
     assert run.fidelity is table
     # A copy shares the computed baseline, so its own table costs no attention.
     assert np.array_equal(copy.fidelity.per_step_layer, table.per_step_layer)
-    assert len(calls) == L * steps
-    assert set(calls) == {(H, _DEFERRED.head_dim)}
+    assert len(calls) == policy.full_count * steps + reuse
 
 
 def test_decode_runs_steps_first_and_the_baseline_layers_first(monkeypatch):
     model = generate_model(_DEFERRED)
     policy = static_jump_policy(_DEFERRED.layers, 3)
     steps = 4
-    cells = []
-    recording = recording_cells(cells, engine.full_attention, model.queries(steps), _DEFERRED.context_len)
+    calls = []
+    recording = recording_cells(calls, engine.full_attention, model.queries(steps), _DEFERRED.context_len)
     monkeypatch.setattr(engine, "full_attention", recording)
     monkeypatch.setattr(synthetic, "full_attention", recording)
     run = hybrid_decode(model, policy, 12, steps)
     full = [l for l, a in enumerate(policy.actions) if a is Action.FULL]
     reuse = [l for l, a in enumerate(policy.actions) if a is Action.REUSE]
-    # Decoding is autoregressive: each step passes every layer before the next starts.
-    assert cells == [(t, l) for t in range(steps) for l in full]
-    cells.clear()
+    # Decoding is autoregressive: each step passes every layer before the next
+    # starts, one call per cell.
+    assert calls == [[(t, l)] for t in range(steps) for l in full]
+    calls.clear()
     run.fidelity
-    # The baseline's queries are given, so it runs each layer's steps in a row.
-    assert cells == [(t, l) for l in reuse for t in range(steps)]
+    # The baseline's queries are given, so one call runs each layer's steps in a row.
+    assert calls == [[(t, l) for t in range(steps)] for l in reuse]
 
 
 def test_fidelity_access_releases_the_model_buffers():

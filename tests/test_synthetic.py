@@ -145,11 +145,12 @@ _ORDER = SynthModelConfig(
 def test_trace_runs_each_layers_steps_consecutively(monkeypatch):
     model = generate_model(_ORDER)
     steps = 4
-    cells = []
-    recording = recording_cells(cells, synthetic.full_attention, model.queries(steps), _ORDER.context_len)
+    calls = []
+    recording = recording_cells(calls, synthetic.full_attention, model.queries(steps), _ORDER.context_len)
     monkeypatch.setattr(synthetic, "full_attention", recording)
     run_full_trace(model, steps, 12, 8)
-    assert cells == [(t, l) for l in range(_ORDER.layers) for t in range(steps)]
+    # One call per layer, in layer order, serving all of the layer's steps in order.
+    assert calls == [[(t, l) for t in range(steps)] for l in range(_ORDER.layers)]
 
 
 def test_trace_equals_a_step_by_step_recomputation():
