@@ -57,13 +57,12 @@ from .policy import (
     validate_policy,
 )
 from .profiling import (
-    LayerSensitivity,
     SensitivityReport,
     SimilarityMatrix,
     build_similarity_matrix,
-    kl_extended,
     relative_l2_error,
     sensitivity_profile,
+    sensitivity_table,
 )
 from .synthetic import (
     DecodeTrace,
@@ -90,12 +89,11 @@ __all__ = [
     "generate_model",
     "run_full_trace",
     "SimilarityMatrix",
-    "LayerSensitivity",
     "SensitivityReport",
     "build_similarity_matrix",
     "relative_l2_error",
-    "kl_extended",
     "sensitivity_profile",
+    "sensitivity_table",
     "Action",
     "LayerPolicy",
     "dp_optimize",

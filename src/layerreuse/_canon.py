@@ -8,7 +8,10 @@ import math
 
 from .errors import InvalidInputError
 
-FORMAT_VERSION = "1.0"
+# 1.1 changed only the decode trace and the sensitivity report. Every other kind
+# still writes 1.0, so its bytes and content hash stay; readers accept any 1.x.
+FORMAT_VERSION = "1.1"
+V1_0 = "1.0"
 
 
 def canonical_json_bytes(payload: dict) -> bytes:

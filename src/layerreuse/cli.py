@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -28,7 +29,7 @@ import time
 import numpy as np
 
 from . import __version__
-from ._canon import FORMAT_VERSION, payload_hash
+from ._canon import V1_0, payload_hash
 from .engine import cost_model, hybrid_decode, hybrid_decode_blocks
 from .errors import InvalidInputError, LayerReuseError
 from .formats import (
@@ -48,7 +49,7 @@ from .formats import (
     write_trace,
 )
 from .policy import dp_optimize
-from .profiling import build_similarity_matrix, sensitivity_profile
+from .profiling import SensitivityReport, build_similarity_matrix, sensitivity_table
 from .synthetic import SynthModelConfig, generate_model, run_full_trace
 
 _MODEL_DEFAULTS = config_payload(SynthModelConfig(layers=10))
@@ -103,7 +104,7 @@ class _Manifest:
 
     def payload(self) -> dict:
         return {
-            "version": FORMAT_VERSION,
+            "version": V1_0,
             "kind": "run-manifest",
             "command": self.command,
             "config": self.config,
@@ -139,6 +140,7 @@ def _cmd_gen_traces(args) -> int:
     manifest.outputs.append(out)
     model = generate_model(config)
     trace = run_full_trace(model, args.steps, args.k, args.block_size)
+    trace = dataclasses.replace(trace, sensitivity=sensitivity_table(model, trace))
     write_trace(trace, out, manifest.hash())
     manifest.write(out)
     print(f"wrote {out}")
@@ -147,21 +149,13 @@ def _cmd_gen_traces(args) -> int:
 
 def _cmd_profile(args) -> int:
     trace = read_trace(args.trace)
-    if not 0 <= args.step < trace.steps:
-        # Checked before the model exists: probing step s draws s + 1 steps of rows.
-        raise InvalidInputError(f"--step must lie in [0, {trace.steps}) for this trace, got {args.step}")
     out_matrix = _resolve(args, args.out_matrix, "similarity.json")
     out_sens = _resolve(args, args.out_sensitivity, "sensitivity.json")
-    manifest = _Manifest(
-        "profile",
-        {"trace": args.trace, "step": args.step, **config_payload(trace.config)},
-        trace.config.seed,
-    )
+    manifest = _Manifest("profile", {"trace": args.trace, **config_payload(trace.config)}, trace.config.seed)
     manifest.inputs.append(args.trace)
     manifest.outputs.extend([out_matrix, out_sens])
     matrix = build_similarity_matrix(trace)
-    model = generate_model(trace.config)
-    report = sensitivity_profile(model, args.step, trace.budget)
+    report = SensitivityReport.of_table(trace.sensitivity, trace.budget)
     write_similarity_matrix(matrix, out_matrix, manifest.hash())
     write_sensitivity_report(report, out_sens, manifest.hash())
     manifest.write(out_matrix)
@@ -383,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-traces", help="decode with full attention and record selections")
+    p = sub.add_parser("gen-traces", help="decode with full attention; record selections and sensitivity")
     _add_model_flags(p)
     p.add_argument("--steps", type=int, default=4, help="decode steps (default 4)")
     p.add_argument("--k", type=int, default=32, help="token top-k budget (default 32)")
@@ -391,9 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="trace path (default <out-dir>/trace.json)")
     p.set_defaults(handler=_cmd_gen_traces)
 
-    p = sub.add_parser("profile", help="build the similarity matrix and sensitivity report")
+    p = sub.add_parser("profile", help="build the similarity matrix and sensitivity report from the trace alone")
     p.add_argument("--trace", required=True, help="trace written by gen-traces")
-    p.add_argument("--step", type=int, default=0, help="decode step to probe (default 0)")
     p.add_argument("--out-matrix", help="matrix path (default <out-dir>/similarity.json)")
     p.add_argument("--out-sensitivity", help="report path (default <out-dir>/sensitivity.json)")
     p.add_argument("--out-dir", help="output directory (default $LAYERREUSE_OUT_DIR or .)")

@@ -2,12 +2,13 @@
 
 Every artifact is a JSON object carrying "version" and "kind"; readers
 reject unknown major versions. Large tensors live next to the JSON in flat
-little-endian float64 sidecar files, referenced by relative path and shape.
-Writing is canonical (sorted keys, fixed separators), so identical inputs
-produce byte-identical files. NaN is encoded as null. Every file is written
-to a temp file in its target directory and renamed into place, so a crash
-never leaves a torn artifact. Readers check each required field's JSON type,
-so a malformed artifact raises InvalidInputError rather than a TypeError.
+little-endian float64 sidecar files, referenced by relative path, shape and
+sha256, which the reader verifies. Writing is canonical (sorted keys, fixed
+separators), so identical inputs produce byte-identical files. NaN is
+encoded as null. Every file is written to a temp file in its target
+directory and renamed into place, so a crash never leaves a torn artifact.
+Readers check each required field's JSON type, so a malformed artifact
+raises InvalidInputError rather than a TypeError.
 """
 
 from __future__ import annotations
@@ -24,17 +25,18 @@ from ._canon import (
     NULL,
     NUMBER,
     NUMBER_OR_NULL,
+    V1_0,
     canonical_json_bytes,
     check_header,
-    payload_hash,
     require_items,
     require_keys,
+    sha256_hex,
 )
 from .attention import BlockSet, TopKSet
 from .engine import DecodeRunResult
 from .errors import InvalidInputError, InvalidSelectionError
 from .policy import Action, LayerPolicy
-from .profiling import LayerSensitivity, SensitivityReport, SimilarityMatrix
+from .profiling import SensitivityReport, SimilarityMatrix
 from .synthetic import DecodeTrace, SynthModelConfig
 
 __all__ = [
@@ -120,31 +122,48 @@ def config_from_payload(doc: dict) -> SynthModelConfig:
     return SynthModelConfig(**{field: doc[key] for field, key, *_ in CONFIG_FIELDS})
 
 
-def _write_tensor(path: str, arr: np.ndarray) -> None:
-    with atomic_open(path) as fh:
-        fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+# A trace's sidecars, in the order they are written and read.
+_TRACE_TENSORS = ("queries", "outputs", "sensitivity")
 
 
-def _read_tensor(path: str, shape: list[int]) -> np.ndarray:
+def _read_tensor(trace_path: str, name: str, entry: dict, expected: tuple[int, ...]) -> np.ndarray:
+    """The sidecar of tensors[name], checked for length, then for the expected shape, then by sha256."""
+    path = os.path.join(os.path.dirname(trace_path), entry["path"])
+    shape = entry["shape"]
     if any(dim < 0 for dim in shape):
         raise InvalidInputError(f"sidecar {os.path.basename(path)} shape {shape} has a negative dimension")
-    expected = math.prod(shape) * 8
+    size = math.prod(shape) * 8
     with open(path, "rb") as fh:
         raw = fh.read()
-    if len(raw) != expected:
+    if len(raw) != size:
+        raise InvalidInputError(f"sidecar {os.path.basename(path)} holds {len(raw)} bytes, expected {size}")
+    if tuple(shape) != expected:
         raise InvalidInputError(
-            f"sidecar {os.path.basename(path)} holds {len(raw)} bytes, expected {expected}"
+            f"tensor {name} has shape {shape}, expected {list(expected)} for the document"
         )
+    if sha256_hex(raw) != entry["sha256"]:
+        raise InvalidInputError(f"sidecar {os.path.basename(path)} does not match its recorded sha256")
     arr = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
     arr.setflags(write=False)
     return arr
 
 
 def write_trace(trace: DecodeTrace, path: str, manifest_hash: str | None = None) -> None:
-    """Write a decode trace: JSON document plus .queries.bin / .outputs.bin sidecars."""
-    stem = path[: -len(".json")] if path.endswith(".json") else path
-    queries_name = os.path.basename(stem) + ".queries.bin"
-    outputs_name = os.path.basename(stem) + ".outputs.bin"
+    """Write a decode trace: JSON document plus .queries.bin, .outputs.bin and .sensitivity.bin sidecars.
+
+    Each sidecar holds little-endian float64; the document records its file
+    name, shape and sha256. A trace without its sensitivity table is refused.
+    """
+    if trace.sensitivity is None:
+        raise InvalidInputError("a trace is written with its sensitivity table; attach sensitivity_table first")
+    stem = os.path.basename(path[: -len(".json")] if path.endswith(".json") else path)
+    tensors = {}
+    for name in _TRACE_TENSORS:
+        arr = getattr(trace, name)
+        data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+        tensors[name] = {"path": f"{stem}.{name}.bin", "shape": list(arr.shape), "sha256": sha256_hex(data)}
+        with atomic_open(os.path.join(os.path.dirname(path), tensors[name]["path"])) as fh:
+            fh.write(data)
     payload = {
         "version": FORMAT_VERSION,
         "kind": "decode-trace",
@@ -163,18 +182,13 @@ def write_trace(trace: DecodeTrace, path: str, manifest_hash: str | None = None)
             }
             for t in range(trace.steps)
         ],
-        "tensors": {
-            "queries": {"path": queries_name, "shape": list(trace.queries.shape)},
-            "outputs": {"path": outputs_name, "shape": list(trace.outputs.shape)},
-        },
+        "tensors": tensors,
     }
-    base = os.path.dirname(path)
-    _write_tensor(os.path.join(base, queries_name), trace.queries)
-    _write_tensor(os.path.join(base, outputs_name), trace.outputs)
     _write_doc(path, payload, manifest_hash)
 
 
 def read_trace(path: str) -> DecodeTrace:
+    """Read a decode trace; the whole document is checked before any sidecar is read."""
     doc = read_json(path)
     check_header(doc, "decode-trace")
     require_keys(
@@ -183,21 +197,12 @@ def read_trace(path: str) -> DecodeTrace:
         "decode-trace",
     )
     config = config_from_payload(doc["config"])
-    base = os.path.dirname(path)
     tensors = doc["tensors"]
-    require_keys(tensors, {"queries": dict, "outputs": dict}, "tensors")
-    for name in ("queries", "outputs"):
-        require_keys(tensors[name], {"path": str, "shape": list}, f"tensor {name}")
+    require_keys(tensors, dict.fromkeys(_TRACE_TENSORS, dict), "tensors")
+    for name in _TRACE_TENSORS:
+        require_keys(tensors[name], {"path": str, "shape": list, "sha256": str}, f"tensor {name}")
         require_items(tensors[name]["shape"], int, f"tensor {name} shape")
-    queries = _read_tensor(os.path.join(base, tensors["queries"]["path"]), tensors["queries"]["shape"])
-    outputs = _read_tensor(os.path.join(base, tensors["outputs"]["path"]), tensors["outputs"]["shape"])
     steps = doc["steps"]
-    expected = (len(steps), config.layers, config.heads, config.head_dim)
-    for name, arr in (("queries", queries), ("outputs", outputs)):
-        if arr.shape != expected:
-            raise InvalidInputError(
-                f"tensor {name} has shape {list(arr.shape)}, expected {list(expected)} for the document"
-            )
     budget = doc["budget"]
     block_size = doc["blockSize"]
     if len(steps) < 1:
@@ -226,6 +231,11 @@ def read_trace(path: str) -> DecodeTrace:
             raise InvalidSelectionError(f"trace step {t} selects a block beyond its {n_blocks} blocks")
         topk_rows.append(topk)
         block_rows.append(blocks)
+    cells = (len(steps), config.layers)
+    rows = cells + (config.heads, config.head_dim)
+    queries, outputs, sensitivity = (
+        _read_tensor(path, name, tensors[name], shape) for name, shape in zip(_TRACE_TENSORS, (rows, rows, cells))
+    )
     return DecodeTrace(
         config=config,
         budget=budget,
@@ -234,6 +244,7 @@ def read_trace(path: str) -> DecodeTrace:
         outputs=outputs,
         topk=tuple(topk_rows),
         blocks=tuple(block_rows),
+        sensitivity=sensitivity,
     )
 
 
@@ -258,9 +269,10 @@ def write_sensitivity_report(
         "version": FORMAT_VERSION,
         "kind": "sensitivity-report",
         "budget": report.budget,
-        "step": report.step,
+        "steps": report.steps,
         "layers": [
-            {"rnmse": _null_nan(layer.rnmse), "kl": float(layer.kl)} for layer in report.layers
+            {"rnmse": _null_nan(mean), "maxRnmse": _null_nan(peak)}
+            for mean, peak in zip(report.rnmse, report.max_rnmse)
         ],
     }
     _write_doc(path, payload, manifest_hash)
@@ -269,17 +281,13 @@ def write_sensitivity_report(
 def read_sensitivity_report(path: str) -> SensitivityReport:
     doc = read_json(path)
     check_header(doc, "sensitivity-report")
-    require_keys(doc, {"budget": int, "step": int, "layers": list}, "sensitivity-report")
+    require_keys(doc, {"budget": int, "steps": int, "layers": list}, "sensitivity-report")
     for entry in doc["layers"]:
-        require_keys(entry, {"rnmse": NUMBER_OR_NULL, "kl": NUMBER}, "sensitivity layer entry")
-    layers = tuple(
-        LayerSensitivity(
-            rnmse=math.nan if entry["rnmse"] is None else float(entry["rnmse"]),
-            kl=float(entry["kl"]),
-        )
-        for entry in doc["layers"]
-    )
-    return SensitivityReport(budget=doc["budget"], step=doc["step"], layers=layers)
+        require_keys(entry, {"rnmse": NUMBER_OR_NULL, "maxRnmse": NUMBER_OR_NULL}, "sensitivity layer entry")
+    # A null (an undefined rnmse) becomes NaN.
+    pairs = np.array([[entry["rnmse"], entry["maxRnmse"]] for entry in doc["layers"]], dtype=float)
+    mean, peak = pairs.reshape(-1, 2).T
+    return SensitivityReport(budget=doc["budget"], steps=doc["steps"], rnmse=mean, max_rnmse=peak)
 
 
 def write_policy(policy: LayerPolicy, path: str, manifest_hash: str | None = None) -> None:
@@ -324,7 +332,7 @@ def read_policy(path: str) -> LayerPolicy:
 def write_run_result(result: DecodeRunResult, path: str, manifest_hash: str | None = None) -> None:
     """Write counters, fidelity tables, and the policy hash of a hybrid run."""
     payload = {
-        "version": FORMAT_VERSION,
+        "version": V1_0,
         "kind": "decode-run",
         "theta": result.policy.theta,
         "policyHash": result.policy.sha256(),

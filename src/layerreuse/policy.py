@@ -19,7 +19,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 
-from ._canon import FORMAT_VERSION, payload_hash
+from ._canon import V1_0, payload_hash
 from .errors import InvalidInputError
 from .profiling import SimilarityMatrix
 
@@ -86,7 +86,7 @@ class LayerPolicy:
 
     def canonical_payload(self) -> dict:
         return {
-            "version": FORMAT_VERSION,
+            "version": V1_0,
             "kind": "layer-policy",
             "L": self.num_layers,
             "theta": self.theta,

@@ -3,9 +3,9 @@
 The profiler answers two questions about a model. First, how much do top-k
 selections agree between layer pairs (the similarity matrix that planning
 consumes). Second, how much does swapping full attention for top-k sparse
-attention at one layer perturb that layer's contribution to the next
-(relative error of the propagated output, plus the divergence between the
-full and subset weight distributions).
+attention at one layer perturb that layer's contribution to the next: the
+relative error of the propagated output at every step and layer of a
+full-attention trace, summarized per layer by its mean and max.
 """
 
 from __future__ import annotations
@@ -15,22 +15,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._canon import FORMAT_VERSION, payload_hash
-from .attention import TopKSet, _head_sum, _subset_attention, full_attention, topk_of_logits
+from ._canon import V1_0, payload_hash
+from .attention import _head_sum, _subset_attention, full_attention, topk_of_logits
 from .errors import InvalidInputError
 from .synthetic import DecodeTrace, SyntheticModel
 
 __all__ = [
     "SimilarityMatrix",
-    "LayerSensitivity",
     "SensitivityReport",
     "build_similarity_matrix",
     "relative_l2_error",
-    "kl_extended",
     "sensitivity_profile",
+    "sensitivity_table",
 ]
-
-KL_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -95,7 +92,7 @@ class SimilarityMatrix:
 
     def canonical_payload(self) -> dict:
         return {
-            "version": FORMAT_VERSION,
+            "version": V1_0,
             "kind": "similarity-matrix",
             "L": self.num_layers,
             "k": self.budget,
@@ -155,64 +152,44 @@ def relative_l2_error(x: np.ndarray, reference: np.ndarray) -> float:
     return err / ref
 
 
-def kl_extended(
-    full_weights: np.ndarray,
-    selected: np.ndarray,
-    subset_weights: np.ndarray,
-    floor: float = KL_FLOOR,
-) -> float:
-    """KL(full || extended subset) over all N tokens.
-
-    The subset distribution is extended to length N by placing its weights at
-    the selected indices, flooring everything at `floor`, and renormalizing.
-    The direction is fixed: the full distribution is the reference.
-    """
-    p = np.asarray(full_weights, dtype=np.float64)
-    selected = np.asarray(selected, dtype=np.int64)
-    subset = np.asarray(subset_weights, dtype=np.float64)
-    if selected.shape != subset.shape:
-        raise InvalidInputError("selected indices and subset weights must align")
-    q = np.zeros_like(p)
-    q[selected] = subset
-    q = np.maximum(q, floor)
-    q = q / q.sum()
-    mask = p > 0.0
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
-
-
-@dataclass(frozen=True)
-class LayerSensitivity:
-    """Per-layer effect of the full -> sparse swap. rnmse is NaN when undefined."""
-
-    rnmse: float
-    kl: float
-
-
 @dataclass(frozen=True)
 class SensitivityReport:
+    """Each layer's rnmse of swapping in top-k sparse attention, over `steps` decode steps.
+
+    rnmse[l] is layer l's mean over the steps and max_rnmse[l] its largest
+    value; over one step both are that step's rnmse. NaN marks an rnmse that
+    is undefined, and a layer with one is NaN in both.
+    """
+
     budget: int
-    step: int
-    layers: tuple[LayerSensitivity, ...]
+    steps: int
+    rnmse: np.ndarray
+    max_rnmse: np.ndarray
 
-    @property
-    def rnmse(self) -> np.ndarray:
-        return np.asarray([layer.rnmse for layer in self.layers])
+    @classmethod
+    def of_table(cls, table: np.ndarray, budget: int) -> "SensitivityReport":
+        """The report of a [steps, layers] sensitivity table, column by column."""
+        return cls(budget=budget, steps=table.shape[0], rnmse=table.mean(axis=0), max_rnmse=table.max(axis=0))
 
-    @property
-    def kl(self) -> np.ndarray:
-        return np.asarray([layer.kl for layer in self.layers])
+
+def _propagated_rnmse(model: SyntheticModel, full: np.ndarray, sparse: np.ndarray, step: int) -> list[float]:
+    """Per-layer rnmse of a step's sparse outputs against its full ones, both [layers, heads, head_dim].
+
+    Both sets go one layer forward in one SyntheticModel.propagate call, so
+    the pair shares one draw of probe noise.
+    """
+    full_next, sparse_next = model.propagate(np.stack((full, sparse)), step)
+    return [relative_l2_error(s, f) for s, f in zip(sparse_next, full_next)]
 
 
 def sensitivity_profile(model: SyntheticModel, step: int, budget: int) -> SensitivityReport:
-    """Probe every layer: swap in top-k sparse attention and measure the damage.
+    """Probe every layer at one decode step: swap in top-k sparse attention and measure the damage.
 
-    Every layer's full and sparse outputs are pushed one layer forward by
-    one SyntheticModel.propagate call, so both share one draw of probe
-    noise, and the relative L2 error between a layer's propagated pair is
-    recorded together with the KL divergence of the weight distributions at
-    the probed layer. A budget of at least the current cache length
-    saturates the selection and both measures drop to zero. Multi-head
-    models select on summed logits and average the per-head KL.
+    Each layer runs full attention over the step's cache and sparse attention
+    over the top-k of its summed per-head logits (_propagated_rnmse compares
+    them). A budget of at least the current cache length saturates the
+    selection and the rnmse drops to zero. This is the one-step reference
+    for sensitivity_table.
 
     Args:
         model: synthetic decoder.
@@ -224,23 +201,36 @@ def sensitivity_profile(model: SyntheticModel, step: int, budget: int) -> Sensit
         raise InvalidInputError(f"step must be >= 0, got {step}")
     if budget < 1:
         raise InvalidInputError(f"budget must be >= 1, got {budget}")
-    L, H, d = cfg.layers, cfg.heads, cfg.head_dim
-    queries = model.queries(step + 1)
-    n = cfg.context_len + step
-    k = min(budget, n)
+    queries = model.queries(step + 1)[step]
     # [0] holds each layer's full output, [1] its sparse output.
-    outs = np.empty((2, L, H, d))
-    kls: list[float] = []
-    for l in range(L):
+    outs = np.empty((2,) + queries.shape)
+    for l in range(cfg.layers):
         cache = model.cache_at(l, step)
-        outs[0, l], logits, full_weights = full_attention(queries[step, l], cache)
-        sel = TopKSet(indices=topk_of_logits(_head_sum(logits), k), budget=k)
-        idx = sel.as_array()
-        outs[1, l], _, sub_weights = _subset_attention(queries[step, l], cache, idx)
-        kls.append(float(np.mean([kl_extended(full_weights[h], idx, sub_weights[h]) for h in range(H)])))
-    full_next, sparse_next = model.propagate(outs, step)
-    rows = tuple(
-        LayerSensitivity(rnmse=relative_l2_error(sparse_next[l], full_next[l]), kl=kls[l])
-        for l in range(L)
-    )
-    return SensitivityReport(budget=budget, step=step, layers=rows)
+        outs[0, l], logits, _ = full_attention(queries[l], cache)
+        idx = np.asarray(topk_of_logits(_head_sum(logits), budget))
+        outs[1, l] = _subset_attention(queries[l], cache, idx)[0]
+    return SensitivityReport.of_table(np.array([_propagated_rnmse(model, outs[0], outs[1], step)]), budget)
+
+
+def sensitivity_table(model: SyntheticModel, trace: DecodeTrace) -> np.ndarray:
+    """Read-only [steps, layers] rnmse of swapping in top-k sparse attention at every trace cell.
+
+    The full outputs and the selections are the trace's own, so no cache is
+    scored, and row t equals sensitivity_profile(model, t, trace.budget).rnmse
+    bit for bit. The sparse outputs run layer by layer, each layer's steps
+    over one cache. gen-traces attaches the table to the trace it writes.
+
+    Raises:
+        InvalidInputError: if the trace was not recorded on a model of this config.
+    """
+    cfg = model.config
+    if trace.config != cfg:
+        raise InvalidInputError("the trace was recorded on a model of another config")
+    sparse = np.empty(trace.outputs.shape)
+    for l in range(cfg.layers):
+        cache = model.cache_at(l, trace.steps - 1)
+        for t in range(trace.steps):
+            sparse[t, l] = _subset_attention(trace.queries[t, l], cache, trace.topk[t][l].as_array())[0]
+    table = np.array([_propagated_rnmse(model, trace.outputs[t], sparse[t], t) for t in range(trace.steps)])
+    table.setflags(write=False)
+    return table

@@ -474,6 +474,8 @@ class DecodeTrace:
     token-level selection of size budget, blocks[t][l] the block-level
     selection of width block_size. Multi-head steps aggregate by summing
     per-head logits before selecting, so there is one set per layer.
+    sensitivity is the trace's [steps, layers] profiling.sensitivity_table:
+    gen-traces attaches it, and write_trace writes no trace without it.
     """
 
     config: SynthModelConfig
@@ -483,6 +485,7 @@ class DecodeTrace:
     outputs: np.ndarray
     topk: tuple[tuple[TopKSet, ...], ...]
     blocks: tuple[tuple[BlockSet, ...], ...]
+    sensitivity: np.ndarray | None = None
 
     @property
     def steps(self) -> int:
@@ -546,7 +549,8 @@ def run_full_trace(model: SyntheticModel, steps: int, budget: int, block_size: i
             which never exceeds a step's block count.
 
     Returns:
-        A DecodeTrace with one TopKSet and one BlockSet per (step, layer).
+        A DecodeTrace with one TopKSet and one BlockSet per (step, layer),
+        and no sensitivity table.
 
     The queries are all known up front, so the trace runs layer by layer:
     one multi-step full_attention call per layer over the layer's cache,

@@ -17,8 +17,9 @@ _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 # Listed by the benchmark, absent from the package, and skipped by the tracer:
 # engine has not called run_full_trace since its fidelity baseline began
-# recomputing Reuse layers only.
-_RETIRED = {("layerreuse.engine", "run_full_trace")}
+# recomputing Reuse layers only, and the profile command has not called
+# sensitivity_profile since it reads the trace's sensitivity table.
+_RETIRED = {("layerreuse.engine", "run_full_trace"), ("layerreuse.cli", "sensitivity_profile")}
 
 
 def _tracing():

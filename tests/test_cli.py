@@ -52,7 +52,7 @@ def pipeline(tmp_path_factory):
 
 
 def test_pipeline_artifacts_exist(pipeline):
-    for name in ("trace.json", "trace.queries.bin", "trace.outputs.bin",
+    for name in ("trace.json", "trace.queries.bin", "trace.outputs.bin", "trace.sensitivity.bin",
                  "similarity.json", "sensitivity.json", "policy.json",
                  "run.json", "bench.csv"):
         assert (pipeline / name).exists()
@@ -553,7 +553,7 @@ def _write_trace_copy(pipeline, tmp_path, edit):
     edit(doc)
     src = tmp_path / "trace.json"
     src.write_text(json.dumps(doc))
-    for sidecar in ("trace.queries.bin", "trace.outputs.bin"):
+    for sidecar in ("trace.queries.bin", "trace.outputs.bin", "trace.sensitivity.bin"):
         (tmp_path / sidecar).write_bytes((pipeline / sidecar).read_bytes())
     return src
 
@@ -645,26 +645,55 @@ def test_decode_rejects_policy_contradicting_its_sources(tmp_path, capsys, case)
     assert not (tmp_path / "run.json").exists()
 
 
-@pytest.mark.parametrize("step", [2, -1, 10**12])
-def test_profile_step_outside_the_trace_exits_2(pipeline, tmp_path, monkeypatch, capsys, step):
-    # The pipeline trace holds steps 0 and 1. Probing step s would draw s + 1
-    # steps of rows, so the step is refused before any model is generated.
+def test_profile_reads_the_trace_table_and_builds_no_model(pipeline, tmp_path, monkeypatch):
     def refuse(config):
-        raise AssertionError("generate_model ran for an out-of-range step")
+        raise AssertionError("profile generated a model")
 
     monkeypatch.setattr(cli, "generate_model", refuse)
+    out = tmp_path / "out"
+    assert main(["profile", "--trace", str(pipeline / "trace.json"), "--out-dir", str(out)]) == 0
+    table = read_trace(str(pipeline / "trace.json")).sensitivity
+    doc = read_json(str(out / "sensitivity.json"))
+    assert doc["budget"] == 6 and doc["steps"] == 2
+    assert [layer["rnmse"] for layer in doc["layers"]] == table.mean(axis=0).tolist()
+    assert [layer["maxRnmse"] for layer in doc["layers"]] == table.max(axis=0).tolist()
+    assert "step" not in read_json(str(out / "similarity.json.manifest.json"))["config"]
+
+
+@pytest.mark.parametrize("step", [0, 2, -1, 10**12])
+def test_profile_has_no_step_flag(pipeline, tmp_path, capsys, step):
+    # Every step of the trace is profiled; there is no step to choose.
     argv = ["profile", "--trace", str(pipeline / "trace.json"), "--step", str(step),
             "--out-dir", str(tmp_path / "out")]
-    assert main(argv) == 2
-    assert f"--step must lie in [0, 2) for this trace, got {step}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --step" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
-def test_profile_probes_the_last_trace_step(pipeline, tmp_path):
-    out = tmp_path / "out"
-    assert main(["profile", "--trace", str(pipeline / "trace.json"), "--step", "1",
-                 "--out-dir", str(out)]) == 0
-    assert json.loads((out / "sensitivity.json").read_text())["step"] == 1
+@pytest.mark.parametrize("sidecar", ["queries", "outputs", "sensitivity"])
+def test_sidecar_with_a_flipped_byte_exits_2(pipeline, tmp_path, capsys, sidecar):
+    src = _write_trace_copy(pipeline, tmp_path, lambda doc: None)
+    raw = bytearray((tmp_path / f"trace.{sidecar}.bin").read_bytes())
+    raw[len(raw) // 2] ^= 0x01
+    (tmp_path / f"trace.{sidecar}.bin").write_bytes(bytes(raw))
+    assert main(["profile", "--trace", str(src), "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"sidecar trace.{sidecar}.bin does not match its recorded sha256" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_version_1_0_trace_without_a_table_exits_2(pipeline, tmp_path, capsys):
+    def edit(doc):
+        doc["version"] = "1.0"
+        del doc["tensors"]["sensitivity"]
+        for entry in doc["tensors"].values():
+            del entry["sha256"]
+
+    src = _write_trace_copy(pipeline, tmp_path, edit)
+    assert main(["profile", "--trace", str(src), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "tensors is missing field(s) sensitivity" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # --- model settings come from formats.CONFIG_FIELDS ---

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -17,13 +18,13 @@ from layerreuse import (
     build_similarity_matrix,
     full_attention,
     generate_model,
-    kl_extended,
     relative_l2_error,
     run_full_trace,
     sensitivity_profile,
+    sensitivity_table,
     topk_of_logits,
 )
-from layerreuse.attention import _head_sum, _subset_attention, softmax
+from layerreuse.attention import _head_sum, _subset_attention
 from layerreuse.formats import write_trace
 from layerreuse.synthetic import _S_PROBE, _renorm, _rng
 from reference import ref_matrix_from_trace_doc
@@ -149,10 +150,11 @@ def test_matrix_rejects_a_selection_of_the_wrong_size():
 def test_matrix_matches_independent_intersection_oracle(tmp_path):
     # The oracle reads the serialized trace JSON and redoes every overlap with
     # plain Python set intersections.
-    trace = run_full_trace(generate_model(GOLDEN_CFG), 4, 32)
+    model = generate_model(GOLDEN_CFG)
+    trace = run_full_trace(model, 4, 32)
     matrix = build_similarity_matrix(trace)
     path = tmp_path / "trace.json"
-    write_trace(trace, str(path))
+    write_trace(dataclasses.replace(trace, sensitivity=sensitivity_table(model, trace)), str(path))
     doc = json.loads(path.read_text())
     expected = ref_matrix_from_trace_doc(doc)
     for (i, j), value in expected.items():
@@ -210,30 +212,10 @@ def test_rnmse_zero_reference_cases():
     assert math.isnan(relative_l2_error(np.array([1.0, 0.0, 0.0]), zero))
 
 
-def test_kl_closed_form_uniform_k1():
-    # Uniform full weights over N tokens, singleton subset: the extended
-    # distribution is [1, eps, ..., eps] / Z with Z = 1 + (N - 1) eps, so
-    # KL = (1/N) log(Z/N) + ((N-1)/N) log(Z/(N eps)).  Derived by hand.
-    n = 64
-    eps = 1e-12
-    p = np.full(n, 1.0 / n)
-    got = kl_extended(p, np.array([0]), np.array([1.0]), floor=eps)
-    z = 1.0 + (n - 1) * eps
-    expected = (1 / n) * math.log(z / n) + ((n - 1) / n) * math.log(z / (n * eps))
-    assert got == pytest.approx(expected, rel=1e-9)
-
-
-def test_kl_of_identical_distributions_is_zero():
-    w = softmax(np.array([0.3, -1.2, 2.0, 0.0]))
-    got = kl_extended(w, np.arange(4), w)
-    assert abs(got) <= 1e-9
-
-
 def test_sensitivity_saturated_budget_is_exactly_zero():
     cfg = SynthModelConfig(layers=5, head_dim=16, context_len=32, seed=9, inter_layer_correlation=0.6)
     report = sensitivity_profile(generate_model(cfg), 0, 32)
     assert np.all(report.rnmse == 0.0)
-    assert np.all(np.abs(report.kl) <= 1e-9)
     # budgets beyond the cache length clamp and stay exact
     report2 = sensitivity_profile(generate_model(cfg), 0, 99)
     assert np.all(report2.rnmse == 0.0)
@@ -247,13 +229,7 @@ def test_sensitivity_golden_regression():
         0.44623020522259194, 0.53354127095828241, 0.43835067386838417,
         0.53885307732791399, 0.47976001384199646,
     ]
-    expected_kl = [
-        12.157569585702809, 11.863022393005203, 11.843420333493427,
-        12.106424559781832, 12.174026716794302, 12.180664539875592,
-        12.263156592043602, 12.188455265791443,
-    ]
     assert report.rnmse.tolist() == pytest.approx(expected_rnmse, rel=1e-12)
-    assert report.kl.tolist() == pytest.approx(expected_kl, rel=1e-12)
 
 
 def _per_head_probe(model, step, budget):
@@ -271,29 +247,51 @@ def _per_head_probe(model, step, budget):
         fresh = _rng(cfg.seed, _S_PROBE, layer + 1, head, step).standard_normal(d)
         return _renorm(rho * x + (1.0 - rho) * fresh, math.sqrt(d))
 
-    rnmse, kl = [], []
+    rnmse = []
     for l in range(cfg.layers):
         cache = LayerKvCache(keys=keys[l, :, :n], values=values[l, :, :n])
-        full, logits, full_weights = full_attention(queries[l], cache)
+        full, logits, _ = full_attention(queries[l], cache)
         idx = np.asarray(topk_of_logits(_head_sum(logits), k))
-        sparse, _, sub_weights = _subset_attention(queries[l], cache, idx)
+        sparse, _, _ = _subset_attention(queries[l], cache, idx)
         full_next = np.concatenate([propagate(full[h], l, h) for h in range(H)])
         sparse_next = np.concatenate([propagate(sparse[h], l, h) for h in range(H)])
         rnmse.append(relative_l2_error(sparse_next, full_next))
-        kl.append(float(np.mean([kl_extended(full_weights[h], idx, sub_weights[h]) for h in range(H)])))
-    return rnmse, kl
+    return rnmse
+
+
+def _assert_table_rows_equal_the_probes(cfg, steps, budget):
+    """Row t of the trace's sensitivity table equals both one-step probes at step t, bit for bit."""
+    table = sensitivity_table(generate_model(cfg), run_full_trace(generate_model(cfg), steps, budget))
+    assert table.shape == (steps, cfg.layers) and not table.flags.writeable
+    for t in range(steps):
+        report = sensitivity_profile(generate_model(cfg), t, budget)
+        assert report.rnmse.tolist() == _per_head_probe(generate_model(cfg), t, budget)
+        assert table[t].tolist() == report.rnmse.tolist()
 
 
 @pytest.mark.parametrize("step", [0, 7])
 @pytest.mark.parametrize("heads", [1, 4])
 @pytest.mark.parametrize("rho", [0.85, 1.0, 0.0])
 def test_batched_probe_equals_per_head_probe_bitwise(rho, heads, step):
+    # The trace covers steps 0 .. step, so its table has step + 1 rows.
     cfg = SynthModelConfig(layers=4, head_dim=8, context_len=32, seed=23,
                            inter_layer_correlation=rho, heads=heads)
-    report = sensitivity_profile(generate_model(cfg), step, 6)
-    rnmse, kl = _per_head_probe(generate_model(cfg), step, 6)
-    assert report.rnmse.tolist() == rnmse
-    assert report.kl.tolist() == kl
+    _assert_table_rows_equal_the_probes(cfg, step + 1, 6)
+
+
+@pytest.mark.parametrize("rho", [0.3, 1.0])
+def test_sensitivity_table_rows_equal_the_probes_at_an_odd_shape(rho):
+    cfg = SynthModelConfig(layers=6, head_dim=16, context_len=37, seed=5,
+                           inter_layer_correlation=rho, heads=3)
+    _assert_table_rows_equal_the_probes(cfg, 5, 7)
+
+
+def test_sensitivity_table_rejects_a_trace_of_another_model():
+    cfg = SynthModelConfig(layers=3, head_dim=8, context_len=16, seed=1)
+    trace = run_full_trace(generate_model(cfg), 2, 4)
+    other = generate_model(SynthModelConfig(layers=3, head_dim=8, context_len=16, seed=2))
+    with pytest.raises(InvalidInputError, match="another config"):
+        sensitivity_table(other, trace)
 
 
 def test_sensitivity_argument_validation():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -9,7 +10,6 @@ import pytest
 
 from layerreuse import (
     InvalidInputError,
-    LayerSensitivity,
     SensitivityReport,
     SynthModelConfig,
     build_similarity_matrix,
@@ -23,6 +23,7 @@ from layerreuse import (
     read_similarity_matrix,
     read_trace,
     run_full_trace,
+    sensitivity_table,
     static_jump_policy,
     write_policy,
     write_run_result,
@@ -40,7 +41,9 @@ CFG = SynthModelConfig(layers=4, head_dim=16, context_len=40, seed=9,
 
 @pytest.fixture(scope="module")
 def trace():
-    return run_full_trace(generate_model(CFG), 3, 8, 4)
+    model = generate_model(CFG)
+    trace = run_full_trace(model, 3, 8, 4)
+    return dataclasses.replace(trace, sensitivity=sensitivity_table(model, trace))
 
 
 def test_trace_round_trip(tmp_path, trace):
@@ -48,6 +51,7 @@ def test_trace_round_trip(tmp_path, trace):
     write_trace(trace, path)
     assert os.path.exists(tmp_path / "trace.queries.bin")
     assert os.path.exists(tmp_path / "trace.outputs.bin")
+    assert os.path.exists(tmp_path / "trace.sensitivity.bin")
     back = read_trace(path)
     assert back.config == trace.config
     assert back.budget == trace.budget
@@ -56,6 +60,14 @@ def test_trace_round_trip(tmp_path, trace):
     assert np.array_equal(back.outputs, trace.outputs)
     assert back.topk == trace.topk
     assert back.blocks == trace.blocks
+    assert back.sensitivity.tobytes() == trace.sensitivity.tobytes()
+    assert not back.sensitivity.flags.writeable
+
+
+def test_trace_without_its_sensitivity_table_is_not_written(tmp_path, trace):
+    with pytest.raises(InvalidInputError, match="sensitivity table"):
+        write_trace(dataclasses.replace(trace, sensitivity=None), str(tmp_path / "trace.json"))
+    assert os.listdir(tmp_path) == []
 
 
 def test_trace_rewrite_is_byte_identical(tmp_path, trace):
@@ -139,21 +151,17 @@ def test_similarity_matrix_csv_rows(tmp_path):
 
 
 def test_sensitivity_round_trip_with_nan(tmp_path):
-    report = SensitivityReport(
-        budget=8, step=2,
-        layers=(
-            LayerSensitivity(rnmse=0.25, kl=1.5),
-            LayerSensitivity(rnmse=math.nan, kl=0.0),
-        ),
-    )
+    table = np.array([[0.25, math.nan], [0.5, 0.75], [0.125, 1.0]])
+    report = SensitivityReport.of_table(table, 8)
+    assert report.steps == 3
+    assert report.rnmse[0] == (0.25 + 0.5 + 0.125) / 3 and report.max_rnmse[0] == 0.5
     path = str(tmp_path / "sens.json")
     write_sensitivity_report(report, path)
     assert b"NaN" not in Path(path).read_bytes()  # encoded as null, valid JSON
     back = read_sensitivity_report(path)
-    assert back.budget == 8 and back.step == 2
-    assert back.layers[0] == report.layers[0]
-    assert math.isnan(back.layers[1].rnmse)
-    assert back.layers[1].kl == 0.0
+    assert back.budget == 8 and back.steps == 3
+    assert back.rnmse[0] == report.rnmse[0] and back.max_rnmse[0] == 0.5
+    assert math.isnan(back.rnmse[1]) and math.isnan(back.max_rnmse[1])
 
 
 def test_policy_round_trip(tmp_path):
@@ -229,17 +237,15 @@ def test_canonical_json_is_sorted_and_compact(tmp_path):
 
 
 def _sensitivity_doc(path):
-    report = SensitivityReport(
-        budget=4, step=0, layers=(LayerSensitivity(rnmse=0.5, kl=0.1),) * 2
-    )
+    report = SensitivityReport(budget=4, steps=2, rnmse=np.array([0.5, 0.25]), max_rnmse=np.array([0.75, 0.5]))
     write_sensitivity_report(report, path)
     return read_sensitivity_report
 
 
 # Artifacts that no CLI command reads; test_cli covers the ones that one does.
 _REQUIRED = [
-    *[(_sensitivity_doc, (key,)) for key in ("budget", "step", "layers")],
-    *[(_sensitivity_doc, ("layers", 1, key)) for key in ("rnmse", "kl")],
+    *[(_sensitivity_doc, (key,)) for key in ("budget", "steps", "layers")],
+    *[(_sensitivity_doc, ("layers", 1, key)) for key in ("rnmse", "maxRnmse")],
 ]
 
 
@@ -263,8 +269,8 @@ def test_reader_rejects_missing_required_key(tmp_path, make, path):
 
 _MISTYPED = [
     (_sensitivity_doc, ("budget",), 4.0),
-    (_sensitivity_doc, ("layers",), {"rnmse": 0.5, "kl": 0.1}),
-    (_sensitivity_doc, ("layers", 0, "kl"), None),
+    (_sensitivity_doc, ("layers",), {"rnmse": 0.5, "maxRnmse": 0.75}),
+    (_sensitivity_doc, ("steps",), None),
     (_sensitivity_doc, ("layers", 1, "rnmse"), "0.5"),
 ]
 
@@ -289,7 +295,7 @@ def test_reader_rejects_wrongly_typed_value(tmp_path, make, path, value):
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
 @pytest.mark.parametrize(
-    "make,path", [(_sensitivity_doc, ("layers", 1, "kl"))], ids=["sensitivity:kl"],
+    "make,path", [(_sensitivity_doc, ("layers", 1, "maxRnmse"))], ids=["sensitivity:maxRnmse"],
 )
 def test_reader_rejects_non_finite_number(tmp_path, make, path, literal):
     # No CLI command reads this kind, so the reader is checked directly.

@@ -22,6 +22,7 @@ from layerreuse import (
     generate_model,
     run_full_trace,
     sensitivity_profile,
+    sensitivity_table,
     synthetic,
     topk_blocks,
     topk_of_logits,
@@ -445,13 +446,18 @@ def test_sensitivity_profile_allocates_no_copy_of_the_base_cache():
                            inter_layer_correlation=0.8, heads=2)
     model = generate_model(cfg)
     base_bytes = 2 * cfg.layers * cfg.heads * cfg.context_len * cfg.head_dim * 8
-    tracemalloc.start()
-    try:
-        sensitivity_profile(model, 2, 64)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < base_bytes / 2
+
+    def peak_bytes(probe, *args):
+        tracemalloc.start()
+        try:
+            probe(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_bytes(sensitivity_profile, model, 2, 64) < base_bytes / 2
+    # The table pass over every step of a trace shares the caches the same way.
+    assert peak_bytes(sensitivity_table, model, run_full_trace(model, 3, 64)) < base_bytes / 2
 
 
 def _no_draws(*args):
