@@ -3,9 +3,9 @@
 Full layers run exact attention over the whole cache and publish their top-k
 (or top-block) selection. Reuse layers never score the full cache: they
 inherit the previous layer's selection, gather only those KV rows, and run
-subset-renormalized sparse attention. Instrumentation counts every full-cache
-score computation so tests can assert that reuse layers triggered none.
-Token and block mode share one loop, synthetic._decode_cells, which runs
+subset-renormalized sparse attention. The loop calls full attention at Full
+cells only and counts those calls per step; no Reuse cell has a full-cache
+call to count. Token and block mode share one loop, _decode, which runs
 steps outermost; they differ only in the step that turns a Full layer's
 summed logits into a selection.
 
@@ -37,6 +37,8 @@ from .attention import (
     BlockSet,
     LayerKvCache,
     TopKSet,
+    _head_sum,
+    _subset_attention,
     block_max_of_logits,
     full_attention,
     topk_blocks,
@@ -45,7 +47,7 @@ from .attention import (
 from .errors import ConfigurationError, InvalidInputError
 from .policy import Action, LayerPolicy, _structural_violations
 from .profiling import relative_l2_error
-from .synthetic import DecodeTrace, SyntheticModel, _decode_cells
+from .synthetic import DecodeTrace, SyntheticModel
 
 __all__ = [
     "FidelityTable",
@@ -99,10 +101,11 @@ class _Baseline:
 class DecodeRunResult:
     """Outputs, selections, fidelity, and instrumentation of one hybrid run.
 
-    full_score_computations[t] counts layers that scored the whole cache at
-    step t; for a valid policy it equals the policy's full_count every step.
-    reuse_full_scans counts full-cache score computations that happened at
-    Reuse layers and must stay zero. reuse_gathered_rows[t][l] is the number
+    full_score_computations[t] counts the full_attention calls of step t,
+    which the loop makes at Full layers only, so it equals the policy's
+    full_count every step. reuse_full_scans is the literal 0, not a
+    measurement: a Reuse cell makes no full_attention call, only sparse
+    attention over its gathered rows. reuse_gathered_rows[t][l] is the number
     of KV rows gathered at a Reuse layer (None at Full layers). budget counts
     tokens in token mode and blocks in block mode.
 
@@ -198,13 +201,43 @@ def _decode(
     block_size: int,
     select: Callable[[np.ndarray, int], tuple[TopKSet | BlockSet, TopKSet | BlockSet, np.ndarray]],
 ) -> DecodeRunResult:
-    """The decode of both modes, which differ only in select.
+    """The (step, layer) loop of hybrid decoding, for both modes, which differ only in select.
 
-    Once per Full layer and step, select(summed logits, n) returns the selection
-    that layer records, the one the Reuse layers after it record, and the rows they gather.
+    A Full cell runs full attention of all heads over the step's cache and
+    hands the head-summed logits to select(logits, n), which returns the
+    selection that layer records, the one the Reuse layers after it record,
+    and the rows they gather. A Reuse cell records the inherited selection of
+    the last Full layer below it at the same step and runs sparse attention
+    over just those rows.
+
+    Steps run outermost: this models autoregressive decoding, where token
+    t + 1 cannot start until token t has left the last layer, so each cell
+    makes its own calls and gets no cache reuse that no real decoder gets.
+    The full trace and the Reuse-layer fidelity baseline (_full_baseline),
+    whose queries are all given, instead run each layer's steps as one
+    multi-step full_attention call.
     """
-    full = [action is Action.FULL for action in policy.actions]
-    queries, caches, outputs, selections, full_counts, gathered = _decode_cells(model, full, steps, select)
+    cfg = model.config
+    L = cfg.layers
+    queries = model.queries(steps)
+    caches = [model.cache_at(l, steps - 1) for l in range(L)]
+    outputs = np.empty((steps, L, cfg.heads, cfg.head_dim))
+    selections = [[None] * L for _ in range(steps)]
+    gathered = [[None] * L for _ in range(steps)]
+    full_counts = [0] * steps
+    for t in range(steps):
+        n_t = cfg.context_len + t
+        for l, action in enumerate(policy.actions):
+            if action is Action.FULL:
+                outputs[t, l], logits, _ = full_attention(queries[t, l], caches[l].prefix(n_t))
+                full_counts[t] += 1
+                selections[t][l], inherited, rows = select(_head_sum(logits), n_t)
+            else:
+                # Layer 0 is Full, so a selection is carried at every step.
+                selections[t][l] = inherited
+                outputs[t, l], _, _ = _subset_attention(queries[t, l], caches[l], rows)
+                gathered[t][l] = int(rows.shape[0])
+    outputs.setflags(write=False)
     return DecodeRunResult(
         policy=policy,
         budget=budget,

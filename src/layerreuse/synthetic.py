@@ -36,15 +36,13 @@ bit is the same whichever thread builds which chain.
 
 run_full_trace knows every query up front, so it runs layer by layer: one
 multi-step full_attention call and one call to each selection function per
-layer, which equals the all-Full hybrid decode bit for bit. Hybrid decoding
-runs _decode_cells, one (step, layer) cell at a time, steps outermost.
+layer, which equals the all-Full hybrid decode bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +57,6 @@ from .attention import (
     TopKSet,
     _CheckedRows,
     _head_sum,
-    _subset_attention,
     block_max_of_logits,
     full_attention,
     topk_blocks,
@@ -490,49 +487,6 @@ class DecodeTrace:
     @property
     def steps(self) -> int:
         return self.queries.shape[0]
-
-
-def _decode_cells(model: SyntheticModel, full: list[bool], steps: int, select: Callable) -> tuple:
-    """The (step, layer) loop of hybrid decoding.
-
-    Returns (queries, caches, outputs, selections, full counts, gathered).
-    full[l] says whether layer l is Full. A Full cell runs full attention of
-    all heads over the step's cache and hands the head-summed logits to
-    select(logits, n), which returns (recorded, inherited, rows). A Reuse cell
-    records the inherited selection of the last Full layer below it at the
-    same step and runs sparse attention over just its rows, whose count it
-    records in gathered[t][l] (None at Full cells). full counts[t] counts the
-    step's Full cells. outputs is [steps, layers, heads, head_dim], read-only.
-
-    Steps run outermost: this models autoregressive decoding, where token
-    t + 1 cannot start until token t has left the last layer, so each cell
-    makes its own calls and gets no cache reuse that no real decoder gets.
-    The full trace and the Reuse-layer fidelity baseline
-    (engine._full_baseline), whose queries are all given, instead run each
-    layer's steps as one multi-step full_attention call.
-    """
-    cfg = model.config
-    L, H, d = cfg.layers, cfg.heads, cfg.head_dim
-    queries = model.queries(steps)
-    caches = [model.cache_at(l, steps - 1) for l in range(L)]
-    outputs = np.empty((steps, L, H, d))
-    selections = [[None] * L for _ in range(steps)]
-    gathered = [[None] * L for _ in range(steps)]
-    fulls = [0] * steps
-    for t in range(steps):
-        n_t = cfg.context_len + t
-        for l in range(L):
-            if full[l]:
-                outputs[t, l], logits, _ = full_attention(queries[t, l], caches[l].prefix(n_t))
-                fulls[t] += 1
-                selections[t][l], inherited, rows = select(_head_sum(logits), n_t)
-            else:
-                # Layer 0 is Full, so a selection is carried at every step.
-                selections[t][l] = inherited
-                outputs[t, l], _, _ = _subset_attention(queries[t, l], caches[l], rows)
-                gathered[t][l] = int(rows.shape[0])
-    outputs.setflags(write=False)
-    return queries, caches, outputs, selections, fulls, gathered
 
 
 def run_full_trace(model: SyntheticModel, steps: int, budget: int, block_size: int = 1) -> DecodeTrace:

@@ -1,11 +1,16 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import TornFile
 from layerreuse import (
@@ -829,3 +834,59 @@ def test_manifest_records_the_model_config_not_how_it_was_given(pipeline, tmp_pa
         written.append((manifest, Path(out).read_bytes()))
     assert written[0] == written[1]
     assert written[0][0]["config"]["interLayerCorrelation"] == 1.0
+
+
+# --- reader fuzz: one mutated leaf or one deleted key is invalid input or none ---
+
+# (artifact, the command that reads it); {src} is the mutated copy.
+_FUZZ_READERS = [
+    ("trace.json", ["profile", "--trace", "{src}", "--out-dir", "{out}"]),
+    ("similarity.json", ["plan", "--matrix", "{src}", "--theta", "0.5", "--out-dir", "{out}"]),
+    ("policy.json", ["decode", *MODEL_FLAGS, "--policy", "{src}", "--budget", "6", "--steps", "2",
+                     "--out-dir", "{out}"]),
+    *[(name, ["report", "{src}", "--out-dir", "{out}"]) for name in ("similarity.json", "policy.json", "run.json")],
+]
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 40),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=4),
+    st.lists(st.integers(-2, 40), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-2, 40), max_size=2),
+)
+
+
+def _json_paths(doc, path=()):
+    """Every key path in doc: each container member's path, then its own members' paths."""
+    members = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in members:
+        yield path + (key,)
+        yield from _json_paths(value, path + (key,))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(reader=st.sampled_from(_FUZZ_READERS), data=st.data())
+def test_a_mutated_artifact_is_read_or_refused_as_invalid_input(pipeline, reader, data):
+    artifact, command = reader
+    doc = read_json(str(pipeline / artifact))
+    paths = list(_json_paths(doc))
+    path = data.draw(st.sampled_from(paths), label="path")
+    parent = doc
+    for part in path[:-1]:
+        parent = parent[part]
+    if isinstance(parent, dict) and data.draw(st.booleans(), label="delete"):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(_JSON_LEAVES, label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp, artifact)
+        src.write_text(json.dumps(doc))
+        for sidecar in ("trace.queries.bin", "trace.outputs.bin", "trace.sensitivity.bin"):
+            Path(tmp, sidecar).write_bytes((pipeline / sidecar).read_bytes())
+        argv = [arg.format(src=src, out=Path(tmp, "out")) for arg in command]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2), err.getvalue()

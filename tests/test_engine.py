@@ -551,3 +551,27 @@ def test_block_coverage_is_built_once_per_full_layer(monkeypatch):
     assert len(calls) == policy.full_count * steps
     assert sorted(set(calls)) == [_DEFERRED.context_len + t for t in range(steps)]
     assert run.reuse_gathered_rows[0][1] == 24
+
+
+# --- golden bits: outputs, selections and counters of each decode mode ---
+
+_BITS = SynthModelConfig(layers=6, head_dim=16, context_len=37, seed=13,
+                         inter_layer_correlation=0.8, heads=3)
+# Frozen from the first run of _DECODES on _BITS (4 steps; trace k=7, theta=0.7).
+_BITS_DIGESTS = {
+    "token": "811a71a1f0a9cf5ac0695f47e60514017cc531a21ab1afde20c99e61eeaab962",
+    "token-sinks-recent": "0f202ffaa545e7e5a7e04ade77b2f77473964b60cceda34d3a6db258842cb7ad",
+    "block": "8b0fe9ed7684898a45a652cc90c61d56591dbf508bf72dfb17c625cb1923b231",
+}
+
+
+@pytest.mark.parametrize("mode", list(_DECODES))
+def test_decode_golden_bits(mode):
+    model = generate_model(_BITS)
+    policy = dp_optimize(build_similarity_matrix(run_full_trace(model, 4, 7)), 0.7)
+    assert tuple(a.value for a in policy.actions) == ("full", "reuse", "reuse", "reuse", "full", "reuse")
+    run = _DECODES[mode](model, policy, 4)
+    digest = hashlib.sha256(run.outputs.tobytes())
+    for part in (run.selections, run.full_score_computations, run.reuse_gathered_rows):
+        digest.update(repr(part).encode())
+    assert digest.hexdigest() == _BITS_DIGESTS[mode]
