@@ -56,9 +56,7 @@ _MODEL_DEFAULTS = config_payload(SynthModelConfig(layers=10))
 
 
 def _out_dir(args) -> str:
-    if getattr(args, "out_dir", None):
-        return args.out_dir
-    return os.environ.get("LAYERREUSE_OUT_DIR", ".")
+    return args.out_dir or os.environ.get("LAYERREUSE_OUT_DIR", ".")
 
 
 def _resolve(args, flag_value: str | None, default_name: str) -> str:
@@ -366,7 +364,6 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
             help=f"{text} (default {_MODEL_DEFAULTS[key]})",
         )
     parser.add_argument("--config", help="JSON config file; explicit flags override it")
-    parser.add_argument("--out-dir", help="output directory (default $LAYERREUSE_OUT_DIR or .)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,8 +373,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Every command takes the output directory its default paths resolve in.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--out-dir", help="output directory (default $LAYERREUSE_OUT_DIR or .)")
 
-    p = sub.add_parser("gen-traces", help="decode with full attention; record selections and sensitivity")
+    p = sub.add_parser("gen-traces", parents=[shared],
+                       help="decode with full attention; record selections and sensitivity")
     _add_model_flags(p)
     p.add_argument("--steps", type=int, default=4, help="decode steps (default 4)")
     p.add_argument("--k", type=int, default=32, help="token top-k budget (default 32)")
@@ -385,21 +386,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="trace path (default <out-dir>/trace.json)")
     p.set_defaults(handler=_cmd_gen_traces)
 
-    p = sub.add_parser("profile", help="build the similarity matrix and sensitivity report from the trace alone")
+    p = sub.add_parser("profile", parents=[shared],
+                       help="build the similarity matrix and sensitivity report from the trace alone")
     p.add_argument("--trace", required=True, help="trace written by gen-traces")
     p.add_argument("--out-matrix", help="matrix path (default <out-dir>/similarity.json)")
     p.add_argument("--out-sensitivity", help="report path (default <out-dir>/sensitivity.json)")
-    p.add_argument("--out-dir", help="output directory (default $LAYERREUSE_OUT_DIR or .)")
     p.set_defaults(handler=_cmd_profile)
 
-    p = sub.add_parser("plan", help="compute the optimal layer policy for a threshold")
+    p = sub.add_parser("plan", parents=[shared], help="compute the optimal layer policy for a threshold")
     p.add_argument("--matrix", required=True, help="similarity matrix written by profile")
     p.add_argument("--theta", type=float, required=True, help="reuse admission threshold in [0, 1]")
     p.add_argument("--out", help="policy path (default <out-dir>/policy.json)")
-    p.add_argument("--out-dir", help="output directory (default $LAYERREUSE_OUT_DIR or .)")
     p.set_defaults(handler=_cmd_plan)
 
-    p = sub.add_parser("decode", help="run hybrid decoding under a policy")
+    p = sub.add_parser("decode", parents=[shared], help="run hybrid decoding under a policy")
     _add_model_flags(p)
     p.add_argument("--policy", required=True, help="policy written by plan")
     p.add_argument("--budget", type=int, help="token budget (token mode)")
@@ -411,19 +411,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="run result path (default <out-dir>/run.json)")
     p.set_defaults(handler=_cmd_decode)
 
-    p = sub.add_parser("bench", help="sweep the cost model over context lengths")
+    p = sub.add_parser("bench", parents=[shared], help="sweep the cost model over context lengths")
     p.add_argument("--policy", required=True, help="policy file; supplies L and fullCount")
     p.add_argument("--lengths", required=True, help="comma-separated context lengths")
     p.add_argument("--budget", type=int, default=64, help="selection budget (default 64)")
     p.add_argument("--block-size", type=int, default=1)
     p.add_argument("--head-dim", type=int, default=64, help="total per-layer KV width")
     p.add_argument("--out", help="CSV path (default <out-dir>/bench.csv)")
-    p.add_argument("--out-dir", help="output directory (default $LAYERREUSE_OUT_DIR or .)")
     p.set_defaults(handler=_cmd_bench)
 
-    p = sub.add_parser("report", help="render artifacts to CSV and markdown summaries")
+    p = sub.add_parser("report", parents=[shared], help="render artifacts to CSV and markdown summaries")
     p.add_argument("artifacts", nargs="+", help="matrix, policy, or run-result files")
-    p.add_argument("--out-dir", help="output directory (default $LAYERREUSE_OUT_DIR or .)")
     p.set_defaults(handler=_cmd_report)
     return parser
 

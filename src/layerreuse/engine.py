@@ -19,9 +19,8 @@ recomputed with full attention at Reuse layers only, when
 DecodeRunResult.fidelity is first read: one multi-step full_attention call
 per Reuse layer, as the full trace makes.
 
-The cost model is analytic. It prices KV traffic in bytes, for both the
-HBM-resident case and the case where reused layers' caches are offloaded
-across a slow link and only the selected rows come back.
+The cost model is analytic. It prices the KV bytes one decode step reads,
+all-Full and under the policy.
 """
 
 from __future__ import annotations
@@ -130,14 +129,6 @@ class DecodeRunResult:
     def fidelity(self) -> FidelityTable:
         """Relative L2 error of outputs against the all-Full baseline."""
         return _fidelity_tables(self._baseline.outputs(), self.outputs)
-
-    @property
-    def full_layer_count(self) -> int:
-        return self.policy.full_count
-
-    @property
-    def reuse_layer_count(self) -> int:
-        return self.policy.num_layers - self.policy.full_count
 
     @property
     def steps(self) -> int:
@@ -333,8 +324,8 @@ class CostModelReport:
     Byte counts are exact integers; ratios and speedups are plain floats.
     tokens_covered is the per-step sparse read size min(budget * block_size,
     context_len). predicted_speedup assumes decode time is proportional to
-    bytes moved, so it is the full/hybrid byte ratio and is independent of
-    the absolute bandwidths; the seconds fields scale by them.
+    bytes read, so it is the full/hybrid byte ratio; any bandwidth, of fast
+    memory or of a link that offloaded Reuse caches sit behind, cancels out.
     """
 
     kv_bytes_full: int
@@ -342,10 +333,6 @@ class CostModelReport:
     bytes_ratio: float
     predicted_speedup: float
     tokens_covered: int
-    hbm_seconds_full: float
-    hbm_seconds_hybrid: float
-    link_seconds_full: float
-    link_seconds_offload: float
 
 
 def cost_model(
@@ -354,23 +341,21 @@ def cost_model(
     budget: int,
     *,
     block_size: int = 1,
-    bytes_per_elem: int = 8,
     head_dim: int = 64,
-    link_bandwidth: float = 32e9,
-    hbm_bandwidth: float = 2e12,
 ) -> CostModelReport:
     """Price one decode step's KV reads under a policy.
 
     A Full layer reads its whole cache: context_len rows. A Reuse layer reads
     only the selected rows: min(budget * block_size, context_len), where
     budget counts tokens when block_size is 1 and blocks otherwise. Each row
-    is 2 * head_dim * bytes_per_elem bytes (keys and values). head_dim is the
-    total per-layer KV width; fold multiple heads into it. bytes_per_elem 8
-    prices float64 storage, 4 prices a float32 variant.
+    is 2 * head_dim * 8 bytes: keys and values, float64 like every cache in
+    this package. head_dim is the total per-layer KV width; fold multiple
+    heads into it.
 
-    The offload mirror assumes Full layers' caches stay in fast memory while
-    Reuse layers' caches live across the link, so link traffic follows the
-    same full-vs-selected split.
+    In plain token mode tokens_covered is exactly the row count a Reuse cell
+    gathers. Sink and recent rows can add to that count. In block mode a cell
+    gathers fewer rows when it selects the final block and the cache end
+    truncates it, so there tokens_covered is an upper bound.
     """
     L = policy.num_layers
     full = policy.full_count
@@ -380,15 +365,11 @@ def cost_model(
         raise InvalidInputError(f"budget must be >= 1, got {budget}")
     if block_size < 1:
         raise InvalidInputError(f"block_size must be >= 1, got {block_size}")
-    if bytes_per_elem < 1:
-        raise InvalidInputError(f"bytes_per_elem must be >= 1, got {bytes_per_elem}")
     if head_dim < 1:
         raise InvalidInputError(f"head_dim must be >= 1, got {head_dim}")
-    if not link_bandwidth > 0 or not hbm_bandwidth > 0:
-        raise InvalidInputError("bandwidths must be positive")
 
     covered = min(budget * block_size, context_len)
-    row_bytes = 2 * head_dim * bytes_per_elem
+    row_bytes = 2 * head_dim * 8  # keys and values, float64
     kv_full = L * context_len * row_bytes
     kv_hybrid = (full * context_len + (L - full) * covered) * row_bytes
     ratio = kv_hybrid / kv_full
@@ -398,10 +379,6 @@ def cost_model(
         bytes_ratio=ratio,
         predicted_speedup=kv_full / kv_hybrid,
         tokens_covered=covered,
-        hbm_seconds_full=kv_full / hbm_bandwidth,
-        hbm_seconds_hybrid=kv_hybrid / hbm_bandwidth,
-        link_seconds_full=kv_full / link_bandwidth,
-        link_seconds_offload=kv_hybrid / link_bandwidth,
     )
 
 

@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "LayerReuseError",
+    "ConfigurationError",
+    "NumericInputError",
+    "InvalidSelectionError",
+    "InvalidInputError",
+]
+
 
 class LayerReuseError(Exception):
     """Base class for every error raised by this package."""

@@ -340,8 +340,8 @@ def write_run_result(result: DecodeRunResult, path: str, manifest_hash: str | No
         "blockSize": result.block_size,
         "steps": result.steps,
         "counters": {
-            "fullLayers": result.full_layer_count,
-            "reuseLayers": result.reuse_layer_count,
+            "fullLayers": result.policy.full_count,
+            "reuseLayers": result.policy.num_layers - result.policy.full_count,
             "fullScoreComputationsPerStep": list(result.full_score_computations),
             "reuseFullScans": result.reuse_full_scans,
             "reuseGatheredRows": [list(row) for row in result.reuse_gathered_rows],

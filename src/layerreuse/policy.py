@@ -102,7 +102,7 @@ class LayerPolicy:
 
 
 def _check_theta(theta: float) -> float:
-    if not isinstance(theta, (int, float)) or not 0.0 <= float(theta) <= 1.0:
+    if isinstance(theta, bool) or not isinstance(theta, (int, float)) or not 0.0 <= float(theta) <= 1.0:
         raise InvalidInputError(f"theta must lie in [0, 1], got {theta}")
     return float(theta)
 

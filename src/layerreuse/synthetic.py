@@ -105,19 +105,22 @@ class SynthModelConfig:
     heads: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.layers, int) or self.layers < 2:
+        # A bool is an int to isinstance, but never a count or a seed here,
+        # as a JSON boolean is never a number to the artifact readers.
+        if type(self.layers) is not int or self.layers < 2:
             raise InvalidInputError(f"layers must be an integer >= 2, got {self.layers}")
-        if not isinstance(self.head_dim, int) or self.head_dim < 1:
+        if type(self.head_dim) is not int or self.head_dim < 1:
             raise InvalidInputError(f"head_dim must be an integer >= 1, got {self.head_dim}")
-        if not isinstance(self.context_len, int) or self.context_len < 2:
+        if type(self.context_len) is not int or self.context_len < 2:
             raise InvalidInputError(f"context_len must be an integer >= 2, got {self.context_len}")
-        if not isinstance(self.seed, int):
+        if type(self.seed) is not int:
             raise InvalidInputError("seed must be an integer")
         rho = self.inter_layer_correlation
-        if not isinstance(rho, (int, float)) or not math.isfinite(rho) or not 0.0 <= rho <= 1.0:
+        if (isinstance(rho, bool) or not isinstance(rho, (int, float)) or not math.isfinite(rho)
+                or not 0.0 <= rho <= 1.0):
             raise InvalidInputError(f"inter_layer_correlation must lie in [0, 1], got {rho}")
         object.__setattr__(self, "inter_layer_correlation", float(rho))
-        if not isinstance(self.heads, int) or self.heads < 1:
+        if type(self.heads) is not int or self.heads < 1:
             raise InvalidInputError(f"heads must be an integer >= 1, got {self.heads}")
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import recording_cells
-from layerreuse import engine, synthetic
+from layerreuse import engine
 from layerreuse import (
     Action,
     BlockSet,
@@ -134,8 +134,8 @@ def test_instrumentation_counts(fixture_run):
     _, policy, run = fixture_run
     assert run.reuse_full_scans == 0
     assert run.full_score_computations == (policy.full_count,) * run.steps
-    assert run.full_layer_count == policy.full_count
-    assert run.reuse_layer_count == FIXTURE.layers - policy.full_count
+    assert run.policy.full_count == policy.full_count
+    assert run.policy.num_layers - run.policy.full_count == FIXTURE.layers - policy.full_count
     for t in range(run.steps):
         n_t = FIXTURE.context_len + t
         for l, action in enumerate(policy.actions):
@@ -332,17 +332,14 @@ def test_cost_model_all_full_ratio_is_one():
     context_len=st.integers(min_value=1, max_value=10000),
     budget=st.integers(min_value=1, max_value=512),
     block_size=st.integers(min_value=1, max_value=64),
-    bytes_per_elem=st.sampled_from([4, 8]),
     head_dim=st.integers(min_value=1, max_value=256),
 )
-def test_cost_model_closed_form(layers, stride, context_len, budget,
-                                block_size, bytes_per_elem, head_dim):
+def test_cost_model_closed_form(layers, stride, context_len, budget, block_size, head_dim):
     policy = static_jump_policy(layers, stride)
-    report = cost_model(policy, context_len, budget, block_size=block_size,
-                        bytes_per_elem=bytes_per_elem, head_dim=head_dim)
+    report = cost_model(policy, context_len, budget, block_size=block_size, head_dim=head_dim)
     full = policy.full_count
     covered = min(budget * block_size, context_len)
-    row = 2 * head_dim * bytes_per_elem
+    row = 2 * head_dim * 8
     assert report.kv_bytes_full == layers * context_len * row
     assert report.kv_bytes_hybrid == (
         full * context_len + (layers - full) * covered
@@ -353,12 +350,6 @@ def test_cost_model_closed_form(layers, stride, context_len, budget,
     assert report.predicted_speedup == pytest.approx(
         1.0 / report.bytes_ratio, rel=1e-12
     )
-    assert report.hbm_seconds_full * 2e12 == pytest.approx(
-        report.kv_bytes_full, rel=1e-12
-    )
-    assert report.link_seconds_offload * 32e9 == pytest.approx(
-        report.kv_bytes_hybrid, rel=1e-12
-    )
 
 
 def test_cost_model_validation():
@@ -367,9 +358,7 @@ def test_cost_model_validation():
         dict(context_len=0, budget=8),
         dict(context_len=8, budget=0),
         dict(context_len=8, budget=8, block_size=0),
-        dict(context_len=8, budget=8, bytes_per_elem=0),
         dict(context_len=8, budget=8, head_dim=0),
-        dict(context_len=8, budget=8, link_bandwidth=0.0),
     ):
         with pytest.raises(InvalidInputError):
             cost_model(policy, **kwargs)
@@ -468,9 +457,7 @@ def test_fidelity_recompute_runs_on_first_access_only(monkeypatch, mode):
         calls.append(np.shape(q))
         return real(q, cache)
 
-    # Decode's Full cells run in synthetic's loop, the baseline in engine.
     monkeypatch.setattr(engine, "full_attention", counting)
-    monkeypatch.setattr(synthetic, "full_attention", counting)
     run = _DECODES[mode](model, policy, steps)
     # Decode: one call per Full (step, layer), each carrying every head.
     assert calls == [(H, _DEFERRED.head_dim)] * (policy.full_count * steps)
@@ -492,7 +479,6 @@ def test_decode_runs_steps_first_and_the_baseline_layers_first(monkeypatch):
     calls = []
     recording = recording_cells(calls, engine.full_attention, model.queries(steps), _DEFERRED.context_len)
     monkeypatch.setattr(engine, "full_attention", recording)
-    monkeypatch.setattr(synthetic, "full_attention", recording)
     run = hybrid_decode(model, policy, 12, steps)
     full = [l for l, a in enumerate(policy.actions) if a is Action.FULL]
     reuse = [l for l, a in enumerate(policy.actions) if a is Action.REUSE]
@@ -575,3 +561,31 @@ def test_decode_golden_bits(mode):
     for part in (run.selections, run.full_score_computations, run.reuse_gathered_rows):
         digest.update(repr(part).encode())
     assert digest.hexdigest() == _BITS_DIGESTS[mode]
+
+
+def test_cost_model_prices_the_rows_reuse_cells_gather():
+    model = generate_model(_BITS)
+    policy = static_jump_policy(_BITS.layers, 3)
+    steps = 4
+    reuse = [l for l, a in enumerate(policy.actions) if a is Action.REUSE]
+    token = hybrid_decode(model, policy, 8, steps)
+    anchored = hybrid_decode(model, policy, 8, steps, include_sinks=2, include_recent=3)
+    blocks = hybrid_decode_blocks(model, policy, 3, 8, steps)
+    for t in range(steps):
+        n_t = _BITS.context_len + t
+        covered = cost_model(policy, n_t, 8).tokens_covered
+        block_covered = cost_model(policy, n_t, 3, block_size=8).tokens_covered
+        for l in reuse:
+            # Plain token mode gathers exactly the rows the cost model prices.
+            assert token.reuse_gathered_rows[t][l] == covered
+            # Sink and recent rows add to them.
+            assert anchored.reuse_gathered_rows[t][l] >= covered
+            # A selected final block is cut short by the cache end, so block
+            # mode gathers fewer rows then and the cost model is an upper bound.
+            final_selected = (n_t - 1) // 8 in blocks.selections[t][l].block_indices
+            assert blocks.reuse_gathered_rows[t][l] == block_covered - (-n_t % 8 if final_selected else 0)
+    assert cost_model(policy, _BITS.context_len, 8).tokens_covered == 8
+    assert anchored.reuse_gathered_rows[0] == (None, 13, 13, None, 12, 12)
+    assert cost_model(policy, _BITS.context_len, 3, block_size=8).tokens_covered == 24
+    assert [blocks.reuse_gathered_rows[t][1] for t in range(steps)] == [21, 24, 23, 24]
+    assert [blocks.reuse_gathered_rows[t][4] for t in range(steps)] == [21, 24, 24, 24]

@@ -69,6 +69,16 @@ def test_theta_validation():
             brute_force_policy(m, theta)
 
 
+def test_theta_refuses_a_boolean():
+    # True would otherwise plan at theta 1.0.
+    m = _matrix([[1.0, 0], [0.5, 1.0]])
+    for plan in (dp_optimize, brute_force_policy):
+        with pytest.raises(InvalidInputError):
+            plan(m, True)
+    with pytest.raises(InvalidInputError):
+        validate_policy(static_jump_policy(2, 1), m, False)
+
+
 def test_brute_force_layer_guard():
     rng = np.random.default_rng(0)
     m = random_similarity_matrix(rng, 15)

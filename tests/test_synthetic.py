@@ -48,6 +48,15 @@ def test_config_validation():
         SynthModelConfig(layers=4, heads=0)
 
 
+@pytest.mark.parametrize("field", ["layers", "head_dim", "context_len", "seed", "heads",
+                                   "inter_layer_correlation"])
+def test_config_refuses_a_boolean_as_a_number(field):
+    # isinstance(True, int) holds, so only an exact type check catches these;
+    # a trace with a boolean seed would be refused by read_trace.
+    with pytest.raises(InvalidInputError, match=field):
+        SynthModelConfig(**{"layers": 4, field: True})
+
+
 def test_rho_one_copies_tensors_across_layers_exactly():
     cfg = SynthModelConfig(layers=5, head_dim=16, context_len=64, seed=2, inter_layer_correlation=1.0)
     model = generate_model(cfg)
