@@ -1,10 +1,11 @@
-"""Canonical JSON encoding and content hashing for artifact payloads."""
+"""Canonical JSON encoding, content hashing, and the checks every public count and ratio takes."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import math
+import numbers
 
 from .errors import InvalidInputError
 
@@ -12,6 +13,27 @@ from .errors import InvalidInputError
 # still writes 1.0, so its bytes and content hash stay; readers accept any 1.x.
 FORMAT_VERSION = "1.1"
 V1_0 = "1.0"
+
+
+def check_count(name: str, value, least: int | None = 1) -> int:
+    """value as an int, refusing a bool, any other non-integer, and a value below least.
+
+    A bool is an int to isinstance, but never a count, as a JSON boolean is
+    never a number to the artifact readers. numpy integers are accepted.
+    """
+    # An exact int, the common case, skips the ABC check, several times slower than a type test.
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise InvalidInputError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
+def check_unit(name: str, value) -> float:
+    """value as a float, refusing a bool, any other non-number, and a value outside [0, 1]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value <= 1.0:
+        raise InvalidInputError(f"{name} must lie in [0, 1], got {value}")
+    return float(value)
 
 
 def canonical_json_bytes(payload: dict) -> bytes:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._canon import check_count
 from .errors import (
     ConfigurationError,
     InvalidInputError,
@@ -39,33 +40,6 @@ __all__ = [
     "block_max_of_logits",
     "topk_blocks",
 ]
-
-
-def _read_only_blocks(value) -> bool:
-    """True for a read-only float64 array of 2 or 3 axes whose [N, d] blocks are C-contiguous.
-
-    A leading head axis may have any stride, as in a view of a buffer with
-    spare rows. Contiguous blocks keep BLAS on the path a fresh copy would
-    take, so sharing never changes a result bit.
-    """
-    if not isinstance(value, np.ndarray) or value.dtype != np.float64:
-        return False
-    if value.flags.writeable or value.ndim not in (2, 3):
-        return False
-    n, d = value.shape[-2:]
-    return (d <= 1 or value.strides[-1] == 8) and (n <= 1 or value.strides[-2] == 8 * d)
-
-
-def _is_frozen_f64(value) -> bool:
-    """True for a _read_only_blocks array over read-only memory.
-
-    The base test rejects a read-only view of a writable array, whose memory
-    can still change.
-    """
-    if not _read_only_blocks(value):
-        return False
-    base = value.base
-    return base is None or (isinstance(base, np.ndarray) and not base.flags.writeable)
 
 
 class _CheckedRows(np.ndarray):
@@ -85,8 +59,18 @@ class _CheckedRows(np.ndarray):
 
 
 def _is_checked_view(value) -> bool:
-    """True for a _read_only_blocks view of _CheckedRows storage."""
-    if not _read_only_blocks(value):
+    """True for a read-only float64 view of _CheckedRows storage whose [N, d] blocks are C-contiguous.
+
+    The view has 2 or 3 axes; a leading head axis may have any stride, as in
+    a view of a buffer with spare rows. Contiguous blocks keep BLAS on the
+    path a fresh copy would take, so sharing never changes a result bit.
+    """
+    if not isinstance(value, np.ndarray) or value.dtype != np.float64:
+        return False
+    if value.flags.writeable or value.ndim not in (2, 3):
+        return False
+    n, d = value.shape[-2:]
+    if not ((d <= 1 or value.strides[-1] == 8) and (n <= 1 or value.strides[-2] == 8 * d)):
         return False
     base = value.base
     while isinstance(base, np.ndarray) and not isinstance(base, _CheckedRows):
@@ -97,15 +81,16 @@ def _is_checked_view(value) -> bool:
 def _frozen_f64(value, name: str) -> np.ndarray:
     """Read-only float64 array of 2 or 3 axes, rejecting non-finite entries.
 
-    Shares value when _is_frozen_f64 holds, otherwise copies it. A view of
-    _CheckedRows storage is shared without a rescan: its rows were checked
-    when they were stored.
+    Shares a read-only view of _CheckedRows storage without a rescan: its rows
+    were checked when they were stored and are never written again. Copies
+    and scans everything else, so no caller can change a cache's rows.
     """
-    checked = _is_checked_view(value)
-    arr = value if checked or _is_frozen_f64(value) else np.array(value, dtype=np.float64)
+    if _is_checked_view(value):
+        return value
+    arr = np.array(value, dtype=np.float64)
     if arr.ndim not in (2, 3):
         raise ConfigurationError(f"{name} must be 2-D or 3-D, got shape {arr.shape}")
-    if not checked and not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr)):
         raise NumericInputError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
     return arr
@@ -122,13 +107,10 @@ class LayerKvCache:
     defensive copies. The attention functions take a [d] query against a
     one-head cache and an [H, d] query against an all-heads cache.
 
-    Sharing is decided per [N, d] block: an input that is a read-only float64
-    array whose base is absent or also read-only, and whose every [N, d]
-    block is C-contiguous, is shared, not copied. The head axis may stride
-    over spare rows between blocks. The caller must not write to shared
-    memory through an older writable view. Every other input is copied and
-    scanned. Such a view of SyntheticModel.grown_arrays is shared without the
-    finiteness scan: the model checked each of its rows when it stored the row.
+    Only a read-only view of SyntheticModel.grown_arrays whose every [N, d]
+    block is C-contiguous, as cache_at builds, is shared, without a rescan:
+    the model checked each row when it stored it and never writes it again.
+    Every other input is copied and scanned.
     """
 
     keys: np.ndarray
@@ -198,16 +180,16 @@ class TopKSet:
 
     def __post_init__(self) -> None:
         indices = tuple(map(int, self.indices))
-        if self.budget < 1:
-            raise InvalidInputError(f"budget must be >= 1, got {self.budget}")
+        budget = check_count("budget", self.budget)
         if not indices:
             raise InvalidSelectionError("selection must contain at least one index")
         _check_ascending(indices, "token")
-        if len(indices) > self.budget:
+        if len(indices) > budget:
             raise InvalidSelectionError(
-                f"selection holds {len(indices)} indices but budget is {self.budget}"
+                f"selection holds {len(indices)} indices but budget is {budget}"
             )
         object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "budget", budget)
 
     @property
     def size(self) -> int:
@@ -226,12 +208,12 @@ class BlockSet:
 
     def __post_init__(self) -> None:
         blocks = tuple(map(int, self.block_indices))
-        if self.block_size < 1:
-            raise InvalidInputError(f"block_size must be >= 1, got {self.block_size}")
+        block_size = check_count("block_size", self.block_size)
         if not blocks:
             raise InvalidSelectionError("block selection must contain at least one block")
         _check_ascending(blocks, "block")
         object.__setattr__(self, "block_indices", blocks)
+        object.__setattr__(self, "block_size", block_size)
 
     @property
     def size(self) -> int:
@@ -243,8 +225,7 @@ class BlockSet:
         The final block may be narrower than block_size when block_size does
         not divide n.
         """
-        if n < 1:
-            raise InvalidInputError(f"cache length must be >= 1, got {n}")
+        n = check_count("cache length", n)
         spans = []
         for b in self.block_indices:
             start = b * self.block_size
@@ -393,8 +374,7 @@ def topk_of_logits(logits: np.ndarray, budget: int) -> tuple:
     tuples, each equal to the call on its row.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    if budget < 1:
-        raise InvalidInputError(f"budget must be >= 1, got {budget}")
+    budget = check_count("budget", budget)
     n = logits.shape[-1]
     take = min(budget, n)
     if take == n:
@@ -427,8 +407,7 @@ def topk_of_logits(logits: np.ndarray, budget: int) -> tuple:
 def block_max_of_logits(logits: np.ndarray, block_size: int) -> np.ndarray:
     """Max-pool logits [..., N] into ceil(N / block_size) per-block scores, row by row."""
     logits = np.asarray(logits, dtype=np.float64)
-    if block_size < 1:
-        raise InvalidInputError(f"block_size must be >= 1, got {block_size}")
+    block_size = check_count("block_size", block_size)
     if logits.ndim == 0 or logits.shape[-1] == 0:
         raise InvalidInputError("cannot pool an empty logit vector")
     starts = np.arange(0, logits.shape[-1], block_size)

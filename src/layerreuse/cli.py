@@ -127,8 +127,6 @@ class _Manifest:
 
 def _cmd_gen_traces(args) -> int:
     config = _effective_model_config(args)
-    if args.k < 1:
-        raise InvalidInputError(f"--k must be >= 1, got {args.k}")
     out = _resolve(args, args.out, "trace.json")
     manifest = _Manifest(
         "gen-traces",
@@ -180,17 +178,12 @@ def _cmd_decode(args) -> int:
     config = _effective_model_config(args)
     policy = read_policy(args.policy)
     block_mode = args.block_size != 1
-    if block_mode != (args.block_budget is not None):
+    if args.budget is None:
+        raise InvalidInputError("decode requires --budget")
+    if block_mode and (args.include_sinks or args.include_recent):
         raise InvalidInputError(
-            "block mode needs both --block-size > 1 and --block-budget; token mode neither"
+            "--include-sinks and --include-recent are token-mode flags; block mode refuses them"
         )
-    if block_mode and (args.budget is not None or args.include_sinks or args.include_recent):
-        raise InvalidInputError(
-            "--budget, --include-sinks and --include-recent are token-mode flags; "
-            "block mode takes --block-budget"
-        )
-    if not block_mode and args.budget is None:
-        raise InvalidInputError("token mode requires --budget")
     out = _resolve(args, args.out, "run.json")
     manifest = _Manifest(
         "decode",
@@ -200,7 +193,6 @@ def _cmd_decode(args) -> int:
             "budget": args.budget,
             "steps": args.steps,
             "blockSize": args.block_size,
-            "blockBudget": args.block_budget,
             "includeSinks": args.include_sinks,
             "includeRecent": args.include_recent,
         },
@@ -210,7 +202,7 @@ def _cmd_decode(args) -> int:
     manifest.outputs.append(out)
     model = generate_model(config)
     if block_mode:
-        result = hybrid_decode_blocks(model, policy, args.block_budget, args.block_size, args.steps)
+        result = hybrid_decode_blocks(model, policy, args.budget, args.block_size, args.steps)
     else:
         if args.budget > config.context_len:
             print(
@@ -402,10 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", parents=[shared], help="run hybrid decoding under a policy")
     _add_model_flags(p)
     p.add_argument("--policy", required=True, help="policy written by plan")
-    p.add_argument("--budget", type=int, help="token budget (token mode)")
+    p.add_argument("--budget", type=int,
+                   help="selection budget: tokens at --block-size 1, blocks above that (required)")
     p.add_argument("--steps", type=int, default=4, help="decode steps (default 4)")
     p.add_argument("--block-size", type=int, default=1, help="block width; > 1 switches to block mode")
-    p.add_argument("--block-budget", type=int, help="blocks to keep (block mode)")
     p.add_argument("--include-sinks", type=int, default=0, help="force the first n tokens into reused selections")
     p.add_argument("--include-recent", type=int, default=0, help="force the last n tokens into reused selections")
     p.add_argument("--out", help="run result path (default <out-dir>/run.json)")

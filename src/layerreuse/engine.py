@@ -32,6 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._canon import check_count
 from .attention import (
     BlockSet,
     LayerKvCache,
@@ -169,7 +170,8 @@ def _full_baseline(
     return baseline
 
 
-def _check_run_args(model: SyntheticModel, policy: LayerPolicy, steps: int) -> None:
+def _check_run_args(model: SyntheticModel, policy: LayerPolicy, steps: int) -> int:
+    """steps as an int, once the policy is checked against the model."""
     if policy.num_layers != model.config.layers:
         raise ConfigurationError(
             f"policy covers {policy.num_layers} layers, model has {model.config.layers}"
@@ -180,8 +182,7 @@ def _check_run_args(model: SyntheticModel, policy: LayerPolicy, steps: int) -> N
         if rule == "first-layer-full":
             raise InvalidInputError("the first layer of a policy must run full attention")
         raise InvalidInputError(f"policy breaks the {rule} rule at layer {layer}")
-    if steps < 1:
-        raise InvalidInputError(f"steps must be >= 1, got {steps}")
+    return check_count("steps", steps)
 
 
 def _decode(
@@ -266,11 +267,10 @@ def hybrid_decode(
     gathered row count at exactly min(budget, N). Each Full layer's selection
     is augmented once, and the Reuse layers after it share the result.
     """
-    _check_run_args(model, policy, steps)
-    if budget < 1:
-        raise InvalidInputError(f"budget must be >= 1, got {budget}")
-    if include_sinks < 0 or include_recent < 0:
-        raise InvalidInputError("include_sinks and include_recent must be >= 0")
+    steps = _check_run_args(model, policy, steps)
+    budget = check_count("budget", budget)
+    include_sinks = check_count("include_sinks", include_sinks, 0)
+    include_recent = check_count("include_recent", include_recent, 0)
 
     def select(logits: np.ndarray, n: int) -> tuple[TopKSet, TopKSet, np.ndarray]:
         sel = TopKSet(indices=topk_of_logits(logits, min(budget, n)), budget=budget)
@@ -303,11 +303,9 @@ def hybrid_decode_blocks(
     hybrid_decode: against the all-full baseline, recomputed at Reuse layers
     only when the result's fidelity is first read, not by this call.
     """
-    _check_run_args(model, policy, steps)
-    if block_budget < 1:
-        raise InvalidInputError(f"block_budget must be >= 1, got {block_budget}")
-    if block_size < 1:
-        raise InvalidInputError(f"block_size must be >= 1, got {block_size}")
+    steps = _check_run_args(model, policy, steps)
+    block_budget = check_count("block_budget", block_budget)
+    block_size = check_count("block_size", block_size)
 
     def select(logits: np.ndarray, n: int) -> tuple[BlockSet, BlockSet, np.ndarray]:
         blocks = min(block_budget, math.ceil(n / block_size))
@@ -359,14 +357,10 @@ def cost_model(
     """
     L = policy.num_layers
     full = policy.full_count
-    if context_len < 1:
-        raise InvalidInputError(f"context_len must be >= 1, got {context_len}")
-    if budget < 1:
-        raise InvalidInputError(f"budget must be >= 1, got {budget}")
-    if block_size < 1:
-        raise InvalidInputError(f"block_size must be >= 1, got {block_size}")
-    if head_dim < 1:
-        raise InvalidInputError(f"head_dim must be >= 1, got {head_dim}")
+    context_len = check_count("context_len", context_len)
+    budget = check_count("budget", budget)
+    block_size = check_count("block_size", block_size)
+    head_dim = check_count("head_dim", head_dim)
 
     covered = min(budget * block_size, context_len)
     row_bytes = 2 * head_dim * 8  # keys and values, float64

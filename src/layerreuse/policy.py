@@ -19,7 +19,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 
-from ._canon import V1_0, payload_hash
+from ._canon import V1_0, check_count, check_unit, payload_hash
 from .errors import InvalidInputError
 from .profiling import SimilarityMatrix
 
@@ -101,12 +101,6 @@ class LayerPolicy:
         return payload_hash(self.canonical_payload())
 
 
-def _check_theta(theta: float) -> float:
-    if isinstance(theta, bool) or not isinstance(theta, (int, float)) or not 0.0 <= float(theta) <= 1.0:
-        raise InvalidInputError(f"theta must lie in [0, 1], got {theta}")
-    return float(theta)
-
-
 def _policy_from_sources(
     matrix: SimilarityMatrix,
     sources: list[int],
@@ -148,7 +142,7 @@ def dp_optimize(matrix: SimilarityMatrix, theta: float) -> LayerPolicy:
         The optimal LayerPolicy, with full_count, cum_similarity, and the
         matrix hash filled in.
     """
-    theta = _check_theta(theta)
+    theta = check_unit("theta", theta)
     rows = matrix.values.tolist()
     L = len(rows)
     # cells[j][i]: best path into state (i, j), keyed by ascending source i.
@@ -177,7 +171,7 @@ def brute_force_policy(matrix: SimilarityMatrix, theta: float) -> LayerPolicy:
     Refuses more than BRUTE_FORCE_MAX_LAYERS layers, the enumeration is
     exponential.
     """
-    theta = _check_theta(theta)
+    theta = check_unit("theta", theta)
     L = matrix.num_layers
     if L > BRUTE_FORCE_MAX_LAYERS:
         raise InvalidInputError(
@@ -226,7 +220,7 @@ def validate_policy(
     layer must source itself), "source-not-full", "chain" (a Reuse layer must
     inherit from the layer directly below), and "threshold".
     """
-    theta = _check_theta(theta)
+    theta = check_unit("theta", theta)
     if policy.num_layers != matrix.num_layers:
         raise InvalidInputError(
             f"policy covers {policy.num_layers} layers, matrix {matrix.num_layers}"
@@ -268,10 +262,8 @@ def static_jump_policy(num_layers: int, stride: int) -> LayerPolicy:
     Needs no similarity matrix, so theta, cum_similarity, and matrix_hash are
     None. stride = 1 is the all-Full policy.
     """
-    if num_layers < 1:
-        raise InvalidInputError(f"num_layers must be >= 1, got {num_layers}")
-    if stride < 1:
-        raise InvalidInputError(f"stride must be >= 1, got {stride}")
+    num_layers = check_count("num_layers", num_layers)
+    stride = check_count("stride", stride)
     actions = []
     sources = []
     for j in range(num_layers):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._canon import V1_0, payload_hash
+from ._canon import V1_0, check_count, payload_hash
 from .attention import _head_sum, _subset_attention, full_attention, topk_of_logits
 from .errors import InvalidInputError
 from .synthetic import DecodeTrace, SyntheticModel
@@ -49,8 +49,7 @@ class SimilarityMatrix:
         L = values.shape[0]
         if L < 1:
             raise InvalidInputError("matrix must cover at least one layer")
-        if self.budget < 1:
-            raise InvalidInputError(f"budget must be >= 1, got {self.budget}")
+        object.__setattr__(self, "budget", check_count("budget", self.budget))
         lower = values[np.tril_indices(L)]
         if not np.all(np.isfinite(lower)) or lower.min() < 0.0 or lower.max() > 1.0:
             raise InvalidInputError("overlap entries must lie in [0, 1]")
@@ -79,8 +78,7 @@ class SimilarityMatrix:
 
     @classmethod
     def from_flat(cls, num_layers: int, budget: int, entries: list[float]) -> "SimilarityMatrix":
-        if num_layers < 1:
-            raise InvalidInputError(f"matrix must cover at least one layer, got L={num_layers}")
+        num_layers = check_count("layer count L", num_layers)
         expected = num_layers * (num_layers + 1) // 2
         if len(entries) != expected:
             raise InvalidInputError(
@@ -197,10 +195,8 @@ def sensitivity_profile(model: SyntheticModel, step: int, budget: int) -> Sensit
         budget: top-k size, clamped to the cache length.
     """
     cfg = model.config
-    if step < 0:
-        raise InvalidInputError(f"step must be >= 0, got {step}")
-    if budget < 1:
-        raise InvalidInputError(f"budget must be >= 1, got {budget}")
+    step = check_count("step", step, 0)
+    budget = check_count("budget", budget)
     queries = model.queries(step + 1)[step]
     # [0] holds each layer's full output, [1] its sparse output.
     outs = np.empty((2,) + queries.shape)

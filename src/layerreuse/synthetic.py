@@ -51,6 +51,7 @@ import numpy as np
 # malloc arena for the life of the process.
 import numpy.random  # noqa: F401
 
+from ._canon import check_count, check_unit
 from .attention import (
     BlockSet,
     LayerKvCache,
@@ -105,23 +106,10 @@ class SynthModelConfig:
     heads: int = 1
 
     def __post_init__(self) -> None:
-        # A bool is an int to isinstance, but never a count or a seed here,
-        # as a JSON boolean is never a number to the artifact readers.
-        if type(self.layers) is not int or self.layers < 2:
-            raise InvalidInputError(f"layers must be an integer >= 2, got {self.layers}")
-        if type(self.head_dim) is not int or self.head_dim < 1:
-            raise InvalidInputError(f"head_dim must be an integer >= 1, got {self.head_dim}")
-        if type(self.context_len) is not int or self.context_len < 2:
-            raise InvalidInputError(f"context_len must be an integer >= 2, got {self.context_len}")
-        if type(self.seed) is not int:
-            raise InvalidInputError("seed must be an integer")
-        rho = self.inter_layer_correlation
-        if (isinstance(rho, bool) or not isinstance(rho, (int, float)) or not math.isfinite(rho)
-                or not 0.0 <= rho <= 1.0):
-            raise InvalidInputError(f"inter_layer_correlation must lie in [0, 1], got {rho}")
-        object.__setattr__(self, "inter_layer_correlation", float(rho))
-        if type(self.heads) is not int or self.heads < 1:
-            raise InvalidInputError(f"heads must be an integer >= 1, got {self.heads}")
+        for name, least in (("layers", 2), ("head_dim", 1), ("context_len", 2), ("seed", None), ("heads", 1)):
+            object.__setattr__(self, name, check_count(name, getattr(self, name), least))
+        rho = check_unit("inter_layer_correlation", self.inter_layer_correlation)
+        object.__setattr__(self, "inter_layer_correlation", rho)
 
 
 def _entropy(seed: int, key) -> list[int]:
@@ -132,6 +120,7 @@ def _entropy(seed: int, key) -> list[int]:
     """
     words = [seed & _MASK32, (seed >> 32) & _MASK32, 0, 0]
     for part in key:
+        # Not check_count: a first numbers.Integral check on the worker thread bloats its malloc arena.
         if part < 0:
             raise InvalidInputError(f"seed key elements must be >= 0, got {part}")
         words.append(part & _MASK32)
@@ -349,8 +338,7 @@ class SyntheticModel:
         same construction as the caches.
         """
         cfg = self.config
-        if steps < 1:
-            raise InvalidInputError(f"steps must be >= 1, got {steps}")
+        steps = check_count("steps", steps)
         L, H, d = cfg.layers, cfg.heads, cfg.head_dim
         rho = cfg.inter_layer_correlation
         target = math.sqrt(d)
@@ -385,8 +373,7 @@ class SyntheticModel:
             NumericInputError: if a generated growth row is not finite.
         """
         cfg = self.config
-        if steps < 1:
-            raise InvalidInputError(f"steps must be >= 1, got {steps}")
+        steps = check_count("steps", steps)
         with self._lock:
             if steps > self._grown:
                 self._grow(steps)
@@ -517,14 +504,11 @@ def run_full_trace(model: SyntheticModel, steps: int, budget: int, block_size: i
     Both selection passes run at every width, block_size 1 included.
     """
     cfg = model.config
-    if steps < 1:
-        raise InvalidInputError(f"steps must be >= 1, got {steps}")
-    if budget < 1 or budget > cfg.context_len:
-        raise InvalidInputError(
-            f"budget must lie in [1, context_len={cfg.context_len}], got {budget}"
-        )
-    if block_size < 1:
-        raise InvalidInputError(f"block_size must be >= 1, got {block_size}")
+    steps = check_count("steps", steps)
+    budget = check_count("budget", budget)
+    if budget > cfg.context_len:
+        raise InvalidInputError(f"budget must lie in [1, context_len={cfg.context_len}], got {budget}")
+    block_size = check_count("block_size", block_size)
     block_budget = math.ceil(budget / block_size)
     queries = model.queries(steps)
     outputs = np.empty((steps, cfg.layers, cfg.heads, cfg.head_dim))

@@ -105,11 +105,11 @@ def _frozen(arr):
     return arr
 
 
-def test_cache_shares_read_only_float64_input_and_copies_writable_input():
+def test_cache_copies_read_only_and_writable_input():
     rng = np.random.default_rng(11)
     keys, values = _frozen(rng.standard_normal((6, 4))), _frozen(rng.standard_normal((6, 4)))
-    shared = LayerKvCache(keys=keys, values=values)
-    assert np.shares_memory(shared.keys, keys) and np.shares_memory(shared.values, values)
+    frozen = LayerKvCache(keys=keys, values=values)
+    assert not np.shares_memory(frozen.keys, keys) and not np.shares_memory(frozen.values, values)
 
     writable = rng.standard_normal((6, 4))
     copied = LayerKvCache(keys=writable, values=writable.copy())
@@ -127,10 +127,25 @@ def test_cache_copies_read_only_view_of_writable_base():
     assert not np.shares_memory(cache.values, base)
 
 
-def test_cache_shares_views_of_read_only_base():
+def test_cache_copies_views_of_read_only_base():
+    # Only the model's checked rows are shared; a caller can make its own base writable again.
     base = _frozen(np.random.default_rng(13).standard_normal((2, 6, 4)))
     cache = LayerKvCache(keys=base[0, :5], values=base[1, :5])
-    assert np.shares_memory(cache.keys, base) and np.shares_memory(cache.values, base)
+    assert not np.shares_memory(cache.keys, base) and not np.shares_memory(cache.values, base)
+
+
+def test_cache_keeps_its_rows_when_a_frozen_input_is_written_again():
+    rng = np.random.default_rng(17)
+    keys, values = _frozen(rng.standard_normal((2, 6, 4))), _frozen(rng.standard_normal((2, 6, 4)))
+    q = rng.standard_normal((2, 4))
+    cache = LayerKvCache(keys=keys, values=values)
+    want_keys = cache.keys.copy()
+    want, _, _ = full_attention(q, cache)
+    for arr in (keys, values):
+        arr.setflags(write=True)
+        arr[0, 0, 0] = np.nan
+    assert np.array_equal(cache.keys, want_keys)
+    assert np.array_equal(full_attention(q, cache)[0], want)
 
 
 def test_cache_prefix_is_a_shared_view():
@@ -159,21 +174,22 @@ def test_shared_input_is_still_validated():
 
 
 def test_cache_shares_head_blocks_that_are_each_contiguous():
-    # Spare rows between heads keep each [n, d] block contiguous: shared, as grown_arrays views are.
-    base = _frozen(np.random.default_rng(15).standard_normal((3, 9, 4)))
-    cache = LayerKvCache(keys=base[:, :6], values=base[:, 1:7])
+    # Spare rows between heads keep each [n, d] block of a grown_arrays view contiguous: shared.
+    model = generate_model(SynthModelConfig(layers=2, heads=3, head_dim=4, context_len=6, seed=15))
+    keys, values = model.grown_arrays(2)
+    cache = model.cache_at(1, 1)
     assert not cache.keys.flags.c_contiguous
-    assert np.shares_memory(cache.keys, base) and np.shares_memory(cache.values, base)
-    assert (cache.length, cache.head_dim) == (6, 4)
+    assert np.shares_memory(cache.keys, keys) and np.shares_memory(cache.values, values)
+    assert (cache.length, cache.head_dim) == (7, 4)
     head = cache.prefix(2)
-    assert head.keys.shape == (3, 2, 4) and np.shares_memory(head.keys, base)
+    assert head.keys.shape == (3, 2, 4) and np.shares_memory(head.keys, keys)
     # A block whose rows or columns are strided is copied, so BLAS sees what a fresh copy gives it.
-    for keys in (base[:, ::2], base[:, :, ::2], base.transpose(1, 0, 2)):
-        assert not np.shares_memory(LayerKvCache(keys=keys, values=keys).keys, base)
+    for view in (keys[1, :, ::2], keys[1, :, :, ::2], keys[1].transpose(1, 0, 2)):
+        assert not np.shares_memory(LayerKvCache(keys=view, values=view).keys, keys)
     with pytest.raises(ConfigurationError):
-        LayerKvCache(keys=base[:0], values=base[:0])
+        LayerKvCache(keys=keys[1, :0], values=keys[1, :0])
     with pytest.raises(ConfigurationError):
-        LayerKvCache(keys=base[None], values=base[None])
+        LayerKvCache(keys=keys, values=keys)
 
 
 def test_all_heads_query_must_carry_every_head():

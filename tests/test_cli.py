@@ -16,8 +16,11 @@ from conftest import TornFile
 from layerreuse import (
     Action,
     LayerPolicy,
+    SynthModelConfig,
     cli,
     formats,
+    generate_model,
+    hybrid_decode_blocks,
     read_json,
     read_policy,
     read_similarity_matrix,
@@ -186,9 +189,16 @@ def test_bad_theta_exits_2(pipeline, tmp_path):
 def test_half_specified_block_mode_exits_2(pipeline, tmp_path):
     args = ["decode", *MODEL_FLAGS, "--policy", str(pipeline / "policy.json"),
             "--steps", "1", "--out", str(tmp_path / "r.json")]
-    assert main([*args, "--block-budget", "2"]) == 2  # block-size still 1
     assert main([*args, "--block-size", "4"]) == 2  # budget missing
-    assert main([*args, "--block-size", "4", "--block-budget", "2"]) == 0
+    assert main([*args, "--block-size", "4", "--budget", "2"]) == 0
+
+
+@pytest.mark.parametrize("k", ["0", "25"])
+def test_gen_traces_k_outside_the_context_exits_2(tmp_path, capsys, k):
+    out = tmp_path / "trace.json"
+    assert main(["gen-traces", *MODEL_FLAGS, "--steps", "1", "--k", k, "--out", str(out)]) == 2
+    assert "budget must" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_token_mode_without_budget_exits_2(pipeline, tmp_path):
@@ -768,21 +778,33 @@ def test_removed_bench_flags_exit_2(pipeline, tmp_path, flag, value):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("flag,value", [("--budget", "9"), ("--include-sinks", "3"),
-                                        ("--include-recent", "5")])
+@pytest.mark.parametrize("flag,value", [("--include-sinks", "3"), ("--include-recent", "5")])
 def test_block_mode_rejects_token_mode_flags(pipeline, tmp_path, capsys, flag, value):
     out = tmp_path / "r.json"
     assert main(["decode", *MODEL_FLAGS, "--policy", str(pipeline / "policy.json"), "--steps", "1",
-                 "--block-size", "4", "--block-budget", "2", flag, value, "--out", str(out)]) == 2
+                 "--block-size", "4", "--budget", "2", flag, value, "--out", str(out)]) == 2
     assert flag in capsys.readouterr().err
     assert not out.exists()
 
 
+def test_block_mode_budget_counts_blocks(pipeline, tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["decode", *MODEL_FLAGS, "--policy", str(pipeline / "policy.json"), "--steps", "2",
+                 "--block-size", "4", "--budget", "2", "--out", str(out)]) == 0
+    config = SynthModelConfig(layers=5, context_len=24, head_dim=8, inter_layer_correlation=0.9, seed=17)
+    run = hybrid_decode_blocks(generate_model(config), read_policy(str(pipeline / "policy.json")), 2, 4, 2)
+    formats.write_run_result(run, str(tmp_path / "want.json"))
+    got, want = read_json(str(out)), read_json(str(tmp_path / "want.json"))
+    assert got["budget"] == 2 and got["blockSize"] == 4
+    for key in ("budget", "blockSize", "steps", "counters", "fidelity"):
+        assert got[key] == want[key], key
+
+
 def test_block_size_below_one_is_not_token_mode(pipeline, tmp_path, capsys):
     # A block size other than 1 selects block mode, which rejects it, so the
-    # block budget is not silently dropped by a token-mode run.
+    # budget is not silently read as tokens by a token-mode run.
     assert main(["decode", *MODEL_FLAGS, "--policy", str(pipeline / "policy.json"), "--steps", "1",
-                 "--block-size", "0", "--block-budget", "2", "--out", str(tmp_path / "r.json")]) == 2
+                 "--block-size", "0", "--budget", "2", "--out", str(tmp_path / "r.json")]) == 2
     assert "block_size must be >= 1" in capsys.readouterr().err
 
 
