@@ -2,8 +2,10 @@
 
 Every command writes a run manifest next to its primary output and embeds the
 manifest hash in each artifact. The hash covers the command, the effective
-config, input and output paths, seed, and tool version, but not wall time, so
-re-running a command on identical inputs produces byte-identical artifacts.
+config, input and output paths, seed, and tool version, but not wall time.
+Paths are recorded relative to the primary output's directory, so re-running
+a command on identical inputs produces byte-identical artifacts, in the same
+directory or another.
 
 Every file is written atomically: to a temp file beside it, then renamed
 into place.
@@ -89,11 +91,22 @@ def _effective_model_config(args) -> SynthModelConfig:
     return config_from_payload(merged)
 
 
-class _Manifest:
-    """Collects one command's provenance and writes it next to the primary output."""
+def _relative(path: str, out_dir: str) -> str:
+    """path as a manifest records it: relative to out_dir, the primary output's directory."""
+    return os.path.relpath(path, out_dir or os.curdir)
 
-    def __init__(self, command: str, config: dict, seed: int | None) -> None:
+
+class _Manifest:
+    """Collects one command's provenance and writes it next to the primary output.
+
+    out_dir is the primary output's directory. Inputs and outputs are
+    recorded relative to it, and callers pass each path in config through
+    _relative(path, out_dir) too.
+    """
+
+    def __init__(self, command: str, out_dir: str, config: dict, seed: int | None) -> None:
         self.command = command
+        self.out_dir = out_dir
         self.config = config
         self.seed = seed
         self.inputs: list[str] = []
@@ -106,8 +119,8 @@ class _Manifest:
             "kind": "run-manifest",
             "command": self.command,
             "config": self.config,
-            "inputs": sorted(self.inputs),
-            "outputs": sorted(self.outputs),
+            "inputs": sorted(_relative(path, self.out_dir) for path in self.inputs),
+            "outputs": sorted(_relative(path, self.out_dir) for path in self.outputs),
             "seed": self.seed,
             "toolVersion": __version__,
         }
@@ -130,6 +143,7 @@ def _cmd_gen_traces(args) -> int:
     out = _resolve(args, args.out, "trace.json")
     manifest = _Manifest(
         "gen-traces",
+        os.path.dirname(out),
         {**config_payload(config), "steps": args.steps, "k": args.k, "blockSize": args.block_size},
         config.seed,
     )
@@ -147,7 +161,9 @@ def _cmd_profile(args) -> int:
     trace = read_trace(args.trace)
     out_matrix = _resolve(args, args.out_matrix, "similarity.json")
     out_sens = _resolve(args, args.out_sensitivity, "sensitivity.json")
-    manifest = _Manifest("profile", {"trace": args.trace, **config_payload(trace.config)}, trace.config.seed)
+    base = os.path.dirname(out_matrix)
+    config = {"trace": _relative(args.trace, base), **config_payload(trace.config)}
+    manifest = _Manifest("profile", base, config, trace.config.seed)
     manifest.inputs.append(args.trace)
     manifest.outputs.extend([out_matrix, out_sens])
     matrix = build_similarity_matrix(trace)
@@ -162,7 +178,8 @@ def _cmd_profile(args) -> int:
 def _cmd_plan(args) -> int:
     matrix = read_similarity_matrix(args.matrix)
     out = _resolve(args, args.out, "policy.json")
-    manifest = _Manifest("plan", {"matrix": args.matrix, "theta": args.theta}, None)
+    base = os.path.dirname(out)
+    manifest = _Manifest("plan", base, {"matrix": _relative(args.matrix, base), "theta": args.theta}, None)
     manifest.inputs.append(args.matrix)
     manifest.outputs.append(out)
     policy = dp_optimize(matrix, args.theta)
@@ -185,11 +202,13 @@ def _cmd_decode(args) -> int:
             "--include-sinks and --include-recent are token-mode flags; block mode refuses them"
         )
     out = _resolve(args, args.out, "run.json")
+    base = os.path.dirname(out)
     manifest = _Manifest(
         "decode",
+        base,
         {
             **config_payload(config),
-            "policy": args.policy,
+            "policy": _relative(args.policy, base),
             "budget": args.budget,
             "steps": args.steps,
             "blockSize": args.block_size,
@@ -234,10 +253,12 @@ def _cmd_bench(args) -> int:
     except ValueError as exc:
         raise InvalidInputError(f"--lengths must be comma-separated integers: {exc}") from exc
     out = _resolve(args, args.out, "bench.csv")
+    base = os.path.dirname(out)
     manifest = _Manifest(
         "bench",
+        base,
         {
-            "policy": args.policy,
+            "policy": _relative(args.policy, base),
             "lengths": parsed,
             "budget": args.budget,
             "blockSize": args.block_size,
@@ -281,7 +302,9 @@ def _ascii_name(path: str) -> str:
 def _cmd_report(args) -> int:
     out_dir = _out_dir(args)
     os.makedirs(out_dir, exist_ok=True)
-    manifest = _Manifest("report", {"artifacts": list(args.artifacts)}, None)
+    # Every report file is written in out_dir, the primary output among them.
+    artifacts = [_relative(path, out_dir) for path in args.artifacts]
+    manifest = _Manifest("report", out_dir, {"artifacts": artifacts}, None)
     manifest.inputs.extend(args.artifacts)
     policies = {}  # policies.md row name -> (artifact, policy)
     runs = []

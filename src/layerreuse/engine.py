@@ -45,7 +45,7 @@ from .attention import (
     topk_of_logits,
 )
 from .errors import ConfigurationError, InvalidInputError
-from .policy import Action, LayerPolicy, _structural_violations
+from .policy import Action, LayerPolicy
 from .profiling import relative_l2_error
 from .synthetic import DecodeTrace, SyntheticModel
 
@@ -171,17 +171,15 @@ def _full_baseline(
 
 
 def _check_run_args(model: SyntheticModel, policy: LayerPolicy, steps: int) -> int:
-    """steps as an int, once the policy is checked against the model."""
+    """steps as an int, once the policy's layer count is checked against the model.
+
+    The layer count is the one policy check it needs: every LayerPolicy is a
+    valid chain by construction.
+    """
     if policy.num_layers != model.config.layers:
         raise ConfigurationError(
             f"policy covers {policy.num_layers} layers, model has {model.config.layers}"
         )
-    violations = _structural_violations(policy)
-    if violations:
-        layer, rule = violations[0]
-        if rule == "first-layer-full":
-            raise InvalidInputError("the first layer of a policy must run full attention")
-        raise InvalidInputError(f"policy breaks the {rule} rule at layer {layer}")
     return check_count("steps", steps)
 
 

@@ -316,17 +316,19 @@ def read_policy(path: str) -> LayerPolicy:
         actions = tuple(Action(a) for a in doc["actions"])
     except ValueError as exc:
         raise InvalidInputError(f"layer-policy field actions: {exc}") from exc
-    sources = tuple(j if src is None else src for j, src in enumerate(doc["sources"]))
-    theta = doc["theta"]
     cum = doc["cumSimilarity"]
-    return LayerPolicy(
+    policy = LayerPolicy(
         actions=actions,
-        sources=sources,
-        theta=None if theta is None else float(theta),
-        full_count=doc["fullCount"],
+        theta=doc["theta"],
         cum_similarity=None if cum is None else float(cum),
         matrix_hash=doc["matrixHash"],
     )
+    # L, sources and fullCount restate the actions, so a file whose copy differs is refused.
+    derived = policy.canonical_payload()
+    for key in ("L", "sources", "fullCount"):
+        if doc[key] != derived[key]:
+            raise InvalidInputError(f"layer-policy field {key} does not match its actions")
+    return policy
 
 
 def write_run_result(result: DecodeRunResult, path: str, manifest_hash: str | None = None) -> None:

@@ -3,8 +3,11 @@
 A policy assigns every layer an action. A Full layer computes attention over
 the whole cache and publishes its top-k selection. A Reuse layer inherits the
 selection of the layer directly below it, which transitively pins it to the
-Full layer that opened its chain. A reuse edge from source i to target j is
-admissible only when the profiled overlap matrix says M[i][j] >= theta.
+Full layer that opened its chain. So a policy is its actions: LayerPolicy
+derives each layer's source and the Full count from them, and every policy
+that can be built is a valid chain. A reuse edge from source i to target j is
+admissible only when the profiled overlap matrix says M[i][j] >= theta, the
+one rule validate_policy audits.
 
 The planner minimizes the number of Full layers first and, among those
 minima, maximizes the summed similarity credit (1 per Full layer, M[i][j] per
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ._canon import V1_0, check_count, check_unit, payload_hash
 from .errors import InvalidInputError
@@ -42,12 +45,13 @@ class Action(enum.Enum):
 
 @dataclass(frozen=True)
 class LayerPolicy:
-    """Per-layer actions plus the selection source for each layer.
+    """Per-layer actions, plus where a planned policy came from.
 
-    sources[j] == j exactly when layer j runs Full; a Reuse layer points at
-    the Full layer whose selection it inherits. The constructor only enforces
-    structural shape so that deliberately broken policies can be built and
-    fed to validate_policy; semantic checks live there.
+    sources and full_count are derived from actions, not given: sources[j]
+    is the nearest Full layer at or below j, so sources[j] == j exactly when
+    layer j runs Full, and full_count counts the Full layers. The
+    constructor refuses empty actions, an entry that is not an Action, a
+    Reuse first layer and a theta outside [0, 1].
 
     theta, cum_similarity, and matrix_hash are None for policies that were
     not planned against a similarity matrix (for example the static jump
@@ -55,30 +59,28 @@ class LayerPolicy:
     """
 
     actions: tuple[Action, ...]
-    sources: tuple[int, ...]
+    sources: tuple[int, ...] = field(init=False)
     theta: float | None
-    full_count: int
+    full_count: int = field(init=False)
     cum_similarity: float | None
     matrix_hash: str | None
 
     def __post_init__(self) -> None:
         actions = tuple(self.actions)
-        sources = tuple(int(s) for s in self.sources)
         if len(actions) < 1:
             raise InvalidInputError("a policy must cover at least one layer")
-        if len(actions) != len(sources):
-            raise InvalidInputError(
-                f"{len(actions)} actions but {len(sources)} sources"
-            )
         if not all(isinstance(a, Action) for a in actions):
             raise InvalidInputError("actions must be Action values")
-        L = len(actions)
-        if not all(0 <= s < L for s in sources):
-            raise InvalidInputError("sources must be layer indices")
-        if self.full_count != sum(1 for a in actions if a is Action.FULL):
-            raise InvalidInputError("full_count does not match the actions")
+        if actions[0] is not Action.FULL:
+            raise InvalidInputError("the first layer of a policy must run full attention")
+        if self.theta is not None:
+            object.__setattr__(self, "theta", check_unit("theta", self.theta))
+        sources: list[int] = []
+        for j, action in enumerate(actions):
+            sources.append(j if action is Action.FULL else sources[-1])
         object.__setattr__(self, "actions", actions)
-        object.__setattr__(self, "sources", sources)
+        object.__setattr__(self, "sources", tuple(sources))
+        object.__setattr__(self, "full_count", actions.count(Action.FULL))
 
     @property
     def num_layers(self) -> int:
@@ -105,15 +107,12 @@ def _policy_from_sources(
     matrix: SimilarityMatrix,
     sources: list[int],
     theta: float,
-    full_count: int,
     cum_similarity: float,
 ) -> LayerPolicy:
     actions = tuple(Action.FULL if s == j else Action.REUSE for j, s in enumerate(sources))
     return LayerPolicy(
         actions=actions,
-        sources=tuple(sources),
         theta=theta,
-        full_count=full_count,
         cum_similarity=cum_similarity,
         matrix_hash=matrix.sha256(),
     )
@@ -139,8 +138,8 @@ def dp_optimize(matrix: SimilarityMatrix, theta: float) -> LayerPolicy:
             inclusive, an overlap exactly equal to theta admits the edge.
 
     Returns:
-        The optimal LayerPolicy, with full_count, cum_similarity, and the
-        matrix hash filled in.
+        The optimal LayerPolicy, with theta, cum_similarity, and the matrix
+        hash filled in.
     """
     theta = check_unit("theta", theta)
     rows = matrix.values.tolist()
@@ -152,14 +151,14 @@ def dp_optimize(matrix: SimilarityMatrix, theta: float) -> LayerPolicy:
         cell = {i: (f, neg - rows[j][i], i) for i, (f, neg, _) in prev.items() if rows[j][i] >= theta}
         cell[j] = min((f + 1, neg - 1.0, i) for i, (f, neg, _) in prev.items())
         cells.append(cell)
-    full_count, neg, i = min((f, neg, i) for i, (f, neg, _) in cells[-1].items())
+    _, neg, i = min((f, neg, i) for i, (f, neg, _) in cells[-1].items())
 
     sources = [0] * L
     for j in range(L - 1, -1, -1):
         sources[j] = i
         if i == j:
             i = cells[j][j][2]
-    return _policy_from_sources(matrix, sources, theta, full_count, -neg)
+    return _policy_from_sources(matrix, sources, theta, -neg)
 
 
 def brute_force_policy(matrix: SimilarityMatrix, theta: float) -> LayerPolicy:
@@ -178,7 +177,7 @@ def brute_force_policy(matrix: SimilarityMatrix, theta: float) -> LayerPolicy:
             f"brute force is limited to {BRUTE_FORCE_MAX_LAYERS} layers, got {L}"
         )
     best_key: tuple | None = None
-    best: tuple[list[int], int, float] | None = None
+    best: tuple[list[int], float] | None = None
     for tail in itertools.product((Action.FULL, Action.REUSE), repeat=L - 1):
         actions = (Action.FULL,) + tail
         sources = [0] * L
@@ -203,57 +202,33 @@ def brute_force_policy(matrix: SimilarityMatrix, theta: float) -> LayerPolicy:
         key = (fulls, -credit, tuple(reversed(sources)))
         if best_key is None or key < best_key:
             best_key = key
-            best = (sources, fulls, credit)
+            best = (sources, credit)
     assert best is not None  # the all-Full sequence is always feasible
-    sources, fulls, credit = best
-    return _policy_from_sources(matrix, sources, theta, fulls, credit)
+    sources, credit = best
+    return _policy_from_sources(matrix, sources, theta, credit)
 
 
 def validate_policy(
     policy: LayerPolicy, matrix: SimilarityMatrix, theta: float
 ) -> list[tuple[int, str]]:
-    """Check every policy invariant against a matrix and threshold.
+    """Audit a policy's reuse edges against a matrix and threshold.
 
-    Violations are returned as (layer, constraint) pairs rather than raised,
-    so a planner's output can be audited and a broken hand-built policy can
-    be described. Constraints: "first-layer-full", "self-source" (a Full
-    layer must source itself), "source-not-full", "chain" (a Reuse layer must
-    inherit from the layer directly below), and "threshold".
+    LayerPolicy makes every policy a valid chain, so the one rule to audit
+    needs the matrix: "threshold", broken by a Reuse layer j whose source i
+    has M[i][j] < theta. Violations are returned as (layer, "threshold")
+    pairs in layer order rather than raised, so a planner's output can be
+    audited and a hand-built policy described.
     """
     theta = check_unit("theta", theta)
     if policy.num_layers != matrix.num_layers:
         raise InvalidInputError(
             f"policy covers {policy.num_layers} layers, matrix {matrix.num_layers}"
         )
-    violations = _structural_violations(policy)
-    unsourced = {j for j, rule in violations if rule == "source-not-full"}
-    for j, (action, src) in enumerate(zip(policy.actions, policy.sources)):
-        if j > 0 and action is Action.REUSE and j not in unsourced and matrix.overlap(src, j) < theta:
-            violations.append((j, "threshold"))
-    # Stable, so each layer's threshold violation follows its chain violation.
-    return sorted(violations, key=lambda v: v[0])
-
-
-def _structural_violations(policy: LayerPolicy) -> list[tuple[int, str]]:
-    """validate_policy's rules that need no matrix, as (layer, constraint) pairs in layer order.
-
-    "first-layer-full", then per layer "self-source", "source-not-full" or
-    "chain". hybrid decoding refuses a policy that breaks any of them.
-    """
-    violations: list[tuple[int, str]] = []
-    if policy.actions[0] is not Action.FULL:
-        violations.append((0, "first-layer-full"))
-    for j, (action, src) in enumerate(zip(policy.actions, policy.sources)):
-        if action is Action.FULL:
-            if src != j:
-                violations.append((j, "self-source"))
-        elif j == 0:
-            continue  # already reported as first-layer-full
-        elif src >= j or policy.actions[src] is not Action.FULL:
-            violations.append((j, "source-not-full"))
-        elif src != policy.sources[j - 1]:
-            violations.append((j, "chain"))
-    return violations
+    return [
+        (j, "threshold")
+        for j, (action, src) in enumerate(zip(policy.actions, policy.sources))
+        if action is Action.REUSE and matrix.overlap(src, j) < theta
+    ]
 
 
 def static_jump_policy(num_layers: int, stride: int) -> LayerPolicy:
@@ -264,20 +239,5 @@ def static_jump_policy(num_layers: int, stride: int) -> LayerPolicy:
     """
     num_layers = check_count("num_layers", num_layers)
     stride = check_count("stride", stride)
-    actions = []
-    sources = []
-    for j in range(num_layers):
-        if j % stride == 0:
-            actions.append(Action.FULL)
-            sources.append(j)
-        else:
-            actions.append(Action.REUSE)
-            sources.append((j // stride) * stride)
-    return LayerPolicy(
-        actions=tuple(actions),
-        sources=tuple(sources),
-        theta=None,
-        full_count=sum(1 for a in actions if a is Action.FULL),
-        cum_similarity=None,
-        matrix_hash=None,
-    )
+    actions = tuple(Action.FULL if j % stride == 0 else Action.REUSE for j in range(num_layers))
+    return LayerPolicy(actions=actions, theta=None, cum_similarity=None, matrix_hash=None)

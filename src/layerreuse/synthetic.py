@@ -421,7 +421,15 @@ class SyntheticModel:
         Its keys and values are views of grown_arrays(step + 1), not copies,
         shared without a finiteness scan, since each row was checked when it
         was stored.
+
+        Raises:
+            InvalidInputError: if layer is not an integer in [0, layers), or
+                step not an integer >= 0.
         """
+        layer = check_count("layer", layer, 0)
+        if layer >= self.config.layers:
+            raise InvalidInputError(f"layer must be < {self.config.layers}, got {layer}")
+        step = check_count("step", step, 0)
         keys, values = self.grown_arrays(step + 1)
         n = self.config.context_len + step
         return LayerKvCache(keys=keys[layer, :, :n], values=values[layer, :, :n])

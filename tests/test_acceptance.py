@@ -154,8 +154,7 @@ def test_acceptance_08_cost_model_matches_closed_form():
         Action.FULL if l % 4 == 0 else Action.REUSE for l in range(32)
     )
     worked = LayerPolicy(
-        actions=actions, sources=tuple(l - l % 4 for l in range(32)),
-        theta=None, full_count=8, cum_similarity=None, matrix_hash=None,
+        actions=actions, theta=None, cum_similarity=None, matrix_hash=None,
     )
     assert cost_model(worked, 4096, 256, head_dim=64).bytes_ratio == 0.296875
 

@@ -76,7 +76,37 @@ def test_manifest_hash_matches_embedded(pipeline):
     assert read_json(str(pipeline / "policy.json"))["manifest"] == payload_hash(manifest)
     assert manifest["kind"] == "run-manifest"
     assert manifest["command"] == "plan"
-    assert manifest["inputs"] == [str(pipeline / "similarity.json")]
+    assert manifest["inputs"] == ["similarity.json"]
+
+
+def test_the_chain_writes_the_same_bytes_in_another_directory(tmp_path, monkeypatch):
+    # Run once with absolute paths into a/, once from inside b/ with bare names.
+    chain = [
+        ["gen-traces", *MODEL_FLAGS, "--steps", "2", "--k", "6", "--out", "{d}trace.json"],
+        ["profile", "--trace", "{d}trace.json", "--out-matrix", "{d}similarity.json",
+         "--out-sensitivity", "{d}sensitivity.json"],
+        ["plan", "--matrix", "{d}similarity.json", "--theta", "0.5", "--out", "{d}policy.json"],
+        ["decode", *MODEL_FLAGS, "--policy", "{d}policy.json", "--budget", "6", "--steps", "2",
+         "--out", "{d}run.json"],
+        ["bench", "--policy", "{d}policy.json", "--lengths", "1024", "--out", "{d}bench.csv"],
+        ["report", "{d}similarity.json", "{d}policy.json", "{d}run.json", "--out-dir", "{d}report"],
+    ]
+    written = []
+    for root, prefix in ((tmp_path / "a", f"{tmp_path / 'a'}{os.sep}"), (tmp_path / "b", "")):
+        root.mkdir()
+        monkeypatch.chdir(root)
+        for argv in chain:
+            assert main([arg.format(d=prefix) for arg in argv]) == 0
+        files = {}
+        for path in filter(Path.is_file, root.rglob("*")):
+            content = path.read_bytes()
+            if path.name.endswith(".manifest.json"):
+                # Wall time is the one field a manifest may change between runs.
+                content = {**json.loads(content), "wallTimeSeconds": None}
+            files[str(path.relative_to(root))] = content
+        written.append(files)
+    assert written[0] == written[1]
+    assert "report/policies.md" in written[0] and "run.json.manifest.json" in written[0]
 
 
 def test_gen_traces_applies_flags_and_defaults(pipeline):
@@ -389,6 +419,11 @@ _INVALID = [
     ("trace.json", ("tensors", "queries", "shape"), [-2, -5, 1, 8]),
     ("similarity.json", ("L",), -6),  # -6 * -5 / 2 matches the 15 entries of L=5
     ("policy.json", ("actions", 1), "skip"),
+    # The pipeline's policy is F R R R R: L, fullCount and sources must restate it.
+    ("policy.json", ("L",), 99),
+    ("policy.json", ("fullCount",), 2),
+    ("policy.json", ("sources", 2), 1),  # layer 1 is a Reuse layer
+    ("policy.json", ("theta",), 7.5),
 ]
 
 
@@ -636,27 +671,29 @@ def test_out_of_range_trace_selection_exits_2(pipeline, tmp_path, capsys, case):
     assert not (tmp_path / "out").exists()
 
 
-# Policies whose sources contradict their actions: (actions, sources, rule broken).
+# policy.json sources that contradict the actions: (actions, sources as written).
 _CONTRADICTING = {
-    "chain": ("FFRR", (0, 1, 0, 0), "chain rule at layer 2"),
-    "source-not-full": ("FRRR", (0, 3, 2, 1), "source-not-full rule at layer 1"),
+    "chain": ("FFRR", [None, None, 0, 0]),  # layer 2 skips the Full layer 1
+    "source-not-full": ("FRRR", [None, 3, 2, 1]),  # each points at a Reuse layer
 }
 
 
 @pytest.mark.parametrize("case", list(_CONTRADICTING))
 def test_decode_rejects_policy_contradicting_its_sources(tmp_path, capsys, case):
-    actions, sources, message = _CONTRADICTING[case]
+    actions, sources = _CONTRADICTING[case]
     policy = LayerPolicy(
         actions=tuple(Action.FULL if a == "F" else Action.REUSE for a in actions),
-        sources=sources, theta=None, full_count=actions.count("F"),
-        cum_similarity=None, matrix_hash=None,
+        theta=None, cum_similarity=None, matrix_hash=None,
     )
-    path = str(tmp_path / "policy.json")
-    write_policy(policy, path)
-    argv = ["decode", "--layers", "4", "--ctx", "24", "--head-dim", "8", "--policy", path,
+    path = tmp_path / "policy.json"
+    write_policy(policy, str(path))
+    doc = read_json(str(path))
+    doc["sources"] = sources
+    path.write_text(json.dumps(doc))
+    argv = ["decode", "--layers", "4", "--ctx", "24", "--head-dim", "8", "--policy", str(path),
             "--budget", "6", "--steps", "1", "--out", str(tmp_path / "run.json")]
     assert main(argv) == 2
-    assert message in capsys.readouterr().err
+    assert "layer-policy field sources does not match its actions" in capsys.readouterr().err
     assert not (tmp_path / "run.json").exists()
 
 

@@ -207,36 +207,10 @@ def test_run_argument_validation(fixture_model):
         hybrid_decode(fixture_model, policy, 8, 1, include_sinks=-1)
     with pytest.raises(ConfigurationError):
         hybrid_decode(fixture_model, static_jump_policy(3, 1), 8, 1)
-    reuse_first = LayerPolicy(
-        actions=(Action.REUSE,) * FIXTURE.layers,
-        sources=(0,) * FIXTURE.layers, theta=None,
-        full_count=0, cum_similarity=None, matrix_hash=None,
-    )
-    with pytest.raises(InvalidInputError):
-        hybrid_decode(fixture_model, reuse_first, 8, 1)
-
-
-# (actions, sources, message): the loop follows actions only, so a policy whose
-# sources say otherwise must be refused rather than decoded as another policy.
-_CONTRADICTING = [
-    ("FFRR", (0, 1, 0, 0), "the chain rule at layer 2"),
-    ("FRRR", (0, 3, 2, 1), "the source-not-full rule at layer 1"),
-    ("RRRR", (0, 0, 0, 0), "the first layer of a policy must run full attention"),
-]
-
-
-@pytest.mark.parametrize(
-    "actions,sources,message", _CONTRADICTING, ids=["chain", "source-not-full", "reuse-first"]
-)
-def test_block_decode_rejects_policy_contradicting_its_sources(actions, sources, message):
-    model = generate_model(SynthModelConfig(layers=4, head_dim=8, context_len=24, seed=5))
-    policy = LayerPolicy(
-        actions=tuple(Action.FULL if a == "F" else Action.REUSE for a in actions),
-        sources=sources, theta=None, full_count=actions.count("F"),
-        cum_similarity=None, matrix_hash=None,
-    )
-    with pytest.raises(InvalidInputError, match=message):
-        hybrid_decode_blocks(model, policy, 2, 4, 1)
+    # A Reuse-first policy cannot reach decoding: the constructor refuses it.
+    with pytest.raises(InvalidInputError, match="the first layer of a policy must run full attention"):
+        LayerPolicy(actions=(Action.REUSE,) * FIXTURE.layers, theta=None,
+                    cum_similarity=None, matrix_hash=None)
 
 
 # --- block mode ---
@@ -307,9 +281,7 @@ def test_cost_model_worked_example():
     actions = tuple(
         Action.FULL if l % 4 == 0 else Action.REUSE for l in range(32)
     )
-    sources = tuple(l - l % 4 for l in range(32))
-    policy = LayerPolicy(actions=actions, sources=sources, theta=None,
-                         full_count=8, cum_similarity=None, matrix_hash=None)
+    policy = LayerPolicy(actions=actions, theta=None, cum_similarity=None, matrix_hash=None)
     report = cost_model(policy, 4096, 256, head_dim=64)
     assert report.bytes_ratio == 0.296875
     assert report.predicted_speedup == pytest.approx(1 / 0.296875, rel=1e-12)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,51 +192,29 @@ def test_open_move_compares_credit_after_adding_the_full_layer():
 
 
 def test_validator_flags_first_layer_reuse():
-    m = _matrix([[1.0, 0], [0.9, 1.0]])
-    policy = LayerPolicy(
-        actions=(Action.REUSE, Action.FULL), sources=(0, 1), theta=0.5,
-        full_count=1, cum_similarity=None, matrix_hash=None,
-    )
-    assert validate_policy(policy, m, 0.5) == [(0, "first-layer-full")]
+    # The validator never sees a Reuse-first policy: the constructor refuses it.
+    with pytest.raises(InvalidInputError, match="the first layer of a policy must run full attention"):
+        LayerPolicy(
+            actions=(Action.REUSE, Action.FULL), theta=0.5,
+            cum_similarity=None, matrix_hash=None,
+        )
 
 
 def test_validator_flags_threshold_violation():
     m = _matrix([[1.0, 0], [0.2, 1.0]])
     policy = LayerPolicy(
-        actions=(Action.FULL, Action.REUSE), sources=(0, 0), theta=0.5,
-        full_count=1, cum_similarity=None, matrix_hash=None,
+        actions=(Action.FULL, Action.REUSE), theta=0.5,
+        cum_similarity=None, matrix_hash=None,
     )
     assert validate_policy(policy, m, 0.5) == [(1, "threshold")]
 
 
-def test_validator_flags_broken_chain():
-    # layer 3 reuses layer 0 although layer 2 opened a new chain at 2
-    m = _matrix([
-        [1.0, 0, 0, 0],
-        [0.9, 1.0, 0, 0],
-        [0.9, 0.9, 1.0, 0],
-        [0.9, 0.9, 0.9, 1.0],
-    ])
-    policy = LayerPolicy(
-        actions=(Action.FULL, Action.REUSE, Action.FULL, Action.REUSE),
-        sources=(0, 0, 2, 0), theta=0.5,
-        full_count=2, cum_similarity=None, matrix_hash=None,
-    )
-    assert validate_policy(policy, m, 0.5) == [(3, "chain")]
-
-
-def test_validator_flags_reuse_of_non_full_source():
-    m = _matrix([
-        [1.0, 0, 0],
-        [0.9, 1.0, 0],
-        [0.9, 0.9, 1.0],
-    ])
-    policy = LayerPolicy(
-        actions=(Action.FULL, Action.REUSE, Action.REUSE),
-        sources=(0, 0, 1), theta=0.5,
-        full_count=1, cum_similarity=None, matrix_hash=None,
-    )
-    assert validate_policy(policy, m, 0.5) == [(2, "source-not-full")]
+def test_sources_and_full_count_follow_the_actions():
+    F, R = Action.FULL, Action.REUSE
+    policy = LayerPolicy(actions=(F, R, F, R, R), theta=None, cum_similarity=None, matrix_hash=None)
+    assert policy.sources == (0, 0, 2, 2, 2)
+    assert policy.full_count == 2
+    assert dataclasses.replace(policy, actions=(F, F, R)).sources == (0, 1, 1)
 
 
 def test_validator_requires_matching_shapes():
@@ -271,13 +251,9 @@ def test_static_jump_validation():
 
 
 def test_layer_policy_shape_validation():
-    with pytest.raises(InvalidInputError):
-        LayerPolicy(
-            actions=(Action.FULL,), sources=(0, 1), theta=None,
-            full_count=1, cum_similarity=None, matrix_hash=None,
-        )
-    with pytest.raises(InvalidInputError):
-        LayerPolicy(
-            actions=(Action.FULL, Action.REUSE), sources=(0, 0), theta=None,
-            full_count=2, cum_similarity=None, matrix_hash=None,
-        )
+    with pytest.raises(InvalidInputError, match="at least one layer"):
+        LayerPolicy(actions=(), theta=None, cum_similarity=None, matrix_hash=None)
+    with pytest.raises(InvalidInputError, match="Action values"):
+        LayerPolicy(actions=(Action.FULL, "reuse"), theta=None, cum_similarity=None, matrix_hash=None)
+    with pytest.raises(InvalidInputError, match="theta"):
+        LayerPolicy(actions=(Action.FULL,), theta=1.5, cum_similarity=None, matrix_hash=None)

@@ -107,6 +107,13 @@ def test_cache_grows_one_row_per_step():
     assert np.array_equal(cache3.keys, keys[0, :, :19])
 
 
+@pytest.mark.parametrize("layer, step", [(-1, 0), (3, 0), (1.0, 0), (True, 0), (0, True), (0, -1)])
+def test_cache_at_refuses_a_layer_or_step_out_of_range(layer, step):
+    model = generate_model(SynthModelConfig(layers=3, head_dim=8, context_len=16, seed=1))
+    with pytest.raises(InvalidInputError):
+        model.cache_at(layer, step)
+
+
 def test_same_config_is_bit_identical_in_process():
     a = run_full_trace(generate_model(FIXTURE), 2, 32)
     b = run_full_trace(generate_model(FIXTURE), 2, 32)
