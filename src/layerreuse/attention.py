@@ -13,6 +13,14 @@ functions take the resulting [S, N] rows of logits and select row by row.
 All math runs in float64. Every public operation is a pure function over
 immutable inputs, so results are safe to share across threads and are
 bit-reproducible for identical inputs on the same platform.
+
+A selection is checked once, where it can be wrong. The public TopKSet and
+BlockSet constructors check every index, so a hand-built set, a
+dataclasses.replace copy or a set read back from a file is checked. A
+producer whose output is canonical by construction (topk_of_logits' rows, and
+what read_trace has already checked in numpy) builds its sets through the
+private _canonical constructors instead, which check nothing, as
+LayerKvCache.prefix shares rows its cache already checked.
 """
 
 from __future__ import annotations
@@ -171,8 +179,11 @@ def _check_ascending(indices: tuple[int, ...], kind: str) -> None:
 class TopKSet:
     """Canonical token selection: distinct ascending indices plus the requested budget.
 
-    The constructing operation guarantees len(indices) == min(budget, N) for
-    the cache it was drawn from; the constructor enforces the canonical form.
+    indices is a non-empty tuple of strictly ascending, non-negative Python
+    ints, at most budget of them. The constructing operation guarantees
+    len(indices) == min(budget, N) for the cache it was drawn from. The
+    constructor checks the canonical form; _canonical, for producers that
+    guarantee it, does not.
     """
 
     indices: tuple[int, ...]
@@ -191,6 +202,21 @@ class TopKSet:
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "budget", budget)
 
+    @classmethod
+    def _canonical(cls, indices: tuple[int, ...], budget: int) -> TopKSet:
+        """The set of indices already in canonical form, built without a check.
+
+        Only these callers may use it: run_full_trace and hybrid_decode, on a
+        row of topk_of_logits (and its union with sink and recent rows), and
+        read_trace, on rows its numpy pass checked. indices must be a tuple
+        of Python ints, never numpy integers, since a set's repr is hashed
+        into golden digests; budget is an int >= 1.
+        """
+        sel = object.__new__(cls)
+        object.__setattr__(sel, "indices", indices)
+        object.__setattr__(sel, "budget", budget)
+        return sel
+
     @property
     def size(self) -> int:
         return len(self.indices)
@@ -201,7 +227,12 @@ class TopKSet:
 
 @dataclass(frozen=True)
 class BlockSet:
-    """Canonical block selection: distinct ascending block indices and the block width."""
+    """Canonical block selection: distinct ascending block indices and the block width.
+
+    block_indices is a non-empty tuple of strictly ascending, non-negative
+    Python ints. The constructor checks that form; _canonical, for producers
+    that guarantee it, does not.
+    """
 
     block_indices: tuple[int, ...]
     block_size: int
@@ -214,6 +245,19 @@ class BlockSet:
         _check_ascending(blocks, "block")
         object.__setattr__(self, "block_indices", blocks)
         object.__setattr__(self, "block_size", block_size)
+
+    @classmethod
+    def _canonical(cls, blocks: tuple[int, ...], block_size: int) -> BlockSet:
+        """The set of blocks already in canonical form, built without a check.
+
+        Only these callers may use it: topk_blocks, on a row of
+        topk_of_logits, and read_trace, on rows its numpy pass checked.
+        blocks must be a tuple of Python ints; block_size is an int >= 1.
+        """
+        sel = object.__new__(cls)
+        object.__setattr__(sel, "block_indices", blocks)
+        object.__setattr__(sel, "block_size", block_size)
+        return sel
 
     @property
     def size(self) -> int:
@@ -417,9 +461,20 @@ def block_max_of_logits(logits: np.ndarray, block_size: int) -> np.ndarray:
 def topk_blocks(block_scores: np.ndarray, block_budget: int, block_size: int):
     """Select the top-block_budget blocks; same ordering and tie rule as topk_of_logits.
 
-    Scores [S, B] give a tuple of S BlockSets, one per row.
+    Scores [S, B] give a tuple of S BlockSets, one per row. topk_of_logits
+    returns canonical rows, so the sets are built without a second check.
+
+    Raises:
+        InvalidSelectionError: if there is no block to select.
+        InvalidInputError: if the scores are not one row or a stack of rows.
     """
+    block_size = check_count("block_size", block_size)
+    shape = np.shape(block_scores)
+    if len(shape) not in (1, 2):
+        raise InvalidInputError(f"block scores must be [B] or [S, B], got shape {shape}")
+    if shape[-1] == 0:
+        raise InvalidSelectionError("block selection must contain at least one block")
     picked = topk_of_logits(block_scores, block_budget)
-    if np.ndim(block_scores) == 1:
-        return BlockSet(block_indices=picked, block_size=block_size)
-    return tuple(BlockSet(block_indices=row, block_size=block_size) for row in picked)
+    if len(shape) == 1:
+        return BlockSet._canonical(picked, block_size)
+    return tuple(BlockSet._canonical(row, block_size) for row in picked)

@@ -54,7 +54,7 @@ from .policy import dp_optimize
 from .profiling import SensitivityReport, build_similarity_matrix, sensitivity_table
 from .synthetic import SynthModelConfig, generate_model, run_full_trace
 
-_MODEL_DEFAULTS = config_payload(SynthModelConfig(layers=10))
+_MODEL_DEFAULTS = {key: getattr(SynthModelConfig(layers=10), field) for field, key, *_ in CONFIG_FIELDS}
 
 
 def _out_dir(args) -> str:

@@ -46,7 +46,7 @@ from .attention import (
 )
 from .errors import ConfigurationError, InvalidInputError
 from .policy import Action, LayerPolicy
-from .profiling import relative_l2_error
+from .profiling import _row_errors
 from .synthetic import DecodeTrace, SyntheticModel
 
 __all__ = [
@@ -137,13 +137,9 @@ class DecodeRunResult:
 
 
 def _fidelity_tables(baseline_outputs: np.ndarray, hybrid_outputs: np.ndarray) -> FidelityTable:
-    steps, layers = hybrid_outputs.shape[0], hybrid_outputs.shape[1]
-    table = np.empty((steps, layers))
-    for t in range(steps):
-        for l in range(layers):
-            table[t, l] = relative_l2_error(
-                hybrid_outputs[t, l].ravel(), baseline_outputs[t, l].ravel()
-            )
+    """Each (step, layer) cell's relative L2 error over its heads' outputs, all cells at once."""
+    cells = hybrid_outputs.shape[:2] + (-1,)
+    table = _row_errors(hybrid_outputs.reshape(cells), baseline_outputs.reshape(cells))
     table.setflags(write=False)
     per_layer = table.mean(axis=0)
     per_layer.setflags(write=False)
@@ -270,14 +266,20 @@ def hybrid_decode(
     include_sinks = check_count("include_sinks", include_sinks, 0)
     include_recent = check_count("include_recent", include_recent, 0)
 
+    # topk_of_logits returns a canonical row, and a mask over the n cached rows
+    # reads back their union with the sinks and recent rows in ascending
+    # order, so both sets are built without a second check.
     def select(logits: np.ndarray, n: int) -> tuple[TopKSet, TopKSet, np.ndarray]:
-        sel = TopKSet(indices=topk_of_logits(logits, min(budget, n)), budget=budget)
+        sel = TopKSet._canonical(topk_of_logits(logits, min(budget, n)), budget)
         if not (include_sinks or include_recent):
             return sel, sel, sel.as_array()
-        extra = set(range(min(include_sinks, n))) | set(range(max(n - include_recent, 0), n))
-        merged = tuple(sorted(set(sel.indices) | extra))
-        inherited = TopKSet(indices=merged, budget=len(merged))
-        return sel, inherited, inherited.as_array()
+        keep = np.zeros(n, dtype=bool)
+        keep[sel.as_array()] = True
+        keep[:include_sinks] = True
+        keep[max(n - include_recent, 0) :] = True
+        rows = np.flatnonzero(keep)
+        inherited = TopKSet._canonical(tuple(rows.tolist()), int(rows.shape[0]))
+        return sel, inherited, rows
 
     return _decode(model, policy, steps, budget, 1, select)
 

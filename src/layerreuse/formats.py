@@ -27,6 +27,7 @@ from ._canon import (
     NUMBER_OR_NULL,
     V1_0,
     canonical_json_bytes,
+    check_count,
     check_header,
     require_items,
     require_keys,
@@ -110,14 +111,23 @@ CONFIG_FIELDS = (
     ("inter_layer_correlation", "interLayerCorrelation", "--rho", NUMBER,
      "cross-layer similarity dial in [0, 1]"),
     ("heads", "heads", "--heads", int, "heads per layer"),
+    ("logit_scale", "logitScale", "--logit-scale", NUMBER,
+     "query scale, the sparsity dial; > 1 concentrates attention"),
 )
+
+# Keys a config payload leaves out at their default value, so every artifact of
+# a model that keeps the default has the bytes and hash it had before the key existed.
+_OMITTED_AT_DEFAULT = {"logitScale": 1.0}
 
 
 def config_payload(config: SynthModelConfig) -> dict:
-    return {key: getattr(config, field) for field, key, *_ in CONFIG_FIELDS}
+    payload = {key: getattr(config, field) for field, key, *_ in CONFIG_FIELDS}
+    return {key: value for key, value in payload.items() if _OMITTED_AT_DEFAULT.get(key) != value}
 
 
 def config_from_payload(doc: dict) -> SynthModelConfig:
+    if isinstance(doc, dict):
+        doc = {**_OMITTED_AT_DEFAULT, **doc}
     require_keys(doc, {key: json_type for _, key, _, json_type, _ in CONFIG_FIELDS}, "config")
     return SynthModelConfig(**{field: doc[key] for field, key, *_ in CONFIG_FIELDS})
 
@@ -187,8 +197,48 @@ def write_trace(trace: DecodeTrace, path: str, manifest_hash: str | None = None)
     _write_doc(path, payload, manifest_hash)
 
 
+def _check_rows(rows: list[list[int]], kind: str, most: int, limit: int, t: int) -> None:
+    """Check one step's selections of one kind, every layer's row at once.
+
+    Each row must hold 1 to most strictly ascending, non-negative indices
+    below limit, and every row of the step as many as the others. An index
+    beyond int64 is compared as a Python int, so it is refused like any
+    other index out of range.
+
+    Raises:
+        InvalidSelectionError: naming the step and the first rule a row breaks.
+    """
+    width = len(rows[0])
+    if any(len(row) != width for row in rows):
+        raise InvalidSelectionError(f"trace step {t} holds {kind} selections of different sizes")
+    if width == 0:
+        raise InvalidSelectionError(f"trace step {t} holds an empty {kind} selection")
+    if width > most:
+        raise InvalidSelectionError(
+            f"trace step {t} holds {width} {kind} indices per selection, over its budget of {most}"
+        )
+    try:
+        grid = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        grid = np.array(rows, dtype=object)
+    # Ascending rows hold their least index first and their largest last.
+    if (grid[:, 0] < 0).any():
+        raise InvalidSelectionError(f"trace step {t} selects a negative {kind} index")
+    if (grid[:, 1:] <= grid[:, :-1]).any():
+        raise InvalidSelectionError(f"trace step {t} holds {kind} indices that are not strictly ascending")
+    if (grid[:, -1] >= limit).any():
+        unit = "cached tokens" if kind == "token" else "blocks"
+        raise InvalidSelectionError(f"trace step {t} selects a {kind} beyond its {limit} {unit}")
+
+
 def read_trace(path: str) -> DecodeTrace:
-    """Read a decode trace; the whole document is checked before any sidecar is read."""
+    """Read a decode trace; the whole document is checked before any sidecar is read.
+
+    Each step's selections are checked at once with numpy (_check_rows): at
+    most budget tokens, or ceil(budget / blockSize) blocks, per selection, and
+    every index within the step's cache. The checked rows then become
+    TopKSet and BlockSet objects without a second check.
+    """
     doc = read_json(path)
     check_header(doc, "decode-trace")
     require_keys(
@@ -203,8 +253,9 @@ def read_trace(path: str) -> DecodeTrace:
         require_keys(tensors[name], {"path": str, "shape": list, "sha256": str}, f"tensor {name}")
         require_items(tensors[name]["shape"], int, f"tensor {name} shape")
     steps = doc["steps"]
-    budget = doc["budget"]
-    block_size = doc["blockSize"]
+    budget = check_count("budget", doc["budget"])
+    block_size = check_count("block_size", doc["blockSize"])
+    block_budget = (budget + block_size - 1) // block_size
     if len(steps) < 1:
         raise InvalidInputError("trace holds no decode steps")
     topk_rows = []
@@ -218,19 +269,14 @@ def read_trace(path: str) -> DecodeTrace:
             require_keys(entry, {"topk": list, "blocks": list}, "trace layer entry")
             require_items(entry["topk"], int, "topk")
             require_items(entry["blocks"], int, "blocks")
-        topk = tuple(TopKSet(indices=tuple(entry["topk"]), budget=budget) for entry in layers)
-        blocks = tuple(
-            BlockSet(block_indices=tuple(entry["blocks"]), block_size=block_size) for entry in layers
-        )
-        # Step t sees context_len + t tokens; indices are ascending, so the last is the largest.
+        # Step t sees context_len + t tokens.
         n = config.context_len + t
-        n_blocks = (n + block_size - 1) // block_size
-        if any(sel.indices[-1] >= n for sel in topk):
-            raise InvalidSelectionError(f"trace step {t} selects a token beyond its {n} cached tokens")
-        if any(sel.block_indices[-1] >= n_blocks for sel in blocks):
-            raise InvalidSelectionError(f"trace step {t} selects a block beyond its {n_blocks} blocks")
-        topk_rows.append(topk)
-        block_rows.append(blocks)
+        topk = [entry["topk"] for entry in layers]
+        blocks = [entry["blocks"] for entry in layers]
+        _check_rows(topk, "token", budget, n, t)
+        _check_rows(blocks, "block", block_budget, (n + block_size - 1) // block_size, t)
+        topk_rows.append(tuple(TopKSet._canonical(tuple(row), budget) for row in topk))
+        block_rows.append(tuple(BlockSet._canonical(tuple(row), block_size) for row in blocks))
     cells = (len(steps), config.layers)
     rows = cells + (config.heads, config.head_dim)
     queries, outputs, sensitivity = (
@@ -328,6 +374,15 @@ def read_policy(path: str) -> LayerPolicy:
     for key in ("L", "sources", "fullCount"):
         if doc[key] != derived[key]:
             raise InvalidInputError(f"layer-policy field {key} does not match its actions")
+    # A plan's credit is 1 per Full layer plus an overlap in [0, 1] per Reuse
+    # layer, and a planned policy (one with a theta) always records it.
+    if cum is not None and not policy.full_count <= cum <= policy.num_layers:
+        raise InvalidInputError(
+            f"layer-policy field cumSimilarity {cum} lies outside [fullCount, L] = "
+            f"[{policy.full_count}, {policy.num_layers}]"
+        )
+    if policy.theta is not None and cum is None:
+        raise InvalidInputError("layer-policy field cumSimilarity is null, but a planned policy records it")
     return policy
 
 

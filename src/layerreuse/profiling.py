@@ -137,17 +137,31 @@ def build_similarity_matrix(trace: DecodeTrace) -> SimilarityMatrix:
     return SimilarityMatrix(values=values, budget=k)
 
 
+def _row_errors(x: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """||x - reference|| / ||reference|| over the last axis, for every row at once.
+
+    A row's squared norm is the 1 x n by n x 1 matmul of the row with
+    itself, which runs the same BLAS dot as np.linalg.norm of that row, so
+    each value equals the norm-based quotient bit for bit. A row whose
+    reference norm vanishes reads 0.0 when its error vanishes too, else NaN.
+    """
+    diff = x - reference
+    reference = np.ascontiguousarray(reference)
+    err = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
+    ref = np.sqrt((reference[..., None, :] @ reference[..., :, None])[..., 0, 0])
+    vanished = ref == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = err / np.where(vanished, 1.0, ref)
+    return np.where(vanished, np.where(err == 0.0, 0.0, math.nan), ratio)
+
+
 def relative_l2_error(x: np.ndarray, reference: np.ndarray) -> float:
     """||x - reference|| / ||reference||; 0.0 when both norms vanish, NaN when undefined."""
     x = np.asarray(x, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
     if x.shape != reference.shape:
         raise InvalidInputError(f"shape mismatch: {x.shape} vs {reference.shape}")
-    err = float(np.linalg.norm(x - reference))
-    ref = float(np.linalg.norm(reference))
-    if ref == 0.0:
-        return 0.0 if err == 0.0 else math.nan
-    return err / ref
+    return float(_row_errors(x.ravel(), reference.ravel()))
 
 
 @dataclass(frozen=True)
@@ -170,14 +184,15 @@ class SensitivityReport:
         return cls(budget=budget, steps=table.shape[0], rnmse=table.mean(axis=0), max_rnmse=table.max(axis=0))
 
 
-def _propagated_rnmse(model: SyntheticModel, full: np.ndarray, sparse: np.ndarray, step: int) -> list[float]:
-    """Per-layer rnmse of a step's sparse outputs against its full ones, both [layers, heads, head_dim].
+def _propagated_rnmse(model: SyntheticModel, full: np.ndarray, sparse: np.ndarray, step: int) -> np.ndarray:
+    """Per-layer rnmse [layers] of a step's sparse outputs against its full ones, both [layers, heads, head_dim].
 
     Both sets go one layer forward in one SyntheticModel.propagate call, so
     the pair shares one draw of probe noise.
     """
     full_next, sparse_next = model.propagate(np.stack((full, sparse)), step)
-    return [relative_l2_error(s, f) for s, f in zip(sparse_next, full_next)]
+    layers = full.shape[0]
+    return _row_errors(sparse_next.reshape(layers, -1), full_next.reshape(layers, -1))
 
 
 def sensitivity_profile(model: SyntheticModel, step: int, budget: int) -> SensitivityReport:

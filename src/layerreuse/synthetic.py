@@ -42,6 +42,8 @@ layer, which equals the all-Full hybrid decode bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -95,7 +97,11 @@ class SynthModelConfig:
     """Shape and similarity parameters of the synthetic decoder.
 
     inter_layer_correlation is the dial rho in [0, 1] controlling how much of
-    each layer's tensors is inherited from the layer below.
+    each layer's tensors is inherited from the layer below. logit_scale, a
+    finite float > 0, is the sparsity dial: it multiplies every query, and so
+    every logit. Above 1 it concentrates attention mass on fewer tokens. A
+    power of two scales every logit exactly, so it keeps every top-k set and
+    overlap and moves only the attention weights and outputs.
     """
 
     layers: int
@@ -104,12 +110,18 @@ class SynthModelConfig:
     seed: int = 0
     inter_layer_correlation: float = 0.5
     heads: int = 1
+    logit_scale: float = 1.0
 
     def __post_init__(self) -> None:
         for name, least in (("layers", 2), ("head_dim", 1), ("context_len", 2), ("seed", None), ("heads", 1)):
             object.__setattr__(self, name, check_count(name, getattr(self, name), least))
         rho = check_unit("inter_layer_correlation", self.inter_layer_correlation)
         object.__setattr__(self, "inter_layer_correlation", rho)
+        scale = self.logit_scale
+        # NaN fails both comparisons; an int beyond every float fails the second.
+        if isinstance(scale, bool) or not isinstance(scale, numbers.Real) or not 0.0 < scale <= sys.float_info.max:
+            raise InvalidInputError(f"logit_scale must be a finite number > 0, got {scale!r}")
+        object.__setattr__(self, "logit_scale", float(scale))
 
 
 def _entropy(seed: int, key) -> list[int]:
@@ -335,7 +347,8 @@ class SyntheticModel:
 
         The layer-0 query performs a seeded random walk across decode steps;
         deeper layers blend the layer above with fresh per-layer noise, the
-        same construction as the caches.
+        same construction as the caches. Every row, renormalized to norm
+        sqrt(head_dim), is then multiplied by logit_scale; at 1.0 that is exact.
         """
         cfg = self.config
         steps = check_count("steps", steps)
@@ -353,6 +366,7 @@ class SyntheticModel:
         fresh = _fresh_rows(cfg.seed, _S_QUERY_MIX, range(1, L), 0, steps, H, d)
         for l in range(1, L):
             q[:, l] = _blend(q[:, l - 1], fresh[l - 1], rho, target)
+        q *= cfg.logit_scale
         q.setflags(write=False)
         return q
 
@@ -524,7 +538,8 @@ def run_full_trace(model: SyntheticModel, steps: int, budget: int, block_size: i
     for l in range(cfg.layers):
         outputs[:, l], logits, _ = full_attention(queries[:, l], model.cache_at(l, steps - 1))
         summed = _head_sum(logits)
-        topk.append([TopKSet(indices=row, budget=budget) for row in topk_of_logits(summed, budget)])
+        # budget <= context_len, so every row of topk_of_logits is canonical and holds budget indices.
+        topk.append([TopKSet._canonical(row, budget) for row in topk_of_logits(summed, budget)])
         blocks.append(topk_blocks(block_max_of_logits(summed, block_size), block_budget, block_size))
     outputs.setflags(write=False)
     return DecodeTrace(

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -16,6 +17,21 @@ def random_similarity_matrix(rng: np.random.Generator, num_layers: int, budget: 
         for i in range(j):
             values[j, i] = float(rng.random())
     return SimilarityMatrix(values=values, budget=budget)
+
+
+def assert_same_selection(fast, checked) -> None:
+    """fast, a set built without checks, is the checked constructor's set: equal, same hash, same repr.
+
+    Its indices are a tuple of Python ints, as the checked constructor
+    stores them; a numpy integer would change the repr that golden digests hash.
+    """
+    assert fast == checked
+    assert hash(fast) == hash(checked)
+    assert repr(fast) == repr(checked)
+    for field in dataclasses.fields(fast):
+        value = getattr(fast, field.name)
+        values = value if isinstance(value, tuple) else (value,)
+        assert all(type(v) is int for v in values), (field.name, value)
 
 
 def recording_cells(calls, real, queries, context_len):

@@ -21,6 +21,7 @@ from layerreuse import (
     topk_of_logits,
 )
 from layerreuse.attention import _head_sum, _subset_attention, softmax
+from conftest import assert_same_selection
 from reference import ref_attention, ref_sparse_attention, ref_topk
 
 
@@ -572,3 +573,43 @@ def test_block_coverage_count_arithmetic(n, block_size, budget, seed):
         min(block_size, n - b * block_size) for b in blocks.block_indices
     )
     assert cov.shape[0] == expected
+
+
+def _selection_logits(seed: int) -> list[np.ndarray]:
+    """[S, 40] logit rows with ties, with -inf entries, with NaN rows and entries, and plain."""
+    rng = np.random.default_rng(seed)
+    ties = rng.integers(0, 4, (5, 40)).astype(float)
+    masked = rng.standard_normal((5, 40))
+    masked[:, ::3] = -np.inf
+    masked[2] = -np.inf
+    nans = rng.standard_normal((5, 40))
+    nans[1, 5:20] = np.nan
+    nans[3] = np.nan
+    return [ties, masked, nans, rng.standard_normal((3, 40))]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("budget", [1, 7, 39, 40, 64])
+def test_unchecked_sets_equal_the_checked_constructors(seed, budget):
+    # 40 and 64 take every one of the 40 tokens.
+    for logits in _selection_logits(seed):
+        for row in topk_of_logits(logits, budget):
+            assert_same_selection(TopKSet._canonical(row, budget), TopKSet(indices=row, budget=budget))
+        for width in (1, 3):
+            scores = block_max_of_logits(logits, width)
+            picked = topk_of_logits(scores, budget)
+            sets = topk_blocks(scores, budget, width)
+            assert len(sets) == len(picked)
+            for fast, row in zip(sets, picked):
+                assert_same_selection(fast, BlockSet(block_indices=row, block_size=width))
+            assert_same_selection(topk_blocks(scores[0], budget, width),
+                                  BlockSet(block_indices=picked[0], block_size=width))
+
+
+def test_topk_blocks_refuses_what_it_cannot_select():
+    with pytest.raises(InvalidSelectionError, match="at least one block"):
+        topk_blocks(np.zeros((2, 0)), 1, 4)
+    with pytest.raises(InvalidInputError, match="must be \\[B\\] or \\[S, B\\]"):
+        topk_blocks(np.zeros((2, 2, 3)), 1, 4)
+    with pytest.raises(InvalidInputError, match="block_size must be >= 1"):
+        topk_blocks(np.zeros(3), 1, 0)

@@ -12,12 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TornFile
+import numpy as np
+
+from conftest import TornFile, random_similarity_matrix
 from layerreuse import (
     Action,
     LayerPolicy,
     SynthModelConfig,
     cli,
+    dp_optimize,
     formats,
     generate_model,
     hybrid_decode_blocks,
@@ -27,6 +30,7 @@ from layerreuse import (
     read_trace,
     static_jump_policy,
     write_policy,
+    write_similarity_matrix,
 )
 from layerreuse._canon import payload_hash
 from layerreuse.cli import main
@@ -671,6 +675,51 @@ def test_out_of_range_trace_selection_exits_2(pipeline, tmp_path, capsys, case):
     assert not (tmp_path / "out").exists()
 
 
+def _set_index(kind, position, value):
+    """Edit writing value at position in layer 1's step-0 selection of kind ("topk" or "blocks")."""
+    def edit(doc):
+        doc["steps"][0]["layer"][1][kind][position] = value
+    return edit
+
+
+def _each_row(kind, change):
+    """Edit applying change(row) to every layer's step-0 selection of kind."""
+    def edit(doc):
+        for entry in doc["steps"][0]["layer"]:
+            entry[kind] = change(entry[kind])
+    return edit
+
+
+# (edit of the pipeline trace, the error it must raise). Step 0 sees 24 tokens in
+# 24 blocks of one token; every selection holds 6 of them, the trace's budget.
+_BAD_SELECTIONS = {
+    "negative": (_set_index("topk", 0, -1), "selects a negative token index"),
+    "negative-huge": (_set_index("topk", 0, -(10**30)), "selects a negative token index"),
+    "unsorted": (_each_row("topk", lambda row: row[::-1]), "not strictly ascending"),
+    "duplicate": (_each_row("topk", lambda row: row[:1] + row[:-1]), "not strictly ascending"),
+    "empty": (_each_row("topk", lambda row: []), "holds an empty token selection"),
+    "empty-blocks": (_each_row("blocks", lambda row: []), "holds an empty block selection"),
+    "one-empty-row": (_set_index("topk", slice(None), []), "token selections of different sizes"),
+    "over-budget": (_each_row("topk", lambda row: row + [23]), "7 token indices per selection, over its budget of 6"),
+    "over-block-budget": (_each_row("blocks", lambda row: row + [23]), "over its budget of 6"),
+    "beyond-cache": (_set_index("topk", -1, 24), "selects a token beyond its 24 cached tokens"),
+    "beyond-int64": (_set_index("topk", -1, 10**30), "selects a token beyond its 24 cached tokens"),
+    "beyond-blocks": (_set_index("blocks", -1, 10**30), "selects a block beyond its 24 blocks"),
+    "ragged": (_set_index("topk", slice(-1, None), []), "token selections of different sizes"),
+    "ragged-blocks": (_set_index("blocks", slice(-1, None), []), "block selections of different sizes"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_SELECTIONS))
+def test_profile_refuses_a_bad_trace_selection_with_exit_2(pipeline, tmp_path, capsys, case):
+    edit, message = _BAD_SELECTIONS[case]
+    src = _write_trace_copy(pipeline, tmp_path, edit)
+    assert main(["profile", "--trace", str(src), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: trace step 0 ") and message in err, err
+    assert not (tmp_path / "out").exists()
+
+
 # policy.json sources that contradict the actions: (actions, sources as written).
 _CONTRADICTING = {
     "chain": ("FFRR", [None, None, 0, 0]),  # layer 2 skips the Full layer 1
@@ -748,11 +797,50 @@ def test_version_1_0_trace_without_a_table_exits_2(pipeline, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# A planned credit is 1 per Full layer plus an overlap in [0, 1] per Reuse layer.
+_IMPOSSIBLE_CREDITS = {
+    "negative": (lambda doc: -5.0, "lies outside [fullCount, L]"),
+    "below-full-count": (lambda doc: doc["fullCount"] - 0.25, "lies outside [fullCount, L]"),
+    "above-layers": (lambda doc: doc["L"] + 0.25, "lies outside [fullCount, L]"),
+    "null-with-theta": (lambda doc: None, "cumSimilarity is null"),
+}
+
+
+@pytest.mark.parametrize("case", list(_IMPOSSIBLE_CREDITS))
+def test_report_refuses_a_credit_no_plan_can_give(pipeline, tmp_path, capsys, case):
+    credit, message = _IMPOSSIBLE_CREDITS[case]
+    doc = read_json(str(pipeline / "policy.json"))
+    assert doc["theta"] is not None
+    doc["cumSimilarity"] = credit(doc)
+    path = tmp_path / "policy.json"
+    path.write_text(json.dumps(doc))
+    assert main(["report", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_every_planned_policy_reads_back(tmp_path):
+    rng = np.random.default_rng(2026)
+    for case in range(24):
+        matrix = random_similarity_matrix(rng, int(rng.integers(2, 13)))
+        values = matrix.values.copy()
+        lower = np.tril_indices(matrix.num_layers, k=-1)
+        # Some overlaps at the ends of [0, 1], where the credit meets its bounds.
+        pick = rng.random(len(lower[0])) < 0.3
+        values[lower[0][pick], lower[1][pick]] = rng.choice([0.0, 1.0, 1.0 - 2**-52], pick.sum())
+        matrix = type(matrix)(values=values, budget=matrix.budget)
+        src = str(tmp_path / f"m{case}.json")
+        write_similarity_matrix(matrix, src)
+        for theta in (0.0, float(rng.random()), 0.9, 1.0):
+            out = str(tmp_path / f"p{case}.json")
+            assert main(["plan", "--matrix", src, "--theta", repr(theta), "--out", out]) == 0
+            assert read_policy(out) == dp_optimize(matrix, theta)
+
+
 # --- model settings come from formats.CONFIG_FIELDS ---
 
 # A valid non-default value for every model setting, by SynthModelConfig field.
 _NONDEFAULT = {"layers": 3, "head_dim": 4, "context_len": 16, "seed": 7,
-               "inter_layer_correlation": 0.25, "heads": 2}
+               "inter_layer_correlation": 0.25, "heads": 2, "logit_scale": 2.0}
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

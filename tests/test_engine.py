@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import recording_cells
-from layerreuse import engine
+from conftest import assert_same_selection, recording_cells
+from layerreuse import attention, engine
 from layerreuse import (
     Action,
     BlockSet,
@@ -195,6 +195,46 @@ def test_sink_and_recent_augmentation():
         "f6cb4afbfd8cf96bc19ec1da6dcf25b7615501382680e41f412e8da4698ffede"
     )
     assert aug.fidelity.aggregate == 1.1854041971733864
+
+
+@pytest.mark.parametrize("sinks,recent", [(0, 0), (4, 0), (0, 5), (3, 70), (70, 0), (24, 24)])
+def test_merged_selections_equal_the_checked_constructor(sinks, recent):
+    # Counts of 70 cover the whole 24-token cache; 24 and 24 overlap the top-k and each other.
+    cfg = SynthModelConfig(layers=5, head_dim=8, context_len=24, seed=4, inter_layer_correlation=0.5, heads=2)
+    model = generate_model(cfg)
+    policy = static_jump_policy(5, 3)
+    run = hybrid_decode(model, policy, 6, 3, include_sinks=sinks, include_recent=recent)
+    for t in range(3):
+        n = 24 + t
+        extra = set(range(min(sinks, n))) | set(range(max(n - recent, 0), n))
+        for l, source in enumerate(policy.sources):
+            got = run.selections[t][l]
+            if l == source:
+                assert_same_selection(got, TopKSet(indices=got.indices, budget=6))
+                merged = tuple(sorted(set(got.indices) | extra)) if extra else got.indices
+                budget = len(merged) if extra else 6
+            else:
+                assert_same_selection(got, TopKSet(indices=merged, budget=budget))
+                assert run.reuse_gathered_rows[t][l] == len(merged)
+
+
+def test_producers_build_every_selection_without_a_second_check(monkeypatch):
+    calls = []
+    check = attention._check_ascending
+    monkeypatch.setattr(attention, "_check_ascending", lambda *args: calls.append(args) or check(*args))
+    TopKSet(indices=(1, 2), budget=2)
+    BlockSet(block_indices=(0,), block_size=2)
+    assert len(calls) == 2  # the checked constructors are counted
+    calls.clear()
+    cfg = SynthModelConfig(layers=4, head_dim=8, context_len=32, seed=9, inter_layer_correlation=0.7, heads=2)
+    model = generate_model(cfg)
+    policy = static_jump_policy(4, 2)
+    for width in (1, 4):
+        run_full_trace(model, 3, 6, width)
+    hybrid_decode(model, policy, 6, 3)
+    hybrid_decode(model, policy, 6, 3, include_sinks=2, include_recent=3)
+    hybrid_decode_blocks(model, policy, 2, 4, 3)
+    assert calls == []
 
 
 def test_run_argument_validation(fixture_model):

@@ -26,6 +26,7 @@ from layerreuse import (
 )
 from layerreuse.attention import _head_sum, _subset_attention
 from layerreuse.formats import write_trace
+from layerreuse.profiling import _row_errors
 from layerreuse.synthetic import _S_PROBE, _renorm, _rng
 from reference import ref_matrix_from_trace_doc
 
@@ -210,6 +211,30 @@ def test_rnmse_zero_reference_cases():
     zero = np.zeros(3)
     assert relative_l2_error(zero, zero) == 0.0
     assert math.isnan(relative_l2_error(np.array([1.0, 0.0, 0.0]), zero))
+
+
+def _norm_quotient(x, reference):
+    """||x - reference|| / ||reference|| through np.linalg.norm, with the zero-norm cases."""
+    err, ref = np.linalg.norm(x - reference), np.linalg.norm(reference)
+    if ref == 0.0:
+        return 0.0 if err == 0.0 else math.nan
+    return err / ref
+
+
+@pytest.mark.parametrize("width", [1, 5, 32, 128, 257])
+def test_row_errors_equal_the_norm_quotient_row_by_row(width):
+    rng = np.random.default_rng(width)
+    reference = rng.standard_normal((3, 4, width))
+    x = reference + 1e-3 * rng.standard_normal((3, 4, width))
+    # Zero-norm references: one row matched exactly, one not.
+    reference[0, 1] = x[0, 1] = 0.0
+    reference[2, 3] = 0.0
+    got = _row_errors(x, reference)
+    assert got.shape == (3, 4)
+    want = np.array([[_norm_quotient(x[t, l], reference[t, l]) for l in range(4)] for t in range(3)])
+    assert got.tobytes() == want.tobytes()
+    assert got[0, 1] == 0.0 and math.isnan(got[2, 3])
+    assert relative_l2_error(x[1], reference[1]) == _norm_quotient(x[1].ravel(), reference[1].ravel())
 
 
 def test_sensitivity_saturated_budget_is_exactly_zero():

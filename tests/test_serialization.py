@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from layerreuse import (
+    BlockSet,
     InvalidInputError,
     SensitivityReport,
     SynthModelConfig,
+    TopKSet,
     build_similarity_matrix,
     dp_optimize,
     generate_model,
@@ -33,7 +35,7 @@ from layerreuse import (
 )
 from layerreuse import formats
 from layerreuse.cli import main
-from conftest import TornFile, random_similarity_matrix
+from conftest import TornFile, assert_same_selection, random_similarity_matrix
 
 CFG = SynthModelConfig(layers=4, head_dim=16, context_len=40, seed=9,
                        inter_layer_correlation=0.7, heads=2)
@@ -62,6 +64,28 @@ def test_trace_round_trip(tmp_path, trace):
     assert back.blocks == trace.blocks
     assert back.sensitivity.tobytes() == trace.sensitivity.tobytes()
     assert not back.sensitivity.flags.writeable
+
+
+def test_read_trace_sets_equal_the_checked_constructors(tmp_path, trace):
+    path = str(tmp_path / "trace.json")
+    write_trace(trace, path)
+    back = read_trace(path)
+    for step_topk, step_blocks in zip(back.topk, back.blocks):
+        for sel, blocks in zip(step_topk, step_blocks):
+            assert_same_selection(sel, TopKSet(indices=sel.indices, budget=trace.budget))
+            assert_same_selection(blocks, BlockSet(block_indices=blocks.block_indices, block_size=trace.block_size))
+
+
+def test_config_payload_writes_the_logit_scale_only_off_its_default():
+    assert "logitScale" not in formats.config_payload(CFG)
+    assert formats.config_from_payload(formats.config_payload(CFG)) == CFG
+    sharp = dataclasses.replace(CFG, logit_scale=2.5)
+    assert formats.config_payload(sharp)["logitScale"] == 2.5
+    assert formats.config_from_payload(formats.config_payload(sharp)) == sharp
+    assert formats.config_from_payload({**formats.config_payload(CFG), "logitScale": 2}).logit_scale == 2.0
+    for bad in (0, -2.0, True, "2", None):
+        with pytest.raises(InvalidInputError):
+            formats.config_from_payload({**formats.config_payload(CFG), "logitScale": bad})
 
 
 def test_trace_without_its_sensitivity_table_is_not_written(tmp_path, trace):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import re
@@ -9,8 +10,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import recording_cells
+from conftest import assert_same_selection, recording_cells
 from layerreuse import (
+    BlockSet,
     InvalidInputError,
     LayerKvCache,
     NumericInputError,
@@ -18,8 +20,10 @@ from layerreuse import (
     TopKSet,
     block_max_of_logits,
     build_similarity_matrix,
+    dp_optimize,
     full_attention,
     generate_model,
+    hybrid_decode,
     run_full_trace,
     sensitivity_profile,
     sensitivity_table,
@@ -55,6 +59,41 @@ def test_config_refuses_a_boolean_as_a_number(field):
     # a trace with a boolean seed would be refused by read_trace.
     with pytest.raises(InvalidInputError, match=field):
         SynthModelConfig(**{"layers": 4, field: True})
+
+
+@pytest.mark.parametrize("scale", [0, -1.0, math.inf, math.nan, True, "2", 10**400])
+def test_config_refuses_a_logit_scale_that_is_not_a_finite_positive_number(scale):
+    with pytest.raises(InvalidInputError, match="logit_scale must be a finite number > 0"):
+        SynthModelConfig(layers=4, logit_scale=scale)
+
+
+@pytest.mark.parametrize("scale", [0.25, 4.0])
+def test_a_power_of_two_logit_scale_keeps_every_selection(scale):
+    cfg = SynthModelConfig(layers=5, head_dim=8, context_len=48, seed=6, inter_layer_correlation=0.7, heads=2)
+    scaled_cfg = dataclasses.replace(cfg, logit_scale=scale)
+    assert scaled_cfg.logit_scale == scale and cfg.logit_scale == 1.0
+    base = run_full_trace(generate_model(cfg), 3, 8, 4)
+    scaled = run_full_trace(generate_model(scaled_cfg), 3, 8, 4)
+    # Queries, and so logits, scale exactly; the selections and the overlaps stay.
+    assert scaled.queries.tobytes() == (base.queries * scale).tobytes()
+    assert scaled.topk == base.topk and scaled.blocks == base.blocks
+    assert build_similarity_matrix(scaled).values.tobytes() == build_similarity_matrix(base).values.tobytes()
+    assert scaled.outputs.tobytes() != base.outputs.tobytes()
+
+
+def test_a_sharper_model_reuses_selections_at_low_error():
+    # The sparse prototype shape: at scale 4 the top 64 of 512+ tokens hold
+    # almost all attention mass, and some planned policy with at most 4 of 16
+    # layers Full stays within 3% rnmse. At scale 1 the best such policy reads 0.92.
+    cfg = SynthModelConfig(layers=16, heads=1, head_dim=32, context_len=512, seed=3,
+                           inter_layer_correlation=0.85, logit_scale=4.0)
+    model = generate_model(cfg)
+    matrix = build_similarity_matrix(run_full_trace(model, 8, 64))
+    # Every distinct plan arises at a threshold equal to some overlap.
+    plans = {plan.actions: plan for plan in (dp_optimize(matrix, theta) for theta in set(matrix.flat_entries()))}
+    errors = [hybrid_decode(model, plan, 64, 8).fidelity.aggregate
+              for plan in plans.values() if plan.full_count <= 4]
+    assert min(errors) < 0.03
 
 
 def test_rho_one_copies_tensors_across_layers_exactly():
@@ -188,6 +227,14 @@ def test_trace_equals_a_step_by_step_recomputation():
             assert trace.blocks[t][l] == topk_blocks(block_max_of_logits(summed, width), blocks, width)
     assert trace.queries.tobytes() == queries.tobytes()
     assert trace.outputs.tobytes() == outputs.tobytes()
+
+
+def test_trace_sets_equal_the_checked_constructors():
+    trace = run_full_trace(generate_model(_ORDER), 3, 12, 8)
+    for step_topk, step_blocks in zip(trace.topk, trace.blocks):
+        for sel, blocks in zip(step_topk, step_blocks):
+            assert_same_selection(sel, TopKSet(indices=sel.indices, budget=12))
+            assert_same_selection(blocks, BlockSet(block_indices=blocks.block_indices, block_size=8))
 
 
 def test_golden_adjacent_overlap_regression():
