@@ -1,14 +1,15 @@
 """Command-line pipeline: generate traces, profile, plan, decode, bench, report.
 
 Every command writes a run manifest next to its primary output and embeds the
-manifest hash in each artifact. The hash covers the command, the effective
-config, input and output paths, seed, and tool version, but not wall time.
-Paths are recorded relative to the primary output's directory, so re-running
+manifest hash in each artifact; _Manifest states what it records. Re-running
 a command on identical inputs produces byte-identical artifacts, in the same
 directory or another.
 
-Every file is written atomically: to a temp file beside it, then renamed
-into place.
+A command reads and checks every input and does all of its work before it
+creates a file or a directory, so a command that exits non-zero writes no
+file; only an I/O error while writing can leave part of its outputs. Every
+file is written atomically: to a temp file beside it, then renamed into
+place.
 
 Exit codes: 0 success, 2 validation error (bad flag or file content), 3 I/O
 error, 4 internal invariant violation.
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -62,11 +64,7 @@ def _out_dir(args) -> str:
 
 
 def _resolve(args, flag_value: str | None, default_name: str) -> str:
-    path = flag_value if flag_value else os.path.join(_out_dir(args), default_name)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    return path
+    return flag_value or os.path.join(_out_dir(args), default_name)
 
 
 def _effective_model_config(args) -> SynthModelConfig:
@@ -91,100 +89,86 @@ def _effective_model_config(args) -> SynthModelConfig:
     return config_from_payload(merged)
 
 
-def _relative(path: str, out_dir: str) -> str:
-    """path as a manifest records it: relative to out_dir, the primary output's directory."""
-    return os.path.relpath(path, out_dir or os.curdir)
+def _write(path: str, data: bytes) -> None:
+    with atomic_open(path) as fh:
+        fh.write(data)
 
 
 class _Manifest:
-    """Collects one command's provenance and writes it next to the primary output.
+    """One command's provenance, written next to its primary output, outputs[0].
 
-    out_dir is the primary output's directory. Inputs and outputs are
-    recorded relative to it, and callers pass each path in config through
-    _relative(path, out_dir) too.
+    args names the command and holds the time main started it. inputs maps
+    each config key that names an input to its path, or list of paths. Every
+    path the manifest records, in its config as in its inputs and outputs, is
+    relative to the primary output's directory, so a chain run in another
+    directory records the same bytes. hash covers the command, config,
+    paths, seed and tool version; wallTimeSeconds, counted from that start
+    time, is left out so identical runs hash identically.
     """
 
-    def __init__(self, command: str, out_dir: str, config: dict, seed: int | None) -> None:
-        self.command = command
-        self.out_dir = out_dir
-        self.config = config
-        self.seed = seed
-        self.inputs: list[str] = []
-        self.outputs: list[str] = []
-        self._started = time.monotonic()
+    def __init__(self, args, outputs: list[str], inputs: dict, config: dict, seed: int | None = None) -> None:
+        base = os.path.dirname(outputs[0]) or os.curdir
 
-    def payload(self) -> dict:
-        return {
+        def relative(value):
+            return os.path.relpath(value, base) if isinstance(value, str) else [relative(p) for p in value]
+
+        named = {key: relative(value) for key, value in inputs.items()}
+        paths = [path for value in named.values() for path in ([value] if isinstance(value, str) else value)]
+        self.path = outputs[0] + ".manifest.json"
+        self.started = args.started
+        self.payload = {
             "version": V1_0,
             "kind": "run-manifest",
-            "command": self.command,
-            "config": self.config,
-            "inputs": sorted(_relative(path, self.out_dir) for path in self.inputs),
-            "outputs": sorted(_relative(path, self.out_dir) for path in self.outputs),
-            "seed": self.seed,
+            "command": args.command,
+            "config": {**config, **named},
+            "inputs": sorted(paths),
+            "outputs": sorted(relative(outputs)),
+            "seed": seed,
             "toolVersion": __version__,
         }
+        self.hash = payload_hash(self.payload)
 
-    def hash(self) -> str:
-        # Wall time is excluded so identical runs hash identically.
-        return payload_hash(self.payload())
-
-    def write(self, primary_output: str) -> None:
-        doc = self.payload()
-        doc["wallTimeSeconds"] = time.monotonic() - self._started
-        path = primary_output + ".manifest.json"
-        with atomic_open(path, "w", encoding="ascii") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+    def write(self) -> None:
+        doc = {**self.payload, "wallTimeSeconds": time.monotonic() - self.started}
+        _write(self.path, (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("ascii"))
 
 
 def _cmd_gen_traces(args) -> int:
     config = _effective_model_config(args)
-    out = _resolve(args, args.out, "trace.json")
-    manifest = _Manifest(
-        "gen-traces",
-        os.path.dirname(out),
-        {**config_payload(config), "steps": args.steps, "k": args.k, "blockSize": args.block_size},
-        config.seed,
-    )
-    manifest.outputs.append(out)
     model = generate_model(config)
     trace = run_full_trace(model, args.steps, args.k, args.block_size)
     trace = dataclasses.replace(trace, sensitivity=sensitivity_table(model, trace))
-    write_trace(trace, out, manifest.hash())
-    manifest.write(out)
+    out = _resolve(args, args.out, "trace.json")
+    settings = {**config_payload(config), "steps": args.steps, "k": args.k, "blockSize": args.block_size}
+    manifest = _Manifest(args, [out], {}, settings, config.seed)
+    write_trace(trace, out, manifest.hash)
+    manifest.write()
     print(f"wrote {out}")
     return 0
 
 
 def _cmd_profile(args) -> int:
     trace = read_trace(args.trace)
-    out_matrix = _resolve(args, args.out_matrix, "similarity.json")
-    out_sens = _resolve(args, args.out_sensitivity, "sensitivity.json")
-    base = os.path.dirname(out_matrix)
-    config = {"trace": _relative(args.trace, base), **config_payload(trace.config)}
-    manifest = _Manifest("profile", base, config, trace.config.seed)
-    manifest.inputs.append(args.trace)
-    manifest.outputs.extend([out_matrix, out_sens])
     matrix = build_similarity_matrix(trace)
     report = SensitivityReport.of_table(trace.sensitivity, trace.budget)
-    write_similarity_matrix(matrix, out_matrix, manifest.hash())
-    write_sensitivity_report(report, out_sens, manifest.hash())
-    manifest.write(out_matrix)
+    out_matrix = _resolve(args, args.out_matrix, "similarity.json")
+    out_sens = _resolve(args, args.out_sensitivity, "sensitivity.json")
+    manifest = _Manifest(
+        args, [out_matrix, out_sens], {"trace": args.trace}, config_payload(trace.config), trace.config.seed
+    )
+    write_similarity_matrix(matrix, out_matrix, manifest.hash)
+    write_sensitivity_report(report, out_sens, manifest.hash)
+    manifest.write()
     print(f"wrote {out_matrix} and {out_sens}")
     return 0
 
 
 def _cmd_plan(args) -> int:
-    matrix = read_similarity_matrix(args.matrix)
+    policy = dp_optimize(read_similarity_matrix(args.matrix), args.theta)
     out = _resolve(args, args.out, "policy.json")
-    base = os.path.dirname(out)
-    manifest = _Manifest("plan", base, {"matrix": _relative(args.matrix, base), "theta": args.theta}, None)
-    manifest.inputs.append(args.matrix)
-    manifest.outputs.append(out)
-    policy = dp_optimize(matrix, args.theta)
-    write_policy(policy, out, manifest.hash())
-    manifest.write(out)
+    manifest = _Manifest(args, [out], {"matrix": args.matrix}, {"theta": args.theta})
+    write_policy(policy, out, manifest.hash)
+    manifest.write()
     print(
         f"wrote {out}: fullCount={policy.full_count} cumSimilarity={policy.cum_similarity:.6f}"
     )
@@ -201,24 +185,6 @@ def _cmd_decode(args) -> int:
         raise InvalidInputError(
             "--include-sinks and --include-recent are token-mode flags; block mode refuses them"
         )
-    out = _resolve(args, args.out, "run.json")
-    base = os.path.dirname(out)
-    manifest = _Manifest(
-        "decode",
-        base,
-        {
-            **config_payload(config),
-            "policy": _relative(args.policy, base),
-            "budget": args.budget,
-            "steps": args.steps,
-            "blockSize": args.block_size,
-            "includeSinks": args.include_sinks,
-            "includeRecent": args.include_recent,
-        },
-        config.seed,
-    )
-    manifest.inputs.append(args.policy)
-    manifest.outputs.append(out)
     model = generate_model(config)
     if block_mode:
         result = hybrid_decode_blocks(model, policy, args.budget, args.block_size, args.steps)
@@ -237,8 +203,18 @@ def _cmd_decode(args) -> int:
             include_sinks=args.include_sinks,
             include_recent=args.include_recent,
         )
-    write_run_result(result, out, manifest.hash())
-    manifest.write(out)
+    out = _resolve(args, args.out, "run.json")
+    settings = {
+        **config_payload(config),
+        "budget": args.budget,
+        "steps": args.steps,
+        "blockSize": args.block_size,
+        "includeSinks": args.include_sinks,
+        "includeRecent": args.include_recent,
+    }
+    manifest = _Manifest(args, [out], {"policy": args.policy}, settings, config.seed)
+    write_run_result(result, out, manifest.hash)
+    manifest.write()
     print(f"wrote {out}: aggregate rnmse {result.fidelity.aggregate:.3e}")
     return 0
 
@@ -253,28 +229,15 @@ def _cmd_bench(args) -> int:
     except ValueError as exc:
         raise InvalidInputError(f"--lengths must be comma-separated integers: {exc}") from exc
     out = _resolve(args, args.out, "bench.csv")
-    base = os.path.dirname(out)
-    manifest = _Manifest(
-        "bench",
-        base,
-        {
-            "policy": _relative(args.policy, base),
-            "lengths": parsed,
-            "budget": args.budget,
-            "blockSize": args.block_size,
-            "headDim": args.head_dim,
-        },
-        None,
-    )
-    manifest.inputs.append(args.policy)
-    manifest.outputs.append(out)
-    digest = manifest.hash()
+    settings = {"lengths": parsed, "budget": args.budget, "blockSize": args.block_size,
+                "headDim": args.head_dim}
+    manifest = _Manifest(args, [out], {"policy": args.policy}, settings)
     rows = []
     for n in parsed:
         report = cost_model(policy, n, args.budget, block_size=args.block_size, head_dim=args.head_dim)
-        rows.append([n, _num(report.bytes_ratio), _num(report.predicted_speedup), digest])
-    _write_csv(out, ["contextLen", "bytesRatio", "predictedSpeedup", "manifest"], rows)
-    manifest.write(out)
+        rows.append([n, _num(report.bytes_ratio), _num(report.predicted_speedup), manifest.hash])
+    _write(out, _csv(["contextLen", "bytesRatio", "predictedSpeedup", "manifest"], rows))
+    manifest.write()
     print(f"wrote {out}")
     return 0
 
@@ -284,11 +247,13 @@ def _num(value: float | None) -> str:
     return "" if value is None else f"{value:.12g}"
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with atomic_open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _csv(header: list[str], rows) -> bytes:
+    """ASCII CSV text: the header line, then one line per row."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue().encode("ascii")
 
 
 def _ascii_name(path: str) -> str:
@@ -300,15 +265,12 @@ def _ascii_name(path: str) -> str:
 
 
 def _cmd_report(args) -> int:
+    # Every report file is rendered and checked before the first is written.
     out_dir = _out_dir(args)
-    os.makedirs(out_dir, exist_ok=True)
-    # Every report file is written in out_dir, the primary output among them.
-    artifacts = [_relative(path, out_dir) for path in args.artifacts]
-    manifest = _Manifest("report", out_dir, {"artifacts": artifacts}, None)
-    manifest.inputs.extend(args.artifacts)
     policies = {}  # policies.md row name -> (artifact, policy)
     runs = []
-    rendered = {}  # report file -> the artifact it renders
+    rendered = {}  # per-artifact report file -> the artifact it renders
+    outputs = {}  # report file -> its bytes
     for path in args.artifacts:
         doc = read_json(path)
         kind = doc.get("kind") if isinstance(doc, dict) else None
@@ -336,37 +298,28 @@ def _cmd_report(args) -> int:
         if out in rendered:
             raise InvalidInputError(f"{rendered[out]} and {path} both render to {out}")
         rendered[out] = path
-        _write_csv(out, header, rows)
-    written = list(rendered)
+        outputs[out] = _csv(header, rows)
     if policies:
-        out = os.path.join(out_dir, "policies.md")
-        with atomic_open(out, "w", encoding="ascii") as fh:
-            fh.write("| policy | layers | theta | fullCount | cumSimilarity |\n")
-            fh.write("| --- | --- | --- | --- | --- |\n")
-            for name, (_, pol) in policies.items():
-                theta = "n/a" if pol.theta is None else f"{pol.theta:.4g}"
-                cum = "n/a" if pol.cum_similarity is None else f"{pol.cum_similarity:.6g}"
-                fh.write(
-                    f"| {name} | {pol.num_layers} | {theta} "
-                    f"| {pol.full_count} | {cum} |\n"
-                )
-        written.append(out)
+        table = "| policy | layers | theta | fullCount | cumSimilarity |\n| --- | --- | --- | --- | --- |\n"
+        for name, (_, pol) in policies.items():
+            theta = "n/a" if pol.theta is None else f"{pol.theta:.4g}"
+            cum = "n/a" if pol.cum_similarity is None else f"{pol.cum_similarity:.6g}"
+            table += f"| {name} | {pol.num_layers} | {theta} | {pol.full_count} | {cum} |\n"
+        outputs[os.path.join(out_dir, "policies.md")] = table.encode("ascii")
     if len(runs) > 1:
-        out = os.path.join(out_dir, "theta_sweep.csv")
         swept = sorted((run for run in runs if run[1]["theta"] is not None), key=lambda run: run[1]["theta"])
         # A null aggregate (NaN rnmse) is an empty cell, as in the per-layer CSV.
         rows = (
             (_num(doc["theta"]), _num(doc["fidelity"]["aggregateRnmse"]), _ascii_name(path))
             for path, doc in swept
         )
-        _write_csv(out, ["theta", "aggregateRnmse", "run"], rows)
-        written.append(out)
-    if not written:
-        raise InvalidInputError("no reportable artifacts given")
-    manifest.outputs.extend(written)
-    manifest.write(written[0])
-    for path in written:
-        print(f"wrote {path}")
+        outputs[os.path.join(out_dir, "theta_sweep.csv")] = _csv(["theta", "aggregateRnmse", "run"], rows)
+    manifest = _Manifest(args, list(outputs), {"artifacts": args.artifacts}, {})
+    for out, data in outputs.items():
+        _write(out, data)
+    manifest.write()
+    for out in outputs:
+        print(f"wrote {out}")
     return 0
 
 
@@ -444,6 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.started = time.monotonic()  # a manifest's wallTimeSeconds counts from here
     try:
         return args.handler(args)
     except LayerReuseError as exc:

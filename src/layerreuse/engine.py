@@ -25,7 +25,6 @@ all-Full and under the policy.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -270,7 +269,7 @@ def hybrid_decode(
     # reads back their union with the sinks and recent rows in ascending
     # order, so both sets are built without a second check.
     def select(logits: np.ndarray, n: int) -> tuple[TopKSet, TopKSet, np.ndarray]:
-        sel = TopKSet._canonical(topk_of_logits(logits, min(budget, n)), budget)
+        sel = TopKSet._canonical(topk_of_logits(logits, budget), budget)
         if not (include_sinks or include_recent):
             return sel, sel, sel.as_array()
         keep = np.zeros(n, dtype=bool)
@@ -308,8 +307,7 @@ def hybrid_decode_blocks(
     block_size = check_count("block_size", block_size)
 
     def select(logits: np.ndarray, n: int) -> tuple[BlockSet, BlockSet, np.ndarray]:
-        blocks = min(block_budget, math.ceil(n / block_size))
-        sel = topk_blocks(block_max_of_logits(logits, block_size), blocks, block_size)
+        sel = topk_blocks(block_max_of_logits(logits, block_size), block_budget, block_size)
         return sel, sel, sel.token_coverage(n)
 
     return _decode(model, policy, steps, block_budget, block_size, select)

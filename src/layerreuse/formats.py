@@ -2,7 +2,7 @@
 
 Every artifact is a JSON object carrying "version" and "kind"; readers
 reject unknown major versions. Large tensors live next to the JSON in flat
-little-endian float64 sidecar files, referenced by relative path, shape and
+little-endian float64 sidecar files, referenced by file name, shape and
 sha256, which the reader verifies. Writing is canonical (sorted keys, fixed
 separators), so identical inputs produce byte-identical files. NaN is
 encoded as null. Every file is written to a temp file in its target
@@ -63,9 +63,10 @@ def _null_nan(x: float) -> float | None:
 def atomic_open(path: str, mode: str = "wb", **kwargs):
     """Open a temp file beside path; on a clean exit, os.replace it onto path.
 
-    If the block raises, the temp file is removed and any earlier file at
-    path is left as it was.
+    path's directory is created if it is missing. If the block raises, the
+    temp file is removed and any earlier file at path is left as it was.
     """
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
         with open(tmp, mode, **kwargs) as fh:
@@ -137,22 +138,33 @@ _TRACE_TENSORS = ("queries", "outputs", "sensitivity")
 
 
 def _read_tensor(trace_path: str, name: str, entry: dict, expected: tuple[int, ...]) -> np.ndarray:
-    """The sidecar of tensors[name], checked for length, then for the expected shape, then by sha256."""
-    path = os.path.join(os.path.dirname(trace_path), entry["path"])
+    """The sidecar of tensors[name], checked for length, then for the expected shape, then by sha256.
+
+    The sidecar is named by a bare file name, beside the trace. Its length
+    is taken from fstat before any read, since read(n) allocates n bytes up
+    front; a device or pipe counts as empty. A file of the expected length is
+    read to at most one byte past it.
+    """
+    sidecar = entry["path"]
+    if sidecar in ("", os.curdir, os.pardir) or os.path.basename(sidecar) != sidecar:
+        raise InvalidInputError(f"tensor {name} path {sidecar!r} is not a file name beside the trace")
     shape = entry["shape"]
     if any(dim < 0 for dim in shape):
-        raise InvalidInputError(f"sidecar {os.path.basename(path)} shape {shape} has a negative dimension")
+        raise InvalidInputError(f"sidecar {sidecar} shape {shape} has a negative dimension")
     size = math.prod(shape) * 8
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) != size:
-        raise InvalidInputError(f"sidecar {os.path.basename(path)} holds {len(raw)} bytes, expected {size}")
+    with open(os.path.join(os.path.dirname(trace_path), sidecar), "rb") as fh:
+        held = os.fstat(fh.fileno()).st_size
+        if held == size:
+            raw = fh.read(size + 1)
+            held = len(raw)
+    if held != size:
+        raise InvalidInputError(f"sidecar {sidecar} holds {held} bytes, expected {size}")
     if tuple(shape) != expected:
         raise InvalidInputError(
             f"tensor {name} has shape {shape}, expected {list(expected)} for the document"
         )
     if sha256_hex(raw) != entry["sha256"]:
-        raise InvalidInputError(f"sidecar {os.path.basename(path)} does not match its recorded sha256")
+        raise InvalidInputError(f"sidecar {sidecar} does not match its recorded sha256")
     arr = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
     arr.setflags(write=False)
     return arr

@@ -5,13 +5,14 @@ tests keep those bindings, and the calls that reach them, in place."""
 import importlib
 import importlib.util
 import os
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 
-from layerreuse import SynthModelConfig, attention, engine, policy, profiling, synthetic
+from layerreuse import SynthModelConfig, attention, cli, engine, policy, profiling, synthetic
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -107,3 +108,20 @@ def test_model_construction_reaches_no_traced_binding_but_its_own():
     with tracer.installed():
         synthetic.generate_model(SynthModelConfig(layers=3, head_dim=8, context_len=24, seed=2, heads=2))
     assert [tracer.names[i] for i in tracer.arrays()["name"]] == ["synthetic.generate_model"]
+
+
+def test_cli_parses_every_command_of_the_pipeline_workload(tmp_path, monkeypatch):
+    # pipeline-wide runs these argv through cli.main, so a flag the CLI drops
+    # fails here rather than in the benchmark. The workload wraps two cli
+    # bindings in call captures; monkeypatch puts the originals back.
+    for name in ("hybrid_decode", "run_full_trace"):
+        monkeypatch.setattr(cli, name, getattr(cli, name))
+    with mock.patch.object(sys, "path", [str(_TRACING.parent), *sys.path]), mock.patch.dict(sys.modules):
+        workloads = importlib.import_module("workloads")
+        commands = workloads.PipelineWorkload(1, tmp_path).commands()
+    parser = cli.build_parser()
+    for name, argv in commands:
+        assert parser.parse_args(argv).command == name.removeprefix("cli.").replace("_", "-")
+    assert [name for name, _ in commands] == [
+        "cli.gen_traces", "cli.profile", "cli.plan", "cli.decode", "cli.bench", "cli.report"
+    ]

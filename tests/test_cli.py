@@ -5,6 +5,8 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -467,6 +469,7 @@ def test_report_on_non_ascii_policy_name_exits_2(pipeline, tmp_path, capsys):
     assert main(["report", str(src), "--out-dir", str(tmp_path / "out")]) == 2
     assert "ASCII" in capsys.readouterr().err
     assert not (tmp_path / "out" / "policies.md").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_integer_lengths_exit_2(pipeline, tmp_path, capsys):
@@ -621,6 +624,48 @@ def test_overflowing_sidecar_shape_exits_2(pipeline, tmp_path, capsys):
     (tmp_path / "trace.queries.bin").write_bytes(b"")
     assert main(["profile", "--trace", str(src), "--out-dir", str(tmp_path / "out")]) == 2
     assert "expected 147573952589676412928" in capsys.readouterr().err
+
+
+def _profile_in_a_capped_process(trace: Path, out: Path) -> subprocess.CompletedProcess:
+    """Run profile in a child process whose address space is capped at 512 MiB.
+
+    A read that does not stop at the expected length then fails in the child
+    with a MemoryError (exit 4), instead of taking the memory of the machine.
+    """
+    capped = (
+        "import resource, runpy; resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29)); "
+        "runpy.run_module('layerreuse', run_name='__main__')"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"), OPENBLAS_NUM_THREADS="1")
+    argv = [sys.executable, "-c", capped, "profile", "--trace", str(trace), "--out-dir", str(out)]
+    return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("sidecar", ["/dev/zero", "../other/trace.queries.bin", "", ".."])
+def test_sidecar_path_that_is_not_a_file_name_beside_the_trace_exits_2(pipeline, tmp_path, sidecar):
+    def edit(doc):
+        doc["tensors"]["queries"]["path"] = sidecar
+
+    (tmp_path / "trace").mkdir()
+    src = _write_trace_copy(pipeline, tmp_path / "trace", edit)
+    # The path names a valid sidecar, so only its form is refused.
+    (tmp_path / "other").mkdir()
+    (tmp_path / "other" / "trace.queries.bin").write_bytes((pipeline / "trace.queries.bin").read_bytes())
+    done = _profile_in_a_capped_process(src, tmp_path / "out")
+    assert done.returncode == 2, done.stderr
+    assert f"path {sidecar!r} is not a file name beside the trace" in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_sidecar_linked_to_an_endless_device_exits_2(pipeline, tmp_path):
+    src = _write_trace_copy(pipeline, tmp_path, lambda doc: None)
+    size = (tmp_path / "trace.queries.bin").stat().st_size
+    (tmp_path / "trace.queries.bin").unlink()
+    (tmp_path / "trace.queries.bin").symlink_to("/dev/zero")
+    done = _profile_in_a_capped_process(src, tmp_path / "out")
+    assert done.returncode == 2, done.stderr
+    assert f"sidecar trace.queries.bin holds 0 bytes, expected {size}" in done.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_sidecar_shapes_contradicting_the_document_exit_2(pipeline, tmp_path, capsys):
@@ -816,6 +861,7 @@ def test_report_refuses_a_credit_no_plan_can_give(pipeline, tmp_path, capsys, ca
     path.write_text(json.dumps(doc))
     assert main(["report", str(path), "--out-dir", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_every_planned_policy_reads_back(tmp_path):
@@ -942,9 +988,11 @@ def test_report_refuses_two_inputs_with_one_output(pipeline, tmp_path, capsys):
     assert main(["report", *runs, "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert runs[0] in err and runs[1] in err and "run.rnmse.csv" in err
+    assert not (tmp_path / "out").exists()
     matrix = str(pipeline / "similarity.json")
     assert main(["report", matrix, matrix, "--out-dir", str(tmp_path / "out")]) == 2
     assert "similarity.heatmap.csv" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_report_refuses_two_policies_with_one_name(pipeline, tmp_path, capsys):
@@ -959,6 +1007,50 @@ def test_report_refuses_two_policies_with_one_name(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert policies[0] in err and policies[1] in err and "policies.md" in err
     assert not (tmp_path / "out" / "policies.md").exists()
+    assert not (tmp_path / "out").exists()
+
+
+def _policy_with_credit(pipeline, tmp_path, credit):
+    doc = read_json(str(pipeline / "policy.json"))
+    doc["cumSimilarity"] = credit
+    path = tmp_path / "policy.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _runs_named(pipeline, tmp_path, *names):
+    for name in names:
+        shutil.copyfile(pipeline / "run.json", tmp_path / name)
+    return [str(tmp_path / name) for name in names]
+
+
+# Commands refused only once an input has been read or the work has begun;
+# each is given (pipeline, tmp_path, out), out being a directory that does not exist.
+_REFUSED_LATE = {
+    "gen-traces-k": lambda pipeline, tmp_path, out: [
+        "gen-traces", *MODEL_FLAGS, "--steps", "1", "--k", "99", "--out", f"{out}/trace.json"],
+    "plan-theta": lambda pipeline, tmp_path, out: [
+        "plan", "--matrix", str(pipeline / "similarity.json"), "--theta", "1.5", "--out", f"{out}/policy.json"],
+    "decode-steps": lambda pipeline, tmp_path, out: [
+        "decode", *MODEL_FLAGS, "--policy", str(pipeline / "policy.json"), "--budget", "6", "--steps", "0",
+        "--out", f"{out}/run.json"],
+    "bench-budget": lambda pipeline, tmp_path, out: [
+        "bench", "--policy", str(pipeline / "policy.json"), "--lengths", "1024", "--budget", "0",
+        "--out", f"{out}/bench.csv"],
+    "report-matrix-then-impossible-credit": lambda pipeline, tmp_path, out: [
+        "report", str(pipeline / "similarity.json"), _policy_with_credit(pipeline, tmp_path, -5.0),
+        "--out-dir", str(out)],
+    "report-runs-then-non-ascii-run": lambda pipeline, tmp_path, out: [
+        "report", *_runs_named(pipeline, tmp_path, "r1.json", "r\u00e9.json"), "--out-dir", str(out)],
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED_LATE))
+def test_a_refused_command_creates_no_file_or_directory(pipeline, tmp_path, capsys, case):
+    out = tmp_path / "new"
+    assert main(_REFUSED_LATE[case](pipeline, tmp_path, out)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["gen-traces", "decode"])
