@@ -1,4 +1,10 @@
-"""Canonical JSON encoding, content hashing, and the checks every public count and ratio takes."""
+"""Canonical JSON encoding, content hashing, artifact versions, and the checks every public count and ratio takes.
+
+Each artifact kind writes the version of its own last format change, so the
+others keep their bytes and hashes; readers accept any 1.x. The decode trace
+is at 1.2 (int64 selection sidecars beside its float64 ones), the sensitivity
+report at 1.1, and every other kind at 1.0.
+"""
 
 from __future__ import annotations
 
@@ -9,10 +15,7 @@ import numbers
 
 from .errors import InvalidInputError
 
-# 1.1 changed only the decode trace and the sensitivity report. Every other kind
-# still writes 1.0, so its bytes and content hash stay; readers accept any 1.x.
-FORMAT_VERSION = "1.1"
-V1_0 = "1.0"
+V1_0, V1_1, V1_2 = "1.0", "1.1", "1.2"
 
 
 def check_count(name: str, value, least: int | None = 1) -> int:
@@ -61,8 +64,7 @@ def check_header(doc: dict, kind: str) -> None:
     version = doc.get("version")
     if not isinstance(version, str):
         raise InvalidInputError("artifact is missing its version field")
-    major = version.split(".", 1)[0]
-    if major != FORMAT_VERSION.split(".", 1)[0]:
+    if version.split(".", 1)[0] != "1":
         raise InvalidInputError(f"unsupported major version {version!r}")
 
 

@@ -1,14 +1,15 @@
 """Versioned JSON artifact files with binary tensor sidecars.
 
 Every artifact is a JSON object carrying "version" and "kind"; readers
-reject unknown major versions. Large tensors live next to the JSON in flat
-little-endian float64 sidecar files, referenced by file name, shape and
-sha256, which the reader verifies. Writing is canonical (sorted keys, fixed
-separators), so identical inputs produce byte-identical files. NaN is
-encoded as null. Every file is written to a temp file in its target
-directory and renamed into place, so a crash never leaves a torn artifact.
-Readers check each required field's JSON type, so a malformed artifact
-raises InvalidInputError rather than a TypeError.
+reject unknown major versions. A decode trace (1.2; the sensitivity report
+is at 1.1, every other kind at 1.0) keeps its arrays next to the JSON in
+flat little-endian sidecars, float64 tensors and int64 selections, each
+referenced by file name, shape and sha256, which the reader verifies.
+Writing is canonical (sorted keys, fixed separators), so identical inputs
+produce byte-identical files. NaN is encoded as null. Every file is written
+to a temp file in its target directory and renamed into place, so a crash
+never leaves a torn artifact. Readers check each required field's JSON
+type, so a malformed artifact raises InvalidInputError, not a TypeError.
 """
 
 from __future__ import annotations
@@ -17,15 +18,17 @@ import contextlib
 import json
 import math
 import os
+import stat
 
 import numpy as np
 
 from ._canon import (
-    FORMAT_VERSION,
     NULL,
     NUMBER,
     NUMBER_OR_NULL,
     V1_0,
+    V1_1,
+    V1_2,
     canonical_json_bytes,
     check_count,
     check_header,
@@ -87,14 +90,33 @@ def _write_doc(path: str, payload: dict, manifest_hash: str | None) -> None:
         fh.write(data)
 
 
+def _read_file(path: str, size: int | None = None) -> bytes:
+    """The bytes of the file at path; given a size, InvalidInputError for a file of another length.
+
+    The length comes from fstat before any read, since read(n) allocates n
+    bytes up front, and the read stops one byte past it. A device or a pipe
+    has no length and reads as empty; the open does not block, so a pipe
+    with no writer does not hold it up.
+    """
+    raw = b""
+    with open(path, "rb", opener=lambda name, flags: os.open(name, flags | getattr(os, "O_NONBLOCK", 0))) as fh:
+        info = os.fstat(fh.fileno())
+        held = info.st_size if stat.S_ISREG(info.st_mode) else 0
+        if held and size in (None, held):
+            raw = fh.read(held + 1)
+            held = len(raw)
+    if size is not None and held != size:
+        raise InvalidInputError(f"sidecar {os.path.basename(path)} holds {held} bytes, expected {size}")
+    return raw
+
+
 def read_json(path: str) -> dict:
-    """Parse an ASCII JSON file, as every artifact and config file is.
+    """Parse an ASCII JSON file, as every artifact and config file is; a device or a pipe reads as empty.
 
     Raises:
         InvalidInputError: if the file is not ASCII or not valid JSON.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = _read_file(path)
     try:
         return json.loads(raw.decode("ascii"))
     except ValueError as exc:
@@ -133,17 +155,15 @@ def config_from_payload(doc: dict) -> SynthModelConfig:
     return SynthModelConfig(**{field: doc[key] for field, key, *_ in CONFIG_FIELDS})
 
 
-# A trace's sidecars, in the order they are written and read.
-_TRACE_TENSORS = ("queries", "outputs", "sensitivity")
+# A trace's sidecars and the little-endian type each holds, in the order they are written and read.
+_TRACE_TENSORS = {"topk": "<i8", "blocks": "<i8", "queries": "<f8", "outputs": "<f8", "sensitivity": "<f8"}
 
 
-def _read_tensor(trace_path: str, name: str, entry: dict, expected: tuple[int, ...]) -> np.ndarray:
+def _read_tensor(trace_path: str, name: str, entry: dict, expected: tuple[int, ...], dtype: str) -> np.ndarray:
     """The sidecar of tensors[name], checked for length, then for the expected shape, then by sha256.
 
-    The sidecar is named by a bare file name, beside the trace. Its length
-    is taken from fstat before any read, since read(n) allocates n bytes up
-    front; a device or pipe counts as empty. A file of the expected length is
-    read to at most one byte past it.
+    The sidecar is named by a bare file name, beside the trace, and read by
+    _read_file. It holds dtype, the little-endian type _TRACE_TENSORS gives it.
     """
     sidecar = entry["path"]
     if sidecar in ("", os.curdir, os.pardir) or os.path.basename(sidecar) != sidecar:
@@ -151,157 +171,132 @@ def _read_tensor(trace_path: str, name: str, entry: dict, expected: tuple[int, .
     shape = entry["shape"]
     if any(dim < 0 for dim in shape):
         raise InvalidInputError(f"sidecar {sidecar} shape {shape} has a negative dimension")
-    size = math.prod(shape) * 8
-    with open(os.path.join(os.path.dirname(trace_path), sidecar), "rb") as fh:
-        held = os.fstat(fh.fileno()).st_size
-        if held == size:
-            raw = fh.read(size + 1)
-            held = len(raw)
-    if held != size:
-        raise InvalidInputError(f"sidecar {sidecar} holds {held} bytes, expected {size}")
+    dtype = np.dtype(dtype)
+    raw = _read_file(os.path.join(os.path.dirname(trace_path), sidecar), math.prod(shape) * dtype.itemsize)
     if tuple(shape) != expected:
         raise InvalidInputError(
             f"tensor {name} has shape {shape}, expected {list(expected)} for the document"
         )
     if sha256_hex(raw) != entry["sha256"]:
         raise InvalidInputError(f"sidecar {sidecar} does not match its recorded sha256")
-    arr = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    arr = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(dtype.newbyteorder("="))
     arr.setflags(write=False)
     return arr
 
 
 def write_trace(trace: DecodeTrace, path: str, manifest_hash: str | None = None) -> None:
-    """Write a decode trace: JSON document plus .queries.bin, .outputs.bin and .sensitivity.bin sidecars.
+    """Write a decode trace: a JSON document plus one {stem}.{tensor}.bin sidecar per tensor.
 
-    Each sidecar holds little-endian float64; the document records its file
-    name, shape and sha256. A trace without its sensitivity table is refused.
+    topk [S, L, k] and blocks [S, L, b] hold each step's selections as
+    little-endian int64; queries, outputs and sensitivity hold little-endian
+    float64. The document records each sidecar's file name, shape and sha256.
+    A trace without its sensitivity table, or whose selections of one kind
+    differ in size, is refused before any file is written.
     """
     if trace.sensitivity is None:
         raise InvalidInputError("a trace is written with its sensitivity table; attach sensitivity_table first")
+    try:
+        grids = {
+            "topk": np.array([[sel.indices for sel in step] for step in trace.topk], dtype="<i8"),
+            "blocks": np.array([[sel.block_indices for sel in step] for step in trace.blocks], dtype="<i8"),
+        }
+    except ValueError as exc:
+        raise InvalidInputError("a trace is written with selections of one size per kind") from exc
     stem = os.path.basename(path[: -len(".json")] if path.endswith(".json") else path)
     tensors = {}
-    for name in _TRACE_TENSORS:
-        arr = getattr(trace, name)
-        data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    for name, dtype in _TRACE_TENSORS.items():
+        arr = grids[name] if name in grids else getattr(trace, name)
+        data = np.ascontiguousarray(arr, dtype=dtype).tobytes()
         tensors[name] = {"path": f"{stem}.{name}.bin", "shape": list(arr.shape), "sha256": sha256_hex(data)}
         with atomic_open(os.path.join(os.path.dirname(path), tensors[name]["path"])) as fh:
             fh.write(data)
     payload = {
-        "version": FORMAT_VERSION,
+        "version": V1_2,
         "kind": "decode-trace",
         "config": config_payload(trace.config),
         "budget": trace.budget,
         "blockSize": trace.block_size,
-        "steps": [
-            {
-                "layer": [
-                    {
-                        "topk": list(trace.topk[t][l].indices),
-                        "blocks": list(trace.blocks[t][l].block_indices),
-                    }
-                    for l in range(trace.config.layers)
-                ]
-            }
-            for t in range(trace.steps)
-        ],
         "tensors": tensors,
     }
     _write_doc(path, payload, manifest_hash)
 
 
-def _check_rows(rows: list[list[int]], kind: str, most: int, limit: int, t: int) -> None:
-    """Check one step's selections of one kind, every layer's row at once.
+def _check_selections(topk: np.ndarray, blocks: np.ndarray, budget: int, block_size: int, context_len: int) -> None:
+    """Check both [S, L, width] selection grids of a trace in one numpy pass.
 
-    Each row must hold 1 to most strictly ascending, non-negative indices
-    below limit, and every row of the step as many as the others. An index
-    beyond int64 is compared as a Python int, so it is refused like any
-    other index out of range.
+    Each selection must hold 1 to budget tokens, or ceil(budget / block_size)
+    blocks, as strictly ascending, non-negative indices below the token or
+    block count of its step; step t sees context_len + t tokens. The counts
+    stay Python ints, since a config's context length may exceed int64.
 
     Raises:
-        InvalidSelectionError: naming the step and the first rule a row breaks.
+        InvalidSelectionError: naming the first step that breaks a rule, and
+            the first rule it breaks, token rules before block rules.
     """
-    width = len(rows[0])
-    if any(len(row) != width for row in rows):
-        raise InvalidSelectionError(f"trace step {t} holds {kind} selections of different sizes")
-    if width == 0:
-        raise InvalidSelectionError(f"trace step {t} holds an empty {kind} selection")
-    if width > most:
-        raise InvalidSelectionError(
-            f"trace step {t} holds {width} {kind} indices per selection, over its budget of {most}"
-        )
-    try:
-        grid = np.array(rows, dtype=np.int64)
-    except OverflowError:
-        grid = np.array(rows, dtype=object)
-    # Ascending rows hold their least index first and their largest last.
-    if (grid[:, 0] < 0).any():
-        raise InvalidSelectionError(f"trace step {t} selects a negative {kind} index")
-    if (grid[:, 1:] <= grid[:, :-1]).any():
-        raise InvalidSelectionError(f"trace step {t} holds {kind} indices that are not strictly ascending")
-    if (grid[:, -1] >= limit).any():
-        unit = "cached tokens" if kind == "token" else "blocks"
-        raise InvalidSelectionError(f"trace step {t} selects a {kind} beyond its {limit} {unit}")
+    tokens = [context_len + t for t in range(len(topk))]
+    counts = {"token": tokens, "block": [-(-n // block_size) for n in tokens]}
+    grids = (("token", "cached tokens", topk, budget), ("block", "blocks", blocks, -(-budget // block_size)))
+    rules = []
+    for kind, unit, grid, most in grids:
+        width = grid.shape[-1]
+        # Ascending rows hold their least index first and their largest last.
+        lasts = grid[..., -1:].max(axis=(1, 2), initial=-1).tolist()
+        rules += [
+            (width == 0, f"holds an empty {kind} selection"),
+            (width > most, f"holds {width} {kind} indices per selection, over its budget of {most}"),
+            ((grid[..., :1] < 0).any(axis=(1, 2)), f"selects a negative {kind} index"),
+            ((grid[..., 1:] <= grid[..., :-1]).any(axis=(1, 2)),
+             f"holds {kind} indices that are not strictly ascending"),
+            ([last >= n for last, n in zip(lasts, counts[kind])], f"selects a {kind} beyond its {{{kind}}} {unit}"),
+        ]
+    broken = np.array([np.broadcast_to(mask, len(tokens)) for mask, _ in rules])
+    if broken.any():
+        t = int(broken.any(axis=0).argmax())
+        message = rules[int(broken[:, t].argmax())][1]
+        # {token} and {block} in a message stand for step t's token and block counts.
+        raise InvalidSelectionError(f"trace step {t} " + message.format(token=tokens[t], block=counts["block"][t]))
 
 
 def read_trace(path: str) -> DecodeTrace:
     """Read a decode trace; the whole document is checked before any sidecar is read.
 
-    Each step's selections are checked at once with numpy (_check_rows): at
-    most budget tokens, or ceil(budget / blockSize) blocks, per selection, and
-    every index within the step's cache. The checked rows then become
-    TopKSet and BlockSet objects without a second check.
+    The topk sidecar's recorded shape [S, L, k] gives the step count every
+    other sidecar's shape must match. Both selection grids are then checked
+    at once with numpy (_check_selections), and their rows become TopKSet and
+    BlockSet objects without a second check.
     """
     doc = read_json(path)
     check_header(doc, "decode-trace")
-    require_keys(
-        doc,
-        {"config": dict, "budget": int, "blockSize": int, "steps": list, "tensors": dict},
-        "decode-trace",
-    )
+    require_keys(doc, {"config": dict, "budget": int, "blockSize": int, "tensors": dict}, "decode-trace")
     config = config_from_payload(doc["config"])
     tensors = doc["tensors"]
     require_keys(tensors, dict.fromkeys(_TRACE_TENSORS, dict), "tensors")
     for name in _TRACE_TENSORS:
         require_keys(tensors[name], {"path": str, "shape": list, "sha256": str}, f"tensor {name}")
         require_items(tensors[name]["shape"], int, f"tensor {name} shape")
-    steps = doc["steps"]
     budget = check_count("budget", doc["budget"])
     block_size = check_count("block_size", doc["blockSize"])
-    block_budget = (budget + block_size - 1) // block_size
-    if len(steps) < 1:
+    steps = (tensors["topk"]["shape"] or [0])[0]
+    if steps < 1:
         raise InvalidInputError("trace holds no decode steps")
-    topk_rows = []
-    block_rows = []
-    for t, step in enumerate(steps):
-        require_keys(step, {"layer": list}, "trace step")
-        layers = step["layer"]
-        if len(layers) != config.layers:
-            raise InvalidInputError("trace step does not cover every layer")
-        for entry in layers:
-            require_keys(entry, {"topk": list, "blocks": list}, "trace layer entry")
-            require_items(entry["topk"], int, "topk")
-            require_items(entry["blocks"], int, "blocks")
-        # Step t sees context_len + t tokens.
-        n = config.context_len + t
-        topk = [entry["topk"] for entry in layers]
-        blocks = [entry["blocks"] for entry in layers]
-        _check_rows(topk, "token", budget, n, t)
-        _check_rows(blocks, "block", block_budget, (n + block_size - 1) // block_size, t)
-        topk_rows.append(tuple(TopKSet._canonical(tuple(row), budget) for row in topk))
-        block_rows.append(tuple(BlockSet._canonical(tuple(row), block_size) for row in blocks))
-    cells = (len(steps), config.layers)
+    cells = (steps, config.layers)
     rows = cells + (config.heads, config.head_dim)
-    queries, outputs, sensitivity = (
-        _read_tensor(path, name, tensors[name], shape) for name, shape in zip(_TRACE_TENSORS, (rows, rows, cells))
+    # A selection grid's recorded width is checked against the budget with its values.
+    widths = (tuple(tensors[name]["shape"][-1:]) for name in ("topk", "blocks"))
+    expected = (*(cells + width for width in widths), rows, rows, cells)
+    topk, blocks, queries, outputs, sensitivity = (
+        _read_tensor(path, name, tensors[name], shape, dtype)
+        for (name, dtype), shape in zip(_TRACE_TENSORS.items(), expected)
     )
+    _check_selections(topk, blocks, budget, block_size, config.context_len)
     return DecodeTrace(
         config=config,
         budget=budget,
         block_size=block_size,
         queries=queries,
         outputs=outputs,
-        topk=tuple(topk_rows),
-        blocks=tuple(block_rows),
+        topk=tuple(tuple(TopKSet._canonical(tuple(row), budget) for row in step) for step in topk.tolist()),
+        blocks=tuple(tuple(BlockSet._canonical(tuple(row), block_size) for row in step) for step in blocks.tolist()),
         sensitivity=sensitivity,
     )
 
@@ -324,7 +319,7 @@ def write_sensitivity_report(
     report: SensitivityReport, path: str, manifest_hash: str | None = None
 ) -> None:
     payload = {
-        "version": FORMAT_VERSION,
+        "version": V1_1,
         "kind": "sensitivity-report",
         "budget": report.budget,
         "steps": report.steps,

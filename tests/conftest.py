@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -55,6 +57,24 @@ def recording_cells(calls, real, queries, context_len):
         return real(q, cache)
 
     return recording
+
+
+def rewrite_sidecar(trace: Path, name: str, change) -> None:
+    """Replace the sidecar of trace's tensors[name] by change(array), recording its new shape and sha256.
+
+    array is a writable copy of the sidecar, read with plain numpy as int64
+    for the topk and blocks selections and float64 otherwise; change returns
+    the array to write, of any shape.
+    """
+    doc = json.loads(trace.read_text())
+    entry = doc["tensors"][name]
+    dtype = "<i8" if name in ("topk", "blocks") else "<f8"
+    sidecar = trace.parent / entry["path"]
+    array = np.ascontiguousarray(change(np.fromfile(sidecar, dtype=dtype).reshape(entry["shape"])), dtype=dtype)
+    data = array.tobytes()
+    sidecar.write_bytes(data)
+    entry["shape"], entry["sha256"] = list(array.shape), hashlib.sha256(data).hexdigest()
+    trace.write_text(json.dumps(doc))
 
 
 class TornFile:

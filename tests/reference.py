@@ -4,12 +4,17 @@ Everything here is deliberately written with scalar Python loops and the
 math module rather than numpy vector ops, so a bug in the package's
 numerics cannot hide in a shared code path. Only data generation (the
 synthetic model's arrays) is shared, because the model is the test input
-itself.
+itself. A written trace's selections are read with plain numpy, not
+with the package's reader.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import os
+
+import numpy as np
 
 
 def ref_softmax(logits):
@@ -42,11 +47,21 @@ def ref_sparse_attention(q, keys, values, selected):
     return out, weights
 
 
-def ref_matrix_from_trace_doc(doc):
-    """Mean pairwise overlap computed from a trace JSON document with set ops only."""
+def ref_matrix_from_trace(path):
+    """Mean pairwise overlap computed from a written trace with set ops only.
+
+    The token selections are read with plain numpy from the trace's topk
+    sidecar, little-endian int64 of the shape [steps, layers, k] the
+    document records.
+    """
+    with open(path, encoding="ascii") as fh:
+        doc = json.load(fh)
+    entry = doc["tensors"]["topk"]
+    sidecar = os.path.join(os.path.dirname(path), entry["path"])
+    topk = np.fromfile(sidecar, dtype="<i8").reshape(entry["shape"]).tolist()
     k = doc["budget"]
-    layers = len(doc["steps"][0]["layer"])
-    steps = len(doc["steps"])
+    layers = len(topk[0])
+    steps = len(topk)
     entries = {}
     for j in range(layers):
         for i in range(j + 1):
@@ -54,9 +69,9 @@ def ref_matrix_from_trace_doc(doc):
                 entries[(i, j)] = 1.0
                 continue
             total = 0.0
-            for step in doc["steps"]:
-                si = set(step["layer"][i]["topk"])
-                sj = set(step["layer"][j]["topk"])
+            for step in topk:
+                si = set(step[i])
+                sj = set(step[j])
                 total += len(si & sj) / k
             entries[(i, j)] = total / steps
     return entries

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from conftest import TornFile, random_similarity_matrix
+from conftest import TornFile, random_similarity_matrix, rewrite_sidecar
 from layerreuse import (
     Action,
     LayerPolicy,
@@ -333,14 +333,13 @@ _READERS = {
     "run.json": ["report", "{src}", "--out-dir", "{out}"],
 }
 _REQUIRED = [
-    *[("trace.json", (key,)) for key in ("config", "budget", "blockSize", "steps", "tensors")],
+    *[("trace.json", (key,)) for key in ("config", "budget", "blockSize", "tensors")],
     *[("trace.json", ("config", key)) for key in
       ("layers", "headDim", "contextLen", "seed", "interLayerCorrelation", "heads")],
     ("trace.json", ("tensors", "queries")),
     ("trace.json", ("tensors", "outputs", "shape")),
-    ("trace.json", ("steps", 0, "layer")),
-    ("trace.json", ("steps", 1, "layer", 2, "topk")),
-    ("trace.json", ("steps", 0, "layer", 0, "blocks")),
+    ("trace.json", ("tensors", "topk")),
+    ("trace.json", ("tensors", "blocks", "shape")),
     *[("similarity.json", (key,)) for key in ("L", "k", "entries")],
     *[("policy.json", (key,)) for key in
       ("L", "theta", "actions", "sources", "fullCount", "cumSimilarity", "matrixHash")],
@@ -362,8 +361,7 @@ def test_missing_required_key_exits_2(pipeline, tmp_path, capsys, artifact, path
     del parent[path[-1]]
     src = tmp_path / artifact
     src.write_text(json.dumps(doc))
-    for sidecar in ("trace.queries.bin", "trace.outputs.bin"):
-        (tmp_path / sidecar).write_bytes((pipeline / sidecar).read_bytes())
+    _copy_sidecars(pipeline, tmp_path)
     argv = [arg.format(src=src, out=tmp_path / "out") for arg in _READERS[artifact]]
     assert main(argv) == 2
     assert str(path[-1]) in capsys.readouterr().err
@@ -377,10 +375,6 @@ _MISTYPED = [
     ("trace.json", ("tensors", "outputs", "shape"), [2, "5", 1, 8]),
     ("trace.json", ("budget",), "6"),
     ("trace.json", ("config", "seed"), True),
-    ("trace.json", ("steps", 0, "layer", 1, "topk"), [0, None]),
-    ("trace.json", ("steps", 0, "layer", 1, "topk"), [0, True]),
-    ("trace.json", ("steps", 1, "layer", 0, "topk"), [0, 1.5]),
-    ("trace.json", ("steps", 0, "layer", 2, "blocks"), ["0"]),
     ("similarity.json", ("entries",), 5),
     ("similarity.json", ("entries", 0), None),
     ("policy.json", ("sources",), {"0": 0}),
@@ -411,8 +405,7 @@ def test_wrongly_typed_value_exits_2(pipeline, tmp_path, capsys, artifact, path,
     parent[path[-1]] = value
     src = tmp_path / artifact
     src.write_text(json.dumps(doc))
-    for sidecar in ("trace.queries.bin", "trace.outputs.bin"):
-        (tmp_path / sidecar).write_bytes((pipeline / sidecar).read_bytes())
+    _copy_sidecars(pipeline, tmp_path)
     assert main([arg.format(src=src, out=tmp_path / "out") for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
@@ -604,14 +597,18 @@ def test_non_finite_number_exits_2(pipeline, tmp_path, capsys, artifact, path, l
     assert [part for part in path if isinstance(part, str)][-1] in err
 
 
+def _copy_sidecars(pipeline, dest):
+    for sidecar in pipeline.glob("trace.*.bin"):
+        (dest / sidecar.name).write_bytes(sidecar.read_bytes())
+
+
 def _write_trace_copy(pipeline, tmp_path, edit):
     """A copy of the pipeline's trace, edited in place by edit(doc), with its sidecars."""
     doc = read_json(str(pipeline / "trace.json"))
     edit(doc)
     src = tmp_path / "trace.json"
     src.write_text(json.dumps(doc))
-    for sidecar in ("trace.queries.bin", "trace.outputs.bin", "trace.sensitivity.bin"):
-        (tmp_path / sidecar).write_bytes((pipeline / sidecar).read_bytes())
+    _copy_sidecars(pipeline, tmp_path)
     return src
 
 
@@ -626,8 +623,8 @@ def test_overflowing_sidecar_shape_exits_2(pipeline, tmp_path, capsys):
     assert "expected 147573952589676412928" in capsys.readouterr().err
 
 
-def _profile_in_a_capped_process(trace: Path, out: Path) -> subprocess.CompletedProcess:
-    """Run profile in a child process whose address space is capped at 512 MiB.
+def _in_a_capped_process(argv: list[str]) -> subprocess.CompletedProcess:
+    """Run the CLI with argv in a child process whose address space is capped at 512 MiB.
 
     A read that does not stop at the expected length then fails in the child
     with a MemoryError (exit 4), instead of taking the memory of the machine.
@@ -637,34 +634,99 @@ def _profile_in_a_capped_process(trace: Path, out: Path) -> subprocess.Completed
         "runpy.run_module('layerreuse', run_name='__main__')"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"), OPENBLAS_NUM_THREADS="1")
-    argv = [sys.executable, "-c", capped, "profile", "--trace", str(trace), "--out-dir", str(out)]
-    return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-c", capped, *argv], capture_output=True, text=True, env=env, timeout=120)
+
+
+def _profile_in_a_capped_process(trace: Path, out: Path) -> subprocess.CompletedProcess:
+    return _in_a_capped_process(["profile", "--trace", str(trace), "--out-dir", str(out)])
+
+
+# Commands reading a JSON file named by a flag; {src} is the file.
+_JSON_INPUTS = {
+    "trace": ["profile", "--trace", "{src}"],
+    "config": ["gen-traces", "--config", "{src}", "--steps", "1", "--k", "2"],
+}
+
+
+@pytest.mark.parametrize("source", ["/dev/zero", "fifo"])
+@pytest.mark.parametrize("flag", list(_JSON_INPUTS))
+def test_json_input_that_is_a_device_or_a_pipe_exits_2(tmp_path, flag, source):
+    # /dev/zero never ends, and a blocking open of a fifo would wait for a writer.
+    if source == "fifo":
+        source = tmp_path / "fifo"
+        os.mkfifo(source)
+    argv = [arg.format(src=source) for arg in _JSON_INPUTS[flag]]
+    done = _in_a_capped_process([*argv, "--out-dir", str(tmp_path / "out")])
+    assert done.returncode == 2, done.stderr
+    assert f"{source}: not an ASCII JSON file" in done.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("sidecar", ["/dev/zero", "../other/trace.queries.bin", "", ".."])
-def test_sidecar_path_that_is_not_a_file_name_beside_the_trace_exits_2(pipeline, tmp_path, sidecar):
+def test_sidecar_path_that_is_not_a_file_name_beside_the_trace_exits_2(pipeline, tmp_path, sidecar, name="queries"):
     def edit(doc):
-        doc["tensors"]["queries"]["path"] = sidecar
+        doc["tensors"][name]["path"] = sidecar
 
     (tmp_path / "trace").mkdir()
     src = _write_trace_copy(pipeline, tmp_path / "trace", edit)
     # The path names a valid sidecar, so only its form is refused.
     (tmp_path / "other").mkdir()
-    (tmp_path / "other" / "trace.queries.bin").write_bytes((pipeline / "trace.queries.bin").read_bytes())
+    (tmp_path / "other" / f"trace.{name}.bin").write_bytes((pipeline / f"trace.{name}.bin").read_bytes())
     done = _profile_in_a_capped_process(src, tmp_path / "out")
     assert done.returncode == 2, done.stderr
     assert f"path {sidecar!r} is not a file name beside the trace" in done.stderr
     assert not (tmp_path / "out").exists()
 
 
-def test_sidecar_linked_to_an_endless_device_exits_2(pipeline, tmp_path):
+@pytest.mark.parametrize(
+    "sidecar", ["/dev/zero", "../other/trace.{}.bin", "", ".."], ids=["/dev/zero", "../other", "", ".."]
+)
+@pytest.mark.parametrize("name", ["topk", "blocks"])
+def test_selection_sidecar_path_that_is_not_a_file_name_beside_the_trace_exits_2(pipeline, tmp_path, name, sidecar):
+    test_sidecar_path_that_is_not_a_file_name_beside_the_trace_exits_2(pipeline, tmp_path, sidecar.format(name), name)
+
+
+def test_sidecar_linked_to_an_endless_device_exits_2(pipeline, tmp_path, name="queries"):
     src = _write_trace_copy(pipeline, tmp_path, lambda doc: None)
-    size = (tmp_path / "trace.queries.bin").stat().st_size
-    (tmp_path / "trace.queries.bin").unlink()
-    (tmp_path / "trace.queries.bin").symlink_to("/dev/zero")
+    size = (tmp_path / f"trace.{name}.bin").stat().st_size
+    (tmp_path / f"trace.{name}.bin").unlink()
+    (tmp_path / f"trace.{name}.bin").symlink_to("/dev/zero")
     done = _profile_in_a_capped_process(src, tmp_path / "out")
     assert done.returncode == 2, done.stderr
-    assert f"sidecar trace.queries.bin holds 0 bytes, expected {size}" in done.stderr
+    assert f"sidecar trace.{name}.bin holds 0 bytes, expected {size}" in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["topk", "blocks"])
+def test_selection_sidecar_linked_to_an_endless_device_exits_2(pipeline, tmp_path, name):
+    test_sidecar_linked_to_an_endless_device_exits_2(pipeline, tmp_path, name)
+
+
+@pytest.mark.parametrize("name", ["topk", "blocks"])
+def test_selection_sidecar_cut_short_exits_2(pipeline, tmp_path, capsys, name):
+    src = _write_trace_copy(pipeline, tmp_path, lambda doc: None)
+    raw = (tmp_path / f"trace.{name}.bin").read_bytes()
+    (tmp_path / f"trace.{name}.bin").write_bytes(raw[:-8])
+    assert main(["profile", "--trace", str(src), "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"sidecar trace.{name}.bin holds {len(raw) - 8} bytes, expected {len(raw)}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# A selection grid whose own shape, sidecar and sha256 agree, but whose layer or
+# step count contradicts the rest of the trace: (change of the grid, the error).
+_CONTRADICTING_GRIDS = {
+    "topk": (lambda grid: grid[:, :4], "tensor topk has shape [2, 4, 6], expected [2, 5, 6] for the document"),
+    "blocks": (lambda grid: grid[:1], "tensor blocks has shape [1, 5, 6], expected [2, 5, 6] for the document"),
+}
+
+
+@pytest.mark.parametrize("name", list(_CONTRADICTING_GRIDS))
+def test_selection_shape_contradicting_the_document_exits_2(pipeline, tmp_path, capsys, name):
+    change, message = _CONTRADICTING_GRIDS[name]
+    src = _write_trace_copy(pipeline, tmp_path, lambda doc: None)
+    rewrite_sidecar(src, name, change)
+    assert main(["profile", "--trace", str(src), "--out-dir", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -694,71 +756,75 @@ def test_one_step_queries_in_a_two_step_trace_exit_2(pipeline, tmp_path, capsys)
     assert not (tmp_path / "out").exists()
 
 
-# (trace key path to a selection, the index written as its last one); step 0 of
-# the pipeline trace sees 24 tokens in 24 blocks of one token.
+# (selection sidecar, layer, the index written as the last of the layer's step-0
+# selection); step 0 of the pipeline trace sees 24 tokens in 24 blocks of one token.
 _OUT_OF_RANGE = {
-    "topk-huge": (("steps", 0, "layer", 1, "topk"), 2**62),
-    "topk-beyond-cache": (("steps", 0, "layer", 1, "topk"), 24 + 8),
-    "block-beyond-cache": (("steps", 0, "layer", 3, "blocks"), 24),
+    "topk-huge": ("topk", 1, 2**62),
+    "topk-beyond-cache": ("topk", 1, 24 + 8),
+    "block-beyond-cache": ("blocks", 3, 24),
 }
 
 
 @pytest.mark.parametrize("case", list(_OUT_OF_RANGE))
 def test_out_of_range_trace_selection_exits_2(pipeline, tmp_path, capsys, case):
-    path, index = _OUT_OF_RANGE[case]
+    name, layer, index = _OUT_OF_RANGE[case]
 
-    def edit(doc):
-        selection = doc
-        for part in path:
-            selection = selection[part]
-        selection[-1] = index
+    def change(grid):
+        grid[0, layer, -1] = index
+        return grid
 
-    src = _write_trace_copy(pipeline, tmp_path, edit)
+    src = _write_trace_copy(pipeline, tmp_path, lambda doc: None)
+    rewrite_sidecar(src, name, change)
     assert main(["profile", "--trace", str(src), "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: trace step 0 selects a ")
     assert not (tmp_path / "out").exists()
 
 
-def _set_index(kind, position, value):
-    """Edit writing value at position in layer 1's step-0 selection of kind ("topk" or "blocks")."""
-    def edit(doc):
-        doc["steps"][0]["layer"][1][kind][position] = value
-    return edit
+def _set_index(position, value):
+    """Change of a selection grid writing value at position in layer 1's step-0 selection."""
+    def change(grid):
+        grid[0, 1, position] = value
+        return grid
+    return change
 
 
-def _each_row(kind, change):
-    """Edit applying change(row) to every layer's step-0 selection of kind."""
-    def edit(doc):
-        for entry in doc["steps"][0]["layer"]:
-            entry[kind] = change(entry[kind])
-    return edit
+def _step_0_rows(change_rows):
+    """Change of a selection grid applying change_rows to its step-0 rows, one per layer."""
+    def change(grid):
+        grid[0] = change_rows(grid[0])
+        return grid
+    return change
 
 
-# (edit of the pipeline trace, the error it must raise). Step 0 sees 24 tokens in
-# 24 blocks of one token; every selection holds 6 of them, the trace's budget.
+def _append(index):
+    """Change of a selection grid appending index to every selection of every step."""
+    return lambda grid: np.concatenate([grid, np.full(grid.shape[:2] + (1,), index)], axis=2)
+
+
+# (selection sidecar, change of its grid, the error it must raise). Step 0 sees 24
+# tokens in 24 blocks of one token; every selection holds 6 of them, the trace's budget.
 _BAD_SELECTIONS = {
-    "negative": (_set_index("topk", 0, -1), "selects a negative token index"),
-    "negative-huge": (_set_index("topk", 0, -(10**30)), "selects a negative token index"),
-    "unsorted": (_each_row("topk", lambda row: row[::-1]), "not strictly ascending"),
-    "duplicate": (_each_row("topk", lambda row: row[:1] + row[:-1]), "not strictly ascending"),
-    "empty": (_each_row("topk", lambda row: []), "holds an empty token selection"),
-    "empty-blocks": (_each_row("blocks", lambda row: []), "holds an empty block selection"),
-    "one-empty-row": (_set_index("topk", slice(None), []), "token selections of different sizes"),
-    "over-budget": (_each_row("topk", lambda row: row + [23]), "7 token indices per selection, over its budget of 6"),
-    "over-block-budget": (_each_row("blocks", lambda row: row + [23]), "over its budget of 6"),
-    "beyond-cache": (_set_index("topk", -1, 24), "selects a token beyond its 24 cached tokens"),
-    "beyond-int64": (_set_index("topk", -1, 10**30), "selects a token beyond its 24 cached tokens"),
-    "beyond-blocks": (_set_index("blocks", -1, 10**30), "selects a block beyond its 24 blocks"),
-    "ragged": (_set_index("topk", slice(-1, None), []), "token selections of different sizes"),
-    "ragged-blocks": (_set_index("blocks", slice(-1, None), []), "block selections of different sizes"),
+    "negative": ("topk", _set_index(0, -1), "selects a negative token index"),
+    "negative-huge": ("topk", _set_index(0, -(2**63)), "selects a negative token index"),
+    "unsorted": ("topk", _step_0_rows(lambda rows: rows[:, ::-1]), "not strictly ascending"),
+    "duplicate": ("topk", _step_0_rows(lambda rows: np.concatenate([rows[:, :1], rows[:, :-1]], axis=1)),
+                  "not strictly ascending"),
+    "empty": ("topk", lambda grid: grid[..., :0], "holds an empty token selection"),
+    "empty-blocks": ("blocks", lambda grid: grid[..., :0], "holds an empty block selection"),
+    "over-budget": ("topk", _append(23), "7 token indices per selection, over its budget of 6"),
+    "over-block-budget": ("blocks", _append(23), "over its budget of 6"),
+    "beyond-cache": ("topk", _set_index(-1, 24), "selects a token beyond its 24 cached tokens"),
+    "beyond-int64": ("topk", _set_index(-1, 2**63 - 1), "selects a token beyond its 24 cached tokens"),
+    "beyond-blocks": ("blocks", _set_index(-1, 2**63 - 1), "selects a block beyond its 24 blocks"),
 }
 
 
 @pytest.mark.parametrize("case", list(_BAD_SELECTIONS))
 def test_profile_refuses_a_bad_trace_selection_with_exit_2(pipeline, tmp_path, capsys, case):
-    edit, message = _BAD_SELECTIONS[case]
-    src = _write_trace_copy(pipeline, tmp_path, edit)
+    name, change, message = _BAD_SELECTIONS[case]
+    src = _write_trace_copy(pipeline, tmp_path, lambda doc: None)
+    rewrite_sidecar(src, name, change)
     assert main(["profile", "--trace", str(src), "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: trace step 0 ") and message in err, err
@@ -818,7 +884,7 @@ def test_profile_has_no_step_flag(pipeline, tmp_path, capsys, step):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("sidecar", ["queries", "outputs", "sensitivity"])
+@pytest.mark.parametrize("sidecar", ["queries", "outputs", "sensitivity", "topk", "blocks"])
 def test_sidecar_with_a_flipped_byte_exits_2(pipeline, tmp_path, capsys, sidecar):
     src = _write_trace_copy(pipeline, tmp_path, lambda doc: None)
     raw = bytearray((tmp_path / f"trace.{sidecar}.bin").read_bytes())
@@ -839,6 +905,27 @@ def test_version_1_0_trace_without_a_table_exits_2(pipeline, tmp_path, capsys):
     src = _write_trace_copy(pipeline, tmp_path, edit)
     assert main(["profile", "--trace", str(src), "--out-dir", str(tmp_path / "out")]) == 2
     assert "tensors is missing field(s) sensitivity" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_version_1_1_trace_with_json_selections_exits_2(pipeline, tmp_path, capsys):
+    # A 1.1 trace held its selections as JSON lists under steps, and no selection sidecars.
+    trace = read_trace(str(pipeline / "trace.json"))
+
+    def edit(doc):
+        doc["version"] = "1.1"
+        del doc["tensors"]["topk"], doc["tensors"]["blocks"]
+        doc["steps"] = [
+            {"layer": [{"topk": list(sel.indices), "blocks": list(blocks.block_indices)}
+                       for sel, blocks in zip(step_topk, step_blocks)]}
+            for step_topk, step_blocks in zip(trace.topk, trace.blocks)
+        ]
+
+    src = _write_trace_copy(pipeline, tmp_path, edit)
+    for name in ("topk", "blocks"):
+        (tmp_path / f"trace.{name}.bin").unlink()
+    assert main(["profile", "--trace", str(src), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "error: tensors is missing field(s) topk, blocks" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -1122,8 +1209,7 @@ def test_a_mutated_artifact_is_read_or_refused_as_invalid_input(pipeline, reader
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp, artifact)
         src.write_text(json.dumps(doc))
-        for sidecar in ("trace.queries.bin", "trace.outputs.bin", "trace.sensitivity.bin"):
-            Path(tmp, sidecar).write_bytes((pipeline / sidecar).read_bytes())
+        _copy_sidecars(pipeline, Path(tmp))
         argv = [arg.format(src=src, out=Path(tmp, "out")) for arg in command]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -28,7 +27,7 @@ from layerreuse.attention import _head_sum, _subset_attention
 from layerreuse.formats import write_trace
 from layerreuse.profiling import _row_errors
 from layerreuse.synthetic import _S_PROBE, _renorm, _rng
-from reference import ref_matrix_from_trace_doc
+from reference import ref_matrix_from_trace
 
 GOLDEN_CFG = SynthModelConfig(
     layers=8, head_dim=32, context_len=256, seed=11, inter_layer_correlation=0.9
@@ -149,15 +148,14 @@ def test_matrix_rejects_a_selection_of_the_wrong_size():
 
 
 def test_matrix_matches_independent_intersection_oracle(tmp_path):
-    # The oracle reads the serialized trace JSON and redoes every overlap with
-    # plain Python set intersections.
+    # The oracle reads the written trace's topk sidecar and redoes every
+    # overlap with plain Python set intersections.
     model = generate_model(GOLDEN_CFG)
     trace = run_full_trace(model, 4, 32)
     matrix = build_similarity_matrix(trace)
     path = tmp_path / "trace.json"
     write_trace(dataclasses.replace(trace, sensitivity=sensitivity_table(model, trace)), str(path))
-    doc = json.loads(path.read_text())
-    expected = ref_matrix_from_trace_doc(doc)
+    expected = ref_matrix_from_trace(str(path))
     for (i, j), value in expected.items():
         assert matrix.values[j, i] == pytest.approx(value, abs=1e-15)
 

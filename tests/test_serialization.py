@@ -35,7 +35,7 @@ from layerreuse import (
 )
 from layerreuse import formats
 from layerreuse.cli import main
-from conftest import TornFile, assert_same_selection, random_similarity_matrix
+from conftest import TornFile, assert_same_selection, random_similarity_matrix, rewrite_sidecar
 
 CFG = SynthModelConfig(layers=4, head_dim=16, context_len=40, seed=9,
                        inter_layer_correlation=0.7, heads=2)
@@ -115,13 +115,11 @@ def test_trace_sidecar_length_is_checked(tmp_path, trace):
 
 
 def test_trace_rejects_empty_steps(tmp_path, trace):
-    path = str(tmp_path / "trace.json")
-    write_trace(trace, path)
-    doc = read_json(path)
-    doc["steps"] = []
-    Path(path).write_text(json.dumps(doc))
-    with pytest.raises(InvalidInputError):
-        read_trace(path)
+    path = tmp_path / "trace.json"
+    write_trace(trace, str(path))
+    rewrite_sidecar(path, "topk", lambda grid: grid[:0])
+    with pytest.raises(InvalidInputError, match="no decode steps"):
+        read_trace(str(path))
 
 
 def test_version_and_kind_rejection(tmp_path, trace):
@@ -352,4 +350,27 @@ def test_failed_trace_write_leaves_no_partial_sidecar(tmp_path, monkeypatch, tra
     monkeypatch.setattr(formats, "open", lambda *a, **kw: TornFile(open(*a, **kw)), raising=False)
     with pytest.raises(OSError):
         write_trace(trace, str(tmp_path / "t.json"))
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("name", ["topk", "blocks"])
+def test_failed_selection_sidecar_write_leaves_no_partial_file(tmp_path, monkeypatch, trace, name):
+    def tearing(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        return TornFile(fh) if f"t.{name}.bin" in os.path.basename(path) else fh
+
+    monkeypatch.setattr(formats, "open", tearing, raising=False)
+    with pytest.raises(OSError):
+        write_trace(trace, str(tmp_path / "t.json"))
+    monkeypatch.undo()
+    # Sidecars written before the torn one stay; nothing of the torn one, or of any after it, is left.
+    before = list(formats._TRACE_TENSORS)[: list(formats._TRACE_TENSORS).index(name)]
+    assert sorted(os.listdir(tmp_path)) == sorted(f"t.{sidecar}.bin" for sidecar in before)
+
+
+def test_trace_with_selections_of_different_sizes_is_not_written(tmp_path, trace):
+    step = (TopKSet(indices=(0,), budget=trace.budget),) + trace.topk[1][1:]
+    ragged = dataclasses.replace(trace, topk=(trace.topk[0], step) + trace.topk[2:])
+    with pytest.raises(InvalidInputError, match="one size per kind"):
+        write_trace(ragged, str(tmp_path / "trace.json"))
     assert os.listdir(tmp_path) == []
