@@ -1,4 +1,9 @@
-"""Canonical JSON encoding, content hashing, artifact versions, and the checks every public count and ratio takes.
+"""Canonical JSON encoding, content hashing, artifact versions, and the checks every input takes.
+
+check_count and check_unit guard every public count and ratio; require
+checks a parsed JSON document against one shape, so each artifact reader
+states its document's types once. Canonical JSON holds only finite numbers,
+so every writer emits what its reader accepts.
 
 Each artifact kind writes the version of its own last format change, so the
 others keep their bytes and hashes; readers accept any 1.x. The decode trace
@@ -40,10 +45,12 @@ def check_unit(name: str, value) -> float:
 
 
 def canonical_json_bytes(payload: dict) -> bytes:
-    """Stable byte encoding: sorted keys, compact separators, ASCII only."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode(
-        "ascii"
-    )
+    """Stable byte encoding: sorted keys, compact separators, ASCII only; InvalidInputError for NaN or an infinity."""
+    try:
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True, allow_nan=False)
+    except ValueError as exc:
+        raise InvalidInputError(f"an artifact holds a number JSON cannot encode: {exc}") from exc
+    return text.encode("ascii")
 
 
 def sha256_hex(data: bytes) -> str:
@@ -68,9 +75,9 @@ def check_header(doc: dict, kind: str) -> None:
         raise InvalidInputError(f"unsupported major version {version!r}")
 
 
-# Expected JSON value types for require_keys and require_items. A JSON
-# number may be written without a fraction, so NUMBER takes int as well.
-# Types match exactly, so a JSON true or false never counts as a number.
+# Leaf types of a JSON shape (see require). A JSON number may be written
+# without a fraction, so NUMBER takes int as well. Types match exactly, so a
+# JSON true or false never counts as a number.
 NUMBER = (int, float)
 NULL = type(None)
 NUMBER_OR_NULL = (int, float, NULL)
@@ -98,40 +105,29 @@ def _check_value(value, types: tuple, where: str) -> None:
         raise InvalidInputError(f"{where} must be a finite number, got {value}")
 
 
-def require_keys(doc, fields: dict, where: str) -> None:
-    """Reject an artifact object that is not a JSON object, lacks a field, or types one wrongly.
+def require(value, shape, where: str) -> None:
+    """Reject a parsed JSON value that does not have shape; where names the value in each message.
 
-    fields maps each required key to its expected type or tuple of types.
+    A shape is one of:
+      - a type or tuple of types, checked by _check_value;
+      - a dict mapping each required key to its shape (other keys are allowed);
+      - a one-item list, for an array whose every item has that item's shape.
+
+    A nested object is named by its own key, any other member as
+    "{where} field {key}", and an array's items as "every item of {where}".
     """
-    if not isinstance(doc, dict):
-        raise InvalidInputError(f"{where} must be a JSON object")
-    missing = [key for key in fields if key not in doc]
-    if missing:
-        raise InvalidInputError(f"{where} is missing field(s) {', '.join(missing)}")
-    for key, types in fields.items():
-        _check_value(doc[key], types if isinstance(types, tuple) else (types,), f"{where} field {key}")
-
-
-def _finite_numbers(items: list) -> bool:
-    """True unless an item is a non-finite float or an integer float() rounds to infinity.
-
-    Zeros and nulls are dropped unchecked; every other item must be a number.
-    """
-    try:
-        return all(map(math.isfinite, filter(None, items)))
-    except OverflowError:
-        return False
-
-
-def require_items(items: list, types, where: str) -> None:
-    """Reject a JSON array holding an item of the wrong type, or a number that is not a finite float.
-
-    A well-typed array is accepted by passes that run in C; the item-by-item
-    check runs only to find and name the first bad item.
-    """
-    types = types if isinstance(types, tuple) else (types,)
-    if set(map(type, items)).issubset(types) and (float not in types or _finite_numbers(items)):
-        return
-    for item in items:
-        if type(item) not in types or (type(item) is int and float in types) or type(item) is float:
-            _check_value(item, types, f"every item of {where}")
+    if isinstance(shape, dict):
+        _check_value(value, (dict,), where)
+        missing = [key for key in shape if key not in value]
+        if missing:
+            raise InvalidInputError(f"{where} is missing field(s) {', '.join(missing)}")
+        for key, inner in shape.items():
+            require(value[key], inner, key if isinstance(inner, dict) else f"{where} field {key}")
+    elif isinstance(shape, list):
+        _check_value(value, (list,), where)
+        (inner,) = shape
+        where = f"every item of {where}"
+        for item in value:
+            require(item, inner, where)
+    else:
+        _check_value(value, shape if isinstance(shape, tuple) else (shape,), where)

@@ -6,10 +6,12 @@ is at 1.1, every other kind at 1.0) keeps its arrays next to the JSON in
 flat little-endian sidecars, float64 tensors and int64 selections, each
 referenced by file name, shape and sha256, which the reader verifies.
 Writing is canonical (sorted keys, fixed separators), so identical inputs
-produce byte-identical files. NaN is encoded as null. Every file is written
-to a temp file in its target directory and renamed into place, so a crash
-never leaves a torn artifact. Readers check each required field's JSON
-type, so a malformed artifact raises InvalidInputError, not a TypeError.
+produce byte-identical files. NaN is encoded as null, and no writer emits
+NaN or Infinity. Every file is written to a temp file in its target
+directory and renamed into place, so a crash never leaves a torn artifact.
+Each reader checks its whole document against one JSON shape (_read_doc)
+before it reads a sidecar, so a malformed artifact raises
+InvalidInputError, not a TypeError.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from ._canon import (
     canonical_json_bytes,
     check_count,
     check_header,
-    require_items,
-    require_keys,
+    check_unit,
+    require,
     sha256_hex,
 )
 from .attention import BlockSet, TopKSet
@@ -124,6 +126,14 @@ def read_json(path: str) -> dict:
         raise InvalidInputError(f"{path}: not an ASCII JSON file: {exc}") from exc
 
 
+def _read_doc(path: str, kind: str, shape: dict) -> dict:
+    """The JSON artifact at path, checked to be of kind, at a 1.x version, and of shape (see _canon.require)."""
+    doc = read_json(path)
+    check_header(doc, kind)
+    require(doc, shape, kind)
+    return doc
+
+
 # One row per SynthModelConfig field: (field, artifact key, CLI flag, JSON
 # type, help). The artifact codec below and the CLI's model flags both read it.
 CONFIG_FIELDS = (
@@ -151,12 +161,22 @@ def config_payload(config: SynthModelConfig) -> dict:
 def config_from_payload(doc: dict) -> SynthModelConfig:
     if isinstance(doc, dict):
         doc = {**_OMITTED_AT_DEFAULT, **doc}
-    require_keys(doc, {key: json_type for _, key, _, json_type, _ in CONFIG_FIELDS}, "config")
+    require(doc, {key: json_type for _, key, _, json_type, _ in CONFIG_FIELDS}, "config")
     return SynthModelConfig(**{field: doc[key] for field, key, *_ in CONFIG_FIELDS})
 
 
 # A trace's sidecars and the little-endian type each holds, in the order they are written and read.
 _TRACE_TENSORS = {"topk": "<i8", "blocks": "<i8", "queries": "<f8", "outputs": "<f8", "sensitivity": "<f8"}
+# Each artifact's JSON shape (see _canon.require); config_from_payload checks a trace's config fields.
+_TRACE_SHAPE = {"config": dict, "budget": int, "blockSize": int,
+                "tensors": dict.fromkeys(_TRACE_TENSORS, {"path": str, "shape": [int], "sha256": str})}
+_MATRIX_SHAPE = {"L": int, "k": int, "entries": [NUMBER]}
+_SENSITIVITY_SHAPE = {"budget": int, "steps": int, "layers": [{"rnmse": NUMBER_OR_NULL, "maxRnmse": NUMBER_OR_NULL}]}
+_POLICY_SHAPE = {"L": int, "theta": NUMBER_OR_NULL, "actions": [str], "sources": [(int, NULL)], "fullCount": int,
+                 "cumSimilarity": NUMBER_OR_NULL, "matrixHash": (str, NULL)}
+_RUN_SHAPE = {"theta": NUMBER_OR_NULL, "policyHash": str, "budget": int, "blockSize": int, "steps": int,
+              "counters": dict, "fidelity": {"aggregateRnmse": NUMBER_OR_NULL, "perLayerRnmse": [NUMBER_OR_NULL],
+                                             "perStepLayerRnmse": [[NUMBER_OR_NULL]]}}
 
 
 def _read_tensor(trace_path: str, name: str, entry: dict, expected: tuple[int, ...], dtype: str) -> np.ndarray:
@@ -263,17 +283,12 @@ def read_trace(path: str) -> DecodeTrace:
     The topk sidecar's recorded shape [S, L, k] gives the step count every
     other sidecar's shape must match. Both selection grids are then checked
     at once with numpy (_check_selections), and their rows become TopKSet and
-    BlockSet objects without a second check.
+    BlockSet objects without a second check. The sensitivity table may hold
+    NaN, an undefined rnmse, but no infinite or negative one.
     """
-    doc = read_json(path)
-    check_header(doc, "decode-trace")
-    require_keys(doc, {"config": dict, "budget": int, "blockSize": int, "tensors": dict}, "decode-trace")
+    doc = _read_doc(path, "decode-trace", _TRACE_SHAPE)
     config = config_from_payload(doc["config"])
     tensors = doc["tensors"]
-    require_keys(tensors, dict.fromkeys(_TRACE_TENSORS, dict), "tensors")
-    for name in _TRACE_TENSORS:
-        require_keys(tensors[name], {"path": str, "shape": list, "sha256": str}, f"tensor {name}")
-        require_items(tensors[name]["shape"], int, f"tensor {name} shape")
     budget = check_count("budget", doc["budget"])
     block_size = check_count("block_size", doc["blockSize"])
     steps = (tensors["topk"]["shape"] or [0])[0]
@@ -289,6 +304,9 @@ def read_trace(path: str) -> DecodeTrace:
         for (name, dtype), shape in zip(_TRACE_TENSORS.items(), expected)
     )
     _check_selections(topk, blocks, budget, block_size, config.context_len)
+    # An rnmse is a norm quotient: NaN where it is undefined, else finite and non-negative.
+    if ((sensitivity < 0) | (sensitivity == math.inf)).any():
+        raise InvalidInputError("tensor sensitivity holds an infinite or negative rnmse")
     return DecodeTrace(
         config=config,
         budget=budget,
@@ -308,10 +326,7 @@ def write_similarity_matrix(
 
 
 def read_similarity_matrix(path: str) -> SimilarityMatrix:
-    doc = read_json(path)
-    check_header(doc, "similarity-matrix")
-    require_keys(doc, {"L": int, "k": int, "entries": list}, "similarity-matrix")
-    require_items(doc["entries"], NUMBER, "entries")
+    doc = _read_doc(path, "similarity-matrix", _MATRIX_SHAPE)
     return SimilarityMatrix.from_flat(doc["L"], doc["k"], doc["entries"])
 
 
@@ -332,11 +347,7 @@ def write_sensitivity_report(
 
 
 def read_sensitivity_report(path: str) -> SensitivityReport:
-    doc = read_json(path)
-    check_header(doc, "sensitivity-report")
-    require_keys(doc, {"budget": int, "steps": int, "layers": list}, "sensitivity-report")
-    for entry in doc["layers"]:
-        require_keys(entry, {"rnmse": NUMBER_OR_NULL, "maxRnmse": NUMBER_OR_NULL}, "sensitivity layer entry")
+    doc = _read_doc(path, "sensitivity-report", _SENSITIVITY_SHAPE)
     # A null (an undefined rnmse) becomes NaN.
     pairs = np.array([[entry["rnmse"], entry["maxRnmse"]] for entry in doc["layers"]], dtype=float)
     mean, peak = pairs.reshape(-1, 2).T
@@ -348,23 +359,7 @@ def write_policy(policy: LayerPolicy, path: str, manifest_hash: str | None = Non
 
 
 def read_policy(path: str) -> LayerPolicy:
-    doc = read_json(path)
-    check_header(doc, "layer-policy")
-    require_keys(
-        doc,
-        {
-            "L": int,
-            "theta": NUMBER_OR_NULL,
-            "actions": list,
-            "sources": list,
-            "fullCount": int,
-            "cumSimilarity": NUMBER_OR_NULL,
-            "matrixHash": (str, NULL),
-        },
-        "layer-policy",
-    )
-    require_items(doc["actions"], str, "actions")
-    require_items(doc["sources"], (int, NULL), "sources")
+    doc = _read_doc(path, "layer-policy", _POLICY_SHAPE)
     try:
         actions = tuple(Action(a) for a in doc["actions"])
     except ValueError as exc:
@@ -422,30 +417,10 @@ def write_run_result(result: DecodeRunResult, path: str, manifest_hash: str | No
 
 
 def read_run_result(path: str) -> dict:
-    """Run results are read back as plain documents; arrays stay lists."""
-    doc = read_json(path)
-    check_header(doc, "decode-run")
-    require_keys(
-        doc,
-        {
-            "theta": NUMBER_OR_NULL,
-            "policyHash": str,
-            "budget": int,
-            "blockSize": int,
-            "steps": int,
-            "counters": dict,
-            "fidelity": dict,
-        },
-        "decode-run",
-    )
-    fidelity = doc["fidelity"]
-    require_keys(
-        fidelity,
-        {"aggregateRnmse": NUMBER_OR_NULL, "perLayerRnmse": list, "perStepLayerRnmse": list},
-        "fidelity",
-    )
-    require_items(fidelity["perLayerRnmse"], NUMBER_OR_NULL, "perLayerRnmse")
-    require_items(fidelity["perStepLayerRnmse"], list, "perStepLayerRnmse")
-    for row in fidelity["perStepLayerRnmse"]:
-        require_items(row, NUMBER_OR_NULL, "perStepLayerRnmse rows")
+    """A run result as a plain document, arrays as lists; a set theta lies in [0, 1] and every count is >= 1."""
+    doc = _read_doc(path, "decode-run", _RUN_SHAPE)
+    if doc["theta"] is not None:
+        check_unit("theta", doc["theta"])
+    for key in ("budget", "blockSize", "steps"):
+        check_count(key, doc[key])
     return doc

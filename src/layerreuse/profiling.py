@@ -24,7 +24,6 @@ __all__ = [
     "SimilarityMatrix",
     "SensitivityReport",
     "build_similarity_matrix",
-    "relative_l2_error",
     "sensitivity_profile",
     "sensitivity_table",
 ]
@@ -153,15 +152,6 @@ def _row_errors(x: np.ndarray, reference: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = err / np.where(vanished, 1.0, ref)
     return np.where(vanished, np.where(err == 0.0, 0.0, math.nan), ratio)
-
-
-def relative_l2_error(x: np.ndarray, reference: np.ndarray) -> float:
-    """||x - reference|| / ||reference||; 0.0 when both norms vanish, NaN when undefined."""
-    x = np.asarray(x, dtype=np.float64)
-    reference = np.asarray(reference, dtype=np.float64)
-    if x.shape != reference.shape:
-        raise InvalidInputError(f"shape mismatch: {x.shape} vs {reference.shape}")
-    return float(_row_errors(x.ravel(), reference.ravel()))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -85,6 +86,10 @@ def test_manifest_hash_matches_embedded(pipeline):
     assert manifest["inputs"] == ["similarity.json"]
 
 
+def _refuse_non_finite(literal):
+    raise AssertionError(f"an artifact holds {literal}, which no reader accepts")
+
+
 def test_the_chain_writes_the_same_bytes_in_another_directory(tmp_path, monkeypatch):
     # Run once with absolute paths into a/, once from inside b/ with bare names.
     chain = [
@@ -106,6 +111,8 @@ def test_the_chain_writes_the_same_bytes_in_another_directory(tmp_path, monkeypa
         files = {}
         for path in filter(Path.is_file, root.rglob("*")):
             content = path.read_bytes()
+            if path.suffix == ".json":
+                json.loads(content, parse_constant=_refuse_non_finite)
             if path.name.endswith(".manifest.json"):
                 # Wall time is the one field a manifest may change between runs.
                 content = {**json.loads(content), "wallTimeSeconds": None}
@@ -383,6 +390,10 @@ _MISTYPED = [
     ("run.json", ("fidelity",), []),
     ("run.json", ("fidelity", "perLayerRnmse"), 5),
     ("run.json", ("fidelity", "perLayerRnmse", 0), [0.1]),
+    ("run.json", ("fidelity", "perStepLayerRnmse", 1, 2), True),
+    ("run.json", ("fidelity", "perStepLayerRnmse", 1), 5),
+    ("trace.json", ("tensors", "blocks", "shape", 2), 1.5),
+    ("policy.json", ("actions", 0), 1),
 ]
 _CONFIG = {"layers": 5, "headDim": 8, "contextLen": 24, "seed": 17,
            "interLayerCorrelation": 0.9, "heads": 1}
@@ -412,8 +423,9 @@ def test_wrongly_typed_value_exits_2(pipeline, tmp_path, capsys, artifact, path,
     assert [part for part in path if isinstance(part, str)][-1] in err
 
 
-# (artifact, key path, well-typed but invalid value): each used to reach a
-# ValueError inside numpy or the enum rather than a validation error.
+# (artifact, key path, well-typed but invalid value), each refused with exit 2
+# by a validation error. The trace, similarity and policy rows used to reach a
+# ValueError inside numpy or the enum; the run.json rows used to be accepted.
 _INVALID = [
     ("trace.json", ("tensors", "queries", "shape"), [-2, -5, 1, 8]),
     ("similarity.json", ("L",), -6),  # -6 * -5 / 2 matches the 15 entries of L=5
@@ -423,6 +435,10 @@ _INVALID = [
     ("policy.json", ("fullCount",), 2),
     ("policy.json", ("sources", 2), 1),  # layer 1 is a Reuse layer
     ("policy.json", ("theta",), 7.5),
+    ("run.json", ("theta",), 5.0),
+    ("run.json", ("steps",), -3),
+    ("run.json", ("budget",), 0),
+    ("run.json", ("blockSize",), 0),
 ]
 
 
@@ -829,6 +845,25 @@ def test_profile_refuses_a_bad_trace_selection_with_exit_2(pipeline, tmp_path, c
     err = capsys.readouterr().err
     assert err.startswith("error: trace step 0 ") and message in err, err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [math.inf, -5.0, -math.inf, math.nan])
+def test_profile_refuses_an_infinite_or_negative_sensitivity_entry(pipeline, tmp_path, capsys, value):
+    def change(table):
+        table[1, 2] = value
+        return table
+
+    src = _write_trace_copy(pipeline, tmp_path, lambda doc: None)
+    rewrite_sidecar(src, "sensitivity", change)
+    out = tmp_path / "out"
+    code = main(["profile", "--trace", str(src), "--out-dir", str(out)])
+    if math.isnan(value):
+        # NaN marks an undefined rnmse, which sensitivity.json records as null.
+        assert code == 0 and read_json(str(out / "sensitivity.json"))["layers"][2]["rnmse"] is None
+    else:
+        assert code == 2
+        assert "tensor sensitivity holds an infinite or negative rnmse" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # policy.json sources that contradict the actions: (actions, sources as written).

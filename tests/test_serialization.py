@@ -211,6 +211,15 @@ def test_policy_without_theta_round_trips(tmp_path):
     assert back.theta is None and back.matrix_hash is None
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_policy_with_a_non_finite_credit_is_not_written(tmp_path, value):
+    # read_policy refuses NaN and Infinity, so no writer may emit them.
+    policy = dataclasses.replace(static_jump_policy(4, 2), cum_similarity=value)
+    with pytest.raises(InvalidInputError, match="JSON cannot encode"):
+        write_policy(policy, str(tmp_path / "policy.json"))
+    assert os.listdir(tmp_path) == []
+
+
 def test_run_result_document(tmp_path):
     model = generate_model(CFG)
     trace = run_full_trace(model, 2, 8)
@@ -294,6 +303,8 @@ _MISTYPED = [
     (_sensitivity_doc, ("layers",), {"rnmse": 0.5, "maxRnmse": 0.75}),
     (_sensitivity_doc, ("steps",), None),
     (_sensitivity_doc, ("layers", 1, "rnmse"), "0.5"),
+    (_sensitivity_doc, ("layers", 1), 0.5),
+    (_sensitivity_doc, ("layers", 0, "maxRnmse"), "0.75"),
 ]
 
 
@@ -311,7 +322,7 @@ def test_reader_rejects_wrongly_typed_value(tmp_path, make, path, value):
     parent[path[-1]] = value
     with open(target, "w") as fh:
         json.dump(doc, fh)
-    with pytest.raises(InvalidInputError, match=str(path[-1])):
+    with pytest.raises(InvalidInputError, match=[part for part in path if isinstance(part, str)][-1]):
         reader(target)
 
 
