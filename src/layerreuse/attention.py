@@ -19,8 +19,9 @@ BlockSet constructors check every index, so a hand-built set, a
 dataclasses.replace copy or a set read back from a file is checked. A
 producer whose output is canonical by construction (topk_of_logits' rows, and
 what read_trace has already checked in numpy) builds its sets through the
-private _canonical constructors instead, which check nothing, as
-LayerKvCache.prefix shares rows its cache already checked.
+private _canonical constructors instead, which check nothing. Every cache
+is checked as it is built, and only a view of checked rows, as
+SyntheticModel.cache_at builds, is shared without a scan.
 """
 
 from __future__ import annotations
@@ -145,22 +146,6 @@ class LayerKvCache:
     def head_dim(self) -> int:
         """Per-token vector width d."""
         return self.keys.shape[-1]
-
-    def prefix(self, n: int) -> LayerKvCache:
-        """The cache of the first n tokens, in O(1).
-
-        The result shares this cache's memory and is not validated again:
-        its rows were checked when this cache was built.
-
-        Raises:
-            ConfigurationError: unless 1 <= n <= length.
-        """
-        if not 1 <= n <= self.length:
-            raise ConfigurationError(f"prefix length must lie in [1, {self.length}], got {n}")
-        view = object.__new__(LayerKvCache)
-        object.__setattr__(view, "keys", self.keys[..., :n, :])
-        object.__setattr__(view, "values", self.values[..., :n, :])
-        return view
 
 
 def _check_ascending(indices: tuple[int, ...], kind: str) -> None:

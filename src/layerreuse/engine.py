@@ -9,13 +9,13 @@ call to count. Token and block mode share one loop, _decode, which runs
 steps outermost; they differ only in the step that turns a Full layer's
 summed logits into a selection.
 
-Each layer's all-heads cache is built once per decode call, as a view of the
-model's grown arrays, and Full layers see each step through prefix; only the
-rows a Reuse layer gathers are ever copied. Attention runs once per (step,
-layer) over all heads, which equals one call per head bit for bit. A decode
-call does decode work only. Fidelity compares against the all-Full baseline,
-which equals the run's own outputs at Full layers bit for bit, so it is
-recomputed with full attention at Reuse layers only, when
+A Full cell reaches its step's all-heads cache through the model's cache_at,
+a view of the model's grown arrays. Only Reuse layers hold the last step's
+cache, and only the rows they gather from it are ever copied. Attention runs
+once per (step, layer) over all heads, which equals one call per head bit
+for bit. A decode call does decode work only. Fidelity compares against the
+all-Full baseline, which equals the run's own outputs at Full layers bit for
+bit, so it is recomputed with full attention at Reuse layers only, when
 DecodeRunResult.fidelity is first read: one multi-step full_attention call
 per Reuse layer, as the full trace makes.
 
@@ -76,13 +76,13 @@ class FidelityTable:
 class _Baseline:
     """All-Full baseline outputs of one run, computed on first use.
 
-    Until then it holds the run's queries and caches, which keep the model's
-    KV buffers alive; afterwards it holds only the [steps, layers, heads,
-    head_dim] baseline array.
+    Until then it holds the run's queries and its Reuse layers' last-step
+    caches, which keep the model's KV buffers alive; afterwards it holds only
+    the [steps, layers, heads, head_dim] baseline array.
     """
 
-    def __init__(self, outputs, policy, queries, caches) -> None:
-        self._inputs = (outputs, policy, queries, caches)
+    def __init__(self, outputs, queries, caches) -> None:
+        self._inputs = (outputs, queries, caches)
         self._outputs: np.ndarray | None = None
 
     def outputs(self) -> np.ndarray:
@@ -147,21 +147,18 @@ def _fidelity_tables(baseline_outputs: np.ndarray, hybrid_outputs: np.ndarray) -
     )
 
 
-def _full_baseline(
-    outputs: np.ndarray, policy: LayerPolicy, queries: np.ndarray, caches: list[LayerKvCache]
-) -> np.ndarray:
+def _full_baseline(outputs: np.ndarray, queries: np.ndarray, caches: dict[int, LayerKvCache]) -> np.ndarray:
     """All-Full baseline of a run: its outputs, with Reuse layers recomputed.
 
     A Full layer of the run already computed full_attention on the same query
     and cache, so only Reuse layers can differ from an all-Full decode. Like
     the full trace, the recompute makes one multi-step full_attention call per
-    layer: caches[l] holds the last step's rows, and step t sees its first
-    context_len + t.
+    Reuse layer l: caches[l] holds the last step's rows, and step t sees its
+    first context_len + t.
     """
     baseline = outputs.copy()
-    for l, action in enumerate(policy.actions):
-        if action is Action.REUSE:
-            baseline[:, l], _, _ = full_attention(queries[:, l], caches[l])
+    for l, cache in caches.items():
+        baseline[:, l], _, _ = full_attention(queries[:, l], cache)
     return baseline
 
 
@@ -188,12 +185,12 @@ def _decode(
 ) -> DecodeRunResult:
     """The (step, layer) loop of hybrid decoding, for both modes, which differ only in select.
 
-    A Full cell runs full attention of all heads over the step's cache and
-    hands the head-summed logits to select(logits, n), which returns the
-    selection that layer records, the one the Reuse layers after it record,
-    and the rows they gather. A Reuse cell records the inherited selection of
-    the last Full layer below it at the same step and runs sparse attention
-    over just those rows.
+    A Full cell runs full attention of all heads over the step's cache, which
+    model.cache_at builds, and hands the head-summed logits to select(logits,
+    n), which returns the selection that layer records, the one the Reuse
+    layers after it record, and the rows they gather. A Reuse cell records
+    the inherited selection of the last Full layer below it at the same step
+    and runs sparse attention over just those rows of its last-step cache.
 
     Steps run outermost: this models autoregressive decoding, where token
     t + 1 cannot start until token t has left the last layer, so each cell
@@ -205,7 +202,7 @@ def _decode(
     cfg = model.config
     L = cfg.layers
     queries = model.queries(steps)
-    caches = [model.cache_at(l, steps - 1) for l in range(L)]
+    caches = {l: model.cache_at(l, steps - 1) for l, a in enumerate(policy.actions) if a is Action.REUSE}
     outputs = np.empty((steps, L, cfg.heads, cfg.head_dim))
     selections = [[None] * L for _ in range(steps)]
     gathered = [[None] * L for _ in range(steps)]
@@ -214,7 +211,7 @@ def _decode(
         n_t = cfg.context_len + t
         for l, action in enumerate(policy.actions):
             if action is Action.FULL:
-                outputs[t, l], logits, _ = full_attention(queries[t, l], caches[l].prefix(n_t))
+                outputs[t, l], logits, _ = full_attention(queries[t, l], model.cache_at(l, t))
                 full_counts[t] += 1
                 selections[t][l], inherited, rows = select(_head_sum(logits), n_t)
             else:
@@ -232,7 +229,7 @@ def _decode(
         full_score_computations=tuple(full_counts),
         reuse_full_scans=0,
         reuse_gathered_rows=tuple(map(tuple, gathered)),
-        _baseline=_Baseline(outputs, policy, queries, caches),
+        _baseline=_Baseline(outputs, queries, caches),
     )
 
 

@@ -175,8 +175,10 @@ _SENSITIVITY_SHAPE = {"budget": int, "steps": int, "layers": [{"rnmse": NUMBER_O
 _POLICY_SHAPE = {"L": int, "theta": NUMBER_OR_NULL, "actions": [str], "sources": [(int, NULL)], "fullCount": int,
                  "cumSimilarity": NUMBER_OR_NULL, "matrixHash": (str, NULL)}
 _RUN_SHAPE = {"theta": NUMBER_OR_NULL, "policyHash": str, "budget": int, "blockSize": int, "steps": int,
-              "counters": dict, "fidelity": {"aggregateRnmse": NUMBER_OR_NULL, "perLayerRnmse": [NUMBER_OR_NULL],
-                                             "perStepLayerRnmse": [[NUMBER_OR_NULL]]}}
+              "counters": {"fullLayers": int, "reuseLayers": int, "fullScoreComputationsPerStep": [int],
+                           "reuseFullScans": int, "reuseGatheredRows": [[(int, NULL)]]},
+              "fidelity": {"aggregateRnmse": NUMBER_OR_NULL, "perLayerRnmse": [NUMBER_OR_NULL],
+                           "perStepLayerRnmse": [[NUMBER_OR_NULL]]}}
 
 
 def _read_tensor(trace_path: str, name: str, entry: dict, expected: tuple[int, ...], dtype: str) -> np.ndarray:
@@ -347,11 +349,22 @@ def write_sensitivity_report(
 
 
 def read_sensitivity_report(path: str) -> SensitivityReport:
+    """A sensitivity report of at least one layer, each with rnmse and maxRnmse both null or 0 <= rnmse <= maxRnmse."""
     doc = _read_doc(path, "sensitivity-report", _SENSITIVITY_SHAPE)
+    budget, steps = check_count("budget", doc["budget"]), check_count("steps", doc["steps"])
+    if not doc["layers"]:
+        raise InvalidInputError("sensitivity-report field layers must hold at least one layer")
+    for l, entry in enumerate(doc["layers"]):
+        mean, peak = entry["rnmse"], entry["maxRnmse"]
+        if (mean is None) != (peak is None) or mean is not None and not 0 <= mean <= peak:
+            raise InvalidInputError(
+                f"sensitivity-report layer {l} has rnmse {mean} and maxRnmse {peak}: "
+                "both must be null, or numbers with 0 <= rnmse <= maxRnmse"
+            )
     # A null (an undefined rnmse) becomes NaN.
     pairs = np.array([[entry["rnmse"], entry["maxRnmse"]] for entry in doc["layers"]], dtype=float)
-    mean, peak = pairs.reshape(-1, 2).T
-    return SensitivityReport(budget=doc["budget"], steps=doc["steps"], rnmse=mean, max_rnmse=peak)
+    mean, peak = pairs.T
+    return SensitivityReport(budget=budget, steps=steps, rnmse=mean, max_rnmse=peak)
 
 
 def write_policy(policy: LayerPolicy, path: str, manifest_hash: str | None = None) -> None:
@@ -417,10 +430,29 @@ def write_run_result(result: DecodeRunResult, path: str, manifest_hash: str | No
 
 
 def read_run_result(path: str) -> dict:
-    """A run result as a plain document, arrays as lists; a set theta lies in [0, 1] and every count is >= 1."""
+    """A run result as a plain document, arrays as lists, checked to describe one run.
+
+    A set theta lies in [0, 1], every count is >= 1 (reuseLayers >= 0), and
+    each per-step or per-layer array holds steps rows or L = fullLayers +
+    reuseLayers items.
+    """
     doc = _read_doc(path, "decode-run", _RUN_SHAPE)
     if doc["theta"] is not None:
         check_unit("theta", doc["theta"])
     for key in ("budget", "blockSize", "steps"):
         check_count(key, doc[key])
+    counters, fidelity = doc["counters"], doc["fidelity"]
+    layers = check_count("fullLayers", counters["fullLayers"]) + check_count("reuseLayers", counters["reuseLayers"], 0)
+    rows, items = (doc["steps"], "steps"), (layers, "L = fullLayers + reuseLayers")
+    for key, table, dims in (
+        ("perLayerRnmse", fidelity["perLayerRnmse"], (items,)),
+        ("perStepLayerRnmse", fidelity["perStepLayerRnmse"], (rows, items)),
+        ("fullScoreComputationsPerStep", counters["fullScoreComputationsPerStep"], (rows,)),
+        ("reuseGatheredRows", counters["reuseGatheredRows"], (rows, items)),
+    ):
+        # A ragged table's rows give more than one length, so its shape has three parts.
+        shape = (len(table), *{len(row) for row in table}) if len(dims) == 2 else (len(table),)
+        if shape != tuple(n for n, _ in dims):
+            want = " rows of ".join(f"{name} = {n}" for n, name in dims)
+            raise InvalidInputError(f"decode-run field {key} must hold {want} items")
     return doc

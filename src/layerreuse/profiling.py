@@ -170,8 +170,13 @@ class SensitivityReport:
 
     @classmethod
     def of_table(cls, table: np.ndarray, budget: int) -> "SensitivityReport":
-        """The report of a [steps, layers] sensitivity table, column by column."""
-        return cls(budget=budget, steps=table.shape[0], rnmse=table.mean(axis=0), max_rnmse=table.max(axis=0))
+        """The report of a [steps, layers] sensitivity table, column by column.
+
+        A mean can round above its column's largest value (three steps of 0.1
+        average to 0.10000000000000002), so it is capped there.
+        """
+        peak = table.max(axis=0)
+        return cls(budget=budget, steps=table.shape[0], rnmse=np.minimum(table.mean(axis=0), peak), max_rnmse=peak)
 
 
 def _propagated_rnmse(model: SyntheticModel, full: np.ndarray, sparse: np.ndarray, step: int) -> np.ndarray:

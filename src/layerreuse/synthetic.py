@@ -20,10 +20,11 @@ reduces along the contiguous last axis, so the result matches row-by-row
 blending bit for bit.
 
 A model keeps its keys and values, base rows and decode-growth rows alike,
-in one growable buffer per tensor. grown_arrays hands out read-only views of
-it and draws only rows no earlier call drew. Each row is checked for
-finiteness once, as it is written, so the per-layer caches cache_at builds
-over those views are shared without another scan.
+in one growable buffer per tensor, and blends growth rows straight into it
+layer by layer, as the base chains do. grown_arrays hands out read-only views
+of it and draws only rows no earlier call drew. Each row is checked for
+finiteness once, as it is written, so cache_at, the one way to reach a
+layer's cache at a step, shares views of it without another scan.
 
 The base keys and values are two independent chains, built at once: keys on
 the constructing thread, values on one worker thread that is always joined
@@ -400,33 +401,30 @@ class SyntheticModel:
         return keys, values
 
     def _grow(self, steps: int) -> None:
-        """Draw, check and store growth rows for steps _grown .. steps - 1."""
+        """Draw, check and store growth rows for steps _grown .. steps - 1, blended into the buffers in place.
+
+        A failed draw leaves written only rows past _grown, which no view covers and the next call rewrites.
+        """
         cfg = self.config
         L, H, N, d = cfg.layers, cfg.heads, cfg.context_len, cfg.head_dim
         rho = cfg.inter_layer_correlation
         target = math.sqrt(d)
         first = self._grown
         capacity = self._keys.shape[2] - N
-        # Allocated first: the growth rows below are never larger than the new buffers.
-        if steps > capacity:
-            shape = (L, H, N + max(2 * capacity, steps), d)
-            keys, values = _empty(shape, _CheckedRows), _empty(shape, _CheckedRows)
-        ext_k = _empty((steps - first, L, H, d))
-        ext_v = _empty((steps - first, L, H, d))
-        for ext, stream in ((ext_k, _S_EXT_KEYS), (ext_v, _S_EXT_VALUES)):
-            fresh = _fresh_rows(cfg.seed, stream, range(L), first, steps, H, d)
-            ext[:, 0] = _renorm(fresh[0], target)
-            for l in range(1, L):
-                ext[:, l] = _blend(ext[:, l - 1], fresh[l], rho, target)
         if steps > capacity:
             # Views handed out so far keep the old buffers, whose rows stay as they are.
-            rows = (slice(None), slice(None), slice(None, N + first))
-            keys[rows] = self._keys[rows]
-            values[rows] = self._values[rows]
+            shape = (L, H, N + max(2 * capacity, steps), d)
+            keys, values = _empty(shape, _CheckedRows), _empty(shape, _CheckedRows)
+            keys[:, :, : N + first] = self._keys[:, :, : N + first]
+            values[:, :, : N + first] = self._values[:, :, : N + first]
             self._keys, self._values = keys, values
-        new_rows = (slice(None), slice(None), slice(N + first, N + steps))
-        self._keys[new_rows] = np.moveaxis(ext_k, 0, 2)
-        self._values[new_rows] = np.moveaxis(ext_v, 0, 2)
+        for buffer, stream in ((self._keys, _S_EXT_KEYS), (self._values, _S_EXT_VALUES)):
+            # [L, H, steps - first, d], the buffer's axis order.
+            fresh = _fresh_rows(cfg.seed, stream, range(L), first, steps, H, d).swapaxes(1, 2)
+            rows = buffer.view(np.ndarray)[:, :, N + first : N + steps]
+            _renorm(fresh[0], target, out=rows[0])
+            for l in range(1, L):
+                _blend(rows[l - 1], fresh[l], rho, target, out=rows[l])
         self._grown = steps
 
     def cache_at(self, layer: int, step: int) -> LayerKvCache:
@@ -459,9 +457,11 @@ class SyntheticModel:
         and draws no noise.
 
         Raises:
+            InvalidInputError: if step is not an integer >= 0.
             NumericInputError: if rho < 1 and an output row is not finite.
         """
         cfg = self.config
+        step = check_count("step", step, 0)
         outputs = np.asarray(outputs, dtype=np.float64)
         if cfg.inter_layer_correlation == 1.0:
             return outputs.copy()

@@ -149,22 +149,6 @@ def test_cache_keeps_its_rows_when_a_frozen_input_is_written_again():
     assert np.array_equal(full_attention(q, cache)[0], want)
 
 
-def test_cache_prefix_is_a_shared_view():
-    base = _frozen(np.random.default_rng(14).standard_normal((2, 6, 4)))
-    cache = LayerKvCache(keys=base[0], values=base[1])
-    head = cache.prefix(3)
-    assert head.length == 3 and head.head_dim == 4
-    assert np.shares_memory(head.keys, cache.keys) and np.shares_memory(head.values, cache.values)
-    assert np.array_equal(head.keys, base[0, :3]) and np.array_equal(head.values, base[1, :3])
-    assert cache.prefix(cache.length).length == cache.length
-    q = np.ones(4)
-    want, _, _ = full_attention(q, LayerKvCache(keys=base[0, :3].copy(), values=base[1, :3].copy()))
-    assert np.array_equal(full_attention(q, head)[0], want)
-    for n in (0, cache.length + 1):
-        with pytest.raises(ConfigurationError):
-            cache.prefix(n)
-
-
 def test_shared_input_is_still_validated():
     bad = np.ones((2, 3))
     bad[1, 2] = np.nan
@@ -182,7 +166,7 @@ def test_cache_shares_head_blocks_that_are_each_contiguous():
     assert not cache.keys.flags.c_contiguous
     assert np.shares_memory(cache.keys, keys) and np.shares_memory(cache.values, values)
     assert (cache.length, cache.head_dim) == (7, 4)
-    head = cache.prefix(2)
+    head = LayerKvCache(keys=cache.keys[:, :2], values=cache.values[:, :2])
     assert head.keys.shape == (3, 2, 4) and np.shares_memory(head.keys, keys)
     # A block whose rows or columns are strided is copied, so BLAS sees what a fresh copy gives it.
     for view in (keys[1, :, ::2], keys[1, :, :, ::2], keys[1].transpose(1, 0, 2)):
@@ -215,7 +199,7 @@ def test_all_heads_call_equals_one_call_per_head(heads):
     assert np.shares_memory(shared.keys, keys) and (heads == 1 or not shared.keys.flags.c_contiguous)
     copied = LayerKvCache(keys=np.array(shared.keys), values=np.array(shared.values))
     rows = np.array([0, 3, 4, 40, 69, 71])
-    for cache in (shared, shared.prefix(cfg.context_len), copied):
+    for cache in (shared, model.cache_at(1, 0), copied):
         out, logits, weights = full_attention(q, cache)
         sub_out, sub_logits, sub_weights = _subset_attention(q, cache, rows[rows < cache.length])
         summed = np.zeros(cache.length)
@@ -259,7 +243,8 @@ def test_multi_step_call_equals_one_call_per_step(case, steps):
     assert out.shape == q.shape and logits.shape == weights.shape == q.shape[:-1] + (n,)
     for t in range(steps):
         seen = n - steps + 1 + t
-        one_out, one_logits, one_weights = full_attention(q[t], cache.prefix(seen))
+        head = LayerKvCache(keys=cache.keys[..., :seen, :], values=cache.values[..., :seen, :])
+        one_out, one_logits, one_weights = full_attention(q[t], head)
         assert np.array_equal(out[t], one_out)
         assert np.array_equal(logits[t, ..., :seen], one_logits)
         assert np.array_equal(weights[t, ..., :seen], one_weights)

@@ -392,6 +392,10 @@ _MISTYPED = [
     ("run.json", ("fidelity", "perLayerRnmse", 0), [0.1]),
     ("run.json", ("fidelity", "perStepLayerRnmse", 1, 2), True),
     ("run.json", ("fidelity", "perStepLayerRnmse", 1), 5),
+    ("run.json", ("counters", "reuseLayers"), "many"),
+    ("run.json", ("counters", "fullLayers"), 1.0),
+    ("run.json", ("counters", "fullScoreComputationsPerStep", 0), 1.5),
+    ("run.json", ("counters", "reuseGatheredRows", 1, 2), "6"),
     ("trace.json", ("tensors", "blocks", "shape", 2), 1.5),
     ("policy.json", ("actions", 0), 1),
 ]
@@ -439,6 +443,16 @@ _INVALID = [
     ("run.json", ("steps",), -3),
     ("run.json", ("budget",), 0),
     ("run.json", ("blockSize",), 0),
+    # The pipeline's run has 2 steps of L = 5 layers; each array must restate them.
+    ("run.json", ("steps",), 7),
+    ("run.json", ("counters", "reuseLayers"), 9),
+    ("run.json", ("counters", "reuseLayers"), -1),
+    ("run.json", ("counters", "fullLayers"), 0),
+    ("run.json", ("fidelity", "perLayerRnmse"), [0.1, 0.2, 0.3]),
+    ("run.json", ("fidelity", "perStepLayerRnmse", 1), [0.1]),
+    ("run.json", ("counters", "fullScoreComputationsPerStep"), [1]),
+    ("run.json", ("counters", "reuseGatheredRows", 0), [None, 6]),
+    ("run.json", ("counters", "reuseGatheredRows"), []),
 ]
 
 

@@ -326,6 +326,36 @@ def test_reader_rejects_wrongly_typed_value(tmp_path, make, path, value):
         reader(target)
 
 
+# (make, key path, well-typed value that no profile can produce)
+_INVALID = [
+    (_sensitivity_doc, ("budget",), -3),
+    (_sensitivity_doc, ("steps",), 0),
+    (_sensitivity_doc, ("layers",), []),
+    (_sensitivity_doc, ("layers", 1, "rnmse"), -5.0),
+    (_sensitivity_doc, ("layers", 1, "maxRnmse"), -9.0),
+    (_sensitivity_doc, ("layers", 0, "maxRnmse"), 0.25),  # below the layer's rnmse of 0.5
+    (_sensitivity_doc, ("layers", 0, "rnmse"), None),  # one null, one number
+    (_sensitivity_doc, ("layers", 1, "maxRnmse"), None),
+]
+
+
+@pytest.mark.parametrize(
+    "make,path,value", _INVALID,
+    ids=[f"{m.__name__[1:]}:{'.'.join(map(str, p))}={v!r}" for m, p, v in _INVALID],
+)
+def test_reader_rejects_invalid_value(tmp_path, make, path, value):
+    test_reader_rejects_wrongly_typed_value(tmp_path, make, path, value)
+
+
+def test_sensitivity_mean_is_capped_at_its_max(tmp_path):
+    # Three steps of 0.1 average to 0.10000000000000002 in float64.
+    report = SensitivityReport.of_table(np.full((3, 1), 0.1), 4)
+    assert report.rnmse[0] == report.max_rnmse[0] == 0.1
+    path = str(tmp_path / "sens.json")
+    write_sensitivity_report(report, path)
+    assert read_sensitivity_report(path).rnmse[0] == 0.1
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
 @pytest.mark.parametrize(
     "make,path", [(_sensitivity_doc, ("layers", 1, "maxRnmse"))], ids=["sensitivity:maxRnmse"],
