@@ -202,6 +202,8 @@ def _decode(
     cfg = model.config
     L = cfg.layers
     queries = model.queries(steps)
+    # Every step's growth rows in one batch; each cache_at(l, t) alone would grow one step at a time.
+    model.grown_arrays(steps)
     caches = {l: model.cache_at(l, steps - 1) for l, a in enumerate(policy.actions) if a is Action.REUSE}
     outputs = np.empty((steps, L, cfg.heads, cfg.head_dim))
     selections = [[None] * L for _ in range(steps)]

@@ -26,14 +26,15 @@ of it and draws only rows no earlier call drew. Each row is checked for
 finiteness once, as it is written, so cache_at, the one way to reach a
 layer's cache at a step, shares views of it without another scan.
 
-The base keys and values are two independent chains, built at once: keys on
-the constructing thread, values on one worker thread that is always joined
-before the constructor returns or raises. Each chain walks (head, layer) in
-turn, draws the layer's noise block into scratch the constructor allocated,
-and blends and renormalizes it straight into the buffer. numpy releases the
-GIL while it draws and blends, so the chains overlap. Each chain does the
-same numpy operations in the same order as a single-threaded loop, so every
-bit is the same whichever thread builds which chain.
+The base keys and values are two independent chains, built at once through
+attention._concurrently: keys on the constructing thread, values on a fresh
+thread that is always joined before the constructor returns or raises. Each
+chain walks (head, layer) in turn, draws the layer's noise block into
+scratch the constructor allocated, and blends and renormalizes it straight
+into the buffer. numpy releases the GIL while it draws and blends, so the
+chains overlap. Each chain does the same numpy operations in the same order
+as a single-threaded loop, so every bit is the same whichever thread builds
+which chain.
 
 run_full_trace knows every query up front, so it runs layer by layer: one
 multi-step full_attention call and one call to each selection function per
@@ -49,7 +50,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-# Loaded now, not on first use: if the worker thread that builds a model's base
+# Loaded now, not on first use: if the thread that builds a model's base
 # values imported it, the import's allocations would stay in that thread's
 # malloc arena for the life of the process.
 import numpy.random  # noqa: F401
@@ -60,6 +61,7 @@ from .attention import (
     LayerKvCache,
     TopKSet,
     _CheckedRows,
+    _concurrently,
     _head_sum,
     block_max_of_logits,
     full_attention,
@@ -133,7 +135,7 @@ def _entropy(seed: int, key) -> list[int]:
     """
     words = [seed & _MASK32, (seed >> 32) & _MASK32, 0, 0]
     for part in key:
-        # Not check_count: a first numbers.Integral check on the worker thread bloats its malloc arena.
+        # Not check_count: a first numbers.Integral check on the values thread bloats its malloc arena.
         if part < 0:
             raise InvalidInputError(f"seed key elements must be >= 0, got {part}")
         words.append(part & _MASK32)
@@ -303,11 +305,11 @@ class SyntheticModel:
 
     Keys and values each live in one [layers, heads, context_len + capacity,
     head_dim] buffer. The base rows are generated into it in place at
-    construction, keys on the calling thread and values on a worker thread
-    joined before __init__ returns; a worker's exception is raised in the
-    caller. Growth rows are drawn on demand, up to the largest step count
-    asked for so far, and the buffer is reallocated with at least doubled
-    capacity when a call needs more. Every row is checked for finiteness
+    construction, through _concurrently: keys on the calling thread and
+    values on a fresh thread joined before __init__ returns; either chain's
+    exception is raised in the caller. Growth rows are drawn on demand, up
+    to the largest step count asked for so far, and the buffer is
+    reallocated with at least doubled capacity when a call needs more. Every row is checked for finiteness
     once, when it is written, and never written again. The model may be
     shared across threads.
 
@@ -324,24 +326,12 @@ class SyntheticModel:
         self._values = _empty(self._keys.shape, _CheckedRows)
         self._grown = 0
         self._lock = threading.Lock()
-        # Both chains' scratch is allocated here, so the worker allocates no block.
+        # Both chains' scratch is allocated here, so the values thread allocates no block.
         fresh = _empty((2, N, d))
-        errors = []
-
-        def values_chain() -> None:
-            try:
-                _base_chain(config, _S_VALUES, self._values, fresh[1])
-            except BaseException as exc:  # re-raised below, after the join
-                errors.append(exc)
-
-        worker = threading.Thread(target=values_chain, name="synthetic-values")
-        worker.start()
-        try:
-            _base_chain(config, _S_KEYS, self._keys, fresh[0])
-        finally:
-            worker.join()
-        if errors:
-            raise errors[0]
+        _concurrently(
+            lambda: _base_chain(config, _S_KEYS, self._keys, fresh[0]),
+            lambda: _base_chain(config, _S_VALUES, self._values, fresh[1]),
+        )
 
     def queries(self, steps: int) -> np.ndarray:
         """Query tensor [steps, layers, heads, head_dim].

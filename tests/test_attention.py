@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from layerreuse import (
     topk_blocks,
     topk_of_logits,
 )
+from layerreuse import attention
 from layerreuse.attention import _head_sum, _subset_attention, softmax
 from conftest import assert_same_selection
 from reference import ref_attention, ref_sparse_attention, ref_topk
@@ -221,19 +223,23 @@ def test_all_heads_call_equals_one_call_per_head(heads):
 
 
 def _step_caches():
-    """(name, cache, queries [n, ..., d]) for a one-head, an all-heads and a model-view cache of n = 11 rows."""
+    """(name, cache, queries [n, ..., d]) for a one-head, an all-heads and a model-view cache of n = 11 rows,
+    and for 2- and 3-head caches of n = 2048 rows whose 1 MiB head blocks split a multi-step call."""
     rng = np.random.default_rng(41)
     keys, values = rng.standard_normal((2, 3, 11, 8))
     model = generate_model(SynthModelConfig(layers=2, head_dim=8, context_len=7, seed=42,
                                             inter_layer_correlation=0.5, heads=3))
+    big_keys, big_values = rng.standard_normal((2, 3, 2048, 64))
     return [
         ("one-head", _cache(keys[0], values[0]), rng.standard_normal((11, 8))),
         ("all-heads", _cache(keys, values), rng.standard_normal((11, 3, 8))),
         ("model-view", model.cache_at(1, 4), rng.standard_normal((11, 3, 8))),
+        ("split", _cache(big_keys[:2], big_values[:2]), rng.standard_normal((2048, 2, 64))),
+        ("split-3", _cache(big_keys, big_values), rng.standard_normal((2048, 3, 64))),
     ]
 
 
-@pytest.mark.parametrize("case", range(3), ids=["one-head", "all-heads", "model-view"])
+@pytest.mark.parametrize("case", range(5), ids=["one-head", "all-heads", "model-view", "split", "split-3"])
 @pytest.mark.parametrize("steps", [1, 4, 11], ids=["S=1", "S=4", "S=n"])
 def test_multi_step_call_equals_one_call_per_step(case, steps):
     _, cache, queries = _step_caches()[case]
@@ -276,6 +282,41 @@ def test_multi_step_call_refuses_a_non_finite_logit_at_any_step():
         bad[t, 1, 2] = np.nan
         with pytest.raises(NumericInputError):
             full_attention(bad, cache)
+    # A split call runs head 0 on the caller and heads 1 and 2 on a thread; an
+    # overflow in either half is refused, and no thread is left over.
+    _, cache, queries = _step_caches()[4]
+    threads = threading.active_count()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for head in (0, 2):
+            keys = np.array(cache.keys)
+            keys[head, 0] = 1e200
+            q = np.array(queries[:4])
+            q[:, head] = 1e200
+            with pytest.raises(NumericInputError):
+                full_attention(q, _cache(keys, cache.values))
+            assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("rows", [2048, 2047])
+@pytest.mark.parametrize("heads", [1, 2, 3])
+def test_multi_step_call_splits_heads_from_one_mib_per_head(monkeypatch, heads, rows):
+    # A head's [rows, 64] key block holds exactly 1 MiB at 2048 rows.
+    threads = set()
+
+    def recording(*args):
+        threads.add(threading.get_ident())
+        return step_attention(*args)
+
+    step_attention = attention._step_attention
+    monkeypatch.setattr(attention, "_step_attention", recording)
+    rng = np.random.default_rng(47)
+    keys, values = rng.standard_normal((2, heads, rows, 64))
+    full_attention(rng.standard_normal((2, heads, 64)), _cache(keys, values))
+    assert len(threads) == (2 if heads >= 2 and rows == 2048 else 1)
+    # One-step calls never split.
+    threads.clear()
+    full_attention(rng.standard_normal((heads, 64)), _cache(keys, values))
+    assert not threads
 
 
 def test_multi_step_call_refuses_more_steps_than_rows():
@@ -505,6 +546,14 @@ def test_block_aggregate_examples():
     # width 1 is the identity
     v = np.array([3.0, -1.0, 2.0])
     assert np.array_equal(block_max_of_logits(v, 1), v)
+    # ... bit for bit against one-element max segments, in a copy of its own
+    v = np.array([[3.0, np.nan, -0.0, 0.0, np.inf, -np.inf, -1.0], [-0.0, -np.inf, 2.0, np.nan, 0.0, np.inf, 5.0]])
+    for logits in (v, v[0]):
+        got = block_max_of_logits(logits, 1)
+        want = np.maximum.reduceat(logits, np.arange(logits.shape[-1]), axis=-1)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert not np.shares_memory(got, logits)
 
 
 def test_block_aggregate_scores_uses_logits():

@@ -45,22 +45,26 @@ def test_every_benchmark_binding_resolves():
 
 def test_traced_trace_reaches_every_per_layer_span_at_block_size_one():
     tracing = _tracing()
-    cfg = SynthModelConfig(layers=3, head_dim=8, context_len=24, seed=2,
-                           inter_layer_correlation=0.7, heads=2)
     steps = 3
-    tracer = tracing.Tracer()
-    tracer.begin_run("pass")
-    with tracer.installed():
-        synthetic.run_full_trace(synthetic.generate_model(cfg), steps, 6, 1)
-    assert synthetic.full_attention is attention.full_attention
-    counts = np.bincount(tracer.arrays()["name"], minlength=len(tracer.names))
-    calls = dict(zip(tracer.names, counts.tolist()))
-    # One call per layer, each serving all of the layer's steps; the block
-    # pass runs at block size 1 too, since nothing else reaches its spans.
-    assert calls["synthetic.run_full_trace"] == 1
-    for name in ("synthetic.cache_at", "attention.kv_cache_build", "attention.full_attention",
-                 "attention.topk_of_logits", "attention.block_max_of_logits", "attention.topk_blocks"):
-        assert calls[name] == cfg.layers, name
+    # The second config's 1 MiB head blocks split each layer's attention call
+    # over two threads; the thread must record no span.
+    for cfg in (SynthModelConfig(layers=3, head_dim=8, context_len=24, seed=2,
+                                 inter_layer_correlation=0.7, heads=2),
+                SynthModelConfig(layers=3, head_dim=64, context_len=2048, seed=2,
+                                 inter_layer_correlation=0.7, heads=2)):
+        tracer = tracing.Tracer()
+        tracer.begin_run("pass")
+        with tracer.installed():
+            synthetic.run_full_trace(synthetic.generate_model(cfg), steps, 6, 1)
+        assert synthetic.full_attention is attention.full_attention
+        counts = np.bincount(tracer.arrays()["name"], minlength=len(tracer.names))
+        calls = dict(zip(tracer.names, counts.tolist()))
+        # One call per layer, each serving all of the layer's steps; the block
+        # pass runs at block size 1 too, since nothing else reaches its spans.
+        assert calls["synthetic.run_full_trace"] == 1
+        for name in ("synthetic.cache_at", "attention.kv_cache_build", "attention.full_attention",
+                     "attention.topk_of_logits", "attention.block_max_of_logits", "attention.topk_blocks"):
+            assert calls[name] == cfg.layers, name
 
 
 def test_traced_decode_pass_reaches_every_span_the_benchmark_reads():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import assert_same_selection, recording_cells
 from layerreuse import attention, engine
+from layerreuse.synthetic import SyntheticModel
 from layerreuse import (
     Action,
     BlockSet,
@@ -99,6 +100,21 @@ def test_all_full_policy_is_bit_identical_to_baseline(fixture_model):
     trace = run_full_trace(fixture_model, 3, 12, 4)
     assert np.array_equal(blocks.outputs, trace.outputs)
     assert blocks.selections == trace.blocks
+
+
+def test_all_full_decode_grows_a_fresh_model_once(monkeypatch):
+    # With no Reuse layer no last-step cache is built before the loop, so each
+    # Full cell's cache_at(l, t) would grow the model by one step.
+    grows = []
+    grow = SyntheticModel._grow
+
+    def counting(model, steps):
+        grows.append(steps)
+        grow(model, steps)
+
+    monkeypatch.setattr(SyntheticModel, "_grow", counting)
+    hybrid_decode(generate_model(FIXTURE), static_jump_policy(FIXTURE.layers, 1), 12, 5)
+    assert grows == [5]
 
 
 def test_full_budget_reuse_matches_full_attention():
