@@ -2,21 +2,19 @@
 
 A cache holds one head's [N, d] keys and values, or all H heads' [H, N, d];
 a query is then [d] or [H, d], and every result gains the same leading head
-axis. Each head's [N, d] block goes through the same BLAS call, reduction
-and elementwise steps as a single-head call, so one call over H heads equals
-H single-head calls bit for bit. full_attention also takes S consecutive
-decode steps at once, a query [S, d] or [S, H, d] whose step t sees the
-first N - S + 1 + t tokens; each step runs its own one-step BLAS calls and
-softmax sum, so it equals S one-step calls bit for bit. The selection
-functions take the resulting [S, N] rows of logits and select row by row.
+axis. Every attention result comes from one core, _attend, which runs one
+gemv per head, so a call over H heads equals H one-head calls bit for bit.
+full_attention also takes S consecutive decode steps at once, a query [S, d]
+or [S, H, d] whose step t sees the first N - S + 1 + t tokens: that call is
+S one-step calls. The selection functions take the resulting [S, N] rows of
+logits and select row by row.
 
 A multi-step call over at least 2 heads whose per-head [N, d] key block
 holds at least _SPLIT_BYTES (1 MiB) splits its heads into two halves: the
 lower half runs on the calling thread and the upper half on a fresh thread,
 joined before the call returns, and the halves' results are concatenated on
 the head axis. numpy releases the GIL in BLAS and in its loops, so the halves
-overlap. Each head still runs the same BLAS calls and reductions on the same
-contiguous [n, d] block, so the result is the same bit for bit.
+overlap, and each head still runs the same core calls on the same rows.
 
 The threshold is measured on whole 8-step traces of 16 layers with 2 heads
 of d = 64 (2-vCPU x86-64 VM, one BLAS thread), each layer's cache touched
@@ -161,8 +159,8 @@ class LayerKvCache:
     """Key and value matrices for one layer's cached tokens.
 
     Both arrays are float64 with identical shapes: [N, d] for one head, or
-    [H, N, d] for all H heads of the layer, with N >= 1 (and H >= 1). They
-    are checked for shape and finiteness at construction and read-only
+    [H, N, d] for all H heads of the layer, with N >= 1, d >= 1 (and H >= 1).
+    They are checked for shape and finiteness at construction and read-only
     afterwards, so a cache can be handed to concurrent readers without
     defensive copies. The attention functions take a [d] query against a
     one-head cache and an [H, d] query against an all-heads cache.
@@ -183,8 +181,8 @@ class LayerKvCache:
             raise ConfigurationError(
                 f"keys shape {keys.shape} does not match values shape {values.shape}"
             )
-        if min(keys.shape[:-1]) < 1:
-            raise ConfigurationError("cache must hold at least one token (and one head)")
+        if min(keys.shape) < 1:
+            raise ConfigurationError(f"cache must hold at least one head, token and column, got shape {keys.shape}")
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "values", values)
 
@@ -349,13 +347,14 @@ def _check_query(q, cache: LayerKvCache) -> np.ndarray:
     return q
 
 
-def _logits(q: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Scaled dot products [..., n] of queries [..., d] with keys [..., n, d]: one gemv per head."""
-    return (keys @ q[..., None])[..., 0] / math.sqrt(keys.shape[-1])
+def _attend(q: np.ndarray, keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """full_attention's (output, logits, weights) for one step's query [..., d] over all rows [..., n, d].
 
-
-def _weigh(logits: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(output, logits, weights) for logits [..., n] over values [..., n, d]."""
+    Raises NumericInputError on a non-finite logit: finite keys and query can still overflow.
+    """
+    logits = (keys @ q[..., None])[..., 0] / math.sqrt(keys.shape[-1])
+    if not np.isfinite(logits).all():
+        raise NumericInputError("attention logits contain non-finite entries")
     weights = softmax(logits)
     return (weights[..., None, :] @ values)[..., 0, :], logits, weights
 
@@ -397,37 +396,21 @@ def full_attention(q, cache: LayerKvCache) -> tuple[np.ndarray, np.ndarray, np.n
             )
             return tuple(np.concatenate(pair, axis=1) for pair in zip(*halves))
         return _step_attention(q, keys, values)
-    logits = _logits(q, keys)
-    if not np.isfinite(logits).all():
-        raise NumericInputError("attention logits contain non-finite entries")
-    return _weigh(logits, values)
+    return _attend(q, keys, values)
 
 
 def _step_attention(q: np.ndarray, keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """full_attention of S consecutive steps: q is [S, ..., d], step t sees n - S + 1 + t rows.
 
-    Each step runs the one-step gemvs on its own rows, and its softmax sums
-    only those rows. The scaling, finiteness check, maxima and exponentials,
-    which are elementwise or exact, run once over every step; a row a step
-    does not see holds logit -inf, whose exponential is exactly 0.
+    Step t is the one-step call on its rows; a row it does not see keeps
+    logit -inf and weight 0.
     """
     n = keys.shape[-2]
-    seen = range(n - q.shape[0] + 1, n + 1)
-    logits = np.zeros(q.shape[:-1] + (n,))
-    for t, m in enumerate(seen):
-        logits[t, ..., :m] = (keys[..., :m, :] @ q[t][..., None])[..., 0]
-    logits /= math.sqrt(keys.shape[-1])
-    if not np.isfinite(logits).all():
-        raise NumericInputError("attention logits contain non-finite entries")
-    hidden = np.arange(n) >= np.reshape(seen, (-1,) + (1,) * (q.ndim - 1))
-    np.copyto(logits, -np.inf, where=hidden)
-    weights = logits - logits.max(axis=-1, keepdims=True)
-    np.exp(weights, out=weights)
+    logits = np.full(q.shape[:-1] + (n,), -np.inf)
+    weights = np.zeros(logits.shape)
     output = np.empty(q.shape)
-    for t, m in enumerate(seen):
-        step = weights[t, ..., :m]
-        step /= step.sum(axis=-1, keepdims=True)
-        output[t] = (step[..., None, :] @ values[..., :m, :])[..., 0, :]
+    for t, m in enumerate(range(n - q.shape[0] + 1, n + 1)):
+        output[t], logits[t, ..., :m], weights[t, ..., :m] = _attend(q[t], keys[..., :m, :], values[..., :m, :])
     return output, logits, weights
 
 
@@ -440,9 +423,10 @@ def _subset_attention(
     tokens. q is [d] or [H, d], as in full_attention. Returns (output,
     subset_logits, subset_weights). Given every cached row in order it equals
     full_attention bit for bit: the same dot products and softmax run in the
-    same order. The caller checks the query and keeps idx within the cache.
+    same order, and a non-finite logit raises NumericInputError as there. The
+    caller checks the query and keeps idx within the cache.
     """
-    return _weigh(_logits(q, cache.keys[..., idx, :]), cache.values[..., idx, :])
+    return _attend(q, cache.keys[..., idx, :], cache.values[..., idx, :])
 
 
 def _head_sum(logits: np.ndarray) -> np.ndarray:

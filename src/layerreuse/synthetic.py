@@ -447,15 +447,18 @@ class SyntheticModel:
         and draws no noise.
 
         Raises:
-            InvalidInputError: if step is not an integer >= 0.
+            InvalidInputError: if step is not an integer >= 0, or the last
+                three axes of outputs are not (layers, heads, head_dim).
             NumericInputError: if rho < 1 and an output row is not finite.
         """
         cfg = self.config
         step = check_count("step", step, 0)
         outputs = np.asarray(outputs, dtype=np.float64)
+        L, H, d = cfg.layers, cfg.heads, cfg.head_dim
+        if outputs.shape[-3:] != (L, H, d):
+            raise InvalidInputError(f"outputs must end in axes {(L, H, d)}, got shape {outputs.shape}")
         if cfg.inter_layer_correlation == 1.0:
             return outputs.copy()
-        L, H, d = cfg.layers, cfg.heads, cfg.head_dim
         fresh = _fresh_rows(cfg.seed, _S_PROBE, range(1, L + 1), step, step + 1, H, d)
         return _blend(outputs, fresh[:, 0], cfg.inter_layer_correlation, math.sqrt(d))
 

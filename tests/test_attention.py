@@ -79,6 +79,10 @@ def test_dimension_mismatch_is_configuration_error():
         full_attention(np.array([1.0, 2.0, 3.0]), cache)
     with pytest.raises(ConfigurationError):
         LayerKvCache(keys=np.zeros((2, 3)), values=np.zeros((2, 2)))
+    # A cache of zero-width rows would divide 0 by 0 in full_attention's scaling.
+    for shape in ((3, 0), (2, 3, 0)):
+        with pytest.raises(ConfigurationError):
+            LayerKvCache(keys=np.zeros(shape), values=np.zeros(shape))
 
 
 def test_non_finite_input_is_numeric_error():
@@ -95,6 +99,13 @@ def test_overflowing_logits_are_numeric_error():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericInputError):
             full_attention(np.array([1e200, 1e200]), cache)
+    # Subset attention checks its logits too: head 1's row 3 overflows against head 1's query.
+    keys = np.ones((2, 5, 2))
+    keys[1, 3] = 1e200
+    q = np.array([[1.0, 0.0], [1e200, 1e200]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericInputError):
+            _subset_attention(q, _cache(keys, np.ones((2, 5, 2))), np.array([0, 3]))
 
 
 def test_cache_arrays_are_immutable():
