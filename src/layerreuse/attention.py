@@ -2,8 +2,8 @@
 
 A cache holds one head's [N, d] keys and values, or all H heads' [H, N, d];
 a query is then [d] or [H, d], and every result gains the same leading head
-axis. Every attention result comes from one core, _attend, which runs one
-gemv per head, so a call over H heads equals H one-head calls bit for bit.
+axis. A call returns (output, logits), no weights, from one core, _attend; its
+one gemv per head makes an H-head call equal H one-head calls bit for bit.
 full_attention also takes S consecutive decode steps at once, a query [S, d]
 or [S, H, d] whose step t sees the first N - S + 1 + t tokens: that call is
 S one-step calls. The selection functions take the resulting [S, N] rows of
@@ -197,16 +197,24 @@ class LayerKvCache:
         return self.keys.shape[-1]
 
 
-def _check_ascending(indices: tuple[int, ...], kind: str) -> None:
-    """Reject negative or not strictly ascending indices, in one scan when they are valid.
+def _check_ascending(values, kind: str, empty: str) -> tuple[int, ...]:
+    """values as a non-empty tuple of strictly ascending, non-negative Python ints, else InvalidSelectionError.
 
-    A negative index is reported first, as the separate checks did.
+    Each entry must be an integer: numpy integers pass; a bool, a float or a string does not.
+    A negative index is reported before an out-of-order pair, as the separate checks did.
     """
+    try:
+        indices = tuple(check_count(kind, i, None) for i in values)
+    except (TypeError, InvalidInputError):
+        raise InvalidSelectionError(f"{kind} indices must be a sequence of integers, got {values!r}") from None
+    if not indices:
+        raise InvalidSelectionError(empty)
     ascending = all(map(operator.lt, indices, indices[1:]))
     if (indices[0] if ascending else min(indices)) < 0:
         raise InvalidSelectionError(f"{kind} indices must be non-negative")
     if not ascending:
         raise InvalidSelectionError(f"{kind} indices must be strictly ascending")
+    return indices
 
 
 @dataclass(frozen=True)
@@ -224,11 +232,8 @@ class TopKSet:
     budget: int
 
     def __post_init__(self) -> None:
-        indices = tuple(map(int, self.indices))
         budget = check_count("budget", self.budget)
-        if not indices:
-            raise InvalidSelectionError("selection must contain at least one index")
-        _check_ascending(indices, "token")
+        indices = _check_ascending(self.indices, "token", "selection must contain at least one index")
         if len(indices) > budget:
             raise InvalidSelectionError(
                 f"selection holds {len(indices)} indices but budget is {budget}"
@@ -272,11 +277,8 @@ class BlockSet:
     block_size: int
 
     def __post_init__(self) -> None:
-        blocks = tuple(map(int, self.block_indices))
         block_size = check_count("block_size", self.block_size)
-        if not blocks:
-            raise InvalidSelectionError("block selection must contain at least one block")
-        _check_ascending(blocks, "block")
+        blocks = _check_ascending(self.block_indices, "block", "block selection must contain at least one block")
         object.__setattr__(self, "block_indices", blocks)
         object.__setattr__(self, "block_size", block_size)
 
@@ -347,19 +349,18 @@ def _check_query(q, cache: LayerKvCache) -> np.ndarray:
     return q
 
 
-def _attend(q: np.ndarray, keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """full_attention's (output, logits, weights) for one step's query [..., d] over all rows [..., n, d].
+def _attend(q: np.ndarray, keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """full_attention's (output, logits) for one step's query [..., d] over all rows [..., n, d].
 
     Raises NumericInputError on a non-finite logit: finite keys and query can still overflow.
     """
     logits = (keys @ q[..., None])[..., 0] / math.sqrt(keys.shape[-1])
     if not np.isfinite(logits).all():
         raise NumericInputError("attention logits contain non-finite entries")
-    weights = softmax(logits)
-    return (weights[..., None, :] @ values)[..., 0, :], logits, weights
+    return (softmax(logits)[..., None, :] @ values)[..., 0, :], logits
 
 
-def full_attention(q, cache: LayerKvCache) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def full_attention(q, cache: LayerKvCache) -> tuple[np.ndarray, np.ndarray]:
     """Exact attention of one query per head against every cached token.
 
     Args:
@@ -370,15 +371,15 @@ def full_attention(q, cache: LayerKvCache) -> tuple[np.ndarray, np.ndarray, np.n
         cache: the layer's key/value cache.
 
     Returns:
-        (output, logits, weights): logits[..., n] = (q . keys[..., n, :]) /
-        sqrt(d) over all N tokens, weights = softmax(logits), and output =
-        weights @ cache.values, each with the query's leading axes. A token
-        a step does not see has logit -inf and weight 0. All three are fresh
-        arrays owned by the caller. Step t of a multi-step call equals the
-        one-step call on the first N - S + 1 + t tokens, and head h of an
-        all-heads call equals the one-head call on that head, bit for bit.
-        Finite logits imply finite weights: each head's weights sum to 1
-        within 1e-9 and share their argmax with its logits.
+        (output, logits): logits[..., n] = (q . keys[..., n, :]) / sqrt(d)
+        over all N tokens and output = softmax(logits) @ cache.values, each
+        with the query's leading axes. A token a step does not see has logit
+        -inf. Both are fresh arrays owned by the caller. No weights array is
+        returned: softmax of a step's visible logits gives them, summing to
+        1 per head within 1e-9 and sharing their argmax with the logits.
+        Step t of a multi-step call equals the one-step call on the first
+        N - S + 1 + t tokens, and head h of an all-heads call equals the
+        one-head call on that head, bit for bit.
 
     Raises:
         NumericInputError: if the query is not finite, or the logits overflow
@@ -399,32 +400,28 @@ def full_attention(q, cache: LayerKvCache) -> tuple[np.ndarray, np.ndarray, np.n
     return _attend(q, keys, values)
 
 
-def _step_attention(q: np.ndarray, keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """full_attention of S consecutive steps: q is [S, ..., d], step t sees n - S + 1 + t rows.
+def _step_attention(q: np.ndarray, keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """full_attention's (output, logits) of S consecutive steps: q is [S, ..., d], step t sees n - S + 1 + t rows.
 
-    Step t is the one-step call on its rows; a row it does not see keeps
-    logit -inf and weight 0.
+    Step t is the one-step call on its rows; a row it does not see keeps logit -inf.
     """
     n = keys.shape[-2]
     logits = np.full(q.shape[:-1] + (n,), -np.inf)
-    weights = np.zeros(logits.shape)
     output = np.empty(q.shape)
     for t, m in enumerate(range(n - q.shape[0] + 1, n + 1)):
-        output[t], logits[t, ..., :m], weights[t, ..., :m] = _attend(q[t], keys[..., :m, :], values[..., :m, :])
-    return output, logits, weights
+        output[t], logits[t, ..., :m] = _attend(q[t], keys[..., :m, :], values[..., :m, :])
+    return output, logits
 
 
-def _subset_attention(
-    q: np.ndarray, cache: LayerKvCache, idx: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _subset_attention(q: np.ndarray, cache: LayerKvCache, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Attention restricted to the given rows; softmax renormalizes over the subset.
 
     Computes only len(idx) dot products per head, never a score over all N
-    tokens. q is [d] or [H, d], as in full_attention. Returns (output,
-    subset_logits, subset_weights). Given every cached row in order it equals
-    full_attention bit for bit: the same dot products and softmax run in the
-    same order, and a non-finite logit raises NumericInputError as there. The
-    caller checks the query and keeps idx within the cache.
+    tokens. q is [d] or [H, d], and the result (output, subset_logits), as in
+    full_attention. Given every cached row in order it equals full_attention
+    bit for bit: the same dot products and softmax run in the same order, and
+    a non-finite logit raises NumericInputError as there. The caller checks
+    the query and keeps idx within the cache.
     """
     return _attend(q, cache.keys[..., idx, :], cache.values[..., idx, :])
 
@@ -443,10 +440,12 @@ def topk_of_logits(logits: np.ndarray, budget: int) -> tuple:
     Returned in ascending order, the canonical set form. O(N) for finite
     logits; -inf ranks below every finite logit and NaN below every number.
     A leading axis selects row by row: logits [S, N] give a tuple of S such
-    tuples, each equal to the call on its row.
+    tuples, each equal to the call on its row. A 0-d input or empty row raises InvalidInputError.
     """
     logits = np.asarray(logits, dtype=np.float64)
     budget = check_count("budget", budget)
+    if logits.ndim == 0 or logits.shape[-1] == 0:
+        raise InvalidInputError("cannot select from an empty logit vector")
     n = logits.shape[-1]
     take = min(budget, n)
     if take == n:

@@ -158,7 +158,7 @@ def _full_baseline(outputs: np.ndarray, queries: np.ndarray, caches: dict[int, L
     """
     baseline = outputs.copy()
     for l, cache in caches.items():
-        baseline[:, l], _, _ = full_attention(queries[:, l], cache)
+        baseline[:, l] = full_attention(queries[:, l], cache)[0]
     return baseline
 
 
@@ -213,13 +213,13 @@ def _decode(
         n_t = cfg.context_len + t
         for l, action in enumerate(policy.actions):
             if action is Action.FULL:
-                outputs[t, l], logits, _ = full_attention(queries[t, l], model.cache_at(l, t))
+                outputs[t, l], logits = full_attention(queries[t, l], model.cache_at(l, t))
                 full_counts[t] += 1
                 selections[t][l], inherited, rows = select(_head_sum(logits), n_t)
             else:
                 # Layer 0 is Full, so a selection is carried at every step.
                 selections[t][l] = inherited
-                outputs[t, l], _, _ = _subset_attention(queries[t, l], caches[l], rows)
+                outputs[t, l] = _subset_attention(queries[t, l], caches[l], rows)[0]
                 gathered[t][l] = int(rows.shape[0])
     outputs.setflags(write=False)
     return DecodeRunResult(

@@ -212,7 +212,7 @@ def sensitivity_profile(model: SyntheticModel, step: int, budget: int) -> Sensit
     outs = np.empty((2,) + queries.shape)
     for l in range(cfg.layers):
         cache = model.cache_at(l, step)
-        outs[0, l], logits, _ = full_attention(queries[l], cache)
+        outs[0, l], logits = full_attention(queries[l], cache)
         idx = np.asarray(topk_of_logits(_head_sum(logits), budget))
         outs[1, l] = _subset_attention(queries[l], cache, idx)[0]
     return SensitivityReport.of_table(np.array([_propagated_rnmse(model, outs[0], outs[1], step)]), budget)

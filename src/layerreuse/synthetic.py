@@ -529,7 +529,7 @@ def run_full_trace(model: SyntheticModel, steps: int, budget: int, block_size: i
     outputs = np.empty((steps, cfg.layers, cfg.heads, cfg.head_dim))
     topk, blocks = [], []
     for l in range(cfg.layers):
-        outputs[:, l], logits, _ = full_attention(queries[:, l], model.cache_at(l, steps - 1))
+        outputs[:, l], logits = full_attention(queries[:, l], model.cache_at(l, steps - 1))
         summed = _head_sum(logits)
         # budget <= context_len, so every row of topk_of_logits is canonical and holds budget indices.
         topk.append([TopKSet._canonical(row, budget) for row in topk_of_logits(summed, budget)])

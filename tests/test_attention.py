@@ -33,17 +33,17 @@ def _cache(keys, values):
 
 def test_single_token_cache_returns_its_value_row():
     cache = _cache([[1.0, 2.0]], [[5.0, -3.0]])
-    out, _, weights = full_attention(np.array([0.5, 0.5]), cache)
+    out, logits = full_attention(np.array([0.5, 0.5]), cache)
     assert np.array_equal(out, np.array([5.0, -3.0]))
-    assert np.array_equal(weights, np.array([1.0]))
+    assert np.array_equal(softmax(logits), np.array([1.0]))
 
 
 def test_orthogonal_query_gives_uniform_weights():
     # q is orthogonal to every key, so all logits are 0 and weights are 1/N.
     keys = [[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0]]
     values = [[3.0, 0.0], [0.0, 3.0], [0.0, 0.0]]
-    out, _, weights = full_attention(np.array([0.0, 1.0]), _cache(keys, values))
-    assert np.allclose(weights, np.full(3, 1 / 3), atol=1e-15)
+    out, logits = full_attention(np.array([0.0, 1.0]), _cache(keys, values))
+    assert np.allclose(softmax(logits), np.full(3, 1 / 3), atol=1e-15)
     assert np.allclose(out, np.array([1.0, 1.0]), atol=1e-15)
 
 
@@ -51,10 +51,10 @@ def test_two_token_fixture_matches_scalar_reference():
     keys = [[10.0, 0.0], [0.0, 0.0]]
     values = [[1.0, 0.0], [0.0, 1.0]]
     q = [1.0, 0.0]
-    out, logits, weights = full_attention(np.array(q), _cache(keys, values))
+    out, logits = full_attention(np.array(q), _cache(keys, values))
     ref_out, ref_logits, ref_weights = ref_attention(q, keys, values)
     assert logits == pytest.approx(ref_logits, rel=1e-12)
-    assert weights == pytest.approx(ref_weights, rel=1e-12)
+    assert softmax(logits) == pytest.approx(ref_weights, rel=1e-12)
     assert out == pytest.approx(ref_out, rel=1e-12)
     # dominant first logit: 10/sqrt(2)
     assert logits[0] == pytest.approx(10 / math.sqrt(2), rel=1e-15)
@@ -67,10 +67,10 @@ def test_full_attention_matches_scalar_reference_on_random_draws():
         keys = rng.standard_normal((n, d))
         values = rng.standard_normal((n, d))
         q = rng.standard_normal(d)
-        out, _, weights = full_attention(q, _cache(keys, values))
+        out, logits = full_attention(q, _cache(keys, values))
         ref_out, ref_logits, ref_weights = ref_attention(q.tolist(), keys.tolist(), values.tolist())
         assert out == pytest.approx(ref_out, rel=1e-12, abs=1e-12)
-        assert weights == pytest.approx(ref_weights, rel=1e-12, abs=1e-15)
+        assert softmax(logits) == pytest.approx(ref_weights, rel=1e-12, abs=1e-15)
 
 
 def test_dimension_mismatch_is_configuration_error():
@@ -154,7 +154,7 @@ def test_cache_keeps_its_rows_when_a_frozen_input_is_written_again():
     q = rng.standard_normal((2, 4))
     cache = LayerKvCache(keys=keys, values=values)
     want_keys = cache.keys.copy()
-    want, _, _ = full_attention(q, cache)
+    want, _ = full_attention(q, cache)
     for arr in (keys, values):
         arr.setflags(write=True)
         arr[0, 0, 0] = np.nan
@@ -213,20 +213,20 @@ def test_all_heads_call_equals_one_call_per_head(heads):
     copied = LayerKvCache(keys=np.array(shared.keys), values=np.array(shared.values))
     rows = np.array([0, 3, 4, 40, 69, 71])
     for cache in (shared, model.cache_at(1, 0), copied):
-        out, logits, weights = full_attention(q, cache)
-        sub_out, sub_logits, sub_weights = _subset_attention(q, cache, rows[rows < cache.length])
+        out, logits = full_attention(q, cache)
+        sub_out, sub_logits = _subset_attention(q, cache, rows[rows < cache.length])
         summed = np.zeros(cache.length)
         for h in range(heads):
             one = LayerKvCache(keys=cache.keys[h], values=cache.values[h])
-            one_out, one_logits, one_weights = full_attention(q[h], one)
+            one_out, one_logits = full_attention(q[h], one)
             assert np.array_equal(out[h], one_out)
             assert np.array_equal(logits[h], one_logits)
-            assert np.array_equal(weights[h], one_weights)
+            assert np.array_equal(softmax(logits)[h], softmax(one_logits))
             summed += one_logits
             one_sub = _subset_attention(q[h], one, rows[rows < cache.length])
             assert np.array_equal(sub_out[h], one_sub[0])
             assert np.array_equal(sub_logits[h], one_sub[1])
-            assert np.array_equal(sub_weights[h], one_sub[2])
+            assert np.array_equal(softmax(sub_logits)[h], softmax(one_sub[1]))
         assert np.array_equal(_head_sum(logits), summed)
 
 
@@ -256,17 +256,18 @@ def test_multi_step_call_equals_one_call_per_step(case, steps):
     _, cache, queries = _step_caches()[case]
     n = cache.length
     q = queries[:steps]
-    out, logits, weights = full_attention(q, cache)
-    assert out.shape == q.shape and logits.shape == weights.shape == q.shape[:-1] + (n,)
+    result = full_attention(q, cache)
+    assert len(result) == 2
+    out, logits = result
+    assert out.shape == q.shape and logits.shape == q.shape[:-1] + (n,)
     for t in range(steps):
         seen = n - steps + 1 + t
         head = LayerKvCache(keys=cache.keys[..., :seen, :], values=cache.values[..., :seen, :])
-        one_out, one_logits, one_weights = full_attention(q[t], head)
+        one_out, one_logits = full_attention(q[t], head)
         assert np.array_equal(out[t], one_out)
         assert np.array_equal(logits[t, ..., :seen], one_logits)
-        assert np.array_equal(weights[t, ..., :seen], one_weights)
+        assert np.array_equal(softmax(logits[t, ..., :seen]), softmax(one_logits))
         assert np.all(logits[t, ..., seen:] == -np.inf)
-        assert np.all(weights[t, ..., seen:] == 0.0)
 
 
 def test_multi_step_call_refuses_a_non_finite_logit_at_any_step():
@@ -377,6 +378,10 @@ def test_topk_basic_and_ties():
     assert all(type(i) is int for i in topk_of_logits(np.array([3.0, 1.0, 2.0]), 2))
     with pytest.raises(InvalidInputError):
         topk_of_logits(np.array([3.0, 1.0, 2.0]), 0)
+    # No selection may be empty: a 0-d input and an empty row are refused, not selected from.
+    for empty in (np.float64(3.0), np.array([]), np.zeros((2, 0))):
+        with pytest.raises(InvalidInputError):
+            topk_of_logits(empty, 2)
 
 
 def test_topk_matches_reference_on_large_tied_draws():
@@ -391,7 +396,7 @@ def test_topk_matches_reference_on_large_tied_draws():
 
 def test_topk_indices_wraps_scores():
     cache = _cache([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]], np.eye(3, 2))
-    _, logits, _ = full_attention(np.array([1.0, 0.0]), cache)
+    _, logits = full_attention(np.array([1.0, 0.0]), cache)
     sel = TopKSet(indices=topk_of_logits(logits, 2), budget=2)
     assert sel.indices == (0, 2)
     assert sel.budget == 2
@@ -433,6 +438,21 @@ def test_topkset_canonical_form_enforced():
         TopKSet(indices=(), budget=4)
     with pytest.raises(InvalidSelectionError):
         TopKSet(indices=(0, 1, 2), budget=2)
+    # A non-integer index is refused, never truncated or parsed; numpy integers pass.
+    for indices in ((0.9, 2.5), (True, 2), ("1",), 5, (np.float64(1.0),), (np.bool_(True),)):
+        with pytest.raises(InvalidSelectionError):
+            TopKSet(indices=indices, budget=2)
+    assert TopKSet(indices=(np.int64(1), np.uint8(3)), budget=2).indices == (1, 3)
+    assert all(type(i) is int for i in TopKSet(indices=np.array([0, 4]), budget=2).indices)
+
+
+def test_blockset_canonical_form_enforced():
+    # Order, emptiness and sign are checked in test_selection_checks_raise_as_the_separate_checks_did.
+    for blocks in ((0.9, 2.5), (True, 2), ("1",), 5, (np.float64(1.0),), (np.bool_(True),)):
+        with pytest.raises(InvalidSelectionError):
+            BlockSet(block_indices=blocks, block_size=4)
+    assert BlockSet(block_indices=(np.int64(1), np.uint8(3)), block_size=4).block_indices == (1, 3)
+    assert all(type(i) is int for i in BlockSet(block_indices=np.array([0, 4]), block_size=4).block_indices)
 
 
 def _separate_checks(values, size, kind):
@@ -474,7 +494,7 @@ def test_sparse_with_full_selection_matches_full_bitwise():
     rng = np.random.default_rng(0)
     cache = _cache(rng.standard_normal((8, 4)), rng.standard_normal((8, 4)))
     q = rng.standard_normal(4)
-    full_out, _, _ = full_attention(q, cache)
+    full_out, _ = full_attention(q, cache)
     sel = TopKSet(indices=tuple(range(8)), budget=8)
     assert np.array_equal(_subset_attention(q, cache, sel.as_array())[0], full_out)
 
@@ -487,8 +507,8 @@ def test_sparse_full_selection_equivalence_over_seeded_draws():
         n = int(rng.integers(1, 513))
         cache = _cache(rng.standard_normal((n, d)), rng.standard_normal((n, d)))
         q = rng.standard_normal(d)
-        full_out, _, _ = full_attention(q, cache)
-        sparse_out, _, _ = _subset_attention(q, cache, np.arange(n))
+        full_out, _ = full_attention(q, cache)
+        sparse_out, _ = _subset_attention(q, cache, np.arange(n))
         denom = np.linalg.norm(full_out)
         assert np.linalg.norm(sparse_out - full_out) <= 1e-6 * max(denom, 1e-30)
 
@@ -499,9 +519,9 @@ def test_sparse_singleton_argmax_returns_value_row():
     values = rng.standard_normal((6, 4))
     cache = _cache(keys, values)
     q = rng.standard_normal(4)
-    _, logits, _ = full_attention(q, cache)
+    _, logits = full_attention(q, cache)
     best = int(np.argmax(logits))
-    out, _, _ = _subset_attention(q, cache, TopKSet(indices=(best,), budget=1).as_array())
+    out, _ = _subset_attention(q, cache, TopKSet(indices=(best,), budget=1).as_array())
     assert np.array_equal(out, values[best])
 
 
@@ -511,7 +531,7 @@ def test_sparse_subset_matches_scalar_reference():
     q = [1.0, 0.0]
     cache = _cache(keys, values)
     sel = TopKSet(indices=(0, 2), budget=2)
-    out, _, _ = _subset_attention(np.array(q), cache, sel.as_array())
+    out, _ = _subset_attention(np.array(q), cache, sel.as_array())
     ref_out, _ = ref_sparse_attention(q, keys, values, [0, 2])
     assert out == pytest.approx(ref_out, rel=1e-12)
 
@@ -570,9 +590,9 @@ def test_block_aggregate_examples():
 def test_block_aggregate_scores_uses_logits():
     # Blocks are ranked on the logits that full_attention returns, not on the weights.
     cache = _cache([[1.0, 0.0], [9.0, 0.0], [2.0, 0.0], [3.0, 0.0]], np.eye(4, 2))
-    _, logits, weights = full_attention(np.array([1.0, 0.0]), cache)
+    _, logits = full_attention(np.array([1.0, 0.0]), cache)
     assert np.allclose(block_max_of_logits(logits, 2), np.array([9.0, 3.0]) / math.sqrt(2))
-    assert not np.allclose(block_max_of_logits(weights, 2), block_max_of_logits(logits, 2))
+    assert not np.allclose(block_max_of_logits(softmax(logits), 2), block_max_of_logits(logits, 2))
 
 
 def test_topk_blocks_selects_best_blocks():

@@ -272,9 +272,9 @@ def _per_head_probe(model, step, budget):
     rnmse = []
     for l in range(cfg.layers):
         cache = LayerKvCache(keys=keys[l, :, :n], values=values[l, :, :n])
-        full, logits, _ = full_attention(queries[l], cache)
+        full, logits = full_attention(queries[l], cache)
         idx = np.asarray(topk_of_logits(_head_sum(logits), k))
-        sparse, _, _ = _subset_attention(queries[l], cache, idx)
+        sparse, _ = _subset_attention(queries[l], cache, idx)
         full_next = np.concatenate([propagate(full[h], l, h) for h in range(H)])
         sparse_next = np.concatenate([propagate(sparse[h], l, h) for h in range(H)])
         rnmse.append(_norm_quotient(sparse_next, full_next))

@@ -218,7 +218,7 @@ def test_trace_equals_a_step_by_step_recomputation():
     for t in range(steps):
         n = _ORDER.context_len + t
         for l in range(_ORDER.layers):
-            outputs[t, l], logits, _ = full_attention(queries[t, l], model.cache_at(l, t))
+            outputs[t, l], logits = full_attention(queries[t, l], model.cache_at(l, t))
             summed = np.zeros(n)
             for row in logits:
                 summed += row
