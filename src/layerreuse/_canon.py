@@ -1,9 +1,9 @@
 """Canonical JSON encoding, content hashing, artifact versions, and the checks every input takes.
 
 check_count and check_unit guard every public count and ratio; require
-checks a parsed JSON document against one shape, so each artifact reader
-states its document's types once. Canonical JSON holds only finite numbers,
-so every writer emits what its reader accepts.
+checks a parsed JSON document against one shape. Canonical JSON holds only
+finite numbers, and SimilarityMatrix, SensitivityReport and LayerPolicy check
+what their readers check, so their writers emit only what the readers accept.
 
 Each artifact kind writes the version of its own last format change, so the
 others keep their bytes and hashes; readers accept any 1.x. The decode trace

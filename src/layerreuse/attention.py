@@ -448,28 +448,25 @@ def topk_of_logits(logits: np.ndarray, budget: int) -> tuple:
         raise InvalidInputError("cannot select from an empty logit vector")
     n = logits.shape[-1]
     take = min(budget, n)
-    if take == n:
-        picked = np.broadcast_to(np.arange(n), logits.shape)
+    # O(N) selection: the (n - take)-th order statistic of a row is its
+    # smallest kept value. Every logit above it is kept; the remaining
+    # slots go to the lowest-index logits equal to it.
+    part = np.partition(logits, n - take, axis=-1)
+    if np.isnan(part[..., n - take :]).any():
+        # partition ranks NaN highest; a stable sort of the negated logits
+        # ranks it below every number, which is the contract.
+        picked = np.sort(np.argsort(-logits, axis=-1, kind="stable")[..., :take], axis=-1)
     else:
-        # O(N) selection: the (n - take)-th order statistic of a row is its
-        # smallest kept value. Every logit above it is kept; the remaining
-        # slots go to the lowest-index logits equal to it.
-        part = np.partition(logits, n - take, axis=-1)
-        if np.isnan(part[..., n - take :]).any():
-            # partition ranks NaN highest; a stable sort of the negated logits
-            # ranks it below every number, which is the contract.
-            picked = np.sort(np.argsort(-logits, axis=-1, kind="stable")[..., :take], axis=-1)
-        else:
-            threshold = part[..., n - take, None]
-            keep = logits >= threshold
-            if np.count_nonzero(keep) != keep.size // n * take:
-                # Some row holds more logits equal to its threshold than it has slots.
-                above = logits > threshold
-                ties = logits == threshold
-                slots = take - np.count_nonzero(above, axis=-1, keepdims=True)
-                keep = above | (ties & (np.cumsum(ties, axis=-1) <= slots))
-            # Flat indices, since nonzero of a 2-D array is several times slower.
-            picked = (np.flatnonzero(keep) % n).reshape(logits.shape[:-1] + (take,))
+        threshold = part[..., n - take, None]
+        keep = logits >= threshold
+        if np.count_nonzero(keep) != keep.size // n * take:
+            # Some row holds more logits equal to its threshold than it has slots.
+            above = logits > threshold
+            ties = logits == threshold
+            slots = take - np.count_nonzero(above, axis=-1, keepdims=True)
+            keep = above | (ties & (np.cumsum(ties, axis=-1) <= slots))
+        # Flat indices, since nonzero of a 2-D array is several times slower.
+        picked = (np.flatnonzero(keep) % n).reshape(logits.shape[:-1] + (take,))
     if logits.ndim == 1:
         return tuple(picked.tolist())
     return tuple(map(tuple, picked.tolist()))

@@ -7,9 +7,11 @@ directory or another.
 
 A command reads and checks every input and does all of its work before it
 creates a file or a directory, so a command that exits non-zero writes no
-file; only an I/O error while writing can leave part of its outputs. Every
-file is written atomically: to a temp file beside it, then renamed into
-place.
+file, short of an I/O error while writing. Every file goes through
+formats.write_files, so a failed write leaves each artifact as it was: a
+trace and its sidecars, or a report's files, count as one artifact, though
+an earlier artifact of the same command may already be written. A crash
+during the renames is caught when the file is read (see formats).
 
 Exit codes: 0 success, 2 validation error (bad flag or file content), 3 I/O
 error, 4 internal invariant violation.
@@ -38,7 +40,6 @@ from .engine import cost_model, hybrid_decode, hybrid_decode_blocks
 from .errors import InvalidInputError, LayerReuseError
 from .formats import (
     CONFIG_FIELDS,
-    atomic_open,
     config_from_payload,
     config_payload,
     read_json,
@@ -46,6 +47,7 @@ from .formats import (
     read_run_result,
     read_similarity_matrix,
     read_trace,
+    write_files,
     write_policy,
     write_run_result,
     write_sensitivity_report,
@@ -89,11 +91,6 @@ def _effective_model_config(args) -> SynthModelConfig:
     return config_from_payload(merged)
 
 
-def _write(path: str, data: bytes) -> None:
-    with atomic_open(path) as fh:
-        fh.write(data)
-
-
 class _Manifest:
     """One command's provenance, written next to its primary output, outputs[0].
 
@@ -130,7 +127,7 @@ class _Manifest:
 
     def write(self) -> None:
         doc = {**self.payload, "wallTimeSeconds": time.monotonic() - self.started}
-        _write(self.path, (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("ascii"))
+        write_files({self.path: (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("ascii")})
 
 
 def _cmd_gen_traces(args) -> int:
@@ -236,7 +233,7 @@ def _cmd_bench(args) -> int:
     for n in parsed:
         report = cost_model(policy, n, args.budget, block_size=args.block_size, head_dim=args.head_dim)
         rows.append([n, _num(report.bytes_ratio), _num(report.predicted_speedup), manifest.hash])
-    _write(out, _csv(["contextLen", "bytesRatio", "predictedSpeedup", "manifest"], rows))
+    write_files({out: _csv(["contextLen", "bytesRatio", "predictedSpeedup", "manifest"], rows)})
     manifest.write()
     print(f"wrote {out}")
     return 0
@@ -315,8 +312,7 @@ def _cmd_report(args) -> int:
         )
         outputs[os.path.join(out_dir, "theta_sweep.csv")] = _csv(["theta", "aggregateRnmse", "run"], rows)
     manifest = _Manifest(args, list(outputs), {"artifacts": args.artifacts}, {})
-    for out, data in outputs.items():
-        _write(out, data)
+    write_files(outputs)
     manifest.write()
     for out in outputs:
         print(f"wrote {out}")

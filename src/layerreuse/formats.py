@@ -7,8 +7,10 @@ flat little-endian sidecars, float64 tensors and int64 selections, each
 referenced by file name, shape and sha256, which the reader verifies.
 Writing is canonical (sorted keys, fixed separators), so identical inputs
 produce byte-identical files. NaN is encoded as null, and no writer emits
-NaN or Infinity. Every file is written to a temp file in its target
-directory and renamed into place, so a crash never leaves a torn artifact.
+NaN or Infinity. Every file goes through write_files: to a temp file beside
+it, then renamed into place. If any write fails, each artifact is left as it
+was, a trace and its sidecars counting as one artifact; a crash during the
+renames can leave a trace whose sidecars do not match, which its reader refuses.
 Each reader checks its whole document against one JSON shape (_read_doc)
 before it reads a sidecar, so a malformed artifact raises
 InvalidInputError, not a TypeError.
@@ -64,32 +66,35 @@ def _null_nan(x: float) -> float | None:
     return None if math.isnan(x) else float(x)
 
 
-@contextlib.contextmanager
-def atomic_open(path: str, mode: str = "wb", **kwargs):
-    """Open a temp file beside path; on a clean exit, os.replace it onto path.
+def write_files(files: dict[str, bytes]) -> None:
+    """Write each path's bytes to a temp file beside it, creating a missing directory, then rename them all.
 
-    path's directory is created if it is missing. If the block raises, the
-    temp file is removed and any earlier file at path is left as it was.
+    If a write raises, every temp file is removed and no path is touched.
+    The renames run in the order given, so a document listed last is
+    committed after its sidecars.
     """
-    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
-    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    temps = []
     try:
-        with open(tmp, mode, **kwargs) as fh:
-            yield fh
-        os.replace(tmp, path)
+        for path, data in files.items():
+            os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+            temps.append(os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp"))
+            with open(temps[-1], "wb") as fh:
+                fh.write(data)
+        for path, tmp in zip(files, temps):
+            os.replace(tmp, path)
     except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
+        for tmp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
         raise
 
 
-def _write_doc(path: str, payload: dict, manifest_hash: str | None) -> None:
+def _write_doc(path: str, payload: dict, manifest_hash: str | None, sidecars: dict | None = None) -> None:
+    """Write the JSON document at path in one write_files call, after any sidecars (path -> bytes)."""
     doc = dict(payload)
     if manifest_hash is not None:
         doc["manifest"] = manifest_hash
-    data = canonical_json_bytes(doc) + b"\n"
-    with atomic_open(path) as fh:
-        fh.write(data)
+    write_files({**(sidecars or {}), path: canonical_json_bytes(doc) + b"\n"})
 
 
 def _read_file(path: str, size: int | None = None) -> bytes:
@@ -211,7 +216,8 @@ def write_trace(trace: DecodeTrace, path: str, manifest_hash: str | None = None)
 
     topk [S, L, k] and blocks [S, L, b] hold each step's selections as
     little-endian int64; queries, outputs and sensitivity hold little-endian
-    float64. The document records each sidecar's file name, shape and sha256.
+    float64. The document records each sidecar's file name, shape and sha256
+    and is committed after them; a failed write leaves an earlier trace whole.
     A trace without its sensitivity table, or whose selections of one kind
     differ in size, is refused before any file is written.
     """
@@ -225,13 +231,12 @@ def write_trace(trace: DecodeTrace, path: str, manifest_hash: str | None = None)
     except ValueError as exc:
         raise InvalidInputError("a trace is written with selections of one size per kind") from exc
     stem = os.path.basename(path[: -len(".json")] if path.endswith(".json") else path)
-    tensors = {}
+    tensors, sidecars = {}, {}
     for name, dtype in _TRACE_TENSORS.items():
         arr = grids[name] if name in grids else getattr(trace, name)
         data = np.ascontiguousarray(arr, dtype=dtype).tobytes()
         tensors[name] = {"path": f"{stem}.{name}.bin", "shape": list(arr.shape), "sha256": sha256_hex(data)}
-        with atomic_open(os.path.join(os.path.dirname(path), tensors[name]["path"])) as fh:
-            fh.write(data)
+        sidecars[os.path.join(os.path.dirname(path), tensors[name]["path"])] = data
     payload = {
         "version": V1_2,
         "kind": "decode-trace",
@@ -240,7 +245,7 @@ def write_trace(trace: DecodeTrace, path: str, manifest_hash: str | None = None)
         "blockSize": trace.block_size,
         "tensors": tensors,
     }
-    _write_doc(path, payload, manifest_hash)
+    _write_doc(path, payload, manifest_hash, sidecars)
 
 
 def _check_selections(topk: np.ndarray, blocks: np.ndarray, budget: int, block_size: int, context_len: int) -> None:
@@ -321,9 +326,7 @@ def read_trace(path: str) -> DecodeTrace:
     )
 
 
-def write_similarity_matrix(
-    matrix: SimilarityMatrix, path: str, manifest_hash: str | None = None
-) -> None:
+def write_similarity_matrix(matrix: SimilarityMatrix, path: str, manifest_hash: str | None = None) -> None:
     _write_doc(path, matrix.canonical_payload(), manifest_hash)
 
 
@@ -332,9 +335,7 @@ def read_similarity_matrix(path: str) -> SimilarityMatrix:
     return SimilarityMatrix.from_flat(doc["L"], doc["k"], doc["entries"])
 
 
-def write_sensitivity_report(
-    report: SensitivityReport, path: str, manifest_hash: str | None = None
-) -> None:
+def write_sensitivity_report(report: SensitivityReport, path: str, manifest_hash: str | None = None) -> None:
     payload = {
         "version": V1_1,
         "kind": "sensitivity-report",
@@ -349,26 +350,21 @@ def write_sensitivity_report(
 
 
 def read_sensitivity_report(path: str) -> SensitivityReport:
-    """A sensitivity report of at least one layer, each with rnmse and maxRnmse both null or 0 <= rnmse <= maxRnmse."""
+    """A sensitivity report, which SensitivityReport checks; a null (an undefined rnmse) becomes NaN."""
     doc = _read_doc(path, "sensitivity-report", _SENSITIVITY_SHAPE)
-    budget, steps = check_count("budget", doc["budget"]), check_count("steps", doc["steps"])
-    if not doc["layers"]:
-        raise InvalidInputError("sensitivity-report field layers must hold at least one layer")
-    for l, entry in enumerate(doc["layers"]):
-        mean, peak = entry["rnmse"], entry["maxRnmse"]
-        if (mean is None) != (peak is None) or mean is not None and not 0 <= mean <= peak:
-            raise InvalidInputError(
-                f"sensitivity-report layer {l} has rnmse {mean} and maxRnmse {peak}: "
-                "both must be null, or numbers with 0 <= rnmse <= maxRnmse"
-            )
-    # A null (an undefined rnmse) becomes NaN.
-    pairs = np.array([[entry["rnmse"], entry["maxRnmse"]] for entry in doc["layers"]], dtype=float)
-    mean, peak = pairs.T
-    return SensitivityReport(budget=budget, steps=steps, rnmse=mean, max_rnmse=peak)
+    mean, peak = np.array([[e["rnmse"], e["maxRnmse"]] for e in doc["layers"]], dtype=float).reshape(-1, 2).T
+    return SensitivityReport(budget=doc["budget"], steps=doc["steps"], rnmse=mean, max_rnmse=peak)
+
+
+def _check_planned(policy: LayerPolicy) -> LayerPolicy:
+    """policy, refused if it has a theta but no cumSimilarity, since a planned policy always records its credit."""
+    if policy.theta is not None and policy.cum_similarity is None:
+        raise InvalidInputError("layer-policy field cumSimilarity is null, but a planned policy records it")
+    return policy
 
 
 def write_policy(policy: LayerPolicy, path: str, manifest_hash: str | None = None) -> None:
-    _write_doc(path, policy.canonical_payload(), manifest_hash)
+    _write_doc(path, _check_planned(policy).canonical_payload(), manifest_hash)
 
 
 def read_policy(path: str) -> LayerPolicy:
@@ -377,28 +373,15 @@ def read_policy(path: str) -> LayerPolicy:
         actions = tuple(Action(a) for a in doc["actions"])
     except ValueError as exc:
         raise InvalidInputError(f"layer-policy field actions: {exc}") from exc
-    cum = doc["cumSimilarity"]
     policy = LayerPolicy(
-        actions=actions,
-        theta=doc["theta"],
-        cum_similarity=None if cum is None else float(cum),
-        matrix_hash=doc["matrixHash"],
+        actions=actions, theta=doc["theta"], cum_similarity=doc["cumSimilarity"], matrix_hash=doc["matrixHash"]
     )
     # L, sources and fullCount restate the actions, so a file whose copy differs is refused.
     derived = policy.canonical_payload()
     for key in ("L", "sources", "fullCount"):
         if doc[key] != derived[key]:
             raise InvalidInputError(f"layer-policy field {key} does not match its actions")
-    # A plan's credit is 1 per Full layer plus an overlap in [0, 1] per Reuse
-    # layer, and a planned policy (one with a theta) always records it.
-    if cum is not None and not policy.full_count <= cum <= policy.num_layers:
-        raise InvalidInputError(
-            f"layer-policy field cumSimilarity {cum} lies outside [fullCount, L] = "
-            f"[{policy.full_count}, {policy.num_layers}]"
-        )
-    if policy.theta is not None and cum is None:
-        raise InvalidInputError("layer-policy field cumSimilarity is null, but a planned policy records it")
-    return policy
+    return _check_planned(policy)
 
 
 def write_run_result(result: DecodeRunResult, path: str, manifest_hash: str | None = None) -> None:

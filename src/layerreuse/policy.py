@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
+import numbers
 from dataclasses import dataclass, field
 
 from ._canon import V1_0, check_count, check_unit, payload_hash
@@ -50,8 +52,9 @@ class LayerPolicy:
     sources and full_count are derived from actions, not given: sources[j]
     is the nearest Full layer at or below j, so sources[j] == j exactly when
     layer j runs Full, and full_count counts the Full layers. The
-    constructor refuses empty actions, an entry that is not an Action, a
-    Reuse first layer and a theta outside [0, 1].
+    constructor refuses empty actions, a non-Action entry, a Reuse first
+    layer, a theta outside [0, 1], a non-str matrix_hash, and a non-number
+    cum_similarity or a finite one outside [full_count, num_layers].
 
     theta, cum_similarity, and matrix_hash are None for policies that were
     not planned against a similarity matrix (for example the static jump
@@ -78,9 +81,18 @@ class LayerPolicy:
         sources: list[int] = []
         for j, action in enumerate(actions):
             sources.append(j if action is Action.FULL else sources[-1])
+        full_count, cum = actions.count(Action.FULL), self.cum_similarity
+        if cum is not None and (isinstance(cum, bool) or not isinstance(cum, numbers.Real)):
+            raise InvalidInputError(f"cum_similarity must be a number, got {cum!r}")
+        # A plan's credit is 1 per Full layer plus an overlap in [0, 1] per Reuse layer.
+        if cum is not None and math.isfinite(cum) and not full_count <= cum <= len(actions):
+            raise InvalidInputError(f"cumSimilarity {cum} lies outside [fullCount, L] = [{full_count}, {len(actions)}]")
+        if self.matrix_hash is not None and not isinstance(self.matrix_hash, str):
+            raise InvalidInputError(f"matrix_hash must be a string, got {self.matrix_hash!r}")
         object.__setattr__(self, "actions", actions)
         object.__setattr__(self, "sources", tuple(sources))
-        object.__setattr__(self, "full_count", actions.count(Action.FULL))
+        object.__setattr__(self, "full_count", full_count)
+        object.__setattr__(self, "cum_similarity", None if cum is None else float(cum))
 
     @property
     def num_layers(self) -> int:

@@ -65,10 +65,9 @@ class SimilarityMatrix:
 
     def overlap(self, source: int, target: int) -> float:
         """Overlap between source layer i and target layer j, requiring i <= j."""
-        if not 0 <= source <= target < self.num_layers:
-            raise InvalidInputError(
-                f"need 0 <= source <= target < {self.num_layers}, got ({source}, {target})"
-            )
+        source, target = check_count("source", source, 0), check_count("target", target, 0)
+        if not source <= target < self.num_layers:
+            raise InvalidInputError(f"need 0 <= source <= target < {self.num_layers}, got ({source}, {target})")
         return float(self.values[target, source])
 
     def flat_entries(self) -> list[float]:
@@ -159,14 +158,27 @@ class SensitivityReport:
     """Each layer's rnmse of swapping in top-k sparse attention, over `steps` decode steps.
 
     rnmse[l] is layer l's mean over the steps and max_rnmse[l] its largest
-    value; over one step both are that step's rnmse. NaN marks an rnmse that
-    is undefined, and a layer with one is NaN in both.
+    value; over one step both are that step's rnmse. NaN marks an undefined
+    rnmse, in both or neither; the constructor refuses any other pair.
     """
 
     budget: int
     steps: int
     rnmse: np.ndarray
     max_rnmse: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "budget", check_count("budget", self.budget))
+        object.__setattr__(self, "steps", check_count("steps", self.steps))
+        mean, peak = np.asarray(self.rnmse, dtype=np.float64), np.asarray(self.max_rnmse, dtype=np.float64)
+        if mean.ndim != 1 or mean.shape != peak.shape or not len(mean):
+            raise InvalidInputError("sensitivity-report field layers must hold at least one layer, as rnmse and "
+                                    f"maxRnmse vectors of one length; got shapes {mean.shape} and {peak.shape}")
+        broken = ~(np.isnan(mean) & np.isnan(peak) | (0 <= mean) & (mean <= peak))
+        if broken.any():
+            l = int(broken.argmax())
+            raise InvalidInputError(f"sensitivity-report layer {l} has rnmse {mean[l]} and maxRnmse {peak[l]}: "
+                                    "both must be NaN (null in a file), or numbers with 0 <= rnmse <= maxRnmse")
 
     @classmethod
     def of_table(cls, table: np.ndarray, budget: int) -> "SensitivityReport":

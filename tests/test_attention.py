@@ -384,6 +384,15 @@ def test_topk_basic_and_ties():
             topk_of_logits(empty, 2)
 
 
+def test_topk_at_a_budget_of_every_logit_matches_reference():
+    # Ties, -inf and NaN: at budget >= n every index is kept, whatever its logit.
+    rows = np.array([[2.0, -np.inf, np.nan, 2.0, -np.inf, 0.5], [1.0, 1.0, -np.inf, 1.0, 3.0, -np.inf]])
+    for budget in (6, 9):
+        want = tuple(tuple(ref_topk(row, budget)) for row in rows.tolist())
+        assert topk_of_logits(rows, budget) == want
+        assert tuple(topk_of_logits(row, budget) for row in rows) == want
+
+
 def test_topk_matches_reference_on_large_tied_draws():
     # Few distinct values force many ties at the cut-off.
     rng = np.random.default_rng(8)

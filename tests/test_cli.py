@@ -562,6 +562,46 @@ def test_failed_bench_rewrite_keeps_earlier_files(pipeline, tmp_path, monkeypatc
         assert after["bench.csv.manifest.json"] == before["bench.csv.manifest.json"]
 
 
+def test_report_torn_at_its_second_output_writes_no_report_file(pipeline, tmp_path, monkeypatch):
+    # A report's files count as one artifact, so none is written unless all are.
+    out = tmp_path / "out"
+    argv = ["report", *(str(pipeline / name) for name in ("similarity.json", "run.json", "policy.json")),
+            "--out-dir", str(out)]
+
+    def torn_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        return TornFile(fh) if os.path.basename(path).startswith(".run.rnmse.csv.") else fh
+
+    monkeypatch.setattr(formats, "open", torn_open, raising=False)
+    assert main(argv) == 3
+    monkeypatch.undo()
+    assert not out.exists() or os.listdir(out) == []
+
+
+def test_every_file_the_chain_writes_goes_through_write_files(tmp_path, monkeypatch):
+    written = []
+    write_files = formats.write_files
+
+    def recording(files):
+        written.extend(os.path.abspath(path) for path in files)
+        write_files(files)
+
+    monkeypatch.setattr(formats, "write_files", recording)
+    monkeypatch.setattr(cli, "write_files", recording)
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+        ["gen-traces", *MODEL_FLAGS, "--steps", "2", "--k", "6"],
+        ["profile", "--trace", "trace.json"],
+        ["plan", "--matrix", "similarity.json", "--theta", "0.5"],
+        ["decode", *MODEL_FLAGS, "--policy", "policy.json", "--budget", "6", "--steps", "2"],
+        ["bench", "--policy", "policy.json", "--lengths", "1024"],
+        ["report", "similarity.json", "policy.json", "run.json", "--out-dir", "report"],
+    ):
+        assert main(argv) == 0
+    files = sorted(str(path) for path in tmp_path.rglob("*") if path.is_file())
+    assert len(files) == 20 and sorted(written) == files
+
+
 # Each command asks for an array of more than 2**63 bytes, which numpy refuses outright.
 _TOO_LARGE = {
     "shape": ["gen-traces", "--layers", "1099511627776", "--heads", "1048576",

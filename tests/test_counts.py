@@ -8,6 +8,7 @@ import pytest
 
 from layerreuse import (
     InvalidInputError,
+    SimilarityMatrix,
     SynthModelConfig,
     cost_model,
     generate_model,
@@ -22,6 +23,7 @@ from layerreuse import (
 )
 
 _POLICY = static_jump_policy(3, 2)
+_MATRIX = SimilarityMatrix(values=np.array([[1.0, 0.0], [0.5, 1.0]]), budget=2)
 
 # Each public call: (call(model, **counts), a valid value of each count it takes).
 _CALLS = {
@@ -50,6 +52,7 @@ _CALLS = {
     "SyntheticModel.queries": (lambda m, steps: m.queries(steps), dict(steps=2)),
     "SyntheticModel.grown_arrays": (lambda m, steps: m.grown_arrays(steps), dict(steps=2)),
     "SyntheticModel.propagate": (lambda m, step: m.propagate(np.ones((3, 2, 4)), step), dict(step=1)),
+    "SimilarityMatrix.overlap": (lambda m, source, target: _MATRIX.overlap(source, target), dict(source=0, target=1)),
 }
 _CASES = [(name, count) for name, (_, counts) in _CALLS.items() for count in counts]
 

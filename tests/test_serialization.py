@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from layerreuse import (
+    Action,
     BlockSet,
     InvalidInputError,
+    LayerPolicy,
     SensitivityReport,
     SynthModelConfig,
     TopKSet,
@@ -404,9 +406,55 @@ def test_failed_selection_sidecar_write_leaves_no_partial_file(tmp_path, monkeyp
     with pytest.raises(OSError):
         write_trace(trace, str(tmp_path / "t.json"))
     monkeypatch.undo()
-    # Sidecars written before the torn one stay; nothing of the torn one, or of any after it, is left.
-    before = list(formats._TRACE_TENSORS)[: list(formats._TRACE_TENSORS).index(name)]
-    assert sorted(os.listdir(tmp_path)) == sorted(f"t.{sidecar}.bin" for sidecar in before)
+    # A trace is written whole or not at all: no sidecar, and no temp file, is left.
+    assert os.listdir(tmp_path) == []
+
+
+def test_failed_trace_rewrite_keeps_the_earlier_trace_whole(tmp_path, monkeypatch, trace):
+    # A trace and its five sidecars count as one artifact: a rewrite torn at
+    # any one of its six files replaces none of them.
+    path = str(tmp_path / "t.json")
+    write_trace(trace, path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    model = generate_model(dataclasses.replace(CFG, seed=10))
+    other = run_full_trace(model, 3, 8, 4)
+    other = dataclasses.replace(other, sensitivity=sensitivity_table(model, other))
+    assert len(before) == 6
+    for name in before:
+        def tearing(target, *args, **kwargs):
+            fh = open(target, *args, **kwargs)
+            return TornFile(fh) if os.path.basename(target).startswith(f".{name}.") else fh
+
+        monkeypatch.setattr(formats, "open", tearing, raising=False)
+        with pytest.raises(OSError):
+            write_trace(other, path)
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before, name
+        back = read_trace(path)
+        assert np.array_equal(back.outputs, trace.outputs) and back.topk == trace.topk, name
+
+
+# Values each reader refuses, which the writer must refuse before it writes a file.
+_UNREADABLE = {
+    "sensitivity-counts": (write_sensitivity_report, lambda: SensitivityReport(
+        budget=True, steps=2.5, rnmse=np.array([0.5]), max_rnmse=np.array([0.75]))),
+    "sensitivity-rnmse-above-max": (write_sensitivity_report, lambda: SensitivityReport(
+        budget=4, steps=2, rnmse=np.array([0.5]), max_rnmse=np.array([0.2]))),
+    "policy-types": (write_policy, lambda: LayerPolicy(
+        actions=(Action.FULL,), theta=None, cum_similarity=True, matrix_hash=5)),
+    "policy-credit-below-full-count": (write_policy, lambda: LayerPolicy(
+        actions=(Action.FULL,), theta=None, cum_similarity=-3.0, matrix_hash=None)),
+    "planned-policy-without-credit": (write_policy, lambda: LayerPolicy(
+        actions=(Action.FULL, Action.REUSE), theta=0.5, cum_similarity=None, matrix_hash=None)),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNREADABLE))
+def test_no_writer_emits_what_its_reader_refuses(tmp_path, case):
+    writer, make = _UNREADABLE[case]
+    with pytest.raises(InvalidInputError):
+        writer(make(), str(tmp_path / "artifact.json"))
+    assert os.listdir(tmp_path) == []
 
 
 def test_trace_with_selections_of_different_sizes_is_not_written(tmp_path, trace):
