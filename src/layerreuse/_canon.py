@@ -2,8 +2,10 @@
 
 check_count and check_unit guard every public count and ratio; require
 checks a parsed JSON document against one shape. Canonical JSON holds only
-finite numbers, and SimilarityMatrix, SensitivityReport and LayerPolicy check
-what their readers check, so their writers emit only what the readers accept.
+finite numbers. SimilarityMatrix, SensitivityReport and LayerPolicy check
+what their readers check, and write_trace and write_run_result run their
+readers' checks on what they write, so no writer emits what its reader
+refuses.
 
 Each artifact kind writes the version of its own last format change, so the
 others keep their bytes and hashes; readers accept any 1.x. The decode trace

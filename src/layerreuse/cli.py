@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from ._canon import V1_0, payload_hash
-from .engine import cost_model, hybrid_decode, hybrid_decode_blocks
+from .engine import cost_model, hybrid_decode
 from .errors import InvalidInputError, LayerReuseError
 from .formats import (
     CONFIG_FIELDS,
@@ -183,23 +183,14 @@ def _cmd_decode(args) -> int:
             "--include-sinks and --include-recent are token-mode flags; block mode refuses them"
         )
     model = generate_model(config)
-    if block_mode:
-        result = hybrid_decode_blocks(model, policy, args.budget, args.block_size, args.steps)
-    else:
-        if args.budget > config.context_len:
-            print(
-                f"warning: budget {args.budget} exceeds context length "
-                f"{config.context_len}; clamping per step",
-                file=sys.stderr,
-            )
-        result = hybrid_decode(
-            model,
-            policy,
-            args.budget,
-            args.steps,
-            include_sinks=args.include_sinks,
-            include_recent=args.include_recent,
+    if not block_mode and args.budget > config.context_len:
+        print(
+            f"warning: budget {args.budget} exceeds context length "
+            f"{config.context_len}; clamping per step",
+            file=sys.stderr,
         )
+    result = hybrid_decode(model, policy, args.budget, args.steps, block_size=args.block_size,
+                           include_sinks=args.include_sinks, include_recent=args.include_recent)
     out = _resolve(args, args.out, "run.json")
     settings = {
         **config_payload(config),
@@ -369,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int,
                    help="selection budget: tokens at --block-size 1, blocks above that (required)")
     p.add_argument("--steps", type=int, default=4, help="decode steps (default 4)")
-    p.add_argument("--block-size", type=int, default=1, help="block width; > 1 switches to block mode")
+    p.add_argument("--block-size", type=int, default=1,
+                   help="selection width in tokens; above 1, Full layers select blocks of it (default 1)")
     p.add_argument("--include-sinks", type=int, default=0, help="force the first n tokens into reused selections")
     p.add_argument("--include-recent", type=int, default=0, help="force the last n tokens into reused selections")
     p.add_argument("--out", help="run result path (default <out-dir>/run.json)")

@@ -5,9 +5,10 @@ Full layers run exact attention over the whole cache and publish their top-k
 inherit the previous layer's selection, gather only those KV rows, and run
 subset-renormalized sparse attention. The loop calls full attention at Full
 cells only and counts those calls per step; no Reuse cell has a full-cache
-call to count. Token and block mode share one loop, _decode, which runs
-steps outermost; they differ only in the step that turns a Full layer's
-summed logits into a selection.
+call to count. One decoder, hybrid_decode, selects tokens at block_size 1
+and blocks above it: the two modes differ only in the select rule that turns
+a Full layer's summed logits into a selection, and share one loop, _decode,
+which runs steps outermost.
 
 A Full cell reaches its step's all-heads cache through the model's cache_at,
 a view of the model's grown arrays. Only Reuse layers hold the last step's
@@ -54,7 +55,6 @@ __all__ = [
     "CostModelReport",
     "FidelityReport",
     "hybrid_decode",
-    "hybrid_decode_blocks",
     "cost_model",
     "fidelity_report",
 ]
@@ -162,19 +162,6 @@ def _full_baseline(outputs: np.ndarray, queries: np.ndarray, caches: dict[int, L
     return baseline
 
 
-def _check_run_args(model: SyntheticModel, policy: LayerPolicy, steps: int) -> int:
-    """steps as an int, once the policy's layer count is checked against the model.
-
-    The layer count is the one policy check it needs: every LayerPolicy is a
-    valid chain by construction.
-    """
-    if policy.num_layers != model.config.layers:
-        raise ConfigurationError(
-            f"policy covers {policy.num_layers} layers, model has {model.config.layers}"
-        )
-    return check_count("steps", steps)
-
-
 def _decode(
     model: SyntheticModel,
     policy: LayerPolicy,
@@ -183,7 +170,7 @@ def _decode(
     block_size: int,
     select: Callable[[np.ndarray, int], tuple[TopKSet | BlockSet, TopKSet | BlockSet, np.ndarray]],
 ) -> DecodeRunResult:
-    """The (step, layer) loop of hybrid decoding, for both modes, which differ only in select.
+    """The (step, layer) loop of hybrid decoding; the select rule is the caller's.
 
     A Full cell runs full attention of all heads over the step's cache, which
     model.cache_at builds, and hands the head-summed logits to select(logits,
@@ -241,33 +228,49 @@ def hybrid_decode(
     budget: int,
     steps: int,
     *,
+    block_size: int = 1,
     include_sinks: int = 0,
     include_recent: int = 0,
 ) -> DecodeRunResult:
-    """Decode with token-level selection reuse under a layer policy.
+    """Decode with selection reuse under a layer policy, of tokens or of blocks of tokens.
 
-    Full layers compute exact attention and extract the top-min(budget, N)
-    tokens of their summed per-head logits; Reuse layers inherit the previous
-    layer's selection and run sparse attention over just those rows. The
-    budget is clamped to the current cache length each step. Fidelity is
-    measured against the all-full baseline on the same model and steps,
-    recomputed at Reuse layers only (Full layers match it bit for bit), when
-    the result's fidelity is first read.
+    Full layers compute exact attention and select from their summed
+    per-head logits: at block_size 1 the top-min(budget, N) tokens, above it
+    the top-min(budget, block count) blocks of the logits max-pooled into
+    blocks of block_size tokens. So budget counts tokens at block_size 1 and
+    blocks above it. Reuse layers inherit the previous layer's selection and
+    run sparse attention over just its rows: a block selection's token
+    ranges, the final block truncated by the cache end, built once per Full
+    layer and step. Fidelity is measured against the all-full baseline on
+    the same model and steps, recomputed at Reuse layers only (Full layers
+    match it bit for bit), when the result's fidelity is first read.
 
     include_sinks / include_recent optionally force the first and last so
-    many tokens into reused selections; both default to off, which keeps the
-    gathered row count at exactly min(budget, N). Each Full layer's selection
-    is augmented once, and the Reuse layers after it share the result.
+    many tokens into reused token selections; block mode refuses them. Both
+    default to off, which keeps the gathered row count at exactly
+    min(budget, N). Each Full layer's selection is augmented once, and the
+    Reuse layers after it share the result.
     """
-    steps = _check_run_args(model, policy, steps)
+    # Every LayerPolicy is a valid chain by construction, so its layer count is the one policy check.
+    if policy.num_layers != model.config.layers:
+        raise ConfigurationError(
+            f"policy covers {policy.num_layers} layers, model has {model.config.layers}"
+        )
+    steps = check_count("steps", steps)
     budget = check_count("budget", budget)
+    block_size = check_count("block_size", block_size)
     include_sinks = check_count("include_sinks", include_sinks, 0)
     include_recent = check_count("include_recent", include_recent, 0)
+    if block_size > 1 and (include_sinks or include_recent):
+        raise InvalidInputError("include_sinks and include_recent select tokens; block mode refuses them")
 
-    # topk_of_logits returns a canonical row, and a mask over the n cached rows
+    # In token mode topk_of_logits returns a canonical row, and a mask over the n cached rows
     # reads back their union with the sinks and recent rows in ascending
     # order, so both sets are built without a second check.
-    def select(logits: np.ndarray, n: int) -> tuple[TopKSet, TopKSet, np.ndarray]:
+    def select(logits: np.ndarray, n: int) -> tuple[TopKSet | BlockSet, TopKSet | BlockSet, np.ndarray]:
+        if block_size > 1:
+            blocks = topk_blocks(block_max_of_logits(logits, block_size), budget, block_size)
+            return blocks, blocks, blocks.token_coverage(n)
         sel = TopKSet._canonical(topk_of_logits(logits, budget), budget)
         if not (include_sinks or include_recent):
             return sel, sel, sel.as_array()
@@ -279,37 +282,13 @@ def hybrid_decode(
         inherited = TopKSet._canonical(tuple(rows.tolist()), int(rows.shape[0]))
         return sel, inherited, rows
 
-    return _decode(model, policy, steps, budget, 1, select)
+    return _decode(model, policy, steps, budget, block_size, select)
 
 
-def hybrid_decode_blocks(
-    model: SyntheticModel,
-    policy: LayerPolicy,
-    block_budget: int,
-    block_size: int,
-    steps: int,
-) -> DecodeRunResult:
-    """Decode with block-level selection reuse under a layer policy.
-
-    Full layers max-pool their summed logits into blocks of block_size tokens
-    and keep the top-min(block_budget, block count) blocks; Reuse layers
-    gather exactly the selected blocks' token ranges (the final block may be
-    truncated by the cache end) and run sparse attention over that coverage,
-    which is built once per Full layer and step. This is hybrid_decode's loop
-    with a block selection step, so block_size = 1 reproduces hybrid_decode
-    with budget = block_budget bit for bit. Fidelity is measured as in
-    hybrid_decode: against the all-full baseline, recomputed at Reuse layers
-    only when the result's fidelity is first read, not by this call.
-    """
-    steps = _check_run_args(model, policy, steps)
-    block_budget = check_count("block_budget", block_budget)
-    block_size = check_count("block_size", block_size)
-
-    def select(logits: np.ndarray, n: int) -> tuple[BlockSet, BlockSet, np.ndarray]:
-        sel = topk_blocks(block_max_of_logits(logits, block_size), block_budget, block_size)
-        return sel, sel, sel.token_coverage(n)
-
-    return _decode(model, policy, steps, block_budget, block_size, select)
+# Unexported: perfbench's decode-blocks workload calls it positionally. It goes
+# when the benchmark is next changed (ROADMAP item 11).
+def hybrid_decode_blocks(model, policy, block_budget, block_size, steps) -> DecodeRunResult:
+    return hybrid_decode(model, policy, block_budget, steps, block_size=block_size)
 
 
 @dataclass(frozen=True)

@@ -211,6 +211,23 @@ def _read_tensor(trace_path: str, name: str, entry: dict, expected: tuple[int, .
     return arr
 
 
+def _trace_shapes(config: SynthModelConfig, topk_shape, blocks_shape) -> tuple[tuple[int, ...], ...]:
+    """The shapes of _TRACE_TENSORS, in order, given the selection grids'; topk's first is the step count."""
+    steps = (list(topk_shape) or [0])[0]
+    if steps < 1:
+        raise InvalidInputError("trace holds no decode steps")
+    cells = (steps, config.layers)
+    rows = cells + (config.heads, config.head_dim)
+    # A selection grid's width is checked against the budget with its values.
+    return cells + tuple(topk_shape[-1:]), cells + tuple(blocks_shape[-1:]), rows, rows, cells
+
+
+def _check_sensitivity(sensitivity: np.ndarray) -> None:
+    # An rnmse is a norm quotient: NaN where it is undefined, else finite and non-negative.
+    if ((sensitivity < 0) | (sensitivity == math.inf)).any():
+        raise InvalidInputError("tensor sensitivity holds an infinite or negative rnmse")
+
+
 def write_trace(trace: DecodeTrace, path: str, manifest_hash: str | None = None) -> None:
     """Write a decode trace: a JSON document plus one {stem}.{tensor}.bin sidecar per tensor.
 
@@ -218,8 +235,9 @@ def write_trace(trace: DecodeTrace, path: str, manifest_hash: str | None = None)
     little-endian int64; queries, outputs and sensitivity hold little-endian
     float64. The document records each sidecar's file name, shape and sha256
     and is committed after them; a failed write leaves an earlier trace whole.
-    A trace without its sensitivity table, or whose selections of one kind
-    differ in size, is refused before any file is written.
+    A trace without its sensitivity table, whose selections of one kind
+    differ in size, or that read_trace would refuse is refused before any
+    file is written.
     """
     if trace.sensitivity is None:
         raise InvalidInputError("a trace is written with its sensitivity table; attach sensitivity_table first")
@@ -230,19 +248,26 @@ def write_trace(trace: DecodeTrace, path: str, manifest_hash: str | None = None)
         }
     except ValueError as exc:
         raise InvalidInputError("a trace is written with selections of one size per kind") from exc
+    budget, block_size = check_count("budget", trace.budget), check_count("block_size", trace.block_size)
+    arrays = {name: grids[name] if name in grids else np.ascontiguousarray(getattr(trace, name), dtype=dtype)
+              for name, dtype in _TRACE_TENSORS.items()}
+    for (name, arr), shape in zip(arrays.items(), _trace_shapes(trace.config, *(g.shape for g in grids.values()))):
+        if arr.shape != shape:
+            raise InvalidInputError(f"tensor {name} has shape {list(arr.shape)}, expected {list(shape)} for the trace")
+    _check_selections(*grids.values(), budget, block_size, trace.config.context_len)
+    _check_sensitivity(arrays["sensitivity"])
     stem = os.path.basename(path[: -len(".json")] if path.endswith(".json") else path)
     tensors, sidecars = {}, {}
-    for name, dtype in _TRACE_TENSORS.items():
-        arr = grids[name] if name in grids else getattr(trace, name)
-        data = np.ascontiguousarray(arr, dtype=dtype).tobytes()
+    for name, arr in arrays.items():
+        data = arr.tobytes()
         tensors[name] = {"path": f"{stem}.{name}.bin", "shape": list(arr.shape), "sha256": sha256_hex(data)}
         sidecars[os.path.join(os.path.dirname(path), tensors[name]["path"])] = data
     payload = {
         "version": V1_2,
         "kind": "decode-trace",
         "config": config_payload(trace.config),
-        "budget": trace.budget,
-        "blockSize": trace.block_size,
+        "budget": budget,
+        "blockSize": block_size,
         "tensors": tensors,
     }
     _write_doc(path, payload, manifest_hash, sidecars)
@@ -288,32 +313,24 @@ def read_trace(path: str) -> DecodeTrace:
     """Read a decode trace; the whole document is checked before any sidecar is read.
 
     The topk sidecar's recorded shape [S, L, k] gives the step count every
-    other sidecar's shape must match. Both selection grids are then checked
-    at once with numpy (_check_selections), and their rows become TopKSet and
-    BlockSet objects without a second check. The sensitivity table may hold
-    NaN, an undefined rnmse, but no infinite or negative one.
+    other sidecar's shape must match (_trace_shapes). Both selection grids
+    are then checked at once with numpy (_check_selections), and their rows
+    become TopKSet and BlockSet objects without a second check. The
+    sensitivity table may hold NaN, an undefined rnmse, but no infinite or
+    negative one. write_trace runs the same checks before it writes.
     """
     doc = _read_doc(path, "decode-trace", _TRACE_SHAPE)
     config = config_from_payload(doc["config"])
     tensors = doc["tensors"]
     budget = check_count("budget", doc["budget"])
     block_size = check_count("block_size", doc["blockSize"])
-    steps = (tensors["topk"]["shape"] or [0])[0]
-    if steps < 1:
-        raise InvalidInputError("trace holds no decode steps")
-    cells = (steps, config.layers)
-    rows = cells + (config.heads, config.head_dim)
-    # A selection grid's recorded width is checked against the budget with its values.
-    widths = (tuple(tensors[name]["shape"][-1:]) for name in ("topk", "blocks"))
-    expected = (*(cells + width for width in widths), rows, rows, cells)
+    expected = _trace_shapes(config, tensors["topk"]["shape"], tensors["blocks"]["shape"])
     topk, blocks, queries, outputs, sensitivity = (
         _read_tensor(path, name, tensors[name], shape, dtype)
         for (name, dtype), shape in zip(_TRACE_TENSORS.items(), expected)
     )
     _check_selections(topk, blocks, budget, block_size, config.context_len)
-    # An rnmse is a norm quotient: NaN where it is undefined, else finite and non-negative.
-    if ((sensitivity < 0) | (sensitivity == math.inf)).any():
-        raise InvalidInputError("tensor sensitivity holds an infinite or negative rnmse")
+    _check_sensitivity(sensitivity)
     return DecodeTrace(
         config=config,
         budget=budget,
@@ -356,15 +373,8 @@ def read_sensitivity_report(path: str) -> SensitivityReport:
     return SensitivityReport(budget=doc["budget"], steps=doc["steps"], rnmse=mean, max_rnmse=peak)
 
 
-def _check_planned(policy: LayerPolicy) -> LayerPolicy:
-    """policy, refused if it has a theta but no cumSimilarity, since a planned policy always records its credit."""
-    if policy.theta is not None and policy.cum_similarity is None:
-        raise InvalidInputError("layer-policy field cumSimilarity is null, but a planned policy records it")
-    return policy
-
-
 def write_policy(policy: LayerPolicy, path: str, manifest_hash: str | None = None) -> None:
-    _write_doc(path, _check_planned(policy).canonical_payload(), manifest_hash)
+    _write_doc(path, policy.canonical_payload(), manifest_hash)
 
 
 def read_policy(path: str) -> LayerPolicy:
@@ -381,11 +391,15 @@ def read_policy(path: str) -> LayerPolicy:
     for key in ("L", "sources", "fullCount"):
         if doc[key] != derived[key]:
             raise InvalidInputError(f"layer-policy field {key} does not match its actions")
-    return _check_planned(policy)
+    return policy
 
 
 def write_run_result(result: DecodeRunResult, path: str, manifest_hash: str | None = None) -> None:
-    """Write counters, fidelity tables, and the policy hash of a hybrid run."""
+    """Write counters, fidelity tables, and the policy hash of a hybrid run.
+
+    The document takes read_run_result's checks first, so a run it would
+    refuse writes no file.
+    """
     payload = {
         "version": V1_0,
         "kind": "decode-run",
@@ -409,17 +423,17 @@ def write_run_result(result: DecodeRunResult, path: str, manifest_hash: str | No
             ],
         },
     }
-    _write_doc(path, payload, manifest_hash)
+    require(payload, _RUN_SHAPE, "decode-run")
+    _write_doc(path, _check_run(payload), manifest_hash)
 
 
-def read_run_result(path: str) -> dict:
-    """A run result as a plain document, arrays as lists, checked to describe one run.
+def _check_run(doc: dict) -> dict:
+    """A decode-run document of _RUN_SHAPE, checked to describe one run.
 
     A set theta lies in [0, 1], every count is >= 1 (reuseLayers >= 0), and
     each per-step or per-layer array holds steps rows or L = fullLayers +
     reuseLayers items.
     """
-    doc = _read_doc(path, "decode-run", _RUN_SHAPE)
     if doc["theta"] is not None:
         check_unit("theta", doc["theta"])
     for key in ("budget", "blockSize", "steps"):
@@ -439,3 +453,8 @@ def read_run_result(path: str) -> dict:
             want = " rows of ".join(f"{name} = {n}" for n, name in dims)
             raise InvalidInputError(f"decode-run field {key} must hold {want} items")
     return doc
+
+
+def read_run_result(path: str) -> dict:
+    """A run result as a plain document, arrays as lists, checked to describe one run (_check_run)."""
+    return _check_run(_read_doc(path, "decode-run", _RUN_SHAPE))

@@ -53,8 +53,9 @@ class LayerPolicy:
     is the nearest Full layer at or below j, so sources[j] == j exactly when
     layer j runs Full, and full_count counts the Full layers. The
     constructor refuses empty actions, a non-Action entry, a Reuse first
-    layer, a theta outside [0, 1], a non-str matrix_hash, and a non-number
-    cum_similarity or a finite one outside [full_count, num_layers].
+    layer, a theta outside [0, 1], a theta without a cum_similarity, a
+    non-str matrix_hash, and a non-number cum_similarity or a finite one
+    outside [full_count, num_layers].
 
     theta, cum_similarity, and matrix_hash are None for policies that were
     not planned against a similarity matrix (for example the static jump
@@ -78,6 +79,8 @@ class LayerPolicy:
             raise InvalidInputError("the first layer of a policy must run full attention")
         if self.theta is not None:
             object.__setattr__(self, "theta", check_unit("theta", self.theta))
+            if self.cum_similarity is None:
+                raise InvalidInputError("cumSimilarity is null, but a planned policy records it")
         sources: list[int] = []
         for j, action in enumerate(actions):
             sources.append(j if action is Action.FULL else sources[-1])

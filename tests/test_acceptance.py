@@ -21,7 +21,6 @@ from layerreuse import (
     dp_optimize,
     generate_model,
     hybrid_decode,
-    hybrid_decode_blocks,
     run_full_trace,
     sensitivity_profile,
     static_jump_policy,
@@ -231,7 +230,7 @@ def test_acceptance_11_instrumentation_counts_are_exact():
             else:
                 assert run.reuse_gathered_rows[t][l] == min(budget, n_t)
 
-    block_run = hybrid_decode_blocks(model, static_jump_policy(8, 2), 3, 16, 2)
+    block_run = hybrid_decode(model, static_jump_policy(8, 2), 3, 2, block_size=16)
     assert block_run.reuse_full_scans == 0
     for t in range(2):
         n_t = cfg.context_len + t

@@ -12,15 +12,18 @@ from unittest import mock
 
 import numpy as np
 
-from layerreuse import SynthModelConfig, attention, cli, engine, policy, profiling, synthetic
+from layerreuse import BlockSet, SynthModelConfig, attention, cli, engine, policy, profiling, synthetic
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 # Listed by the benchmark, absent from the package, and skipped by the tracer:
 # engine has not called run_full_trace since its fidelity baseline began
-# recomputing Reuse layers only, and the profile command has not called
-# sensitivity_profile since it reads the trace's sensitivity table.
-_RETIRED = {("layerreuse.engine", "run_full_trace"), ("layerreuse.cli", "sensitivity_profile")}
+# recomputing Reuse layers only, the profile command has not called
+# sensitivity_profile since it reads the trace's sensitivity table, and the
+# decode command has not called hybrid_decode_blocks since block mode became
+# hybrid_decode's block_size.
+_RETIRED = {("layerreuse.engine", "run_full_trace"), ("layerreuse.cli", "sensitivity_profile"),
+            ("layerreuse.cli", "hybrid_decode_blocks")}
 
 
 def _tracing():
@@ -102,6 +105,24 @@ def test_traced_decode_pass_reaches_every_span_the_benchmark_reads():
     for name in ("synthetic.cache_at", "attention.full_attention", "attention.topk_of_logits",
                  "attention.block_max_of_logits", "attention.topk_blocks"):
         assert spans[name]["scope"] == "pass", name
+
+
+def test_block_decode_entry_of_the_benchmark_is_hybrid_decode_in_block_mode():
+    # The decode-blocks workload calls engine.hybrid_decode_blocks(model, policy,
+    # block_budget, block_size, steps) positionally, so an entry point that
+    # misorders its arguments fails here rather than in the benchmark.
+    assert "hybrid_decode_blocks" not in engine.__all__
+    cfg = SynthModelConfig(layers=4, head_dim=8, context_len=40, seed=3, inter_layer_correlation=0.8, heads=2)
+    model = synthetic.generate_model(cfg)
+    layer_policy = policy.static_jump_policy(cfg.layers, 2)
+    got = engine.hybrid_decode_blocks(model, layer_policy, 3, 4, 2)
+    want = engine.hybrid_decode(model, layer_policy, 3, 2, block_size=4)
+    assert (got.budget, got.block_size, got.steps) == (3, 4, 2)
+    assert got.outputs.tobytes() == want.outputs.tobytes()
+    assert all(isinstance(sel, BlockSet) for step in got.selections for sel in step)
+    assert got.selections == want.selections
+    for name in ("block_size", "full_score_computations", "reuse_full_scans", "reuse_gathered_rows"):
+        assert getattr(got, name) == getattr(want, name), name
 
 
 def test_model_construction_reaches_no_traced_binding_but_its_own():

@@ -26,7 +26,7 @@ from layerreuse import (
     dp_optimize,
     formats,
     generate_model,
-    hybrid_decode_blocks,
+    hybrid_decode,
     read_json,
     read_policy,
     read_similarity_matrix,
@@ -1139,7 +1139,7 @@ def test_block_mode_budget_counts_blocks(pipeline, tmp_path):
     assert main(["decode", *MODEL_FLAGS, "--policy", str(pipeline / "policy.json"), "--steps", "2",
                  "--block-size", "4", "--budget", "2", "--out", str(out)]) == 0
     config = SynthModelConfig(layers=5, context_len=24, head_dim=8, inter_layer_correlation=0.9, seed=17)
-    run = hybrid_decode_blocks(generate_model(config), read_policy(str(pipeline / "policy.json")), 2, 4, 2)
+    run = hybrid_decode(generate_model(config), read_policy(str(pipeline / "policy.json")), 2, 2, block_size=4)
     formats.write_run_result(run, str(tmp_path / "want.json"))
     got, want = read_json(str(out)), read_json(str(tmp_path / "want.json"))
     assert got["budget"] == 2 and got["blockSize"] == 4

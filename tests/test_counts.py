@@ -13,7 +13,6 @@ from layerreuse import (
     cost_model,
     generate_model,
     hybrid_decode,
-    hybrid_decode_blocks,
     read_trace,
     run_full_trace,
     sensitivity_profile,
@@ -28,13 +27,14 @@ _MATRIX = SimilarityMatrix(values=np.array([[1.0, 0.0], [0.5, 1.0]]), budget=2)
 # Each public call: (call(model, **counts), a valid value of each count it takes).
 _CALLS = {
     "hybrid_decode": (
-        lambda m, budget, steps, include_sinks, include_recent: hybrid_decode(
-            m, _POLICY, budget, steps, include_sinks=include_sinks, include_recent=include_recent),
-        dict(budget=3, steps=2, include_sinks=1, include_recent=1),
+        lambda m, budget, steps, block_size, include_sinks, include_recent: hybrid_decode(
+            m, _POLICY, budget, steps, block_size=block_size, include_sinks=include_sinks,
+            include_recent=include_recent),
+        dict(budget=3, steps=2, block_size=1, include_sinks=1, include_recent=1),
     ),
-    "hybrid_decode_blocks": (
-        lambda m, block_budget, block_size, steps: hybrid_decode_blocks(m, _POLICY, block_budget, block_size, steps),
-        dict(block_budget=2, block_size=2, steps=2),
+    "hybrid_decode-blocks": (
+        lambda m, budget, block_size, steps: hybrid_decode(m, _POLICY, budget, steps, block_size=block_size),
+        dict(budget=2, block_size=2, steps=2),
     ),
     "cost_model": (
         lambda m, context_len, budget, block_size, head_dim: cost_model(

@@ -24,7 +24,6 @@ from layerreuse import (
     fidelity_report,
     generate_model,
     hybrid_decode,
-    hybrid_decode_blocks,
     run_full_trace,
     static_jump_policy,
 )
@@ -96,7 +95,7 @@ def test_all_full_policy_is_bit_identical_to_baseline(fixture_model):
     assert run.selections == baseline.topk
     assert run.fidelity.aggregate == 0.0
     assert np.all(run.fidelity.per_step_layer == 0.0)
-    blocks = hybrid_decode_blocks(fixture_model, policy, 3, 4, 3)
+    blocks = hybrid_decode(fixture_model, policy, 3, 3, block_size=4)
     trace = run_full_trace(fixture_model, 3, 12, 4)
     assert np.array_equal(blocks.outputs, trace.outputs)
     assert blocks.selections == trace.blocks
@@ -249,7 +248,7 @@ def test_producers_build_every_selection_without_a_second_check(monkeypatch):
         run_full_trace(model, 3, 6, width)
     hybrid_decode(model, policy, 6, 3)
     hybrid_decode(model, policy, 6, 3, include_sinks=2, include_recent=3)
-    hybrid_decode_blocks(model, policy, 2, 4, 3)
+    hybrid_decode(model, policy, 2, 3, block_size=4)
     assert calls == []
 
 
@@ -273,21 +272,31 @@ def test_run_argument_validation(fixture_model):
 
 
 def test_block_size_one_equals_token_mode(fixture_model):
-    policy = static_jump_policy(FIXTURE.layers, 3)
-    tok = hybrid_decode(fixture_model, policy, 12, 3)
-    blk = hybrid_decode_blocks(fixture_model, policy, 12, 1, 3)
-    assert np.array_equal(tok.outputs, blk.outputs)
-    assert tok.fidelity.aggregate == blk.fidelity.aggregate
+    # block_size=1 is token mode itself, so the guarantee sits at the select
+    # rule: on every cell's head-summed logits, the coverage of the top
+    # width-1 blocks is the token top-k, in the same order.
+    queries = fixture_model.queries(3)
     for t in range(3):
         for l in range(FIXTURE.layers):
-            assert blk.selections[t][l].token_coverage(
-                FIXTURE.context_len + t
-            ).tolist() == list(tok.selections[t][l].indices)
+            logits = attention._head_sum(attention.full_attention(queries[t, l], fixture_model.cache_at(l, t))[1])
+            blocks = attention.topk_blocks(attention.block_max_of_logits(logits, 1), 12, 1)
+            assert blocks.token_coverage(FIXTURE.context_len + t).tolist() == list(
+                attention.topk_of_logits(logits, 12)
+            )
+
+
+def test_block_mode_refuses_sinks_and_recent_rows(fixture_model):
+    policy = static_jump_policy(FIXTURE.layers, 3)
+    for extra in ({"include_sinks": 1}, {"include_recent": 1}):
+        with pytest.raises(InvalidInputError, match="block mode refuses them"):
+            hybrid_decode(fixture_model, policy, 3, 1, block_size=4, **extra)
+        # Token mode takes them; block_size 1 is token mode.
+        hybrid_decode(fixture_model, policy, 3, 1, block_size=1, **extra)
 
 
 def test_block_mode_golden_and_gathered_rows():
     model = generate_model(BLOCK_FIXTURE)
-    run = hybrid_decode_blocks(model, static_jump_policy(5, 2), 2, 128, 2)
+    run = hybrid_decode(model, static_jump_policy(5, 2), 2, 2, block_size=128)
     assert run.fidelity.aggregate == pytest.approx(
         GOLDEN_BLOCK_AGGREGATE_RNMSE, rel=1e-12
     )
@@ -303,7 +312,7 @@ def test_block_budget_covering_whole_cache_is_near_exact():
                            inter_layer_correlation=0.7)
     model = generate_model(cfg)
     # 7 blocks of 16 cover 112 >= 100 + steps tokens
-    run = hybrid_decode_blocks(model, static_jump_policy(3, 3), 7, 16, 2)
+    run = hybrid_decode(model, static_jump_policy(3, 3), 7, 2, block_size=16)
     assert run.fidelity.aggregate < 1e-9
     assert run.reuse_gathered_rows[0][1] == 100  # truncated final block
     assert run.reuse_gathered_rows[1][1] == 101
@@ -311,7 +320,7 @@ def test_block_budget_covering_whole_cache_is_near_exact():
 
 def test_block_coverage_stays_in_range():
     model = generate_model(BLOCK_FIXTURE)
-    run = hybrid_decode_blocks(model, static_jump_policy(5, 2), 2, 128, 2)
+    run = hybrid_decode(model, static_jump_policy(5, 2), 2, 2, block_size=128)
     for t in range(2):
         n_t = BLOCK_FIXTURE.context_len + t
         for l in (1, 3):
@@ -323,9 +332,9 @@ def test_block_argument_validation():
     model = generate_model(BLOCK_FIXTURE)
     policy = static_jump_policy(5, 2)
     with pytest.raises(InvalidInputError):
-        hybrid_decode_blocks(model, policy, 0, 128, 1)
+        hybrid_decode(model, policy, 0, 1, block_size=128)
     with pytest.raises(InvalidInputError):
-        hybrid_decode_blocks(model, policy, 2, 0, 1)
+        hybrid_decode(model, policy, 2, 1, block_size=0)
 
 
 # --- cost model ---
@@ -416,7 +425,7 @@ def test_fidelity_report_shape_and_block_guards(fixture_model):
         fidelity_report(trace, short)
 
     model = generate_model(BLOCK_FIXTURE)
-    blk_run = hybrid_decode_blocks(model, static_jump_policy(5, 2), 2, 128, 2)
+    blk_run = hybrid_decode(model, static_jump_policy(5, 2), 2, 2, block_size=128)
     token_trace = run_full_trace(model, 2, 256, 1)
     with pytest.raises(InvalidInputError):
         fidelity_report(token_trace, blk_run)
@@ -439,7 +448,7 @@ def _augmented_case(model, policy, steps):
 
 
 def _block_case(model, policy, steps):
-    run = hybrid_decode_blocks(model, policy, 3, 8, steps)
+    run = hybrid_decode(model, policy, 3, steps, block_size=8)
     return run, run_full_trace(model, steps, min(3 * 8, model.config.context_len), 8)
 
 
@@ -467,7 +476,7 @@ _DECODES = {
     "token-sinks-recent": lambda model, policy, steps: hybrid_decode(
         model, policy, 12, steps, include_sinks=3, include_recent=5
     ),
-    "block": lambda model, policy, steps: hybrid_decode_blocks(model, policy, 3, 8, steps),
+    "block": lambda model, policy, steps: hybrid_decode(model, policy, 3, steps, block_size=8),
 }
 _DEFERRED = SynthModelConfig(layers=6, head_dim=16, context_len=80, seed=4,
                              inter_layer_correlation=0.8, heads=2)
@@ -560,7 +569,7 @@ def test_block_coverage_is_built_once_per_full_layer(monkeypatch):
         return real(self, n)
 
     monkeypatch.setattr(BlockSet, "token_coverage", counting)
-    run = hybrid_decode_blocks(model, policy, 3, 8, steps)
+    run = hybrid_decode(model, policy, 3, steps, block_size=8)
     assert policy.full_count < policy.num_layers - policy.full_count
     assert len(calls) == policy.full_count * steps
     assert sorted(set(calls)) == [_DEFERRED.context_len + t for t in range(steps)]
@@ -598,7 +607,7 @@ def test_cost_model_prices_the_rows_reuse_cells_gather():
     reuse = [l for l, a in enumerate(policy.actions) if a is Action.REUSE]
     token = hybrid_decode(model, policy, 8, steps)
     anchored = hybrid_decode(model, policy, 8, steps, include_sinks=2, include_recent=3)
-    blocks = hybrid_decode_blocks(model, policy, 3, 8, steps)
+    blocks = hybrid_decode(model, policy, 3, steps, block_size=8)
     for t in range(steps):
         n_t = _BITS.context_len + t
         covered = cost_model(policy, n_t, 8).tokens_covered

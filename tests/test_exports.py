@@ -17,7 +17,7 @@ def test_package_exports_resolve_without_duplicates():
 def test_package_exports_are_the_submodules_exports():
     union = set().union(*(importlib.import_module(f"layerreuse.{m}").__all__ for m in _SUBMODULES))
     assert set(layerreuse.__all__) == union | _ERRORS | {"__version__"}
-    assert len(layerreuse.__all__) == 48
+    assert len(layerreuse.__all__) == 47
 
 
 def test_submodule_exports_resolve():

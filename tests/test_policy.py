@@ -202,9 +202,10 @@ def test_validator_flags_first_layer_reuse():
 
 def test_validator_flags_threshold_violation():
     m = _matrix([[1.0, 0], [0.2, 1.0]])
+    # A policy with a theta records its credit: 1 for layer 0 plus M[1][0].
     policy = LayerPolicy(
         actions=(Action.FULL, Action.REUSE), theta=0.5,
-        cum_similarity=None, matrix_hash=None,
+        cum_similarity=1.2, matrix_hash=None,
     )
     assert validate_policy(policy, m, 0.5) == [(1, "threshold")]
 
@@ -257,3 +258,11 @@ def test_layer_policy_shape_validation():
         LayerPolicy(actions=(Action.FULL, "reuse"), theta=None, cum_similarity=None, matrix_hash=None)
     with pytest.raises(InvalidInputError, match="theta"):
         LayerPolicy(actions=(Action.FULL,), theta=1.5, cum_similarity=None, matrix_hash=None)
+
+
+def test_a_theta_comes_with_a_credit():
+    # A planned policy records the credit its plan earned; the planners always set both.
+    with pytest.raises(InvalidInputError, match="cumSimilarity is null"):
+        LayerPolicy(actions=(Action.FULL, Action.REUSE), theta=0.5, cum_similarity=None, matrix_hash=None)
+    planned = LayerPolicy(actions=(Action.FULL, Action.REUSE), theta=0.5, cum_similarity=1.5, matrix_hash=None)
+    assert (planned.theta, planned.cum_similarity) == (0.5, 1.5)

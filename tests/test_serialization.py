@@ -12,6 +12,7 @@ from layerreuse import (
     Action,
     BlockSet,
     InvalidInputError,
+    InvalidSelectionError,
     LayerPolicy,
     SensitivityReport,
     SynthModelConfig,
@@ -462,4 +463,38 @@ def test_trace_with_selections_of_different_sizes_is_not_written(tmp_path, trace
     ragged = dataclasses.replace(trace, topk=(trace.topk[0], step) + trace.topk[2:])
     with pytest.raises(InvalidInputError, match="one size per kind"):
         write_trace(ragged, str(tmp_path / "trace.json"))
+    assert os.listdir(tmp_path) == []
+
+
+def _index_past_the_cache(trace):
+    last = trace.topk[0][0].indices[:-1] + (CFG.context_len,)
+    step = (TopKSet(indices=last, budget=trace.budget),) + trace.topk[0][1:]
+    return dataclasses.replace(trace, topk=(step,) + trace.topk[1:])
+
+
+# Traces and runs that dataclasses.replace builds and each reader refuses: (writer, corrupt(trace, run), error, message).
+_REFUSED_WRITES = {
+    "trace-negative-sensitivity": (write_trace, lambda trace, run: dataclasses.replace(
+        trace, sensitivity=np.full_like(trace.sensitivity, -1.0)), InvalidInputError, "infinite or negative rnmse"),
+    "trace-index-past-the-cache": (write_trace, lambda trace, run: _index_past_the_cache(trace),
+                                   InvalidSelectionError, "beyond its 40 cached tokens"),
+    "trace-outputs-a-step-short": (write_trace, lambda trace, run: dataclasses.replace(
+        trace, outputs=trace.outputs[:-1]), InvalidInputError, "tensor outputs has shape"),
+    "trace-without-steps": (write_trace, lambda trace, run: dataclasses.replace(
+        trace, topk=(), blocks=()), InvalidInputError, "no decode steps"),
+    "run-score-counts-a-step-short": (write_run_result, lambda trace, run: dataclasses.replace(
+        run, full_score_computations=run.full_score_computations[:-1]), InvalidInputError,
+        "fullScoreComputationsPerStep must hold steps = 3"),
+    "run-gathered-rows-a-step-short": (write_run_result, lambda trace, run: dataclasses.replace(
+        run, reuse_gathered_rows=run.reuse_gathered_rows[:-1]), InvalidInputError,
+        "reuseGatheredRows must hold steps = 3"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED_WRITES))
+def test_trace_and_run_writers_refuse_what_their_readers_refuse(tmp_path, trace, case):
+    writer, corrupt, error, message = _REFUSED_WRITES[case]
+    run = hybrid_decode(generate_model(CFG), static_jump_policy(CFG.layers, 2), 8, 3)
+    with pytest.raises(error, match=message):
+        writer(corrupt(trace, run), str(tmp_path / "artifact.json"))
     assert os.listdir(tmp_path) == []
