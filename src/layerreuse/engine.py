@@ -46,7 +46,7 @@ from .attention import (
 )
 from .errors import ConfigurationError, InvalidInputError
 from .policy import Action, LayerPolicy
-from .profiling import _row_errors
+from .profiling import _cell_errors
 from .synthetic import DecodeTrace, SyntheticModel
 
 __all__ = [
@@ -137,8 +137,7 @@ class DecodeRunResult:
 
 def _fidelity_tables(baseline_outputs: np.ndarray, hybrid_outputs: np.ndarray) -> FidelityTable:
     """Each (step, layer) cell's relative L2 error over its heads' outputs, all cells at once."""
-    cells = hybrid_outputs.shape[:2] + (-1,)
-    table = _row_errors(hybrid_outputs.reshape(cells), baseline_outputs.reshape(cells))
+    table = _cell_errors(hybrid_outputs, baseline_outputs)
     table.setflags(write=False)
     per_layer = table.mean(axis=0)
     per_layer.setflags(write=False)

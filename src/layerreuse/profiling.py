@@ -2,9 +2,9 @@
 
 The profiler answers two questions about a model. First, how much do top-k
 selections agree between layer pairs (the similarity matrix that planning
-consumes). Second, how much does swapping full attention for top-k sparse
-attention at one layer perturb that layer's contribution to the next: the
-relative error of the propagated output at every step and layer of a
+consumes). Second, how sensitive each layer is to sparse attention: the
+rnmse of subset attention over the layer's own top-k against its full output,
+the error a decode run's fidelity reports, at every step and layer of a
 full-attention trace, summarized per layer by its mean and max.
 """
 
@@ -153,6 +153,16 @@ def _row_errors(x: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return np.where(vanished, np.where(err == 0.0, 0.0, math.nan), ratio)
 
 
+def _cell_errors(x: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Each cell's rnmse over all its heads: [..., heads, head_dim] outputs to [...] errors.
+
+    The one error metric of the package: a decode run's fidelity and the
+    sensitivity tables both call it.
+    """
+    cells = x.shape[:-2] + (-1,)
+    return _row_errors(x.reshape(cells), reference.reshape(cells))
+
+
 @dataclass(frozen=True)
 class SensitivityReport:
     """Each layer's rnmse of swapping in top-k sparse attention, over `steps` decode steps.
@@ -191,25 +201,15 @@ class SensitivityReport:
         return cls(budget=budget, steps=table.shape[0], rnmse=np.minimum(table.mean(axis=0), peak), max_rnmse=peak)
 
 
-def _propagated_rnmse(model: SyntheticModel, full: np.ndarray, sparse: np.ndarray, step: int) -> np.ndarray:
-    """Per-layer rnmse [layers] of a step's sparse outputs against its full ones, both [layers, heads, head_dim].
-
-    Both sets go one layer forward in one SyntheticModel.propagate call, so
-    the pair shares one draw of probe noise.
-    """
-    full_next, sparse_next = model.propagate(np.stack((full, sparse)), step)
-    layers = full.shape[0]
-    return _row_errors(sparse_next.reshape(layers, -1), full_next.reshape(layers, -1))
-
-
 def sensitivity_profile(model: SyntheticModel, step: int, budget: int) -> SensitivityReport:
     """Probe every layer at one decode step: swap in top-k sparse attention and measure the damage.
 
     Each layer runs full attention over the step's cache and sparse attention
-    over the top-k of its summed per-head logits (_propagated_rnmse compares
-    them). A budget of at least the current cache length saturates the
-    selection and the rnmse drops to zero. This is the one-step reference
-    for sensitivity_table.
+    over the top-k of its summed per-head logits; its rnmse is the sparse
+    output's error against the full one over all heads (_cell_errors). A
+    budget of at least the current cache length saturates the selection and
+    the rnmse drops to zero. This is the one-step reference for
+    sensitivity_table.
 
     Args:
         model: synthetic decoder.
@@ -227,7 +227,7 @@ def sensitivity_profile(model: SyntheticModel, step: int, budget: int) -> Sensit
         outs[0, l], logits = full_attention(queries[l], cache)
         idx = np.asarray(topk_of_logits(_head_sum(logits), budget))
         outs[1, l] = _subset_attention(queries[l], cache, idx)[0]
-    return SensitivityReport.of_table(np.array([_propagated_rnmse(model, outs[0], outs[1], step)]), budget)
+    return SensitivityReport.of_table(_cell_errors(outs[1:], outs[:1]), budget)
 
 
 def sensitivity_table(model: SyntheticModel, trace: DecodeTrace) -> np.ndarray:
@@ -249,6 +249,6 @@ def sensitivity_table(model: SyntheticModel, trace: DecodeTrace) -> np.ndarray:
         cache = model.cache_at(l, trace.steps - 1)
         for t in range(trace.steps):
             sparse[t, l] = _subset_attention(trace.queries[t, l], cache, trace.topk[t][l].as_array())[0]
-    table = np.array([_propagated_rnmse(model, trace.outputs[t], sparse[t], t) for t in range(trace.steps)])
+    table = _cell_errors(sparse, trace.outputs)
     table.setflags(write=False)
     return table

@@ -11,13 +11,12 @@ Every random draw comes from its own SeedSequence keyed by (seed, stream,
 layer, head, step), so any tensor can be regenerated in isolation and two
 runs with the same config are bit-identical on the same platform. The draws
 equal those of SeedSequence(seed mod 2**64, spawn_key=key) (see _rng).
-Growth, query-mix and propagation-probe rows are drawn as one batch per
-stream: _normal_rows computes the SeedSequence pool and PCG64 seed of every
-row's key at once in integer numpy, then sets one reused PCG64 to each row's
-seed and draws that row, the same bits a generator built for the key would
-give. Each whole block is then blended and renormalized at once; the norm
-reduces along the contiguous last axis, so the result matches row-by-row
-blending bit for bit.
+Growth and query-mix rows are drawn as one batch per stream: _normal_rows
+computes the SeedSequence pool and PCG64 seed of every row's key at once in
+integer numpy, then sets one reused PCG64 to each row's seed and draws that
+row, the same bits a generator built for the key would give. Each whole
+block is then blended and renormalized at once; the norm reduces along the
+contiguous last axis, so the result matches row-by-row blending bit for bit.
 
 A model keeps its keys and values, base rows and decode-growth rows alike,
 in one growable buffer per tensor, and blends growth rows straight into it
@@ -80,7 +79,6 @@ _S_QUERY_WALK = 3
 _S_QUERY_MIX = 4
 _S_EXT_KEYS = 5
 _S_EXT_VALUES = 6
-_S_PROBE = 7
 
 _WALK_SCALE = 0.5
 # Growth rows the buffers hold beyond the base cache before the first reallocation.
@@ -436,32 +434,6 @@ class SyntheticModel:
         n = self.config.context_len + step
         return LayerKvCache(keys=keys[layer, :, :n], values=values[layer, :, :n])
 
-    def propagate(self, outputs: np.ndarray, step: int) -> np.ndarray:
-        """Push every layer's output [..., layers, heads, head_dim] toward the next layer's input.
-
-        Leading axes stack several output sets that share one draw of noise.
-        Layer l's output is blended with seeded probe noise keyed (l + 1, head,
-        step), the map that builds each layer's tensors from the layer below,
-        so a full/sparse output pair can be compared after one layer of
-        propagation. rho = 1 copies exactly, matching the cache construction,
-        and draws no noise.
-
-        Raises:
-            InvalidInputError: if step is not an integer >= 0, or the last
-                three axes of outputs are not (layers, heads, head_dim).
-            NumericInputError: if rho < 1 and an output row is not finite.
-        """
-        cfg = self.config
-        step = check_count("step", step, 0)
-        outputs = np.asarray(outputs, dtype=np.float64)
-        L, H, d = cfg.layers, cfg.heads, cfg.head_dim
-        if outputs.shape[-3:] != (L, H, d):
-            raise InvalidInputError(f"outputs must end in axes {(L, H, d)}, got shape {outputs.shape}")
-        if cfg.inter_layer_correlation == 1.0:
-            return outputs.copy()
-        fresh = _fresh_rows(cfg.seed, _S_PROBE, range(1, L + 1), step, step + 1, H, d)
-        return _blend(outputs, fresh[:, 0], cfg.inter_layer_correlation, math.sqrt(d))
-
 
 def generate_model(config: SynthModelConfig) -> SyntheticModel:
     """Materialize the synthetic decoder for a config. Deterministic in the config."""
@@ -476,8 +448,10 @@ class DecodeTrace:
     token-level selection of size budget, blocks[t][l] the block-level
     selection of width block_size. Multi-head steps aggregate by summing
     per-head logits before selecting, so there is one set per layer.
-    sensitivity is the trace's [steps, layers] profiling.sensitivity_table:
-    gen-traces attaches it, and write_trace writes no trace without it.
+    sensitivity is the trace's [steps, layers] profiling.sensitivity_table,
+    each cell's rnmse of sparse attention over its own top-k against its
+    full output: gen-traces attaches it, and write_trace writes no trace
+    without it.
     """
 
     config: SynthModelConfig

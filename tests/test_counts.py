@@ -51,7 +51,6 @@ _CALLS = {
     ),
     "SyntheticModel.queries": (lambda m, steps: m.queries(steps), dict(steps=2)),
     "SyntheticModel.grown_arrays": (lambda m, steps: m.grown_arrays(steps), dict(steps=2)),
-    "SyntheticModel.propagate": (lambda m, step: m.propagate(np.ones((3, 2, 4)), step), dict(step=1)),
     "SimilarityMatrix.overlap": (lambda m, source, target: _MATRIX.overlap(source, target), dict(source=0, target=1)),
 }
 _CASES = [(name, count) for name, (_, counts) in _CALLS.items() for count in counts]

@@ -25,6 +25,8 @@ from layerreuse import (
     generate_model,
     hybrid_decode,
     run_full_trace,
+    sensitivity_profile,
+    sensitivity_table,
     static_jump_policy,
 )
 from reference import ref_hybrid_replay, ref_rnmse
@@ -598,6 +600,36 @@ def test_decode_golden_bits(mode):
     for part in (run.selections, run.full_score_computations, run.reuse_gathered_rows):
         digest.update(repr(part).encode())
     assert digest.hexdigest() == _BITS_DIGESTS[mode]
+
+
+# --- the model interface: config, queries, grown_arrays and cache_at ---
+
+
+class _StandIn:
+    """A model that forwards only the members the pipeline may read to a real one."""
+
+    __slots__ = ("config", "queries", "grown_arrays", "cache_at")
+
+    def __init__(self, model):
+        for name in self.__slots__:
+            setattr(self, name, getattr(model, name))
+
+
+def _pipeline(model):
+    """Bytes and selections of every pipeline call on a model: trace, sensitivity and each decode mode."""
+    trace = run_full_trace(model, 4, 7, 8)
+    report = sensitivity_profile(model, 2, 7)
+    parts = [trace.queries.tobytes(), trace.outputs.tobytes(), trace.topk, trace.blocks,
+             sensitivity_table(model, trace).tobytes(), report.rnmse.tobytes(), report.max_rnmse.tobytes()]
+    for decode in _DECODES.values():
+        run = decode(model, static_jump_policy(_BITS.layers, 3), 4)
+        parts += [run.outputs.tobytes(), run.selections, run.full_score_computations,
+                  run.reuse_gathered_rows, run.fidelity.per_step_layer.tobytes()]
+    return parts
+
+
+def test_the_pipeline_reads_a_model_through_four_members_only():
+    assert _pipeline(_StandIn(generate_model(_BITS))) == _pipeline(generate_model(_BITS))
 
 
 def test_cost_model_prices_the_rows_reuse_cells_gather():

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from layerreuse import (
+    Action,
     BlockSet,
     DecodeTrace,
     InvalidInputError,
@@ -17,15 +18,16 @@ from layerreuse import (
     build_similarity_matrix,
     full_attention,
     generate_model,
+    hybrid_decode,
     run_full_trace,
     sensitivity_profile,
     sensitivity_table,
+    static_jump_policy,
     topk_of_logits,
 )
-from layerreuse.attention import _head_sum, _subset_attention
+from layerreuse.attention import _subset_attention
 from layerreuse.formats import write_trace
 from layerreuse.profiling import _row_errors
-from layerreuse.synthetic import _S_PROBE, _renorm, _rng
 from reference import ref_matrix_from_trace
 
 GOLDEN_CFG = SynthModelConfig(
@@ -244,40 +246,32 @@ def test_sensitivity_saturated_budget_is_exactly_zero():
 
 
 def test_sensitivity_golden_regression():
-    # Frozen from the first run of this implementation.
+    # Frozen from the first run of the own-output rnmse (sparse against full attention over all heads).
     report = sensitivity_profile(generate_model(GOLDEN_CFG), 0, 32)
     expected_rnmse = [
-        0.5983271607139542, 0.43004075035619765, 0.42383188573115599,
-        0.44623020522259194, 0.53354127095828241, 0.43835067386838417,
-        0.53885307732791399, 0.47976001384199646,
+        1.3076860450984122, 1.2200108385900899, 1.2496193097723483,
+        1.2962103224974273, 1.2180023387637797, 1.1542499526780887,
+        1.0355112858492583, 0.996716128765424,
     ]
     assert report.rnmse.tolist() == pytest.approx(expected_rnmse, rel=1e-12)
 
 
 def _per_head_probe(model, step, budget):
-    """sensitivity_profile as a reference: probe noise drawn and blended per (layer, head)."""
+    """sensitivity_profile as a reference: each head attends on its own, and a layer's heads are concatenated."""
     cfg = model.config
-    H, d, rho = cfg.heads, cfg.head_dim, cfg.inter_layer_correlation
     keys, values = model.grown_arrays(step + 1)
     queries = model.queries(step + 1)[step]
     n = cfg.context_len + step
-    k = min(budget, n)
-
-    def propagate(x, layer, head):
-        if rho == 1.0:
-            return x.copy()
-        fresh = _rng(cfg.seed, _S_PROBE, layer + 1, head, step).standard_normal(d)
-        return _renorm(rho * x + (1.0 - rho) * fresh, math.sqrt(d))
-
     rnmse = []
     for l in range(cfg.layers):
-        cache = LayerKvCache(keys=keys[l, :, :n], values=values[l, :, :n])
-        full, logits = full_attention(queries[l], cache)
-        idx = np.asarray(topk_of_logits(_head_sum(logits), k))
-        sparse, _ = _subset_attention(queries[l], cache, idx)
-        full_next = np.concatenate([propagate(full[h], l, h) for h in range(H)])
-        sparse_next = np.concatenate([propagate(sparse[h], l, h) for h in range(H)])
-        rnmse.append(_norm_quotient(sparse_next, full_next))
+        caches = [LayerKvCache(keys=keys[l, h, :n], values=values[l, h, :n]) for h in range(cfg.heads)]
+        full = [full_attention(queries[l, h], cache) for h, cache in enumerate(caches)]
+        summed = np.zeros(n)
+        for _, logits in full:
+            summed += logits
+        idx = np.asarray(topk_of_logits(summed, min(budget, n)))
+        sparse = [_subset_attention(queries[l, h], cache, idx)[0] for h, cache in enumerate(caches)]
+        rnmse.append(_norm_quotient(np.concatenate(sparse), np.concatenate([out for out, _ in full])))
     return rnmse
 
 
@@ -306,6 +300,19 @@ def test_sensitivity_table_rows_equal_the_probes_at_an_odd_shape(rho):
     cfg = SynthModelConfig(layers=6, head_dim=16, context_len=37, seed=5,
                            inter_layer_correlation=rho, heads=3)
     _assert_table_rows_equal_the_probes(cfg, 5, 7)
+
+
+@pytest.mark.parametrize("stride", [2, 3])
+@pytest.mark.parametrize("heads", [1, 3])
+def test_reuse_layer_fidelity_equals_the_sensitivity_table_at_rho_one(heads, stride):
+    # At rho = 1 every layer copies the one below, so a Reuse layer's inherited rows are its own top-k.
+    cfg = SynthModelConfig(layers=7, head_dim=8, context_len=40, seed=3, inter_layer_correlation=1.0, heads=heads)
+    model = generate_model(cfg)
+    run = hybrid_decode(model, static_jump_policy(cfg.layers, stride), 6, 5)
+    table = sensitivity_table(model, run_full_trace(model, 5, 6))
+    reuse = [l for l, a in enumerate(run.policy.actions) if a is Action.REUSE]
+    assert np.all(table[:, reuse] > 0.0)
+    assert run.fidelity.per_step_layer[:, reuse].tobytes() == table[:, reuse].tobytes()
 
 
 def test_sensitivity_table_rejects_a_trace_of_another_model():

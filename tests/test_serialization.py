@@ -435,27 +435,52 @@ def test_failed_trace_rewrite_keeps_the_earlier_trace_whole(tmp_path, monkeypatc
         assert np.array_equal(back.outputs, trace.outputs) and back.topk == trace.topk, name
 
 
-# Values each reader refuses, which the writer must refuse before it writes a file.
+# A valid artifact of each reader's kind, as its writer writes it.
+_VALID = {
+    read_sensitivity_report: (write_sensitivity_report, SensitivityReport(
+        budget=4, steps=2, rnmse=np.array([0.5]), max_rnmse=np.array([0.75]))),
+    read_policy: (write_policy, LayerPolicy(
+        actions=(Action.FULL, Action.REUSE), theta=0.5, cum_similarity=1.5, matrix_hash=None)),
+}
+
+# Values each reader refuses, which the constructor refuses as well, so no
+# writer is ever handed them: (reader, the values edited into a valid file,
+# the object built from them, a message both raise).
 _UNREADABLE = {
-    "sensitivity-counts": (write_sensitivity_report, lambda: SensitivityReport(
-        budget=True, steps=2.5, rnmse=np.array([0.5]), max_rnmse=np.array([0.75]))),
-    "sensitivity-rnmse-above-max": (write_sensitivity_report, lambda: SensitivityReport(
-        budget=4, steps=2, rnmse=np.array([0.5]), max_rnmse=np.array([0.2]))),
-    "policy-types": (write_policy, lambda: LayerPolicy(
-        actions=(Action.FULL,), theta=None, cum_similarity=True, matrix_hash=5)),
-    "policy-credit-below-full-count": (write_policy, lambda: LayerPolicy(
-        actions=(Action.FULL,), theta=None, cum_similarity=-3.0, matrix_hash=None)),
-    "planned-policy-without-credit": (write_policy, lambda: LayerPolicy(
-        actions=(Action.FULL, Action.REUSE), theta=0.5, cum_similarity=None, matrix_hash=None)),
+    "sensitivity-counts": (
+        read_sensitivity_report, {"budget": True, "steps": 2.5},
+        lambda: SensitivityReport(budget=True, steps=2.5, rnmse=np.array([0.5]), max_rnmse=np.array([0.75])),
+        "budget must be an integer"),
+    "sensitivity-rnmse-above-max": (
+        read_sensitivity_report, {"layers": [{"rnmse": 0.5, "maxRnmse": 0.2}]},
+        lambda: SensitivityReport(budget=4, steps=2, rnmse=np.array([0.5]), max_rnmse=np.array([0.2])),
+        "rnmse 0.5 and maxRnmse 0.2"),
+    "policy-types": (
+        read_policy, {"cumSimilarity": True, "matrixHash": 5},
+        lambda: LayerPolicy(actions=(Action.FULL,), theta=None, cum_similarity=True, matrix_hash=5),
+        "cum_?[Ss]imilarity must be"),
+    "policy-credit-below-full-count": (
+        read_policy, {"cumSimilarity": -3.0},
+        lambda: LayerPolicy(actions=(Action.FULL,), theta=None, cum_similarity=-3.0, matrix_hash=None),
+        "cumSimilarity -3.0 lies outside"),
+    "planned-policy-without-credit": (
+        read_policy, {"cumSimilarity": None},
+        lambda: LayerPolicy(actions=(Action.FULL, Action.REUSE), theta=0.5, cum_similarity=None, matrix_hash=None),
+        "cumSimilarity is null, but a planned policy records it"),
 }
 
 
 @pytest.mark.parametrize("case", list(_UNREADABLE))
-def test_no_writer_emits_what_its_reader_refuses(tmp_path, case):
-    writer, make = _UNREADABLE[case]
-    with pytest.raises(InvalidInputError):
-        writer(make(), str(tmp_path / "artifact.json"))
-    assert os.listdir(tmp_path) == []
+def test_constructors_refuse_what_readers_refuse(tmp_path, case):
+    reader, edits, make, message = _UNREADABLE[case]
+    writer, valid = _VALID[reader]
+    path = tmp_path / "artifact.json"
+    writer(valid, str(path))
+    path.write_text(json.dumps({**json.loads(path.read_text()), **edits}))
+    with pytest.raises(InvalidInputError, match=message):
+        reader(str(path))
+    with pytest.raises(InvalidInputError, match=message):
+        make()
 
 
 def test_trace_with_selections_of_different_sizes_is_not_written(tmp_path, trace):

@@ -458,29 +458,6 @@ def test_non_finite_base_rows_are_rejected_at_construction(monkeypatch, stream, 
     assert threading.active_count() == threads
 
 
-def test_propagate_rejects_a_non_finite_output_row():
-    model = generate_model(_BUFFER)
-    outputs = np.ones((_BUFFER.layers, _BUFFER.heads, _BUFFER.head_dim))
-    outputs[1, 1, 2] = np.inf
-    with pytest.raises(NumericInputError):
-        model.propagate(outputs, 0)
-
-
-@pytest.mark.parametrize("rho", [0.5, 1.0])
-def test_propagate_refuses_outputs_of_the_wrong_shape(rho):
-    model = generate_model(SynthModelConfig(layers=3, heads=2, head_dim=4, context_len=8, seed=9,
-                                            inter_layer_correlation=rho))
-    for shape in ((2, 4), (3, 2, 1), (4, 2, 4)):
-        with pytest.raises(InvalidInputError, match=re.escape(str(shape))):
-            model.propagate(np.ones(shape), 0)
-    # A valid stack of two output sets keeps its bits: each set propagates as it would alone.
-    outputs = np.random.default_rng(9).standard_normal((2, 3, 2, 4))
-    stacked = model.propagate(outputs, 1)
-    for one, alone in zip(stacked, outputs):
-        assert np.array_equal(one, model.propagate(alone, 1))
-    assert np.array_equal(stacked, outputs) == (rho == 1.0)
-
-
 def test_a_buffer_that_does_not_fit_in_memory_is_invalid_input(monkeypatch, tmp_path):
     model = generate_model(_BUFFER)
 
