@@ -287,7 +287,8 @@ class BlockSet:
         """The set of blocks already in canonical form, built without a check.
 
         Only these callers may use it: topk_blocks, on a row of
-        topk_of_logits, and read_trace, on rows its numpy pass checked.
+        topk_of_logits, hybrid_decode, on that row's union with sink and
+        recent blocks, and read_trace, on rows its numpy pass checked.
         blocks must be a tuple of Python ints; block_size is an int >= 1.
         """
         sel = object.__new__(cls)
@@ -481,8 +482,8 @@ def block_max_of_logits(logits: np.ndarray, block_size: int) -> np.ndarray:
     if block_size == 1:
         # The max of one element is that element, NaN, -0.0 and infinities included.
         return logits.copy()
-    starts = np.arange(0, logits.shape[-1], block_size)
-    return np.maximum.reduceat(logits, starts, axis=-1)
+    # A block at least as wide as the row is one block, whatever its width's integer type.
+    return np.maximum.reduceat(logits, np.arange(0, logits.shape[-1], min(block_size, logits.shape[-1])), axis=-1)
 
 
 def topk_blocks(block_scores: np.ndarray, block_budget: int, block_size: int):

@@ -175,15 +175,10 @@ def _cmd_plan(args) -> int:
 def _cmd_decode(args) -> int:
     config = _effective_model_config(args)
     policy = read_policy(args.policy)
-    block_mode = args.block_size != 1
     if args.budget is None:
         raise InvalidInputError("decode requires --budget")
-    if block_mode and (args.include_sinks or args.include_recent):
-        raise InvalidInputError(
-            "--include-sinks and --include-recent are token-mode flags; block mode refuses them"
-        )
     model = generate_model(config)
-    if not block_mode and args.budget > config.context_len:
+    if args.block_size == 1 and args.budget > config.context_len:
         print(
             f"warning: budget {args.budget} exceeds context length "
             f"{config.context_len}; clamping per step",
@@ -362,8 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=4, help="decode steps (default 4)")
     p.add_argument("--block-size", type=int, default=1,
                    help="selection width in tokens; above 1, Full layers select blocks of it (default 1)")
-    p.add_argument("--include-sinks", type=int, default=0, help="force the first n tokens into reused selections")
-    p.add_argument("--include-recent", type=int, default=0, help="force the last n tokens into reused selections")
+    p.add_argument("--include-sinks", type=int, default=0,
+                   help="force the first n tokens, or the blocks holding them, into reused selections")
+    p.add_argument("--include-recent", type=int, default=0,
+                   help="force the last n tokens, or the blocks holding them, into reused selections")
     p.add_argument("--out", help="run result path (default <out-dir>/run.json)")
     p.set_defaults(handler=_cmd_decode)
 

@@ -8,7 +8,8 @@ cells only and counts those calls per step; no Reuse cell has a full-cache
 call to count. One decoder, hybrid_decode, selects tokens at block_size 1
 and blocks above it: the two modes differ only in the select rule that turns
 a Full layer's summed logits into a selection, and share one loop, _decode,
-which runs steps outermost.
+which runs steps outermost. Sink and recent rows merge into the selection
+Reuse layers inherit through one mask over the rule's units, in both modes.
 
 A Full cell reaches its step's all-heads cache through the model's cache_at,
 a view of the model's grown arrays. Only Reuse layers hold the last step's
@@ -245,10 +246,11 @@ def hybrid_decode(
     match it bit for bit), when the result's fidelity is first read.
 
     include_sinks / include_recent optionally force the first and last so
-    many tokens into reused token selections; block mode refuses them. Both
-    default to off, which keeps the gathered row count at exactly
-    min(budget, N). Each Full layer's selection is augmented once, and the
-    Reuse layers after it share the result.
+    many tokens into reused selections: one mask over the step's
+    ceil(N / block_size) units merges the top units with the units that hold
+    those tokens. Both default to off. Each Full layer's selection is merged
+    once, and the Reuse layers after it record the merged TopKSet or
+    BlockSet and gather exactly its rows.
     """
     # Every LayerPolicy is a valid chain by construction, so its layer count is the one policy check.
     if policy.num_layers != model.config.layers:
@@ -260,26 +262,25 @@ def hybrid_decode(
     block_size = check_count("block_size", block_size)
     include_sinks = check_count("include_sinks", include_sinks, 0)
     include_recent = check_count("include_recent", include_recent, 0)
-    if block_size > 1 and (include_sinks or include_recent):
-        raise InvalidInputError("include_sinks and include_recent select tokens; block mode refuses them")
 
-    # In token mode topk_of_logits returns a canonical row, and a mask over the n cached rows
-    # reads back their union with the sinks and recent rows in ascending
-    # order, so both sets are built without a second check.
+    # topk_of_logits returns a canonical row, and a mask over the step's units
+    # reads back its union with the sink and recent units in ascending order,
+    # so every set is built without a second check.
     def select(logits: np.ndarray, n: int) -> tuple[TopKSet | BlockSet, TopKSet | BlockSet, np.ndarray]:
-        if block_size > 1:
-            blocks = topk_blocks(block_max_of_logits(logits, block_size), budget, block_size)
-            return blocks, blocks, blocks.token_coverage(n)
-        sel = TopKSet._canonical(topk_of_logits(logits, budget), budget)
-        if not (include_sinks or include_recent):
-            return sel, sel, sel.as_array()
-        keep = np.zeros(n, dtype=bool)
-        keep[sel.as_array()] = True
-        keep[:include_sinks] = True
-        keep[max(n - include_recent, 0) :] = True
-        rows = np.flatnonzero(keep)
-        inherited = TopKSet._canonical(tuple(rows.tolist()), int(rows.shape[0]))
-        return sel, inherited, rows
+        if block_size == 1:
+            sel = TopKSet._canonical(topk_of_logits(logits, budget), budget)
+        else:
+            sel = topk_blocks(block_max_of_logits(logits, block_size), budget, block_size)
+        merged = sel
+        if include_sinks or include_recent:
+            keep = np.zeros(-(-n // block_size), dtype=bool)
+            keep[list(_selection_indices(sel))] = True
+            keep[: -(-include_sinks // block_size)] = True
+            keep[max(n - include_recent, 0) // block_size :] = True
+            units = tuple(np.flatnonzero(keep).tolist())
+            merged = (TopKSet._canonical(units, len(units)) if block_size == 1
+                      else BlockSet._canonical(units, block_size))
+        return sel, merged, merged.as_array() if block_size == 1 else merged.token_coverage(n)
 
     return _decode(model, policy, steps, budget, block_size, select)
 
@@ -326,9 +327,9 @@ def cost_model(
     heads into it.
 
     In plain token mode tokens_covered is exactly the row count a Reuse cell
-    gathers. Sink and recent rows can add to that count. In block mode a cell
-    gathers fewer rows when it selects the final block and the cache end
-    truncates it, so there tokens_covered is an upper bound.
+    gathers. Sink and recent rows can add to that count, in either mode. In
+    block mode a cell gathers fewer rows when it selects the final block and
+    the cache end truncates it, so there tokens_covered is an upper bound.
     """
     L = policy.num_layers
     full = policy.full_count

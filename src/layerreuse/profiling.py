@@ -5,7 +5,8 @@ selections agree between layer pairs (the similarity matrix that planning
 consumes). Second, how sensitive each layer is to sparse attention: the
 rnmse of subset attention over the layer's own top-k against its full output,
 the error a decode run's fidelity reports, at every step and layer of a
-full-attention trace, summarized per layer by its mean and max.
+full-attention trace, summarized per layer by its mean and max. Both read
+the selections and outputs the trace recorded, so profiling scores no cache.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._canon import V1_0, check_count, payload_hash
-from .attention import _head_sum, _subset_attention, full_attention, topk_of_logits
+from .attention import _subset_attention
 from .errors import InvalidInputError
-from .synthetic import DecodeTrace, SyntheticModel
+from .synthetic import DecodeTrace, SyntheticModel, run_full_trace
 
 __all__ = [
     "SimilarityMatrix",
@@ -202,41 +203,31 @@ class SensitivityReport:
 
 
 def sensitivity_profile(model: SyntheticModel, step: int, budget: int) -> SensitivityReport:
-    """Probe every layer at one decode step: swap in top-k sparse attention and measure the damage.
+    """Every layer's rnmse of swapping in top-k sparse attention at one decode step.
 
-    Each layer runs full attention over the step's cache and sparse attention
-    over the top-k of its summed per-head logits; its rnmse is the sparse
-    output's error against the full one over all heads (_cell_errors). A
-    budget of at least the current cache length saturates the selection and
-    the rnmse drops to zero. This is the one-step reference for
-    sensitivity_table.
+    This is row step of the sensitivity_table of a (step + 1)-step trace,
+    so the budget rule is the trace's: the top-min(budget, context_len)
+    tokens. At step 0 a budget of at least context_len saturates the
+    selection, and the rnmse drops to zero.
 
     Args:
         model: synthetic decoder.
         step: decode step to probe; the cache holds context_len + step tokens.
-        budget: top-k size, clamped to the cache length.
+        budget: top-k size, clamped to the context length.
     """
-    cfg = model.config
     step = check_count("step", step, 0)
     budget = check_count("budget", budget)
-    queries = model.queries(step + 1)[step]
-    # [0] holds each layer's full output, [1] its sparse output.
-    outs = np.empty((2,) + queries.shape)
-    for l in range(cfg.layers):
-        cache = model.cache_at(l, step)
-        outs[0, l], logits = full_attention(queries[l], cache)
-        idx = np.asarray(topk_of_logits(_head_sum(logits), budget))
-        outs[1, l] = _subset_attention(queries[l], cache, idx)[0]
-    return SensitivityReport.of_table(_cell_errors(outs[1:], outs[:1]), budget)
+    trace = run_full_trace(model, step + 1, min(budget, model.config.context_len))
+    return SensitivityReport.of_table(sensitivity_table(model, trace)[step:], budget)
 
 
 def sensitivity_table(model: SyntheticModel, trace: DecodeTrace) -> np.ndarray:
     """Read-only [steps, layers] rnmse of swapping in top-k sparse attention at every trace cell.
 
     The full outputs and the selections are the trace's own, so no cache is
-    scored, and row t equals sensitivity_profile(model, t, trace.budget).rnmse
-    bit for bit. The sparse outputs run layer by layer, each layer's steps
-    over one cache. gen-traces attaches the table to the trace it writes.
+    scored; sensitivity_profile(model, t, trace.budget) reports row t. The
+    sparse outputs run layer by layer, each layer's steps over one cache.
+    gen-traces attaches the table to the trace it writes.
 
     Raises:
         InvalidInputError: if the trace was not recorded on a model of this config.

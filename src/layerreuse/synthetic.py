@@ -338,6 +338,7 @@ class SyntheticModel:
         deeper layers blend the layer above with fresh per-layer noise, the
         same construction as the caches. Every row, renormalized to norm
         sqrt(head_dim), is then multiplied by logit_scale; at 1.0 that is exact.
+        A scale that carries an entry past the float range raises NumericInputError.
         """
         cfg = self.config
         steps = check_count("steps", steps)
@@ -355,6 +356,9 @@ class SyntheticModel:
         fresh = _fresh_rows(cfg.seed, _S_QUERY_MIX, range(1, L), 0, steps, H, d)
         for l in range(1, L):
             q[:, l] = _blend(q[:, l - 1], fresh[l - 1], rho, target)
+        # Rounding is monotone, so the largest entry's product is finite iff every product is.
+        if not math.isfinite(float(np.abs(q).max()) * cfg.logit_scale):
+            raise NumericInputError(f"logit_scale {cfg.logit_scale!r} carries a query entry past the float range")
         q *= cfg.logit_scale
         q.setflags(write=False)
         return q

@@ -583,6 +583,9 @@ def test_block_aggregate_examples():
     assert np.array_equal(block_max_of_logits(np.array([1.0, 9.0, 2.0, 3.0]), 2), [9.0, 3.0])
     # block wider than the vector: single block, global max
     assert np.array_equal(block_max_of_logits(np.array([1.0, 9.0, 2.0]), 8), [9.0])
+    # ... also past int64, row by row
+    rows = np.array([[1.0, 9.0, 2.0], [4.0, -1.0, 3.0]])
+    assert np.array_equal(block_max_of_logits(rows, 2**64), rows.max(axis=-1, keepdims=True))
     # width 1 is the identity
     v = np.array([3.0, -1.0, 2.0])
     assert np.array_equal(block_max_of_logits(v, 1), v)

@@ -244,6 +244,23 @@ def test_gen_traces_k_outside_the_context_exits_2(tmp_path, capsys, k):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_block_size_past_int64_exits_0(pipeline, tmp_path):
+    # A block at least as wide as the cache is one block, whatever the width's integer type.
+    width = "99999999999999999999"
+    assert main(["gen-traces", *MODEL_FLAGS, "--steps", "1", "--k", "2", "--block-size", width,
+                 "--out", str(tmp_path / "trace.json")]) == 0
+    assert main(["decode", *MODEL_FLAGS, "--policy", str(pipeline / "policy.json"), "--steps", "1",
+                 "--block-size", width, "--budget", "2", "--out", str(tmp_path / "r.json")]) == 0
+
+
+def test_logit_scale_past_the_float_range_exits_2(pipeline, tmp_path, capsys):
+    assert main(["decode", "--layers", "5", "--heads", "2", "--head-dim", "8", "--ctx", "24", "--seed", "3",
+                 "--rho", "0.8", "--logit-scale", "1e308", "--policy", str(pipeline / "policy.json"),
+                 "--budget", "2", "--out", str(tmp_path / "r.json")]) == 2
+    assert "logit_scale" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_token_mode_without_budget_exits_2(pipeline, tmp_path):
     assert main(["decode", *MODEL_FLAGS, "--policy",
                  str(pipeline / "policy.json"), "--steps", "1",
@@ -1125,13 +1142,19 @@ def test_removed_bench_flags_exit_2(pipeline, tmp_path, flag, value):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("flag,value", [("--include-sinks", "3"), ("--include-recent", "5")])
-def test_block_mode_rejects_token_mode_flags(pipeline, tmp_path, capsys, flag, value):
-    out = tmp_path / "r.json"
-    assert main(["decode", *MODEL_FLAGS, "--policy", str(pipeline / "policy.json"), "--steps", "1",
-                 "--block-size", "4", "--budget", "2", flag, value, "--out", str(out)]) == 2
-    assert flag in capsys.readouterr().err
-    assert not out.exists()
+def test_block_mode_merges_sink_and_recent_rows(pipeline, tmp_path):
+    policy = read_policy(str(pipeline / "policy.json"))
+    flags = ["decode", *MODEL_FLAGS, "--policy", str(pipeline / "policy.json"), "--steps", "2",
+             "--block-size", "4", "--budget", "2"]
+    assert main([*flags, "--include-sinks", "3", "--include-recent", "5", "--out", str(tmp_path / "r.json")]) == 0
+    assert main([*flags, "--out", str(tmp_path / "plain.json")]) == 0
+    config = SynthModelConfig(layers=5, context_len=24, head_dim=8, inter_layer_correlation=0.9, seed=17)
+    run = hybrid_decode(generate_model(config), policy, 2, 2, block_size=4, include_sinks=3, include_recent=5)
+    formats.write_run_result(run, str(tmp_path / "want.json"))
+    got, want = read_json(str(tmp_path / "r.json")), read_json(str(tmp_path / "want.json"))
+    for key in ("budget", "blockSize", "steps", "counters", "fidelity"):
+        assert got[key] == want[key], key
+    assert got["counters"] != read_json(str(tmp_path / "plain.json"))["counters"]
 
 
 def test_block_mode_budget_counts_blocks(pipeline, tmp_path):

@@ -287,13 +287,42 @@ def test_block_size_one_equals_token_mode(fixture_model):
             )
 
 
-def test_block_mode_refuses_sinks_and_recent_rows(fixture_model):
+def test_block_mode_merges_sink_and_recent_blocks(fixture_model):
+    # Tokens 0 .. 2 lie in block 0 and the last 5 tokens in the blocks that
+    # hold them; at step 1 the final block holds one token.
     policy = static_jump_policy(FIXTURE.layers, 3)
-    for extra in ({"include_sinks": 1}, {"include_recent": 1}):
-        with pytest.raises(InvalidInputError, match="block mode refuses them"):
-            hybrid_decode(fixture_model, policy, 3, 1, block_size=4, **extra)
-        # Token mode takes them; block_size 1 is token mode.
-        hybrid_decode(fixture_model, policy, 3, 1, block_size=1, **extra)
+    steps, width = 3, 4
+    plain = hybrid_decode(fixture_model, policy, 2, steps, block_size=width)
+    run = hybrid_decode(fixture_model, policy, 2, steps, block_size=width, include_sinks=3, include_recent=5)
+    queries = fixture_model.queries(steps)
+    for t in range(steps):
+        n = FIXTURE.context_len + t
+        extra = {0} | set(range((n - 5) // width, -(-n // width)))
+        for l, source in enumerate(policy.sources):
+            got = run.selections[t][l]
+            if l == source:
+                assert got == plain.selections[t][l]
+                assert run.outputs[t, l].tobytes() == plain.outputs[t, l].tobytes()
+                merged = BlockSet(block_indices=tuple(sorted(set(got.block_indices) | extra)), block_size=width)
+                assert merged.size > got.size
+            else:
+                assert_same_selection(got, merged)
+                rows = merged.token_coverage(n)
+                assert run.reuse_gathered_rows[t][l] == rows.shape[0]
+                want = attention._subset_attention(queries[t, l], fixture_model.cache_at(l, t), rows)[0]
+                assert run.outputs[t, l].tobytes() == want.tobytes()
+
+
+def test_block_size_past_int64_is_one_block(fixture_model):
+    # A block at least as wide as every cache is one block, whatever the width's integer type.
+    policy = static_jump_policy(FIXTURE.layers, 3)
+    wide = hybrid_decode(fixture_model, policy, 2, 2, block_size=2**64)
+    widest_int64 = hybrid_decode(fixture_model, policy, 2, 2, block_size=2**63 - 1)
+    assert wide.outputs.tobytes() == widest_int64.outputs.tobytes()
+    assert wide.reuse_gathered_rows == widest_int64.reuse_gathered_rows
+    assert all(sel == BlockSet(block_indices=(0,), block_size=2**64) for step in wide.selections for sel in step)
+    trace = run_full_trace(fixture_model, 1, 2, 2**64)
+    assert trace.blocks[0][0] == BlockSet(block_indices=(0,), block_size=2**64)
 
 
 def test_block_mode_golden_and_gathered_rows():

@@ -315,6 +315,17 @@ def test_reuse_layer_fidelity_equals_the_sensitivity_table_at_rho_one(heads, str
     assert run.fidelity.per_step_layer[:, reuse].tobytes() == table[:, reuse].tobytes()
 
 
+def test_sensitivity_profile_takes_the_trace_budget_rule():
+    # A budget past the context length selects context_len tokens, as a trace does, at every step.
+    cfg = SynthModelConfig(layers=4, head_dim=8, context_len=16, seed=5, inter_layer_correlation=0.7, heads=2)
+    report = sensitivity_profile(generate_model(cfg), 2, cfg.context_len + 1)
+    model = generate_model(cfg)
+    table = sensitivity_table(model, run_full_trace(model, 3, cfg.context_len))
+    assert (report.budget, report.steps) == (cfg.context_len + 1, 1)
+    assert report.rnmse.tolist() == report.max_rnmse.tolist() == table[2].tolist()
+    assert np.all(table[2] > 0.0)
+
+
 def test_sensitivity_table_rejects_a_trace_of_another_model():
     cfg = SynthModelConfig(layers=3, head_dim=8, context_len=16, seed=1)
     trace = run_full_trace(generate_model(cfg), 2, 4)

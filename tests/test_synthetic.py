@@ -67,6 +67,15 @@ def test_config_refuses_a_logit_scale_that_is_not_a_finite_positive_number(scale
         SynthModelConfig(layers=4, logit_scale=scale)
 
 
+def test_queries_refuse_a_logit_scale_that_overflows_an_entry():
+    # The config is valid: only the scaled query entries leave the float range.
+    cfg = SynthModelConfig(layers=4, heads=2, head_dim=8, context_len=24, seed=3,
+                           inter_layer_correlation=0.8, logit_scale=1e308)
+    with pytest.raises(NumericInputError, match="logit_scale"):
+        generate_model(cfg).queries(1)
+    assert np.isfinite(generate_model(dataclasses.replace(cfg, logit_scale=1e307)).queries(1)).all()
+
+
 @pytest.mark.parametrize("scale", [0.25, 4.0])
 def test_a_power_of_two_logit_scale_keeps_every_selection(scale):
     cfg = SynthModelConfig(layers=5, head_dim=8, context_len=48, seed=6, inter_layer_correlation=0.7, heads=2)
