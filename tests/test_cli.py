@@ -1142,14 +1142,16 @@ def test_removed_bench_flags_exit_2(pipeline, tmp_path, flag, value):
     assert exc.value.code == 2
 
 
-def test_block_mode_merges_sink_and_recent_rows(pipeline, tmp_path):
+@pytest.mark.parametrize("flag,value", [("--include-sinks", "3"), ("--include-recent", "5")])
+def test_block_mode_merges_token_mode_flags(pipeline, tmp_path, flag, value):
     policy = read_policy(str(pipeline / "policy.json"))
     flags = ["decode", *MODEL_FLAGS, "--policy", str(pipeline / "policy.json"), "--steps", "2",
              "--block-size", "4", "--budget", "2"]
-    assert main([*flags, "--include-sinks", "3", "--include-recent", "5", "--out", str(tmp_path / "r.json")]) == 0
+    assert main([*flags, flag, value, "--out", str(tmp_path / "r.json")]) == 0
     assert main([*flags, "--out", str(tmp_path / "plain.json")]) == 0
     config = SynthModelConfig(layers=5, context_len=24, head_dim=8, inter_layer_correlation=0.9, seed=17)
-    run = hybrid_decode(generate_model(config), policy, 2, 2, block_size=4, include_sinks=3, include_recent=5)
+    extra = {flag[2:].replace("-", "_"): int(value)}
+    run = hybrid_decode(generate_model(config), policy, 2, 2, block_size=4, **extra)
     formats.write_run_result(run, str(tmp_path / "want.json"))
     got, want = read_json(str(tmp_path / "r.json")), read_json(str(tmp_path / "want.json"))
     for key in ("budget", "blockSize", "steps", "counters", "fidelity"):
