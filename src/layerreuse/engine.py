@@ -276,7 +276,8 @@ def hybrid_decode(
             keep = np.zeros(-(-n // block_size), dtype=bool)
             keep[list(_selection_indices(sel))] = True
             keep[: -(-include_sinks // block_size)] = True
-            keep[max(n - include_recent, 0) // block_size :] = True
+            if include_recent:
+                keep[max(n - include_recent, 0) // block_size :] = True
             units = tuple(np.flatnonzero(keep).tolist())
             merged = (TopKSet._canonical(units, len(units)) if block_size == 1
                       else BlockSet._canonical(units, block_size))

@@ -287,30 +287,35 @@ def test_block_size_one_equals_token_mode(fixture_model):
             )
 
 
-def test_block_mode_merges_sink_and_recent_blocks(fixture_model):
+@pytest.mark.parametrize("sinks,recent", [(3, 0), (0, 5), (3, 5)])
+def test_block_mode_merges_sink_and_recent_blocks(fixture_model, sinks, recent):
     # Tokens 0 .. 2 lie in block 0 and the last 5 tokens in the blocks that
-    # hold them; at step 1 the final block holds one token.
+    # hold them. The cache length is 96 + t, so from step 1 on the final
+    # block is partial and is forced in only when recent rows are asked for.
     policy = static_jump_policy(FIXTURE.layers, 3)
     steps, width = 3, 4
     plain = hybrid_decode(fixture_model, policy, 2, steps, block_size=width)
-    run = hybrid_decode(fixture_model, policy, 2, steps, block_size=width, include_sinks=3, include_recent=5)
+    run = hybrid_decode(fixture_model, policy, 2, steps, block_size=width,
+                        include_sinks=sinks, include_recent=recent)
     queries = fixture_model.queries(steps)
+    grown = 0
     for t in range(steps):
         n = FIXTURE.context_len + t
-        extra = {0} | set(range((n - 5) // width, -(-n // width)))
+        extra = set(range(-(-sinks // width))) | (set(range((n - recent) // width, -(-n // width))) if recent else set())
         for l, source in enumerate(policy.sources):
             got = run.selections[t][l]
             if l == source:
                 assert got == plain.selections[t][l]
                 assert run.outputs[t, l].tobytes() == plain.outputs[t, l].tobytes()
                 merged = BlockSet(block_indices=tuple(sorted(set(got.block_indices) | extra)), block_size=width)
-                assert merged.size > got.size
+                grown += merged.size > got.size
             else:
                 assert_same_selection(got, merged)
                 rows = merged.token_coverage(n)
                 assert run.reuse_gathered_rows[t][l] == rows.shape[0]
                 want = attention._subset_attention(queries[t, l], fixture_model.cache_at(l, t), rows)[0]
                 assert run.outputs[t, l].tobytes() == want.tobytes()
+    assert grown  # the forced blocks are not all in the top-k already
 
 
 def test_block_size_past_int64_is_one_block(fixture_model):
