@@ -245,11 +245,12 @@ class TopKSet:
     def _canonical(cls, indices: tuple[int, ...], budget: int) -> TopKSet:
         """The set of indices already in canonical form, built without a check.
 
-        Only these callers may use it: run_full_trace and hybrid_decode, on a
-        row of topk_of_logits (and its union with sink and recent rows), and
-        read_trace, on rows its numpy pass checked. indices must be a tuple
-        of Python ints, never numpy integers, since a set's repr is hashed
-        into golden digests; budget is an int >= 1.
+        Only these callers may use it: run_full_trace, on a row of
+        topk_of_logits, hybrid_decode at block_size 1, on that row or its
+        union with sink and recent rows, and read_trace, on rows its numpy
+        pass checked. indices must be a tuple of Python ints, never numpy
+        integers, since a set's repr is hashed into golden digests; budget
+        is an int >= 1.
         """
         sel = object.__new__(cls)
         object.__setattr__(sel, "indices", indices)
@@ -287,8 +288,9 @@ class BlockSet:
         """The set of blocks already in canonical form, built without a check.
 
         Only these callers may use it: topk_blocks, on a row of
-        topk_of_logits, hybrid_decode, on that row's union with sink and
-        recent blocks, and read_trace, on rows its numpy pass checked.
+        topk_of_logits, hybrid_decode above block_size 1, on such a row or
+        its union with sink and recent blocks, and read_trace, on rows its
+        numpy pass checked.
         blocks must be a tuple of Python ints; block_size is an int >= 1.
         """
         sel = object.__new__(cls)

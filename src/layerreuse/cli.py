@@ -178,9 +178,12 @@ def _cmd_decode(args) -> int:
     if args.budget is None:
         raise InvalidInputError("decode requires --budget")
     model = generate_model(config)
-    if args.block_size == 1 and args.budget > config.context_len:
+    # budget counts units of block_size tokens, the final one truncated by the context end.
+    units = -(-config.context_len // max(args.block_size, 1))
+    if args.block_size >= 1 and args.budget > units:
+        within = "" if args.block_size == 1 else f"the {units} blocks of {args.block_size} tokens in "
         print(
-            f"warning: budget {args.budget} exceeds context length "
+            f"warning: budget {args.budget} exceeds {within}context length "
             f"{config.context_len}; clamping per step",
             file=sys.stderr,
         )

@@ -5,11 +5,12 @@ Full layers run exact attention over the whole cache and publish their top-k
 inherit the previous layer's selection, gather only those KV rows, and run
 subset-renormalized sparse attention. The loop calls full attention at Full
 cells only and counts those calls per step; no Reuse cell has a full-cache
-call to count. One decoder, hybrid_decode, selects tokens at block_size 1
-and blocks above it: the two modes differ only in the select rule that turns
-a Full layer's summed logits into a selection, and share one loop, _decode,
-which runs steps outermost. Sink and recent rows merge into the selection
-Reuse layers inherit through one mask over the rule's units, in both modes.
+call to count. One function, hybrid_decode, holds the (step, layer) loop,
+steps outermost, and one select rule in units of block_size tokens: a Full
+layer's summed logits, max-pooled into blocks above block_size 1, give its
+top units, so it selects tokens at block_size 1 and blocks above it. Sink
+and recent units merge into the selection Reuse layers inherit through one
+mask over the step's units, in both modes.
 
 A Full cell reaches its step's all-heads cache through the model's cache_at,
 a view of the model's grown arrays. Only Reuse layers hold the last step's
@@ -27,7 +28,6 @@ all-Full and under the policy.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -42,7 +42,6 @@ from .attention import (
     _subset_attention,
     block_max_of_logits,
     full_attention,
-    topk_blocks,
     topk_of_logits,
 )
 from .errors import ConfigurationError, InvalidInputError
@@ -162,22 +161,37 @@ def _full_baseline(outputs: np.ndarray, queries: np.ndarray, caches: dict[int, L
     return baseline
 
 
-def _decode(
+def hybrid_decode(
     model: SyntheticModel,
     policy: LayerPolicy,
-    steps: int,
     budget: int,
-    block_size: int,
-    select: Callable[[np.ndarray, int], tuple[TopKSet | BlockSet, TopKSet | BlockSet, np.ndarray]],
+    steps: int,
+    *,
+    block_size: int = 1,
+    include_sinks: int = 0,
+    include_recent: int = 0,
 ) -> DecodeRunResult:
-    """The (step, layer) loop of hybrid decoding; the select rule is the caller's.
+    """Decode with selection reuse under a layer policy, of tokens or of blocks of tokens.
 
-    A Full cell runs full attention of all heads over the step's cache, which
-    model.cache_at builds, and hands the head-summed logits to select(logits,
-    n), which returns the selection that layer records, the one the Reuse
-    layers after it record, and the rows they gather. A Reuse cell records
-    the inherited selection of the last Full layer below it at the same step
-    and runs sparse attention over just those rows of its last-step cache.
+    Full layers compute exact attention of all heads over the step's cache,
+    which model.cache_at builds, and select units from their summed per-head
+    logits: a unit is block_size tokens, the final one truncated by the cache
+    end. At block_size 1 they select the top-min(budget, N) tokens, above it
+    the top-min(budget, block count) blocks of the logits max-pooled into
+    blocks. So budget counts tokens at block_size 1 and blocks above it. A
+    Reuse layer records the selection of the last Full layer below it at the
+    same step and runs sparse attention over just its rows of the layer's
+    last-step cache; those rows are built once per Full layer and step.
+    Fidelity is measured against the all-full baseline on the same model and
+    steps, recomputed at Reuse layers only (Full layers match it bit for
+    bit), when the result's fidelity is first read.
+
+    include_sinks / include_recent optionally force the first and last so
+    many tokens into reused selections: one mask over the step's
+    ceil(N / block_size) units merges the top units with the units that hold
+    those tokens. Both default to off. Each Full layer's selection is merged
+    once, and the Reuse layers after it record the merged TopKSet or
+    BlockSet and gather exactly its rows.
 
     Steps run outermost: this models autoregressive decoding, where token
     t + 1 cannot start until token t has left the last layer, so each cell
@@ -186,6 +200,17 @@ def _decode(
     whose queries are all given, instead run each layer's steps as one
     multi-step full_attention call.
     """
+    # Every LayerPolicy is a valid chain by construction, so its layer count is the one policy check.
+    if policy.num_layers != model.config.layers:
+        raise ConfigurationError(
+            f"policy covers {policy.num_layers} layers, model has {model.config.layers}"
+        )
+    steps = check_count("steps", steps)
+    budget = check_count("budget", budget)
+    block_size = check_count("block_size", block_size)
+    include_sinks = check_count("include_sinks", include_sinks, 0)
+    include_recent = check_count("include_recent", include_recent, 0)
+
     cfg = model.config
     L = cfg.layers
     queries = model.queries(steps)
@@ -196,13 +221,29 @@ def _decode(
     selections = [[None] * L for _ in range(steps)]
     gathered = [[None] * L for _ in range(steps)]
     full_counts = [0] * steps
+    # topk_of_logits returns a canonical row, and a mask over the step's units
+    # reads back its union with the sink and recent units in ascending order,
+    # so every set is built without a second check.
+    tokens = block_size == 1
+    make = TopKSet._canonical if tokens else BlockSet._canonical
     for t in range(steps):
         n_t = cfg.context_len + t
         for l, action in enumerate(policy.actions):
             if action is Action.FULL:
                 outputs[t, l], logits = full_attention(queries[t, l], model.cache_at(l, t))
                 full_counts[t] += 1
-                selections[t][l], inherited, rows = select(_head_sum(logits), n_t)
+                scores = _head_sum(logits)
+                units = topk_of_logits(scores if tokens else block_max_of_logits(scores, block_size), budget)
+                selections[t][l] = inherited = make(units, budget if tokens else block_size)
+                if include_sinks or include_recent:
+                    keep = np.zeros(-(-n_t // block_size), dtype=bool)
+                    keep[list(units)] = True
+                    keep[: -(-include_sinks // block_size)] = True
+                    if include_recent:
+                        keep[max(n_t - include_recent, 0) // block_size :] = True
+                    units = tuple(np.flatnonzero(keep).tolist())
+                    inherited = make(units, len(units) if tokens else block_size)
+                rows = np.asarray(units, dtype=np.int64) if tokens else inherited.token_coverage(n_t)
             else:
                 # Layer 0 is Full, so a selection is carried at every step.
                 selections[t][l] = inherited
@@ -220,70 +261,6 @@ def _decode(
         reuse_gathered_rows=tuple(map(tuple, gathered)),
         _baseline=_Baseline(outputs, queries, caches),
     )
-
-
-def hybrid_decode(
-    model: SyntheticModel,
-    policy: LayerPolicy,
-    budget: int,
-    steps: int,
-    *,
-    block_size: int = 1,
-    include_sinks: int = 0,
-    include_recent: int = 0,
-) -> DecodeRunResult:
-    """Decode with selection reuse under a layer policy, of tokens or of blocks of tokens.
-
-    Full layers compute exact attention and select from their summed
-    per-head logits: at block_size 1 the top-min(budget, N) tokens, above it
-    the top-min(budget, block count) blocks of the logits max-pooled into
-    blocks of block_size tokens. So budget counts tokens at block_size 1 and
-    blocks above it. Reuse layers inherit the previous layer's selection and
-    run sparse attention over just its rows: a block selection's token
-    ranges, the final block truncated by the cache end, built once per Full
-    layer and step. Fidelity is measured against the all-full baseline on
-    the same model and steps, recomputed at Reuse layers only (Full layers
-    match it bit for bit), when the result's fidelity is first read.
-
-    include_sinks / include_recent optionally force the first and last so
-    many tokens into reused selections: one mask over the step's
-    ceil(N / block_size) units merges the top units with the units that hold
-    those tokens. Both default to off. Each Full layer's selection is merged
-    once, and the Reuse layers after it record the merged TopKSet or
-    BlockSet and gather exactly its rows.
-    """
-    # Every LayerPolicy is a valid chain by construction, so its layer count is the one policy check.
-    if policy.num_layers != model.config.layers:
-        raise ConfigurationError(
-            f"policy covers {policy.num_layers} layers, model has {model.config.layers}"
-        )
-    steps = check_count("steps", steps)
-    budget = check_count("budget", budget)
-    block_size = check_count("block_size", block_size)
-    include_sinks = check_count("include_sinks", include_sinks, 0)
-    include_recent = check_count("include_recent", include_recent, 0)
-
-    # topk_of_logits returns a canonical row, and a mask over the step's units
-    # reads back its union with the sink and recent units in ascending order,
-    # so every set is built without a second check.
-    def select(logits: np.ndarray, n: int) -> tuple[TopKSet | BlockSet, TopKSet | BlockSet, np.ndarray]:
-        if block_size == 1:
-            sel = TopKSet._canonical(topk_of_logits(logits, budget), budget)
-        else:
-            sel = topk_blocks(block_max_of_logits(logits, block_size), budget, block_size)
-        merged = sel
-        if include_sinks or include_recent:
-            keep = np.zeros(-(-n // block_size), dtype=bool)
-            keep[list(_selection_indices(sel))] = True
-            keep[: -(-include_sinks // block_size)] = True
-            if include_recent:
-                keep[max(n - include_recent, 0) // block_size :] = True
-            units = tuple(np.flatnonzero(keep).tolist())
-            merged = (TopKSet._canonical(units, len(units)) if block_size == 1
-                      else BlockSet._canonical(units, block_size))
-        return sel, merged, merged.as_array() if block_size == 1 else merged.token_coverage(n)
-
-    return _decode(model, policy, steps, budget, block_size, select)
 
 
 # Unexported: perfbench's decode-blocks workload calls it positionally. It goes

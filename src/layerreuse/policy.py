@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -88,7 +87,7 @@ class LayerPolicy:
         if cum is not None and (isinstance(cum, bool) or not isinstance(cum, numbers.Real)):
             raise InvalidInputError(f"cum_similarity must be a number, got {cum!r}")
         # A plan's credit is 1 per Full layer plus an overlap in [0, 1] per Reuse layer.
-        if cum is not None and math.isfinite(cum) and not full_count <= cum <= len(actions):
+        if cum is not None and not full_count <= cum <= len(actions):
             raise InvalidInputError(f"cumSimilarity {cum} lies outside [fullCount, L] = [{full_count}, {len(actions)}]")
         if self.matrix_hash is not None and not isinstance(self.matrix_hash, str):
             raise InvalidInputError(f"matrix_hash must be a string, got {self.matrix_hash!r}")

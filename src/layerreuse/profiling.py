@@ -170,7 +170,8 @@ class SensitivityReport:
 
     rnmse[l] is layer l's mean over the steps and max_rnmse[l] its largest
     value; over one step both are that step's rnmse. NaN marks an undefined
-    rnmse, in both or neither; the constructor refuses any other pair.
+    rnmse, in both or neither; the constructor refuses any other pair, and
+    an infinity.
     """
 
     budget: int
@@ -185,11 +186,11 @@ class SensitivityReport:
         if mean.ndim != 1 or mean.shape != peak.shape or not len(mean):
             raise InvalidInputError("sensitivity-report field layers must hold at least one layer, as rnmse and "
                                     f"maxRnmse vectors of one length; got shapes {mean.shape} and {peak.shape}")
-        broken = ~(np.isnan(mean) & np.isnan(peak) | (0 <= mean) & (mean <= peak))
+        broken = ~(np.isnan(mean) & np.isnan(peak) | (0 <= mean) & (mean <= peak) & (peak < np.inf))
         if broken.any():
             l = int(broken.argmax())
             raise InvalidInputError(f"sensitivity-report layer {l} has rnmse {mean[l]} and maxRnmse {peak[l]}: "
-                                    "both must be NaN (null in a file), or numbers with 0 <= rnmse <= maxRnmse")
+                                    "both must be NaN (null in a file), or finite numbers with 0 <= rnmse <= maxRnmse")
 
     @classmethod
     def of_table(cls, table: np.ndarray, budget: int) -> "SensitivityReport":

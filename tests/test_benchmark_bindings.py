@@ -22,11 +22,13 @@ _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 # sensitivity_profile since it reads the trace's sensitivity table, and the
 # decode command has not called hybrid_decode_blocks since block mode became
 # hybrid_decode's block_size, and profiling has scored no cache since
-# sensitivity_profile became a row of a trace's sensitivity table: the trace
-# reaches those spans through the synthetic bindings.
+# sensitivity_profile became a row of a trace's sensitivity table, and engine
+# has not called topk_blocks since hybrid_decode builds its block sets from
+# topk_of_logits's units itself: the trace reaches those spans through the
+# synthetic bindings.
 _RETIRED = {("layerreuse.engine", "run_full_trace"), ("layerreuse.cli", "sensitivity_profile"),
             ("layerreuse.cli", "hybrid_decode_blocks"), ("layerreuse.profiling", "full_attention"),
-            ("layerreuse.profiling", "topk_of_logits")}
+            ("layerreuse.profiling", "topk_of_logits"), ("layerreuse.engine", "topk_blocks")}
 
 
 def _tracing():

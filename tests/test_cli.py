@@ -287,12 +287,15 @@ def test_plan_theta_extremes(tmp_path):
     assert read_policy(high).full_count == 5
 
 
-def test_decode_clamp_warning(pipeline, tmp_path, capsys):
+# The context holds 24 tokens: 24 units at block size 1 and 6 blocks at block size 4.
+@pytest.mark.parametrize("block_size, budget, warned", [(1, 999, True), (1, 24, False),
+                                                        (4, 1000, True), (4, 7, True), (4, 6, False)])
+def test_decode_clamp_warning(pipeline, tmp_path, capsys, block_size, budget, warned):
     code = main(["decode", *MODEL_FLAGS, "--policy", str(pipeline / "policy.json"),
-                 "--budget", "999", "--steps", "1",
+                 "--budget", str(budget), "--steps", "1", "--block-size", str(block_size),
                  "--out", str(tmp_path / "r.json")])
     assert code == 0
-    assert "clamping" in capsys.readouterr().err
+    assert ("clamping" in capsys.readouterr().err) == warned
 
 
 def test_bench_csv_speedup_grows_with_context(pipeline):

@@ -251,6 +251,7 @@ def test_producers_build_every_selection_without_a_second_check(monkeypatch):
     hybrid_decode(model, policy, 6, 3)
     hybrid_decode(model, policy, 6, 3, include_sinks=2, include_recent=3)
     hybrid_decode(model, policy, 2, 3, block_size=4)
+    hybrid_decode(model, policy, 2, 3, block_size=4, include_sinks=2, include_recent=3)
     assert calls == []
 
 

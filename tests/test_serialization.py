@@ -215,12 +215,10 @@ def test_policy_without_theta_round_trips(tmp_path):
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-def test_policy_with_a_non_finite_credit_is_not_written(tmp_path, value):
-    # read_policy refuses NaN and Infinity, so no writer may emit them.
-    policy = dataclasses.replace(static_jump_policy(4, 2), cum_similarity=value)
-    with pytest.raises(InvalidInputError, match="JSON cannot encode"):
-        write_policy(policy, str(tmp_path / "policy.json"))
-    assert os.listdir(tmp_path) == []
+def test_policy_with_a_non_finite_credit_is_not_written(value):
+    # read_policy refuses NaN and Infinity, so the constructor refuses them before any writer sees them.
+    with pytest.raises(InvalidInputError, match="cumSimilarity .* lies outside"):
+        dataclasses.replace(static_jump_policy(4, 2), cum_similarity=value)
 
 
 def test_run_result_document(tmp_path):
@@ -455,6 +453,19 @@ _UNREADABLE = {
         read_sensitivity_report, {"layers": [{"rnmse": 0.5, "maxRnmse": 0.2}]},
         lambda: SensitivityReport(budget=4, steps=2, rnmse=np.array([0.5]), max_rnmse=np.array([0.2])),
         "rnmse 0.5 and maxRnmse 0.2"),
+    # json.dumps writes these non-finite numbers as Infinity and NaN.
+    "sensitivity-max-infinite": (
+        read_sensitivity_report, {"layers": [{"rnmse": 0.0, "maxRnmse": float("inf")}]},
+        lambda: SensitivityReport(budget=4, steps=2, rnmse=np.array([0.0]), max_rnmse=np.array([np.inf])),
+        "maxRnmse.* inf"),
+    "policy-credit-infinite": (
+        read_policy, {"cumSimilarity": float("inf")},
+        lambda: LayerPolicy(actions=(Action.FULL,), theta=None, cum_similarity=float("inf"), matrix_hash=None),
+        "cumSimilarity.* inf"),
+    "policy-credit-nan": (
+        read_policy, {"cumSimilarity": float("nan")},
+        lambda: LayerPolicy(actions=(Action.FULL,), theta=None, cum_similarity=float("nan"), matrix_hash=None),
+        "cumSimilarity.* nan"),
     "policy-types": (
         read_policy, {"cumSimilarity": True, "matrixHash": 5},
         lambda: LayerPolicy(actions=(Action.FULL,), theta=None, cum_similarity=True, matrix_hash=5),
