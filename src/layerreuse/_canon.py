@@ -40,10 +40,13 @@ def check_count(name: str, value, least: int | None = 1) -> int:
 
 
 def check_unit(name: str, value) -> float:
-    """value as a float, refusing a bool, any other non-number, and a value outside [0, 1]."""
+    """value as a float, refusing a bool, any other non-number, and a value outside [0, 1].
+
+    -0.0 comes back as 0.0, so both spellings of zero write the same artifact bytes.
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value <= 1.0:
         raise InvalidInputError(f"{name} must lie in [0, 1], got {value}")
-    return float(value)
+    return float(value) + 0.0
 
 
 def canonical_json_bytes(payload: dict) -> bytes:

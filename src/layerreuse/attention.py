@@ -7,7 +7,10 @@ one gemv per head makes an H-head call equal H one-head calls bit for bit.
 full_attention also takes S consecutive decode steps at once, a query [S, d]
 or [S, H, d] whose step t sees the first N - S + 1 + t tokens: that call is
 S one-step calls. The selection functions take the resulting [S, N] rows of
-logits and select row by row.
+logits and select row by row. Callers select on logits.sum(axis=-2): over
+two or more tokens the head axis is not the contiguous one, so numpy adds
+the heads in order, as adding H one-head results would, and a one-token row
+has only one token to select.
 
 A multi-step call over at least 2 heads whose per-head [N, d] key block
 holds at least _SPLIT_BYTES (1 MiB) splits its heads into two halves: the
@@ -20,11 +23,12 @@ The threshold is measured on whole 8-step traces of 16 layers with 2 heads
 of d = 64 (2-vCPU x86-64 VM, one BLAS thread), each layer's cache touched
 once per trace, as run_full_trace and the fidelity baseline touch it:
 splitting every call reads +51% at 256 KiB per head and +34% at 512 KiB,
-since a thread start and join costs about 0.1 ms, and -4% at 1 MiB and -10%
-at 2 MiB. A layer of the 8 MiB-per-head benchmark trace takes 15.2 ms split
-against 18.9 ms. Calls repeated on one cache lose at 1 MiB (+11%) and gain
-only from 4 MiB (-15%), so the threshold is judged on traces. One-step
-calls, a decode cell's, do not split.
+and -4% at 1 MiB and -10% at 2 MiB. A layer of the 8 MiB-per-head
+benchmark trace takes 15.2 ms split against 18.9 ms. Calls repeated on one
+cache lose at 1 MiB (+11%) and gain only from 4 MiB (-15%), so the
+threshold is judged on traces. One-step calls, a decode cell's, do not
+split. _concurrently itself, a one-worker thread pool made per call, costs
+about 0.2 ms on no-op halves on the same VM.
 
 All math runs in float64. Every public operation is a pure function over
 immutable inputs, so results are safe to share across threads and are
@@ -45,7 +49,7 @@ from __future__ import annotations
 import contextvars
 import math
 import operator
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,24 +84,10 @@ def _concurrently(here, there):
     or raises. here()'s error is raised first, then there()'s. there() must
     reach no traced binding: the benchmark's span stack is not thread-safe.
     """
-    context = contextvars.copy_context()
-    results, errors = [], []
-
-    def run() -> None:
-        try:
-            results.append(context.run(there))
-        except BaseException as exc:  # re-raised on the calling thread, after the join
-            errors.append(exc)
-
-    worker = threading.Thread(target=run)
-    worker.start()
-    try:
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        future = pool.submit(contextvars.copy_context().run, there)
         mine = here()
-    finally:
-        worker.join()
-    if errors:
-        raise errors[0]
-    return mine, results[0]
+    return mine, future.result()
 
 
 class _CheckedRows(np.ndarray):
@@ -427,14 +417,6 @@ def _subset_attention(q: np.ndarray, cache: LayerKvCache, idx: np.ndarray) -> tu
     the query and keeps idx within the cache.
     """
     return _attend(q, cache.keys[..., idx, :], cache.values[..., idx, :])
-
-
-def _head_sum(logits: np.ndarray) -> np.ndarray:
-    """Per-head logits [..., H, n] summed in head order, as adding H one-head results would."""
-    summed = np.zeros(logits.shape[:-2] + logits.shape[-1:])
-    for head in logits.swapaxes(0, -2):
-        summed += head
-    return summed
 
 
 def topk_of_logits(logits: np.ndarray, budget: int) -> tuple:

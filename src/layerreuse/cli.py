@@ -100,7 +100,8 @@ class _Manifest:
     relative to the primary output's directory, so a chain run in another
     directory records the same bytes. hash covers the command, config,
     paths, seed and tool version; wallTimeSeconds, counted from that start
-    time, is left out so identical runs hash identically.
+    time, is left out so identical runs hash identically. Two outputs, the
+    manifest included, that resolve to one path raise InvalidInputError.
     """
 
     def __init__(self, args, outputs: list[str], inputs: dict, config: dict, seed: int | None = None) -> None:
@@ -112,6 +113,10 @@ class _Manifest:
         named = {key: relative(value) for key, value in inputs.items()}
         paths = [path for value in named.values() for path in ([value] if isinstance(value, str) else value)]
         self.path = outputs[0] + ".manifest.json"
+        resolved = [os.path.abspath(path) for path in [*outputs, self.path]]
+        for i, path in enumerate(resolved):
+            if path in resolved[:i]:
+                raise InvalidInputError(f"{path} would be written twice; give each output its own path")
         self.started = args.started
         self.payload = {
             "version": V1_0,
@@ -163,7 +168,7 @@ def _cmd_profile(args) -> int:
 def _cmd_plan(args) -> int:
     policy = dp_optimize(read_similarity_matrix(args.matrix), args.theta)
     out = _resolve(args, args.out, "policy.json")
-    manifest = _Manifest(args, [out], {"matrix": args.matrix}, {"theta": args.theta})
+    manifest = _Manifest(args, [out], {"matrix": args.matrix}, {"theta": policy.theta})
     write_policy(policy, out, manifest.hash)
     manifest.write()
     print(

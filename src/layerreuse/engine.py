@@ -38,7 +38,6 @@ from .attention import (
     BlockSet,
     LayerKvCache,
     TopKSet,
-    _head_sum,
     _subset_attention,
     block_max_of_logits,
     full_attention,
@@ -232,7 +231,7 @@ def hybrid_decode(
             if action is Action.FULL:
                 outputs[t, l], logits = full_attention(queries[t, l], model.cache_at(l, t))
                 full_counts[t] += 1
-                scores = _head_sum(logits)
+                scores = logits.sum(axis=-2)
                 units = topk_of_logits(scores if tokens else block_max_of_logits(scores, block_size), budget)
                 selections[t][l] = inherited = make(units, budget if tokens else block_size)
                 if include_sinks or include_recent:

@@ -61,7 +61,6 @@ from .attention import (
     TopKSet,
     _CheckedRows,
     _concurrently,
-    _head_sum,
     block_max_of_logits,
     full_attention,
     topk_blocks,
@@ -257,24 +256,18 @@ def _renorm(x: np.ndarray, target: float, out: np.ndarray | None = None) -> np.n
     return np.multiply(x, scales, out=out)
 
 
-def _blend(
-    prev: np.ndarray, fresh: np.ndarray, rho: float, target: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """rho * prev + (1 - rho) * fresh, rows renormalized to `target`.
+def _blend(prev: np.ndarray, fresh: np.ndarray, rho: float, target: float, *, out: np.ndarray) -> None:
+    """Write rho * prev + (1 - rho) * fresh to out, rows renormalized to `target`.
 
-    With out, which must overlap neither input, the rows are written there
-    and fresh is overwritten as scratch.
+    out must overlap neither input; fresh is overwritten as scratch.
     """
     # rho == 1 must copy exactly: renormalizing would perturb low-order bits
     # and break exact cross-layer equality.
     if rho == 1.0:
-        if out is None:
-            return prev.copy()
         np.copyto(out, prev)
-        return out
-    scratch = None if out is None else fresh
-    mixed = np.add(np.multiply(prev, rho, out=out), np.multiply(fresh, 1.0 - rho, out=scratch), out=scratch)
-    return _renorm(mixed, target, out=out)
+        return
+    mixed = np.add(np.multiply(prev, rho, out=out), np.multiply(fresh, 1.0 - rho, out=fresh), out=fresh)
+    _renorm(mixed, target, out=out)
 
 
 def _base_chain(config: SynthModelConfig, stream: int, buffer: np.ndarray, fresh: np.ndarray) -> None:
@@ -355,7 +348,7 @@ class SyntheticModel:
                 q[t, 0, h] = base
         fresh = _fresh_rows(cfg.seed, _S_QUERY_MIX, range(1, L), 0, steps, H, d)
         for l in range(1, L):
-            q[:, l] = _blend(q[:, l - 1], fresh[l - 1], rho, target)
+            _blend(q[:, l - 1], fresh[l - 1], rho, target, out=q[:, l])
         # Rounding is monotone, so the largest entry's product is finite iff every product is.
         if not math.isfinite(float(np.abs(q).max()) * cfg.logit_scale):
             raise NumericInputError(f"logit_scale {cfg.logit_scale!r} carries a query entry past the float range")
@@ -508,7 +501,7 @@ def run_full_trace(model: SyntheticModel, steps: int, budget: int, block_size: i
     topk, blocks = [], []
     for l in range(cfg.layers):
         outputs[:, l], logits = full_attention(queries[:, l], model.cache_at(l, steps - 1))
-        summed = _head_sum(logits)
+        summed = logits.sum(axis=-2)
         # budget <= context_len, so every row of topk_of_logits is canonical and holds budget indices.
         topk.append([TopKSet._canonical(row, budget) for row in topk_of_logits(summed, budget)])
         blocks.append(topk_blocks(block_max_of_logits(summed, block_size), block_budget, block_size))

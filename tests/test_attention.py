@@ -22,7 +22,7 @@ from layerreuse import (
     topk_of_logits,
 )
 from layerreuse import attention
-from layerreuse.attention import _head_sum, _subset_attention, softmax
+from layerreuse.attention import _subset_attention, softmax
 from conftest import assert_same_selection
 from reference import ref_attention, ref_sparse_attention, ref_topk
 
@@ -227,7 +227,7 @@ def test_all_heads_call_equals_one_call_per_head(heads):
             assert np.array_equal(sub_out[h], one_sub[0])
             assert np.array_equal(sub_logits[h], one_sub[1])
             assert np.array_equal(softmax(sub_logits)[h], softmax(one_sub[1]))
-        assert np.array_equal(_head_sum(logits), summed)
+        assert np.array_equal(logits.sum(axis=-2), summed)
 
 
 # --- multi-step queries: S consecutive decode steps in one call ---
@@ -329,6 +329,37 @@ def test_multi_step_call_splits_heads_from_one_mib_per_head(monkeypatch, heads, 
     threads.clear()
     full_attention(rng.standard_normal((heads, 64)), _cache(keys, values))
     assert not threads
+
+
+def _raising(exc):
+    def call():
+        raise exc
+
+    return call
+
+
+@pytest.mark.parametrize("here, there, want", [
+    (threading.get_ident, threading.get_ident, None),
+    (_raising(ValueError("here")), _raising(KeyError("there")), ValueError),
+    (threading.get_ident, _raising(KeyError("there")), KeyError),
+    (_raising(ValueError("here")), threading.get_ident, ValueError),
+])
+def test_concurrently_returns_both_results_or_raises_heres_error_first(here, there, want):
+    threads = threading.active_count()
+    if want is None:
+        mine, theirs = attention._concurrently(here, there)
+        assert mine == threading.get_ident() != theirs
+    else:
+        with pytest.raises(want):
+            attention._concurrently(here, there)
+    assert threading.active_count() == threads
+
+
+def test_concurrently_runs_there_under_the_callers_errstate():
+    with np.errstate(over="raise"):
+        mine, theirs = attention._concurrently(np.geterr, np.geterr)
+    assert mine["over"] == theirs["over"] == "raise"
+    assert np.geterr()["over"] != "raise"
 
 
 def test_multi_step_call_refuses_more_steps_than_rows():

@@ -287,6 +287,25 @@ def test_plan_theta_extremes(tmp_path):
     assert read_policy(high).full_count == 5
 
 
+def test_negative_zero_writes_the_same_bytes_as_zero(pipeline, tmp_path):
+    # -0.0 is 0.0 to every check, so it must be 0.0 in the policy, the config and the manifest hash too.
+    for zero in ("-0", "0"):
+        assert main(["plan", "--matrix", str(pipeline / "similarity.json"), "--theta", zero,
+                     "--out", str(tmp_path / zero / "policy.json")]) == 0
+        assert main(["gen-traces", "--layers", "3", "--ctx", "8", "--head-dim", "4", "--rho", zero,
+                     "--steps", "1", "--k", "2", "--out", str(tmp_path / zero / "trace.json")]) == 0
+    for name in ("policy.json", "trace.json"):
+        assert (tmp_path / "-0" / name).read_bytes() == (tmp_path / "0" / name).read_bytes()
+
+
+def test_profile_refuses_one_path_for_both_outputs(pipeline, tmp_path, capsys):
+    out = str(tmp_path / "x.json")
+    assert main(["profile", "--trace", str(pipeline / "trace.json"),
+                 "--out-matrix", out, "--out-sensitivity", out]) == 2
+    assert out in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # The context holds 24 tokens: 24 units at block size 1 and 6 blocks at block size 4.
 @pytest.mark.parametrize("block_size, budget, warned", [(1, 999, True), (1, 24, False),
                                                         (4, 1000, True), (4, 7, True), (4, 6, False)])

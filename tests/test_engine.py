@@ -281,7 +281,7 @@ def test_block_size_one_equals_token_mode(fixture_model):
     queries = fixture_model.queries(3)
     for t in range(3):
         for l in range(FIXTURE.layers):
-            logits = attention._head_sum(attention.full_attention(queries[t, l], fixture_model.cache_at(l, t))[1])
+            logits = attention.full_attention(queries[t, l], fixture_model.cache_at(l, t))[1].sum(axis=-2)
             blocks = attention.topk_blocks(attention.block_max_of_logits(logits, 1), 12, 1)
             assert blocks.token_coverage(FIXTURE.context_len + t).tolist() == list(
                 attention.topk_of_logits(logits, 12)

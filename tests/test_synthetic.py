@@ -351,6 +351,18 @@ def test_generator_golden_digests_at_the_ends_of_the_dial(rho, digest):
     assert hashlib.sha256(keys.tobytes() + values.tobytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("rho, digest", [
+    (0.0, "cf6c30cc49586d95135b05d5ca57154f456a574226c04a0e922937bfd4dbeffe"),
+    (1.0, "3c5e01ed5e069606d081dbb595abbf88f271edf9e9d7066d6c630357611a0c61"),
+])
+def test_query_golden_digests_at_the_ends_of_the_dial(rho, digest):
+    # Recorded before the query layers were blended in place: rho 0 mixes in
+    # pure noise, rho 1 copies the layer above exactly.
+    cfg = SynthModelConfig(layers=3, head_dim=8, context_len=16, seed=2**40 + 3,
+                           inter_layer_correlation=rho, heads=2)
+    assert hashlib.sha256(generate_model(cfg).queries(4).tobytes()).hexdigest() == digest
+
+
 def test_models_built_at_once_from_four_threads_match_one_built_alone():
     cfg = SynthModelConfig(layers=4, head_dim=16, context_len=512, seed=9,
                            inter_layer_correlation=0.7, heads=2)
